@@ -31,6 +31,7 @@ from .errors import (
     RelaxationInfeasibleError,
 )
 from .intmath import l1_norm
+from .model import validate_weights
 from .rng import SplitMix64
 
 Sense = Literal["min", "max"]
@@ -102,13 +103,6 @@ class CoverageStats:
     seed: int | None = None
 
 
-def _validate_weights(a) -> tuple[int, ...]:
-    a = tuple(a)
-    if not a or any(not isinstance(x, int) or x < 1 for x in a):
-        raise DomainError("weights must be integers >= 1")
-    return a
-
-
 def _validate_direction(v, n: int) -> tuple[int, ...]:
     v = tuple(v)
     if len(v) != n:
@@ -146,7 +140,7 @@ def lp_extreme_eq(
     fractional coordinate. Raises RelaxationInfeasibleError when beta
     lies outside [0, ||a||_1].
     """
-    a = _validate_weights(a)
+    a = validate_weights(a)
     v = _validate_direction(v, len(a))
     _validate_sense(sense)
     total = sum(a)
@@ -177,7 +171,7 @@ def lp_extreme_ineq(
     Exact fractional knapsack greedy with objective a and constraint v;
     coordinates with v_i = 0 are free (1 for max, 0 for min).
     """
-    a = _validate_weights(a)
+    a = validate_weights(a)
     v = _validate_direction(v, len(a))
     _validate_sense(sense)
     ve = sum(v)
@@ -220,7 +214,7 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     Certificate (sound: the relaxation traps v.x strictly between
     consecutive integers) or no_certificate.
     """
-    a = _validate_weights(a)
+    a = validate_weights(a)
     v = _validate_direction(v, len(a))
     if math.gcd(*a) != 1:
         raise DomainError("weights not coprime")
@@ -249,7 +243,7 @@ def verify_certificate(a: Sequence[int], v: Sequence[int], cert: Certificate) ->
     own vmin/vmax or witnesses; any malformed input yields False.
     """
     try:
-        a = _validate_weights(a)
+        a = validate_weights(a)
         v = _validate_direction(v, len(a))
         level = cert.level
         beta = cert.beta
@@ -271,7 +265,7 @@ def witnesses_consistent(
 ) -> bool:
     """Do the stored witnesses attain vmin/vmax and satisfy a.x = beta?"""
     try:
-        a = _validate_weights(a)
+        a = validate_weights(a)
         v = _validate_direction(v, len(a))
     except DomainError:
         return False
@@ -302,7 +296,7 @@ def enumerate_intervals(
     cap; ||v||_1 can be astronomically large, in which case callers
     must request a partial window.
     """
-    a = _validate_weights(a)
+    a = validate_weights(a)
     v = _validate_direction(v, len(a))
     ve = sum(v)
     if k_hi is None:
@@ -374,7 +368,7 @@ def coverage_stats(
     draws beta uniformly from {0, ..., ||a||_1} with the given seed and
     classifies each via certify.
     """
-    a = _validate_weights(a)
+    a = validate_weights(a)
     v = _validate_direction(v, len(a))
     n = len(a)
     bound = 2 * (l1_norm(tuple(Fraction(r) for r in residual)) + 1) / Fraction(scale)

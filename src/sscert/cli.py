@@ -1,9 +1,10 @@
 """Command-line pipeline: generate, decompose, certify, verify, report.
 
 Exit codes: 0 success or verified, 1 verification rejected or no
-certificate, 2 usage error, 3 capacity error. Documents go to stdout
-(or --output); identical configurations produce byte-identical
-documents. Diagnostics are single lines on stderr.
+certificate, 2 usage error, 3 capacity error, 4 internal error (a bug:
+a failed internal invariant or any other unexpected exception).
+Documents go to stdout (or --output); identical configurations produce
+byte-identical documents. Diagnostics are single lines on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     CapacityError,
     DomainError,
     Error,
+    InvariantViolation,
     ParseError,
 )
 from .model import Instance, generate_instance
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 _DECIMAL_RE = re.compile(r"-?\d+\Z")
 
@@ -81,7 +84,10 @@ def _diag(message: str) -> None:
 def _decimal(value: str, what: str) -> int:
     if not _DECIMAL_RE.match(value or ""):
         raise DomainError(f"{what} must be a decimal integer string")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # more digits than the interpreter converts
+        raise DomainError(f"{what} has too many digits") from None
 
 
 def _load_instance(config: RunConfig) -> tuple[Instance, int]:
@@ -234,9 +240,15 @@ def run(config: RunConfig) -> int:
     except CapacityError as exc:
         _diag(str(exc))
         return EXIT_CAPACITY
-    except (Error, OSError) as exc:
+    except InvariantViolation as exc:
+        _diag(f"internal error: {exc}")
+        return EXIT_INTERNAL
+    except (Error, OSError, UnicodeDecodeError) as exc:
         _diag(str(exc))
         return EXIT_USAGE
+    except Exception as exc:
+        _diag(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:

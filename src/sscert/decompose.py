@@ -106,13 +106,10 @@ def project_onto(a: Sequence, v: Sequence) -> tuple[Fraction, tuple[Fraction, ..
     return lam, residual
 
 
-def _build(a, v, scale, method, provenance, bounds, warnings=()):
-    residual = tuple(Fraction(ai) - scale * vi for ai, vi in zip(a, v))
-    warnings = tuple(warnings)
+def _build(v, scale, residual, method, provenance, bounds):
+    warnings = ()
     if min(v) < 0:
-        if method is not Method.LLL_ROWS:
-            raise InvariantViolation("direction has negative components")
-        warnings += (
+        warnings = (
             "direction has negative components; branching requires a "
             "nonnegative direction",
         )
@@ -161,7 +158,7 @@ def decompose_frank_tardos(inst: Instance) -> Decomposition:
     )
     if not all(b.holds for b in bounds):
         raise InvariantViolation("decomposition bound failed; kernel bug")
-    return _build(inst.a, approx.v, scale, Method.FRANK_TARDOS, approx, bounds)
+    return _build(approx.v, scale, residual, Method.FRANK_TARDOS, approx, bounds)
 
 
 def _check(name, lhs, rhs, relation, note=""):
@@ -198,7 +195,7 @@ def decompose_lll_rows(inst: Instance) -> Decomposition:
     if scale <= 0:
         raise DomainError("projection scale not positive; direction unusable")
     bounds = _reduction_bounds(inst.a, v, scale, residual)
-    return _build(inst.a, v, scale, Method.LLL_ROWS, reduced.stats, bounds)
+    return _build(v, scale, residual, Method.LLL_ROWS, reduced.stats, bounds)
 
 
 def _reduction_bounds(a, v, scale, residual):

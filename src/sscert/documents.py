@@ -34,15 +34,21 @@ def _unlimited(operation):
 
     Exact witnesses (for example the cleared-exponent bound values of a
     reduction decomposition) routinely exceed CPython's default 4300
-    digit conversion limit; documents must still round-trip them.
+    digit conversion limit; documents must still round-trip them. The
+    previous limit is restored before returning, so the guard stays in
+    place for every other conversion in the process.
     """
     try:
         return operation()
     except ValueError as exc:
         if "int_max_str_digits" not in str(exc):
             raise
-        sys.set_int_max_str_digits(0)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
         return operation()
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _dump(payload: dict) -> str:
@@ -54,6 +60,8 @@ def _load(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise ParseError("document nests too deeply", "$") from None
 
 
 def _object(doc: Any, kind: str) -> dict:

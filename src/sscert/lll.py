@@ -1,9 +1,10 @@
 """Exact rational LLL reduction with unimodular transform tracking.
 
-The reduction itself runs in an integer kernel (compiled Cython module
-when built, pure Python otherwise; override with SSCERT_KERNEL=python
-or =cython). Rational bases are scaled by a common denominator first,
-which leaves the reduction decisions and the transform U unchanged.
+The reduction runs in the all-integer kernel of ``_lll_py``. Its big
+integers are gmpy2 ``mpz`` when gmpy2 imports and Python ints
+otherwise; SSCERT_BACKEND=int forces Python ints. Rational bases are
+scaled by a common denominator first, which leaves the reduction
+decisions and the transform U unchanged.
 
 Column convention throughout: the lattice is the set of integer
 combinations of the basis columns, and ``reduced = input . U``.
@@ -17,19 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import _lll_py as _kernel
 from .errors import DomainError, RankError
 from .intmath import dot
-
-_kernel_choice = os.environ.get("SSCERT_KERNEL", "")
-if _kernel_choice == "python":
-    from . import _lll_py as _kernel
-elif _kernel_choice == "cython":
-    from . import _lll_cy as _kernel  # type: ignore[no-redef]
-else:
-    try:
-        from . import _lll_cy as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _lll_py as _kernel  # type: ignore[no-redef]
 
 if os.environ.get("SSCERT_BACKEND", "") == "int":
     _num = int
@@ -41,7 +32,7 @@ else:
 
 
 def kernel_name() -> str:
-    """Name of the active reduction kernel ("python" or "cython")."""
+    """Name of the reduction kernel ("python")."""
     return _kernel.KERNEL_NAME
 
 

@@ -20,6 +20,14 @@ from .rng import SplitMix64, substream_seed
 _RESAMPLE_CAP = 1000
 
 
+def validate_weights(a: Sequence[int]) -> tuple[int, ...]:
+    """The weights as a tuple; DomainError unless all are integers >= 1."""
+    weights = tuple(a)
+    if not weights or any(not isinstance(x, int) or x < 1 for x in weights):
+        raise DomainError("weights must be integers >= 1")
+    return weights
+
+
 @dataclass(frozen=True, slots=True)
 class Instance:
     """Subset sum weights: ``n`` positive coprime integers ``a``."""
@@ -34,8 +42,7 @@ class Instance:
             raise DomainError("instance dimension must be at least 1")
         if len(self.a) != self.n:
             raise DomainError(f"expected {self.n} weights, got {len(self.a)}")
-        if any(not isinstance(x, int) or x < 1 for x in self.a):
-            raise DomainError("weights must be integers >= 1")
+        validate_weights(self.a)
         if math.gcd(*self.a) != 1:
             raise DomainError("weights not coprime")
 
@@ -73,9 +80,7 @@ def density(a: Sequence[int]) -> DensityReport:
     The low-density flag is the exact comparison max(a) >= 2^(2 n^2);
     the brackets are reporting aids only.
     """
-    weights = tuple(a)
-    if not weights or any(not isinstance(x, int) or x < 1 for x in weights):
-        raise DomainError("weights must be integers >= 1")
+    weights = validate_weights(a)
     n = len(weights)
     biggest = max(weights)
     if biggest == 1:

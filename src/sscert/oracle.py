@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .branching import CertifyStatus, certify, lp_extreme_ineq
+from .branching import CertifyStatus, _validate_direction, certify, lp_extreme_ineq
 from .errors import CapacityError, DomainError
+from .model import validate_weights
 from .rng import SplitMix64
 
 _FEASIBLE_CAP = 32
@@ -50,13 +51,6 @@ class InfeasibleCoverageReport:
             raise DomainError("certified count exceeds infeasible count")
 
 
-def _validate_weights(a) -> tuple[int, ...]:
-    a = tuple(a)
-    if not a or any(not isinstance(x, int) or x < 1 for x in a):
-        raise DomainError("weights must be integers >= 1")
-    return a
-
-
 def _half_sums(weights: Sequence[int]) -> dict[int, int]:
     """Subset sum -> first achieving bitmask, in mask order."""
     table: dict[int, int] = {}
@@ -72,7 +66,7 @@ def _half_sums(weights: Sequence[int]) -> dict[int, int]:
 
 def feasible(a: Sequence[int], beta: int) -> FeasibilityAnswer:
     """Exact subset sum decision by meet-in-the-middle, n <= 32."""
-    a = _validate_weights(a)
+    a = validate_weights(a)
     n = len(a)
     if n > _FEASIBLE_CAP:
         raise CapacityError(f"feasibility oracle capped at n = {_FEASIBLE_CAP}")
@@ -96,7 +90,7 @@ def feasible(a: Sequence[int], beta: int) -> FeasibilityAnswer:
 
 def all_feasible_sums(a: Sequence[int]) -> frozenset[int]:
     """Exact subset-sum value set (at most 2^n values), n <= 24."""
-    a = _validate_weights(a)
+    a = validate_weights(a)
     if len(a) > _SUMS_CAP:
         raise CapacityError(f"sum enumeration capped at n = {_SUMS_CAP}")
     sums = {0}
@@ -115,12 +109,10 @@ def check_good_intervals(
     (max(a,k), min(a,k+1)); returns the verdict and any counterexamples
     as (beta, certified, in_interval) triples.
     """
-    a = _validate_weights(a)
-    v = tuple(v)
+    a = validate_weights(a)
     if len(a) > 10 or sum(a) > 10**4:
         raise CapacityError("exhaustive interval check capped at n <= 10, ||a||_1 <= 10^4")
-    if not v or any(not isinstance(x, int) or x < 0 for x in v) or max(v) == 0:
-        raise DomainError("direction must be a nonzero nonnegative integer vector")
+    v = _validate_direction(v, len(a))
     ve = sum(v)
     if ve > cap:
         raise CapacityError("direction l1 norm exceeds the enumeration cap")
@@ -151,7 +143,7 @@ def infeasible_coverage_report(
     which can only lower the reported fraction. An empty infeasible
     set reports fraction 1 (vacuous).
     """
-    a = _validate_weights(a)
+    a = validate_weights(a)
     n = len(a)
     bound = 1 - Fraction(1, 1 << n)
     if mode == "exact":

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from sscert import documents
+from sscert import cli, documents
 from sscert.branching import CertifyStatus, coverage_stats, enumerate_intervals
 from sscert.cli import RunConfig, main, run
 from sscert.decompose import Decomposition, Method
+from sscert.errors import CapacityError, DomainError, InvariantViolation
 from sscert.lll import ReductionStats
 from sscert.model import Instance
 
@@ -46,6 +47,41 @@ def test_generate_deterministic_bytes(tmp_path):
 
 def test_generate_usage_error():
     assert run(RunConfig(command="generate", n=1, seed="0")) == 2
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (InvariantViolation("broken invariant"), 4),
+        (ZeroDivisionError("division by zero"), 4),
+        (CapacityError("too big"), 3),
+        (DomainError("bad input"), 2),
+        (OSError("no such file"), 2),
+    ],
+)
+def test_exit_code_by_exception(monkeypatch, capsys, exc, code):
+    # an internal bug must look neither like a verdict (1) nor a usage error (2)
+    def raise_it(config):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "generate", raise_it)
+    assert run(RunConfig(command="generate")) == code
+    err = capsys.readouterr().err
+    assert err.startswith("sscert: ") and err.count("\n") == 1
+    assert err.startswith("sscert: internal error: ") == (code == 4)
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe", b"[" * 100_000], ids=["undecodable", "deeply_nested"]
+)
+def test_hostile_document_is_a_usage_error(tmp_path, content):
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    assert main(["verify", "--instance", str(path), "--certificate", str(path)]) == 2
+
+
+def test_oversized_decimal_is_a_usage_error():
+    assert run(RunConfig(command="generate", n=3, seed="9" * 5000)) == 2
 
 
 def test_certify_verify_happy_path(toy_files):

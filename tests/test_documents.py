@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -99,9 +100,11 @@ class TestDecompositionDocs:
         from sscert.decompose import decompose_lll_rows
 
         dec = decompose_lll_rows(generate_instance(10, 42))
+        limit = sys.get_int_max_str_digits()
         roundtrip_canonical(
             documents.serialize_decomposition, documents.parse_decomposition, dec
         )
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestCertificateDocs:

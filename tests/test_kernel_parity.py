@@ -1,16 +1,10 @@
-"""The compiled and pure kernels must agree bit for bit."""
+"""The int and gmpy2 mpz backends of the kernel must agree bit for bit."""
 
-import importlib
 import random
 
 import pytest
 
 from sscert import _lll_py
-
-try:
-    _lll_cy = importlib.import_module("sscert._lll_cy")
-except ImportError:
-    _lll_cy = None
 
 try:
     from gmpy2 import mpz
@@ -37,22 +31,6 @@ def normalize(result):
     )
 
 
-@pytest.mark.skipif(_lll_cy is None, reason="compiled kernel not built")
-def test_compiled_matches_pure():
-    rnd = random.Random(61)
-    checked = 0
-    while checked < 40:
-        d = rnd.randint(2, 7)
-        cols = random_cols(rnd, d, rnd.choice([8, 16, 48]))
-        try:
-            pure = _lll_py.lll_reduce_ints(cols, 3, 4)
-        except ValueError:
-            continue
-        compiled = _lll_cy.lll_reduce_ints(cols, 3, 4)
-        assert normalize(pure) == normalize(compiled)
-        checked += 1
-
-
 @pytest.mark.skipif(mpz is None, reason="gmpy2 not installed")
 def test_int_and_mpz_backends_agree():
     rnd = random.Random(62)
@@ -73,4 +51,4 @@ def test_int_and_mpz_backends_agree():
 def test_kernel_name_reports_active_module():
     from sscert.lll import kernel_name
 
-    assert kernel_name() in ("python", "cython")
+    assert kernel_name() == "python"
