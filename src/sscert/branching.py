@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -410,6 +409,9 @@ def _classify(a, v, betas, workers: int) -> tuple[int, int]:
     chunks = [
         (a, v, betas[i : i + size]) for i in range(0, len(betas), size)
     ]
+    # imported here so that importing sscert does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     certified = 0
     uncertified = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -62,6 +62,8 @@ def _load(text: str) -> Any:
         raise ParseError(exc.msg, f"line {exc.lineno} column {exc.colno}") from None
     except RecursionError:
         raise ParseError("document nests too deeply", "$") from None
+    except ValueError as exc:  # an integer literal past the int/str digit limit
+        raise ParseError(str(exc), "$") from None
 
 
 def _object(doc: Any, kind: str) -> dict:
@@ -249,10 +251,15 @@ def parse_decomposition(text: str) -> Decomposition:
             )
         elif prov_type == "lattice_reduction":
             provenance = ReductionStats(
-                dim=int(_req(raw_prov, "dim", "$.provenance")),
-                swaps=int(_req(raw_prov, "swaps", "$.provenance")),
-                size_reductions=int(_req(raw_prov, "size_reductions", "$.provenance")),
+                dim=_parse_count(raw_prov, "dim"),
+                swaps=_parse_count(raw_prov, "swaps"),
+                size_reductions=_parse_count(raw_prov, "size_reductions"),
             )
+            if provenance.dim != len(v):
+                raise ParseError(
+                    f"dim {provenance.dim} differs from the {len(v)} entries of v",
+                    "$.provenance.dim",
+                )
         else:
             raise ParseError(f"unknown provenance type {prov_type!r}", "$.provenance.type")
         warnings = _req(doc, "warnings")
@@ -271,6 +278,15 @@ def parse_decomposition(text: str) -> Decomposition:
         )
     except (DomainError, InvariantViolation) as exc:
         raise ParseError(str(exc), "$") from None
+
+
+def _parse_count(raw_prov: dict, key: str) -> int:
+    value = _req(raw_prov, key, "$.provenance")
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ParseError(
+            f"{key} must be a nonnegative JSON integer", f"$.provenance.{key}"
+        )
+    return value
 
 
 # -- certificate ------------------------------------------------------------

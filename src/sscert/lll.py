@@ -6,6 +6,22 @@ otherwise; SSCERT_BACKEND=int forces Python ints. Rational bases are
 scaled by a common denominator first, which leaves the reduction
 decisions and the transform U unchanged.
 
+The scaled basis is fed to the kernel one precision level at a time
+(gradual feeding: van Hoeij & Novocin, "Gradual sub-lattice
+reduction", LATIN 2010; Novocin, Stehle & Villard, STOC 2011). For
+shifts s from the top bit length down to 0 in steps of
+FEED_STEP_BITS, every entry x is truncated to sign(x) * (|x| >> s),
+a nonzero entry that would vanish kept as +-1 (for the diophantine
+lattice this is the corner max(c, 2^-k)); the truncated basis times
+the transform accumulated so far is reduced, and its transform is
+composed onto the accumulated one. A level whose truncated columns
+are dependent is skipped. Each level starts from a basis the previous
+ones left almost reduced, so the expensive swaps happen on small
+numbers. One exact kernel pass on the full basis times the
+accumulated transform finishes, so the output is exactly LLL-reduced
+whatever the levels did; U and U^-1 are the composed transforms, and
+the stats sum the swaps and size reductions of every pass.
+
 Column convention throughout: the lattice is the set of integer
 combinations of the basis columns, and ``reduced = input . U``.
 """
@@ -16,6 +32,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import _lll_py as _kernel
@@ -37,6 +54,7 @@ def kernel_name() -> str:
 
 
 DEFAULT_DELTA = Fraction(3, 4)
+FEED_STEP_BITS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,10 +77,6 @@ class Basis:
     @property
     def dim(self) -> int:
         return len(self.cols)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.cols[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,22 +177,35 @@ def _common_denominator(basis: Basis) -> int:
 
 
 def lll_reduce(basis: Basis, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
-    """LLL-reduce the basis columns, tracking U and U^-1 incrementally."""
+    """LLL-reduce the basis columns, feeding them in one precision level at a time."""
     _validate_delta(delta)
     delta = Fraction(delta)
+    delta_num, delta_den = _num(delta.numerator), _num(delta.denominator)
     scale = _common_denominator(basis)
     int_cols = [
         [_num(x.numerator * (scale // x.denominator)) for x in col]
         for col in basis.cols
     ]
-    try:
-        b, u, uinv, lam, dvec, swaps, reductions = _kernel.lll_reduce_ints(
-            int_cols, _num(delta.numerator), _num(delta.denominator)
-        )
-    except ValueError as exc:
-        raise RankError(str(exc)) from None
-
     d = basis.dim
+    u = [[_num(1 if r == j else 0) for r in range(d)] for j in range(d)]
+    uinv = [list(col) for col in u]
+    swaps = reductions = 0
+    top = max(abs(x).bit_length() for col in int_cols for x in col)
+    for shift in [*range(top - FEED_STEP_BITS, 0, -FEED_STEP_BITS), 0]:
+        try:
+            b, lu, luinv, lam, dvec, s, r = _kernel.lll_reduce_ints(
+                _mul(_truncate(int_cols, shift), u), delta_num, delta_den
+            )
+        except ValueError as exc:
+            if shift == 0:
+                raise RankError(str(exc)) from None
+            continue  # the truncated columns are dependent: skip the level
+        u, uinv = _mul(u, lu), _mul(uinv, luinv)
+        swaps += s
+        reductions += r
+    if _mul(int_cols, u) != b:
+        raise DomainError("reduced basis is not input times U")
+
     reduced = Basis(
         cols=tuple(tuple(Fraction(int(x), scale) for x in col) for col in b)
     )
@@ -194,7 +221,6 @@ def lll_reduce(basis: Basis, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
             Fraction(int(dvec[i + 1]), int(dvec[i])) / scale_sq for i in range(d)
         ),
     )
-    _verify_transform(basis, reduced, u_rows)
     return ReducedBasis(
         basis=reduced,
         U=u_rows,
@@ -205,13 +231,29 @@ def lll_reduce(basis: Basis, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
     )
 
 
-def _verify_transform(original: Basis, reduced: Basis, u_rows) -> None:
-    d = original.dim
-    for j in range(d):
-        for t in range(original.ambient_dim):
-            acc = sum(original.cols[i][t] * u_rows[i][j] for i in range(d))
-            if acc != reduced.cols[j][t]:
-                raise DomainError("reduced basis is not input times U")
+def _truncate(cols, shift):
+    """Entries as sign(x) * (|x| >> shift), a nonzero entry kept as +-1.
+
+    At shift 0 this is a copy of the columns.
+    """
+    out = []
+    for col in cols:
+        truncated = []
+        for x in col:
+            y = (abs(x) >> shift) or (1 if x else 0)
+            truncated.append(-y if x < 0 else y)
+        out.append(truncated)
+    return out
+
+
+def _mul(a_cols, b_cols):
+    """Columns of A.B, with A and B given as lists of columns.
+
+    Rows of L.V are ``_mul(rows of V, rows of L)``, which composes the
+    inverse transforms kept as lists of rows.
+    """
+    a_rows = list(zip(*a_cols))
+    return [[sum(map(mul, row, col)) for row in a_rows] for col in b_cols]
 
 
 def basis_from_ints(cols: Sequence[Sequence[int]]) -> Basis:

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -352,3 +354,15 @@ class TestCoverage:
             TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, "sampled", sample_size=200, seed=9, workers=3
         )
         assert one == two
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only a coverage call with workers > 1 imports the process pool
+        code = (
+            "import sys, sscert; print(sorted(m for m in sys.modules"
+            " if m.startswith(('multiprocessing', 'concurrent'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -72,7 +73,9 @@ def test_exit_code_by_exception(monkeypatch, capsys, exc, code):
 
 
 @pytest.mark.parametrize(
-    "content", [b"\xff\xfe", b"[" * 100_000], ids=["undecodable", "deeply_nested"]
+    "content",
+    [b"\xff\xfe", b"[" * 100_000, b'{"kind": "instance", "n": 1' + b"0" * 5000 + b"}"],
+    ids=["undecodable", "deeply_nested", "huge_integer"],
 )
 def test_hostile_document_is_a_usage_error(tmp_path, content):
     path = tmp_path / "instance.json"
@@ -123,6 +126,17 @@ def test_intervals_matches_library(toy_files, capsys):
     cover = documents.parse_interval_cover(capsys.readouterr().out)
     dec = toy_decomposition()
     assert cover == enumerate_intervals(TOY.a, dec.v, dec.scale, dec.residual)
+
+
+@pytest.mark.parametrize("value", ["x", None, [1], 1.5, True, -1])
+def test_malformed_provenance_count_is_a_usage_error(toy_files, capsys, value):
+    _, inst_path, dec_path = toy_files
+    doc = json.loads(open(dec_path).read())
+    doc["provenance"]["swaps"] = value
+    with open(dec_path, "w") as handle:
+        json.dump(doc, handle)
+    assert main(["intervals", "--instance", inst_path, "--decomposition", dec_path]) == 2
+    assert "$.provenance.swaps" in capsys.readouterr().err
 
 
 def test_intervals_capacity(toy_files):

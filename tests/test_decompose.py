@@ -71,8 +71,8 @@ class TestFrankTardos:
         assert l1_norm(dec.residual) / dec.scale <= Fraction(1, 1 << (n + 2))
         assert dec.scale >= 1 << (n + 2)
 
-    @pytest.mark.parametrize("n", [13, 14])
-    def test_bounds_up_to_n14(self, n):
+    @pytest.mark.parametrize("n", [13, 14, 16])
+    def test_bounds_up_to_n16(self, n):
         dec = decompose_frank_tardos(generate_instance(n, 0))
         assert all(b.holds for b in dec.bounds)
 

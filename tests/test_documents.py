@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 
 from sscert import documents
 from sscert.branching import CertifyStatus, certify, coverage_stats, enumerate_intervals
-from sscert.decompose import decompose_frank_tardos
+from sscert.decompose import Decomposition, Method, decompose_frank_tardos
 from sscert.errors import ParseError
+from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
 from sscert.oracle import infeasible_coverage_report
 
@@ -105,6 +107,38 @@ class TestDecompositionDocs:
             documents.serialize_decomposition, documents.parse_decomposition, dec
         )
         assert sys.get_int_max_str_digits() == limit
+
+
+class TestReductionProvenance:
+    def text(self, **fields):
+        dec = Decomposition(
+            v=(1, 1, 1),
+            scale=TOY_SCALE,
+            residual=TOY_RESIDUAL,
+            method=Method.LLL_ROWS,
+            provenance=ReductionStats(dim=3, swaps=4, size_reductions=5),
+            bounds=(),
+        )
+        doc = json.loads(documents.serialize_decomposition(dec))
+        doc["provenance"].update(fields)
+        return json.dumps(doc)
+
+    def test_counts_roundtrip(self):
+        dec = documents.parse_decomposition(self.text())
+        assert dec.provenance == ReductionStats(dim=3, swaps=4, size_reductions=5)
+
+    @pytest.mark.parametrize("key", ["dim", "swaps", "size_reductions"])
+    @pytest.mark.parametrize("value", ["x", "3", None, [1], 1.5, True, False, -1])
+    def test_count_must_be_nonnegative_json_integer(self, key, value):
+        with pytest.raises(ParseError) as err:
+            documents.parse_decomposition(self.text(**{key: value}))
+        assert f"$.provenance.{key}" in str(err.value)
+
+    @pytest.mark.parametrize("dim", [0, 2, 4])
+    def test_dim_must_match_direction(self, dim):
+        with pytest.raises(ParseError) as err:
+            documents.parse_decomposition(self.text(dim=dim))
+        assert "$.provenance.dim" in str(err.value)
 
 
 class TestCertificateDocs:

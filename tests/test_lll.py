@@ -1,9 +1,14 @@
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import box_min_norm_sq, gram_det, invert_matrix, svp_min_norm_sq
+from sscert import _lll_py, documents, lll
+from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
+from sscert.diophantine import build_approx_lattice, choose_precision
 from sscert.errors import DomainError, RankError
 from sscert.lll import (
     Basis,
@@ -12,6 +17,7 @@ from sscert.lll import (
     is_reduced,
     lll_reduce,
 )
+from sscert.model import generate_instance
 
 
 def random_int_basis(rnd, d, m=None, bound=50):
@@ -148,3 +154,127 @@ class TestLllReduce:
             lll_reduce(basis_from_ints([(1, 2), (2, 4)]))
         with pytest.raises(RankError):
             basis_from_ints([(1, 0), (0, 1), (1, 1)])
+
+
+def matmul(x, y):
+    return [
+        [sum(x[i][t] * y[t][j] for t in range(len(y))) for j in range(len(y[0]))]
+        for i in range(len(x))
+    ]
+
+
+def transpose(x):
+    return [list(row) for row in zip(*x)]
+
+
+def mixed_size_basis(rnd, d):
+    # every entry gets its own size, from 0 to 300 bits
+    while True:
+        cols = [
+            [rnd.choice((-1, 1)) * rnd.getrandbits(rnd.randint(0, 300)) for _ in range(d)]
+            for _ in range(d)
+        ]
+        if gram_det(cols) != 0:
+            return cols
+
+
+def knapsack_lattice(a):
+    n = len(a)
+    return basis_from_ints(
+        [[a[j]] + [1 if t == j else 0 for t in range(n)] for j in range(n)]
+    )
+
+
+def assert_fed_matches_plain(basis):
+    """Fed lll_reduce against one kernel pass on the unfed basis."""
+    fed = lll_reduce(basis)
+    scale = math.lcm(*(x.denominator for col in basis.cols for x in col))
+    int_cols = [[int(x * scale) for x in col] for col in basis.cols]
+    b, u, uinv, _, _, _, _ = _lll_py.lll_reduce_ints(int_cols, 3, 4)
+    plain = Basis(cols=tuple(tuple(Fraction(x, scale) for x in col) for col in b))
+    assert is_reduced(fed.basis) and is_reduced(plain)
+    d = basis.dim
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    assert matmul(fed.U, fed.U_inv) == ident
+    assert tuple(invert_matrix(fed.U)) == tuple(
+        tuple(Fraction(x) for x in row) for row in fed.U_inv
+    )
+    fed_mat = transpose(fed.basis.cols)
+    plain_mat = transpose(plain.cols)
+    assert matmul(transpose(basis.cols), fed.U) == fed_mat
+    # each basis is an integer combination of the other: one lattice
+    assert matmul(plain_mat, matmul(uinv, fed.U)) == fed_mat
+    assert matmul(fed_mat, matmul(fed.U_inv, transpose(u))) == plain_mat
+    return fed
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Swap and size-reduction counts of each kernel call, None if it raised."""
+    calls = []
+    kernel = lll._kernel
+
+    def recording(cols, delta_num, delta_den):
+        try:
+            result = kernel.lll_reduce_ints(cols, delta_num, delta_den)
+        except ValueError:
+            calls.append(None)
+            raise
+        calls.append(result[5:])
+        return result
+
+    monkeypatch.setattr(
+        lll, "_kernel",
+        SimpleNamespace(KERNEL_NAME=kernel.KERNEL_NAME, lll_reduce_ints=recording),
+    )
+    return calls
+
+
+def assert_stats_sum_levels(fed, calls):
+    done = [c for c in calls if c is not None]
+    assert fed.stats.swaps == sum(c[0] for c in done)
+    assert fed.stats.size_reductions == sum(c[1] for c in done)
+
+
+class TestFeeding:
+    def test_mixed_size_random_bases(self):
+        rnd = random.Random(15)
+        for _ in range(16):
+            d = rnd.randint(1, 8)
+            assert_fed_matches_plain(basis_from_ints(mixed_size_basis(rnd, d)))
+
+    def test_singular_levels_are_skipped(self, kernel_calls):
+        # the columns agree once the low 101 bits are cut off
+        cols = [[(1 << 300) + (1 << 100), 1], [1 << 300, 1]]
+        fed = assert_fed_matches_plain(basis_from_ints(cols))
+        assert None in kernel_calls
+        assert None not in kernel_calls[-2:]  # the last level, then the exact pass
+        assert [abs(x) for col in fed.basis.cols for x in col] == [0, 1, 1 << 100, 0]
+        assert_stats_sum_levels(fed, kernel_calls)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_frank_tardos_lattice(self, n, kernel_calls):
+        a = generate_instance(n, 5).a
+        alpha = [Fraction(x, max(a)) for x in a]
+        fed = assert_fed_matches_plain(build_approx_lattice(alpha, choose_precision(n)))
+        # the corner kept as 1 leaves no level singular, and the levels
+        # leave the exact pass (the last call) nothing to swap
+        assert len(kernel_calls) > 2 and None not in kernel_calls
+        assert kernel_calls[-1][0] == 0
+        assert_stats_sum_levels(fed, kernel_calls)
+
+    def test_knapsack_lattice_n20(self):
+        assert_fed_matches_plain(knapsack_lattice(generate_instance(20, 5).a))
+
+    @pytest.mark.parametrize(
+        "decompose, n",
+        [(decompose_frank_tardos, n) for n in (10, 11, 12)]
+        + [(decompose_lll_rows, 20)],
+    )
+    def test_decompositions_bounded_nonnegative_deterministic(self, decompose, n):
+        inst = generate_instance(n, 1)
+        first = decompose(inst)
+        assert all(check.holds for check in first.bounds)
+        assert first.nonnegative()
+        text = documents.serialize_decomposition(first)
+        assert documents.serialize_decomposition(decompose(inst)) == text
