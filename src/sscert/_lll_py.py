@@ -10,9 +10,6 @@ rational Gram-Schmidt data it maintains
 so every division below is exact. The unimodular transform U and its
 inverse are updated incrementally: a column operation on the basis is
 mirrored on U, and the inverse row operation is applied to U^-1.
-
-The kernel never divides by entries, so it works unchanged for any
-exact integer type (int, gmpy2.mpz).
 """
 
 KERNEL_NAME = "python"
@@ -52,8 +49,10 @@ def _size_reduce(b, u, uinv, lam, dvec, i, j):
     return True
 
 
-def lll_reduce_ints(cols, delta_num, delta_den):
+def lll_reduce_ints(cols, delta):
     """Reduce integer columns in place of a copy; returns all state.
+
+    ``delta`` is the Lovasz constant, a Fraction in (1/4, 1).
 
     Returns ``(b, u, uinv, lam, dvec, swaps, reductions)`` where ``b``
     is the reduced basis (list of columns), ``u`` the unimodular
@@ -63,6 +62,7 @@ def lll_reduce_ints(cols, delta_num, delta_den):
 
     Raises ValueError when the columns are linearly dependent.
     """
+    num, den = delta.numerator, delta.denominator
     d = len(cols)
     b = [list(c) for c in cols]
     u = [[1 if r == j else 0 for r in range(d)] for j in range(d)]
@@ -94,7 +94,7 @@ def lll_reduce_ints(cols, delta_num, delta_den):
         if _size_reduce(b, u, uinv, lam, dvec, k, k - 1):
             reductions += 1
         lkk = lam[k][k - 1]
-        if delta_den * (dvec[k + 1] * dvec[k - 1] + lkk * lkk) < delta_num * dvec[k] * dvec[k]:
+        if den * (dvec[k + 1] * dvec[k - 1] + lkk * lkk) < num * dvec[k] * dvec[k]:
             # Lovasz condition fails at the lowest unsettled index: swap
             swaps += 1
             b[k - 1], b[k] = b[k], b[k - 1]

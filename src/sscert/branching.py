@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -365,10 +366,13 @@ def coverage_stats(
 
     Exact mode enumerates every interval (capacity-gated); sampled mode
     draws beta uniformly from {0, ..., ||a||_1} with the given seed and
-    classifies each via certify.
+    classifies each via certify, in at most ``workers`` processes (no
+    more than the CPU count or the draws; one runs in this process).
     """
     a = validate_weights(a)
     v = _validate_direction(v, len(a))
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     n = len(a)
     bound = 2 * (l1_norm(tuple(Fraction(r) for r in residual)) + 1) / Fraction(scale)
     two_pow = Fraction(1, 1 << n)
@@ -403,7 +407,9 @@ def coverage_stats(
 
 
 def _classify(a, v, betas, workers: int) -> tuple[int, int]:
-    if workers <= 1 or len(betas) < 2:
+    # forked pools start every worker on the first submit, so bound them
+    workers = min(workers, os.cpu_count() or 1, len(betas))
+    if workers <= 1:
         return _classify_chunk((a, v, betas))
     size = -(-len(betas) // workers)
     chunks = [

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import documents
@@ -41,27 +40,7 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
-_DECIMAL_RE = re.compile(r"-?\d+\Z")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    output: str | None = None
-    instance: str | None = None
-    decomposition: str | None = None
-    certificate: str | None = None
-    n: int | None = None
-    seed: str | None = None
-    beta: str | None = None
-    method: str = Method.FRANK_TARDOS.value
-    mode: str = "exact"
-    sample_size: int = 10**4
-    k_lo: str | None = None
-    k_hi: str | None = None
-    cap: int = DEFAULT_ENUMERATION_CAP
-    workers: int = 1
-    normalize_gcd: bool = False
+_DECIMAL_RE = re.compile(r"-?[0-9]+\Z")
 
 
 def _read(path: str) -> str:
@@ -82,7 +61,7 @@ def _diag(message: str) -> None:
 
 
 def _decimal(value: str, what: str) -> int:
-    if not _DECIMAL_RE.match(value or ""):
+    if not _DECIMAL_RE.match(value):
         raise DomainError(f"{what} must be a decimal integer string")
     try:
         return int(value)
@@ -90,45 +69,33 @@ def _decimal(value: str, what: str) -> int:
         raise DomainError(f"{what} has too many digits") from None
 
 
-def _load_instance(config: RunConfig) -> tuple[Instance, int]:
-    if not config.instance:
-        raise DomainError("an --instance document is required")
+def _load_instance(config: argparse.Namespace) -> tuple[Instance, int]:
     return documents.parse_instance(
         _read(config.instance), normalize_gcd=config.normalize_gcd
     )
 
 
-def _load_decomposition(config: RunConfig, inst: Instance):
-    if not config.decomposition:
-        raise DomainError("a --decomposition document is required")
+def _load_decomposition(config: argparse.Namespace, inst: Instance):
     dec = documents.parse_decomposition(_read(config.decomposition))
     if dec.reconstruct_a() != tuple(inst.a):
         raise DomainError("decomposition does not match the instance weights")
     return dec
 
 
-def _cmd_generate(config: RunConfig) -> int:
-    if config.n is None or config.seed is None:
-        raise DomainError("generate needs --n and --seed")
+def _cmd_generate(config: argparse.Namespace) -> int:
     inst = generate_instance(config.n, _decimal(config.seed, "seed"))
     _emit(documents.serialize_instance(inst), config.output)
     return EXIT_OK
 
 
-def _cmd_decompose(config: RunConfig) -> int:
+def _cmd_decompose(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
-    try:
-        method = Method(config.method)
-    except ValueError:
-        raise DomainError(f"unknown method {config.method!r}") from None
-    dec = decompose_with_fallback(inst, method)
+    dec = decompose_with_fallback(inst, Method(config.method))
     _emit(documents.serialize_decomposition(dec), config.output)
     return EXIT_OK
 
 
-def _cmd_certify(config: RunConfig) -> int:
-    if config.beta is None:
-        raise DomainError("certify needs --beta")
+def _cmd_certify(config: argparse.Namespace) -> int:
     beta = _decimal(config.beta, "beta")
     inst, divisor = _load_instance(config)
     if divisor != 1:
@@ -156,10 +123,8 @@ def _cmd_certify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
-    if not config.certificate:
-        raise DomainError("verify needs a --certificate document")
     try:
         cert, v = documents.parse_certificate(_read(config.certificate))
     except ParseError as exc:
@@ -172,7 +137,7 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_REJECTED
 
 
-def _cmd_intervals(config: RunConfig) -> int:
+def _cmd_intervals(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
     dec = _load_decomposition(config, inst)
     k_lo = _decimal(config.k_lo, "k_lo") if config.k_lo is not None else 0
@@ -184,7 +149,7 @@ def _cmd_intervals(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(config: RunConfig) -> int:
+def _cmd_stats(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
     dec = _load_decomposition(config, inst)
     seed = _decimal(config.seed, "seed") if config.seed is not None else None
@@ -203,7 +168,7 @@ def _cmd_stats(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_cor1(config: RunConfig) -> int:
+def _cmd_cor1(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
     dec = _load_decomposition(config, inst)
     seed = _decimal(config.seed, "seed") if config.seed is not None else None
@@ -229,14 +194,10 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute one command; returns the process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        _diag(f"unknown command {config.command!r}")
-        return EXIT_USAGE
     try:
-        return handler(config)
+        return _COMMANDS[config.command](config)
     except CapacityError as exc:
         _diag(str(exc))
         return EXIT_CAPACITY
@@ -323,14 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    namespace = _build_parser().parse_args(argv)
-    fields = {k: v for k, v in vars(namespace).items() if v is not None}
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
-    return run(parse_args(argv))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from .lll import ReductionStats
 from .model import Instance
 from .oracle import InfeasibleCoverageReport
 
-_INT_RE = re.compile(r"-?\d+\Z")
-_FRACTION_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+_INT_RE = re.compile(r"-?[0-9]+\Z")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 def _unlimited(operation):

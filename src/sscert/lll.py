@@ -1,8 +1,7 @@
 """Exact rational LLL reduction with unimodular transform tracking.
 
-The reduction runs in the all-integer kernel of ``_lll_py``. Its big
-integers are gmpy2 ``mpz`` when gmpy2 imports and Python ints
-otherwise; SSCERT_BACKEND=int forces Python ints. Rational bases are
+The reduction runs in the all-integer kernel of ``_lll_py`` on Python
+ints, always at the Lovasz constant delta = 3/4. Rational bases are
 scaled by a common denominator first, which leaves the reduction
 decisions and the transform U unchanged.
 
@@ -29,7 +28,6 @@ combinations of the basis columns, and ``reduced = input . U``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -38,15 +36,6 @@ from typing import Sequence
 from . import _lll_py as _kernel
 from .errors import DomainError, RankError
 from .intmath import dot
-
-if os.environ.get("SSCERT_BACKEND", "") == "int":
-    _num = int
-else:
-    try:
-        from gmpy2 import mpz as _num  # type: ignore[import-not-found]
-    except ImportError:
-        _num = int
-
 
 def kernel_name() -> str:
     """Name of the reduction kernel ("python")."""
@@ -102,7 +91,6 @@ class ReducedBasis:
     U: tuple[tuple[int, ...], ...]
     U_inv: tuple[tuple[int, ...], ...]
     gso: GramSchmidt
-    delta: Fraction
     stats: ReductionStats
 
     def __post_init__(self):
@@ -114,7 +102,7 @@ class ReducedBasis:
         ]
         if prod != ident:
             raise DomainError("transform and inverse do not multiply to identity")
-        _check_reduced_conditions(self.gso, self.delta)
+        _check_reduced_conditions(self.gso, DEFAULT_DELTA)
 
     @property
     def first_vector(self) -> tuple[Fraction, ...]:
@@ -176,25 +164,21 @@ def _common_denominator(basis: Basis) -> int:
     return math.lcm(*(x.denominator for col in basis.cols for x in col))
 
 
-def lll_reduce(basis: Basis, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
+def lll_reduce(basis: Basis) -> ReducedBasis:
     """LLL-reduce the basis columns, feeding them in one precision level at a time."""
-    _validate_delta(delta)
-    delta = Fraction(delta)
-    delta_num, delta_den = _num(delta.numerator), _num(delta.denominator)
     scale = _common_denominator(basis)
     int_cols = [
-        [_num(x.numerator * (scale // x.denominator)) for x in col]
-        for col in basis.cols
+        [x.numerator * (scale // x.denominator) for x in col] for col in basis.cols
     ]
     d = basis.dim
-    u = [[_num(1 if r == j else 0) for r in range(d)] for j in range(d)]
+    u = [[1 if r == j else 0 for r in range(d)] for j in range(d)]
     uinv = [list(col) for col in u]
     swaps = reductions = 0
     top = max(abs(x).bit_length() for col in int_cols for x in col)
     for shift in [*range(top - FEED_STEP_BITS, 0, -FEED_STEP_BITS), 0]:
         try:
             b, lu, luinv, lam, dvec, s, r = _kernel.lll_reduce_ints(
-                _mul(_truncate(int_cols, shift), u), delta_num, delta_den
+                _mul(_truncate(int_cols, shift), u), DEFAULT_DELTA
             )
         except ValueError as exc:
             if shift == 0:
@@ -206,27 +190,21 @@ def lll_reduce(basis: Basis, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
     if _mul(int_cols, u) != b:
         raise DomainError("reduced basis is not input times U")
 
-    reduced = Basis(
-        cols=tuple(tuple(Fraction(int(x), scale) for x in col) for col in b)
-    )
-    u_rows = tuple(tuple(int(u[j][i]) for j in range(d)) for i in range(d))
-    uinv_rows = tuple(tuple(int(x) for x in row) for row in uinv)
+    reduced = Basis(cols=tuple(tuple(Fraction(x, scale) for x in col) for col in b))
+    u_rows = tuple(tuple(u[j][i] for j in range(d)) for i in range(d))
+    uinv_rows = tuple(tuple(row) for row in uinv)
     scale_sq = scale * scale
     gso = GramSchmidt(
         mu=tuple(
-            tuple(Fraction(int(lam[i][j]), int(dvec[j + 1])) for j in range(i))
-            for i in range(d)
+            tuple(Fraction(lam[i][j], dvec[j + 1]) for j in range(i)) for i in range(d)
         ),
-        norms_sq=tuple(
-            Fraction(int(dvec[i + 1]), int(dvec[i])) / scale_sq for i in range(d)
-        ),
+        norms_sq=tuple(Fraction(dvec[i + 1], dvec[i]) / scale_sq for i in range(d)),
     )
     return ReducedBasis(
         basis=reduced,
         U=u_rows,
         U_inv=uinv_rows,
         gso=gso,
-        delta=delta,
         stats=ReductionStats(dim=d, swaps=swaps, size_reductions=reductions),
     )
 

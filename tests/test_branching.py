@@ -1,3 +1,5 @@
+import math
+import os
 import random
 import subprocess
 import sys
@@ -242,8 +244,6 @@ class TestVerify:
 
     def test_agrees_with_certify_everywhere(self):
         rnd = random.Random(45)
-        import math
-
         for _ in range(15):
             a, v = random_small_instance(rnd, nmax=5, wmax=30)
             if math.gcd(*a) != 1:
@@ -253,6 +253,29 @@ class TestVerify:
                 if result.status is CertifyStatus.CERTIFIED:
                     assert verify_certificate(a, v, result.certificate)
                     assert witnesses_consistent(a, v, result.certificate)
+
+    def test_forged_certificates(self):
+        # every (beta, level) pair, claimed with empty witnesses
+        rnd = random.Random(55)
+        checked = 0
+        while checked < 30:
+            a, v = random_small_instance(rnd, nmax=6, wmax=50)
+            if math.gcd(*a) != 1:
+                continue
+            checked += 1
+            for beta in range(-2, sum(a) + 3):
+                accepted = []
+                for level in range(-1, sum(v) + 1):
+                    forged = Certificate(
+                        beta=beta, level=level,
+                        vmin=level + Fraction(1, 3), vmax=level + Fraction(2, 3),
+                        arg_min=(), arg_max=(),
+                    )
+                    if verify_certificate(a, v, forged):
+                        assert not subset_feasible_naive(a, beta), (a, v, beta, level)
+                        accepted.append(level)
+                certified = certify(a, v, beta).status is CertifyStatus.CERTIFIED
+                assert bool(accepted) == certified, (a, v, beta, accepted)
 
 
 class TestIntervals:
@@ -354,6 +377,41 @@ class TestCoverage:
             TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, "sampled", sample_size=200, seed=9, workers=3
         )
         assert one == two
+
+    def test_pool_is_bounded(self, monkeypatch):
+        # a fake pool that records its size and maps in this process
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+        def sampled(size, workers):
+            return coverage_stats(
+                TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, "sampled",
+                sample_size=size, seed=9, workers=workers,
+            )
+
+        assert sampled(200, 100_000) == sampled(200, 1)
+        assert sampled(3, 100_000) == sampled(3, 1)
+        assert sizes == [4, 3]  # the CPU count, then the number of draws
+        for workers in (0, -1):
+            with pytest.raises(DomainError):
+                sampled(200, workers)
 
     def test_import_leaves_process_pool_unloaded(self):
         # only a coverage call with workers > 1 imports the process pool

@@ -7,7 +7,7 @@ import pytest
 
 from sscert import cli, documents
 from sscert.branching import CertifyStatus, coverage_stats, enumerate_intervals
-from sscert.cli import RunConfig, main, run
+from sscert.cli import main
 from sscert.decompose import Decomposition, Method
 from sscert.errors import CapacityError, DomainError, InvariantViolation
 from sscert.lll import ReductionStats
@@ -47,7 +47,7 @@ def test_generate_deterministic_bytes(tmp_path):
 
 
 def test_generate_usage_error():
-    assert run(RunConfig(command="generate", n=1, seed="0")) == 2
+    assert main(["generate", "--n", "1", "--seed", "0"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -66,7 +66,7 @@ def test_exit_code_by_exception(monkeypatch, capsys, exc, code):
         raise exc
 
     monkeypatch.setitem(cli._COMMANDS, "generate", raise_it)
-    assert run(RunConfig(command="generate")) == code
+    assert main(["generate", "--n", "3", "--seed", "1"]) == code
     err = capsys.readouterr().err
     assert err.startswith("sscert: ") and err.count("\n") == 1
     assert err.startswith("sscert: internal error: ") == (code == 4)
@@ -84,7 +84,12 @@ def test_hostile_document_is_a_usage_error(tmp_path, content):
 
 
 def test_oversized_decimal_is_a_usage_error():
-    assert run(RunConfig(command="generate", n=3, seed="9" * 5000)) == 2
+    assert main(["generate", "--n", "3", "--seed", "9" * 5000]) == 2
+
+
+def test_non_ascii_digits_are_a_usage_error():
+    # int() reads Arabic-Indic digits as 42; a decimal argument takes 0-9 only
+    assert main(["generate", "--n", "3", "--seed", "\u0664\u0662"]) == 2
 
 
 def test_certify_verify_happy_path(toy_files):
@@ -174,6 +179,13 @@ def test_stats_exact_and_sampled(toy_files, capsys):
         "--workers", "2",
     ]) == 0
     assert documents.parse_coverage_stats(capsys.readouterr().out) == sampled
+
+    # a worker count below one is a usage error
+    assert main([
+        "stats", "--instance", inst_path, "--decomposition", dec_path,
+        "--mode", "sampled", "--sample-size", "60", "--seed", "4",
+        "--workers", "0",
+    ]) == 2
 
 
 def test_cor1_exact(toy_files, capsys):

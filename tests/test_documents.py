@@ -75,6 +75,14 @@ class TestInstanceDocs:
         with pytest.raises(ParseError):
             documents.parse_instance('{"kind": "certificate"}')
 
+    def test_non_ascii_weight_digits_rejected(self):
+        # "\u0661\u0660\u0661" is 101 in Arabic-Indic digits; int() would accept it
+        text = documents.serialize_instance(TOY)
+        forged = text.replace('"101"', '"\u0661\u0660\u0661"')
+        assert forged != text
+        with pytest.raises(ParseError):
+            documents.parse_instance(forged)
+
     def test_seed_optional(self):
         inst = Instance(n=2, a=(2, 3))
         text = documents.serialize_instance(inst)
@@ -148,6 +156,14 @@ class TestCertificateDocs:
         back, v = documents.parse_certificate(text)
         assert back == cert and v == (1, 1, 1)
         assert documents.serialize_certificate(back, v) == text
+
+    def test_non_ascii_rational_digits_rejected(self):
+        cert = certify(TOY.a, (1, 1, 1), 150).certificate
+        text = documents.serialize_certificate(cert, (1, 1, 1))
+        assert '"vmin": "149/101"' in text
+        forged = text.replace('"vmin": "149/101"', '"vmin": "\u0661\u0664\u0669/101"')
+        with pytest.raises(ParseError):
+            documents.parse_certificate(forged)
 
     def test_unordered_bounds_rejected(self):
         cert = certify(TOY.a, (1, 1, 1), 150).certificate

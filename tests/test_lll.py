@@ -15,6 +15,7 @@ from sscert.lll import (
     basis_from_ints,
     gram_schmidt,
     is_reduced,
+    kernel_name,
     lll_reduce,
 )
 from sscert.model import generate_instance
@@ -76,7 +77,7 @@ class TestIsReduced:
         basis = basis_from_ints([(1, 0), (0, 1)])
         for delta in (Fraction(1, 4), Fraction(1), Fraction(2)):
             with pytest.raises(DomainError):
-                lll_reduce(basis, delta)
+                is_reduced(basis, delta)
 
     def test_rank_error(self):
         with pytest.raises(RankError):
@@ -190,7 +191,7 @@ def assert_fed_matches_plain(basis):
     fed = lll_reduce(basis)
     scale = math.lcm(*(x.denominator for col in basis.cols for x in col))
     int_cols = [[int(x * scale) for x in col] for col in basis.cols]
-    b, u, uinv, _, _, _, _ = _lll_py.lll_reduce_ints(int_cols, 3, 4)
+    b, u, uinv, _, _, _, _ = _lll_py.lll_reduce_ints(int_cols, lll.DEFAULT_DELTA)
     plain = Basis(cols=tuple(tuple(Fraction(x, scale) for x in col) for col in b))
     assert is_reduced(fed.basis) and is_reduced(plain)
     d = basis.dim
@@ -214,9 +215,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = lll._kernel
 
-    def recording(cols, delta_num, delta_den):
+    def recording(cols, delta):
         try:
-            result = kernel.lll_reduce_ints(cols, delta_num, delta_den)
+            result = kernel.lll_reduce_ints(cols, delta)
         except ValueError:
             calls.append(None)
             raise
@@ -278,3 +279,7 @@ class TestFeeding:
         assert first.nonnegative()
         text = documents.serialize_decomposition(first)
         assert documents.serialize_decomposition(decompose(inst)) == text
+
+
+def test_kernel_name_reports_active_module():
+    assert kernel_name() == "python"
