@@ -25,16 +25,14 @@ from .branching import (
 from .decompose import (
     Decomposition,
     Method,
-    ParallelismReport,
     decompose_frank_tardos,
     decompose_lll_rows,
     decompose_with_fallback,
-    parallelism,
     project_onto,
 )
 from .diophantine import ApproxResult, build_approx_lattice, choose_precision, dioph_approx
 from .lll import Basis, GramSchmidt, ReducedBasis, gram_schmidt, is_reduced, kernel_name, lll_reduce
-from .model import DensityReport, Instance, density, generate_instance
+from .model import Instance, generate_instance
 from .oracle import (
     FeasibilityAnswer,
     InfeasibleCoverageReport,
@@ -54,14 +52,12 @@ __all__ = [
     "CertifyStatus",
     "CoverageStats",
     "Decomposition",
-    "DensityReport",
     "FeasibilityAnswer",
     "GramSchmidt",
     "InfeasibleCoverageReport",
     "Instance",
     "IntervalCover",
     "Method",
-    "ParallelismReport",
     "ReducedBasis",
     "all_feasible_sums",
     "build_approx_lattice",
@@ -72,7 +68,6 @@ __all__ = [
     "decompose_frank_tardos",
     "decompose_lll_rows",
     "decompose_with_fallback",
-    "density",
     "dioph_approx",
     "enumerate_intervals",
     "feasible",
@@ -84,7 +79,6 @@ __all__ = [
     "lll_reduce",
     "lp_extreme_eq",
     "lp_extreme_ineq",
-    "parallelism",
     "project_onto",
     "verify_certificate",
     "witnesses_consistent",

@@ -36,7 +36,7 @@ from .rng import SplitMix64
 
 Sense = Literal["min", "max"]
 
-DEFAULT_ENUMERATION_CAP = 10**6
+ENUMERATION_CAP = 10**6
 
 
 class CertifyStatus(enum.Enum):
@@ -288,13 +288,12 @@ def enumerate_intervals(
     residual: Sequence[Fraction],
     k_lo: int = 0,
     k_hi: int | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> IntervalCover:
     """Bad/good intervals for levels k_lo..k_hi, endpoints exact.
 
-    Full enumeration is only possible when the level range fits the
-    cap; ||v||_1 can be astronomically large, in which case callers
-    must request a partial window.
+    Full enumeration is only possible when the level range fits
+    ENUMERATION_CAP; ||v||_1 can be astronomically large, in which
+    case callers must request a partial window.
     """
     a = validate_weights(a)
     v = _validate_direction(v, len(a))
@@ -303,9 +302,9 @@ def enumerate_intervals(
         k_hi = ve
     if not 0 <= k_lo <= k_hi <= ve:
         raise DomainError("need 0 <= k_lo <= k_hi <= ||v||_1")
-    if k_hi - k_lo > cap:
+    if k_hi - k_lo > ENUMERATION_CAP:
         raise CapacityError(
-            f"level range {k_hi - k_lo} exceeds the cap {cap}; "
+            f"level range {k_hi - k_lo} exceeds the cap {ENUMERATION_CAP}; "
             "enumerate a partial window [k_lo, k_hi] instead"
         )
     mins = [lp_extreme_ineq(a, v, k, "min") for k in range(k_lo, k_hi + 1)]
@@ -359,7 +358,6 @@ def coverage_stats(
     mode: str,
     sample_size: int | None = None,
     seed: int | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     workers: int = 1,
 ) -> CoverageStats:
     """Exact or sampled share of uncertified right-hand sides.
@@ -377,7 +375,7 @@ def coverage_stats(
     bound = 2 * (l1_norm(tuple(Fraction(r) for r in residual)) + 1) / Fraction(scale)
     two_pow = Fraction(1, 1 << n)
     if mode == "exact":
-        cover = enumerate_intervals(a, v, scale, residual, cap=cap)
+        cover = enumerate_intervals(a, v, scale, residual)
         total = sum(a) + 1
         b = count_integers_in_bad(cover)
         g = total - b

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import documents
 from .branching import (
-    DEFAULT_ENUMERATION_CAP,
     CertifyStatus,
     certify,
     coverage_stats,
@@ -41,6 +40,8 @@ EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
 _DECIMAL_RE = re.compile(r"-?[0-9]+\Z")
+_MAX_N = 64
+_MAX_SAMPLE_SIZE = 10**6
 
 
 def _read(path: str) -> str:
@@ -69,6 +70,24 @@ def _decimal(value: str, what: str) -> int:
         raise DomainError(f"{what} has too many digits") from None
 
 
+def _bounded(value: str, what: str, limit: int) -> int:
+    """A decimal argument; CapacityError above ``limit``."""
+    number = _decimal(value, what)
+    if number > limit:
+        raise CapacityError(f"{what} {number} exceeds the limit {limit}")
+    return number
+
+
+def _seed(value: str | None) -> int | None:
+    """A SplitMix64 seed; DomainError outside [0, 2^64), which it would mask."""
+    if value is None:
+        return None
+    seed = _decimal(value, "seed")
+    if not 0 <= seed < 1 << 64:
+        raise DomainError("seed must lie in [0, 2^64)")
+    return seed
+
+
 def _load_instance(config: argparse.Namespace) -> tuple[Instance, int]:
     return documents.parse_instance(
         _read(config.instance), normalize_gcd=config.normalize_gcd
@@ -83,7 +102,7 @@ def _load_decomposition(config: argparse.Namespace, inst: Instance):
 
 
 def _cmd_generate(config: argparse.Namespace) -> int:
-    inst = generate_instance(config.n, _decimal(config.seed, "seed"))
+    inst = generate_instance(_bounded(config.n, "n", _MAX_N), _seed(config.seed))
     _emit(documents.serialize_instance(inst), config.output)
     return EXIT_OK
 
@@ -143,7 +162,7 @@ def _cmd_intervals(config: argparse.Namespace) -> int:
     k_lo = _decimal(config.k_lo, "k_lo") if config.k_lo is not None else 0
     k_hi = _decimal(config.k_hi, "k_hi") if config.k_hi is not None else None
     cover = enumerate_intervals(
-        inst.a, dec.v, dec.scale, dec.residual, k_lo=k_lo, k_hi=k_hi, cap=config.cap
+        inst.a, dec.v, dec.scale, dec.residual, k_lo=k_lo, k_hi=k_hi
     )
     _emit(documents.serialize_interval_cover(cover), config.output)
     return EXIT_OK
@@ -152,17 +171,15 @@ def _cmd_intervals(config: argparse.Namespace) -> int:
 def _cmd_stats(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
     dec = _load_decomposition(config, inst)
-    seed = _decimal(config.seed, "seed") if config.seed is not None else None
     stats = coverage_stats(
         inst.a,
         dec.v,
         dec.scale,
         dec.residual,
         mode=config.mode,
-        sample_size=config.sample_size,
-        seed=seed,
-        cap=config.cap,
-        workers=config.workers,
+        sample_size=_bounded(config.sample_size, "sample size", _MAX_SAMPLE_SIZE),
+        seed=_seed(config.seed),
+        workers=_decimal(config.workers, "workers"),
     )
     _emit(documents.serialize_coverage_stats(stats), config.output)
     return EXIT_OK
@@ -171,13 +188,12 @@ def _cmd_stats(config: argparse.Namespace) -> int:
 def _cmd_cor1(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
     dec = _load_decomposition(config, inst)
-    seed = _decimal(config.seed, "seed") if config.seed is not None else None
     report = infeasible_coverage_report(
         inst.a,
         dec.v,
         mode=config.mode,
-        sample_size=config.sample_size,
-        seed=seed,
+        sample_size=_bounded(config.sample_size, "sample size", _MAX_SAMPLE_SIZE),
+        seed=_seed(config.seed),
     )
     _emit(documents.serialize_infeasible_coverage(report), config.output)
     return EXIT_OK
@@ -230,9 +246,19 @@ def _build_parser() -> argparse.ArgumentParser:
             help="divide non-coprime weights by their gcd instead of rejecting",
         )
 
+    def add_sampling(p):
+        p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
+        p.add_argument(
+            "--sample-size",
+            dest="sample_size",
+            default="10000",
+            help=f"1 to {_MAX_SAMPLE_SIZE}, decimal string",
+        )
+        p.add_argument("--seed", default=None, help="required for sampled mode")
+
     p = sub.add_parser("generate", help="generate a low density instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", required=True, help="64-bit seed, decimal string")
+    p.add_argument("--n", required=True, help=f"2 to {_MAX_N}, decimal string")
+    p.add_argument("--seed", required=True, help="0 to 2^64 - 1, decimal string")
     add_common(p)
 
     p = sub.add_parser("decompose", help="compute the branching direction")
@@ -260,25 +286,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposition", required=True)
     p.add_argument("--k-lo", dest="k_lo", default=None, help="decimal string")
     p.add_argument("--k-hi", dest="k_hi", default=None, help="decimal string")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     add_common(p)
 
     p = sub.add_parser("stats", help="coverage statistics over right-hand sides")
     add_instance(p)
     p.add_argument("--decomposition", required=True)
-    p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--sample-size", dest="sample_size", type=int, default=10**4)
-    p.add_argument("--seed", default=None, help="required for sampled mode")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--workers", type=int, default=1)
+    add_sampling(p)
+    p.add_argument("--workers", default="1", help="decimal string")
     add_common(p)
 
     p = sub.add_parser("cor1", help="certified share of infeasible right-hand sides")
     add_instance(p)
     p.add_argument("--decomposition", required=True)
-    p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--sample-size", dest="sample_size", type=int, default=10**4)
-    p.add_argument("--seed", default=None, help="required for sampled mode")
+    add_sampling(p)
     add_common(p)
 
     return parser

@@ -24,7 +24,7 @@ from typing import Sequence, Union
 
 from .diophantine import ApproxResult, choose_precision, dioph_approx
 from .errors import DomainError, InvariantViolation, MixedSignDirectionWarning
-from .intmath import dot, kth_root_bracket, l1_norm, norm_sq
+from .intmath import dot, l1_norm, norm_sq
 from .lll import Basis, ReductionStats, lll_reduce
 from .model import Instance
 
@@ -81,19 +81,6 @@ class Decomposition:
         return min(self.v) >= 0
 
 
-@dataclass(frozen=True, slots=True)
-class ParallelismReport:
-    """sin^2 of the angle (a, v) next to the residual/scale bound."""
-
-    sin_sq: Fraction
-    ratio_sq: Fraction | None
-    f_a_bracket: tuple[Fraction, Fraction]
-
-    def __post_init__(self):
-        if self.ratio_sq is not None and self.sin_sq > self.ratio_sq:
-            raise InvariantViolation("sin^2 exceeds its residual ratio bound")
-
-
 def project_onto(a: Sequence, v: Sequence) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Orthogonal projection scale and residual: r = a - scale * v, r.v = 0."""
     if len(a) != len(v):
@@ -129,12 +116,12 @@ def decompose_frank_tardos(inst: Instance) -> Decomposition:
     n = inst.n
     if n < 10:
         raise DomainError("frank_tardos decomposition requires n >= 10")
-    ainf = inst.linf_norm
-    if ainf < 1 << (2 * n * n):
+    if not inst.low_density:
         raise DomainError(
             "instance density above 1/(2n): max weight below 2^(2 n^2)"
         )
     precision = choose_precision(n)
+    ainf = inst.linf_norm
     alpha = tuple(Fraction(ai, ainf) for ai in inst.a)
     approx = dioph_approx(alpha, precision)
     if min(approx.v) < 0 or max(approx.v) == 0:
@@ -251,7 +238,7 @@ def decompose_with_fallback(
 
 
 def _frank_tardos_applies(inst: Instance) -> bool:
-    return inst.n >= 10 and inst.linf_norm >= 1 << (2 * inst.n * inst.n)
+    return inst.n >= 10 and inst.low_density
 
 
 def _warn_mixed(detail: str) -> None:
@@ -260,15 +247,3 @@ def _warn_mixed(detail: str) -> None:
         stacklevel=3,
     )
 
-
-def parallelism(a: Sequence, v: Sequence) -> ParallelismReport:
-    """Exact sin^2(a, v) alongside the (residual/scale)^2 bound."""
-    if all(x == 0 for x in a):
-        raise DomainError("a must be nonzero")
-    lam, residual = project_onto(a, v)
-    asq = Fraction(norm_sq(a))
-    rsq = Fraction(norm_sq(residual))
-    ratio = rsq / lam**2 if lam != 0 else None
-    n = len(a)
-    f_bracket = kth_root_bracket(Fraction(1 << (n * n)) / asq**2, 4 * n)
-    return ParallelismReport(sin_sq=rsq / asq, ratio_sq=ratio, f_a_bracket=f_bracket)

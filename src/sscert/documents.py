@@ -3,7 +3,9 @@
 Documents are JSON with sorted keys, two-space indent, and a trailing
 newline, so identical objects serialize to identical bytes. All big
 integers are decimal strings; rationals are "numerator/denominator" in
-lowest terms with positive denominator. Parsing is lenient about
+lowest terms with positive denominator. Only the documents a command
+reads back (instance, decomposition, certificate) have parsers; the
+status and report documents are output only. Parsing is lenient about
 non-canonical rationals (plain integers allowed) but strict about
 structure, and reports a location with every error.
 """
@@ -328,26 +330,11 @@ def serialize_certify_status(status: CertifyStatus, beta: int) -> str:
     )
 
 
-def parse_certify_status(text: str) -> tuple[CertifyStatus, int]:
-    doc = _object(_load(text), "certify_status")
-    try:
-        status = CertifyStatus(_req(doc, "status"))
-    except ValueError:
-        raise ParseError("unknown status", "$.status") from None
-    return status, parse_int(_req(doc, "beta"), "$.beta")
-
-
 # -- interval cover ---------------------------------------------------------
 
 
 def _format_interval(pair: tuple[Fraction, Fraction]) -> list[str]:
     return [format_fraction(pair[0]), format_fraction(pair[1])]
-
-
-def _parse_interval(value: Any, path: str) -> tuple[Fraction, Fraction]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ParseError("expected a [lo, hi] pair", path)
-    return parse_fraction(value[0], f"{path}[0]"), parse_fraction(value[1], f"{path}[1]")
 
 
 def serialize_interval_cover(cover: IntervalCover) -> str:
@@ -364,33 +351,6 @@ def serialize_interval_cover(cover: IntervalCover) -> str:
         "good_length_bound_holds": cover.good_length_bound_holds,
     }
     return _dump(payload)
-
-
-def parse_interval_cover(text: str) -> IntervalCover:
-    doc = _object(_load(text), "interval_cover")
-    raw_bad = _req(doc, "bad")
-    raw_good = _req(doc, "good")
-    if not isinstance(raw_bad, list):
-        raise ParseError("expected an array", "$.bad")
-    if not isinstance(raw_good, list):
-        raise ParseError("expected an array", "$.good")
-    raw_min = _req(doc, "min_good_length")
-    holds = _req(doc, "good_length_bound_holds")
-    if not isinstance(holds, bool):
-        raise ParseError("expected a boolean", "$.good_length_bound_holds")
-    return IntervalCover(
-        k_lo=parse_int(_req(doc, "k_lo"), "$.k_lo"),
-        k_hi=parse_int(_req(doc, "k_hi"), "$.k_hi"),
-        bad=tuple(_parse_interval(p, f"$.bad[{i}]") for i, p in enumerate(raw_bad)),
-        good=tuple(_parse_interval(p, f"$.good[{i}]") for i, p in enumerate(raw_good)),
-        min_good_length=None
-        if raw_min is None
-        else parse_fraction(raw_min, "$.min_good_length"),
-        good_length_bound=parse_fraction(
-            _req(doc, "good_length_bound"), "$.good_length_bound"
-        ),
-        good_length_bound_holds=holds,
-    )
 
 
 # -- coverage statistics ----------------------------------------------------
@@ -413,32 +373,6 @@ def serialize_coverage_stats(stats: CoverageStats) -> str:
     return _dump(payload)
 
 
-def parse_coverage_stats(text: str) -> CoverageStats:
-    doc = _object(_load(text), "coverage_stats")
-    mode = _req(doc, "mode")
-    if mode not in ("exact", "sampled"):
-        raise ParseError("mode must be 'exact' or 'sampled'", "$.mode")
-    sample_size = doc.get("sample_size")
-    if sample_size is not None and (
-        not isinstance(sample_size, int) or isinstance(sample_size, bool)
-    ):
-        raise ParseError("sample_size must be a JSON integer", "$.sample_size")
-    return CoverageStats(
-        mode=mode,
-        g=parse_int(_req(doc, "g"), "$.g"),
-        b=parse_int(_req(doc, "b"), "$.b"),
-        bad_fraction=parse_fraction(_req(doc, "bad_fraction"), "$.bad_fraction"),
-        bad_fraction_bound=parse_fraction(
-            _req(doc, "bad_fraction_bound"), "$.bad_fraction_bound"
-        ),
-        two_pow_n_bound=parse_fraction(
-            _req(doc, "two_pow_n_bound"), "$.two_pow_n_bound"
-        ),
-        sample_size=sample_size,
-        seed=parse_int(doc["seed"], "$.seed") if "seed" in doc else None,
-    )
-
-
 # -- infeasible coverage report ---------------------------------------------
 
 
@@ -456,32 +390,6 @@ def serialize_infeasible_coverage(report: InfeasibleCoverageReport) -> str:
     if report.seed is not None:
         payload["seed"] = format_int(report.seed)
     return _dump(payload)
-
-
-def parse_infeasible_coverage(text: str) -> InfeasibleCoverageReport:
-    doc = _object(_load(text), "infeasible_coverage")
-    mode = _req(doc, "mode")
-    if mode not in ("exact", "sampled"):
-        raise ParseError("mode must be 'exact' or 'sampled'", "$.mode")
-    sample_size = doc.get("sample_size")
-    if sample_size is not None and (
-        not isinstance(sample_size, int) or isinstance(sample_size, bool)
-    ):
-        raise ParseError("sample_size must be a JSON integer", "$.sample_size")
-    try:
-        return InfeasibleCoverageReport(
-            mode=mode,
-            infeasible_count=parse_int(_req(doc, "infeasible"), "$.infeasible"),
-            certified_infeasible_count=parse_int(
-                _req(doc, "certified_infeasible"), "$.certified_infeasible"
-            ),
-            fraction=parse_fraction(_req(doc, "fraction"), "$.fraction"),
-            bound=parse_fraction(_req(doc, "bound"), "$.bound"),
-            sample_size=sample_size,
-            seed=parse_int(doc["seed"], "$.seed") if "seed" in doc else None,
-        )
-    except DomainError as exc:
-        raise ParseError(str(exc), "$") from None
 
 
 def document_kind(text: str) -> str:

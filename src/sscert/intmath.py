@@ -1,11 +1,8 @@
-"""Exact integer and rational helpers: norms, roots, log2 brackets."""
+"""Exact dot products and norms of integer and rational vectors."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
-
-from .errors import InvariantViolation
 
 
 def dot(u: Sequence, v: Sequence):
@@ -25,75 +22,3 @@ def linf_norm(v: Sequence):
 def norm_sq(v: Sequence):
     return sum(x * x for x in v)
 
-
-def iroot(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0, k >= 1, by integer Newton iteration."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if k < 1:
-        raise ValueError("root order must be positive")
-    if x == 0 or k == 1:
-        return x
-    # start above the true root so the iteration decreases onto floor
-    guess = 1 << (-(-x.bit_length() // k))
-    while True:
-        nxt = ((k - 1) * guess + x // guess ** (k - 1)) // k
-        if nxt >= guess:
-            return guess
-        guess = nxt
-
-
-def kth_root_bracket(q: Fraction, k: int, bits: int = 32) -> tuple[Fraction, Fraction]:
-    """Rational bracket lo <= q**(1/k) <= hi for positive rational q."""
-    if q <= 0:
-        raise ValueError("radicand must be positive")
-    num, den = q.numerator, q.denominator
-    scaled = num << (k * bits)
-    lo = Fraction(iroot(scaled // den, k), 1 << bits)
-    hi = Fraction(iroot(-(-scaled // den), k) + 1, 1 << bits)
-    return lo, hi
-
-
-def log2_bracket(m: int, frac_bits: int = 26) -> tuple[Fraction, Fraction]:
-    """Rational bracket lo <= log2(m) <= hi with width <= 2**-20.
-
-    Fixed-point bit-by-bit binary logarithm run twice, once tracking a
-    floor approximant and once a ceiling approximant, so both endpoints
-    are rigorous.
-    """
-    if m < 1:
-        raise ValueError("argument must be positive")
-    k = m.bit_length() - 1
-    if m == 1 << k:
-        exact = Fraction(k)
-        return exact, exact
-
-    prec = 96
-    scale = 1 << prec
-    # x = m / 2^k in (1, 2), tracked as y / 2^prec
-    y_lo = (m << prec) >> k
-    y_hi = y_lo if (y_lo << k) == m << prec else y_lo + 1
-
-    lo_bits = 0
-    y = y_lo
-    for _ in range(frac_bits):
-        y = (y * y) >> prec
-        lo_bits <<= 1
-        if y >= 2 * scale:
-            lo_bits |= 1
-            y >>= 1
-
-    hi_bits = 0
-    y = y_hi
-    for _ in range(frac_bits):
-        y = (y * y + scale - 1) >> prec
-        hi_bits <<= 1
-        if y >= 2 * scale:
-            hi_bits |= 1
-            y = (y + 1) >> 1
-
-    lo = Fraction(k) + Fraction(lo_bits, 1 << frac_bits)
-    hi = Fraction(k) + Fraction(hi_bits + 1, 1 << frac_bits)
-    if hi - lo > Fraction(1, 1 << 20):
-        raise InvariantViolation("log2 bracket wider than 2^-20")
-    return lo, hi

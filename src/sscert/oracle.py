@@ -13,14 +13,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .branching import CertifyStatus, _validate_direction, certify, lp_extreme_ineq
+from .branching import (
+    ENUMERATION_CAP,
+    CertifyStatus,
+    _validate_direction,
+    certify,
+    lp_extreme_ineq,
+)
 from .errors import CapacityError, DomainError
 from .model import validate_weights
 from .rng import SplitMix64
 
 _FEASIBLE_CAP = 32
 _SUMS_CAP = 24
-_ENUM_CAP = 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +105,7 @@ def all_feasible_sums(a: Sequence[int]) -> frozenset[int]:
 
 
 def check_good_intervals(
-    a: Sequence[int], v: Sequence[int], cap: int = _ENUM_CAP
+    a: Sequence[int], v: Sequence[int]
 ) -> tuple[bool, tuple[tuple[int, bool, bool], ...]]:
     """Certified betas vs good-interval members, for every integer beta.
 
@@ -114,7 +119,7 @@ def check_good_intervals(
         raise CapacityError("exhaustive interval check capped at n <= 10, ||a||_1 <= 10^4")
     v = _validate_direction(v, len(a))
     ve = sum(v)
-    if ve > cap:
+    if ve > ENUMERATION_CAP:
         raise CapacityError("direction l1 norm exceeds the enumeration cap")
     mins = [lp_extreme_ineq(a, v, k, "min") for k in range(ve + 1)]
     maxs = [lp_extreme_ineq(a, v, k, "max") for k in range(ve + 1)]
@@ -150,7 +155,7 @@ def infeasible_coverage_report(
         if n > 20:
             raise CapacityError("exact mode capped at n = 20")
         total = sum(a)
-        if total > _ENUM_CAP:
+        if total > ENUMERATION_CAP:
             raise CapacityError("exact mode needs ||a||_1 within the enumeration cap")
         sums = all_feasible_sums(a)
         infeasible = 0

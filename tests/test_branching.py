@@ -304,8 +304,14 @@ class TestIntervals:
         assert cover.bad[-1][1] == sum(TOY_A)
 
     def test_cap(self):
+        # a = v: bad intervals are the single levels [k, k]
+        a = (2000001, 2000003)
+        zero = (Fraction(0), Fraction(0))
         with pytest.raises(CapacityError):
-            enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, cap=2)
+            enumerate_intervals(a, a, Fraction(1), zero)
+        cover = enumerate_intervals(a, a, Fraction(1), zero, k_lo=5, k_hi=7)
+        assert cover.bad == tuple((Fraction(k), Fraction(k)) for k in (5, 6, 7))
+        assert cover.good_length_bound_holds
 
     def test_partial_range(self):
         cover = enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, 1, 2)

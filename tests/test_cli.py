@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from sscert import cli, documents
-from sscert.branching import CertifyStatus, coverage_stats, enumerate_intervals
+from sscert.branching import CertifyStatus, certify, coverage_stats, enumerate_intervals
 from sscert.cli import main
 from sscert.decompose import Decomposition, Method
 from sscert.errors import CapacityError, DomainError, InvariantViolation
 from sscert.lll import ReductionStats
-from sscert.model import Instance
+from sscert.model import Instance, generate_instance
+from sscert.oracle import infeasible_coverage_report
 
 TOY = Instance(n=3, a=(100, 101, 102))
 
@@ -27,13 +28,17 @@ def toy_decomposition():
     )
 
 
-@pytest.fixture
-def toy_files(tmp_path):
+def write_pair(tmp_path, inst, dec):
     inst_path = tmp_path / "instance.json"
     dec_path = tmp_path / "decomposition.json"
-    inst_path.write_text(documents.serialize_instance(TOY))
-    dec_path.write_text(documents.serialize_decomposition(toy_decomposition()))
+    inst_path.write_text(documents.serialize_instance(inst))
+    dec_path.write_text(documents.serialize_decomposition(dec))
     return tmp_path, str(inst_path), str(dec_path)
+
+
+@pytest.fixture
+def toy_files(tmp_path):
+    return write_pair(tmp_path, TOY, toy_decomposition())
 
 
 def test_generate_deterministic_bytes(tmp_path):
@@ -42,8 +47,7 @@ def test_generate_deterministic_bytes(tmp_path):
     assert main(["generate", "--n", "4", "--seed", "11", "-o", str(out1)]) == 0
     assert main(["generate", "--n", "4", "--seed", "11", "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    inst, _ = documents.parse_instance(out1.read_text())
-    assert inst.n == 4 and inst.seed == 11
+    assert out1.read_text() == documents.serialize_instance(generate_instance(4, 11))
 
 
 def test_generate_usage_error():
@@ -92,6 +96,60 @@ def test_non_ascii_digits_are_a_usage_error():
     assert main(["generate", "--n", "3", "--seed", "\u0664\u0662"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "\u0663", "--seed", "5"],
+        ["generate", "--n", "1_0", "--seed", "5"],
+        ["stats", "--mode", "sampled", "--sample-size", "\u0665\u0660", "--seed", "4"],
+        ["stats", "--mode", "sampled", "--sample-size", "60", "--seed", "4",
+         "--workers", "\u0662"],
+    ],
+    ids=["n_arabic_indic", "n_underscore", "sample_size_arabic_indic", "workers_arabic_indic"],
+)
+def test_counts_take_ascii_digits_only(toy_files, argv):
+    # int() reads "\u0663" as 3 and "1_0" as 10; counts take 0-9 only
+    _, inst_path, dec_path = toy_files
+    if argv[0] == "stats":
+        argv = argv[:1] + ["--instance", inst_path, "--decomposition", dec_path] + argv[1:]
+    assert main(argv) == 2
+
+
+def test_generate_n_is_bounded(capsys):
+    # refused before the 2 n^2 + 1 bit weights are drawn
+    assert main(["generate", "--n", "65", "--seed", "1"]) == 3
+    assert "n 65 exceeds the limit 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551621", "18446744073709551616", "-1"])
+def test_seed_outside_64_bits_is_a_usage_error(toy_files, seed):
+    # SplitMix64 masks its seed to 64 bits: 2^64 + 5 would draw what 5 draws
+    _, inst_path, dec_path = toy_files
+    assert main(["generate", "--n", "3", "--seed", seed]) == 2
+    for command in ("stats", "cor1"):
+        assert main([
+            command, "--instance", inst_path, "--decomposition", dec_path,
+            "--mode", "sampled", "--sample-size", "10", "--seed", seed,
+        ]) == 2
+
+
+def test_largest_seed_is_accepted(capsys):
+    assert main(["generate", "--n", "3", "--seed", str((1 << 64) - 1)]) == 0
+    assert capsys.readouterr().out == documents.serialize_instance(
+        generate_instance(3, (1 << 64) - 1)
+    )
+
+
+@pytest.mark.parametrize("command", ["stats", "cor1"])
+def test_sample_size_is_bounded(toy_files, command):
+    # refused before any right-hand side is drawn
+    _, inst_path, dec_path = toy_files
+    assert main([
+        command, "--instance", inst_path, "--decomposition", dec_path,
+        "--mode", "sampled", "--sample-size", "1000001", "--seed", "4",
+    ]) == 3
+
+
 def test_certify_verify_happy_path(toy_files):
     tmp_path, inst_path, dec_path = toy_files
     cert_path = tmp_path / "cert.json"
@@ -100,8 +158,9 @@ def test_certify_verify_happy_path(toy_files):
         "--beta", "150", "-o", str(cert_path),
     ])
     assert code == 0
-    cert, v = documents.parse_certificate(cert_path.read_text())
-    assert cert.beta == 150 and v == (1, 1, 1)
+    assert cert_path.read_text() == documents.serialize_certificate(
+        certify(TOY.a, (1, 1, 1), 150).certificate, (1, 1, 1)
+    )
     assert main(["verify", "--instance", inst_path, "--certificate", str(cert_path)]) == 0
 
     tampered = tmp_path / "tampered.json"
@@ -116,21 +175,22 @@ def test_certify_verify_happy_path(toy_files):
 def test_certify_statuses(toy_files, capsys):
     _, inst_path, dec_path = toy_files
     base = ["certify", "--instance", inst_path, "--decomposition", dec_path]
-    assert main(base + ["--beta", "101"]) == 1
-    status, beta = documents.parse_certify_status(capsys.readouterr().out)
-    assert status is CertifyStatus.NO_CERTIFICATE and beta == 101
-
-    assert main(base + ["--beta", "-1"]) == 0
-    status, beta = documents.parse_certify_status(capsys.readouterr().out)
-    assert status is CertifyStatus.TRIVIALLY_INFEASIBLE and beta == -1
+    for beta, code, status in (
+        (101, 1, CertifyStatus.NO_CERTIFICATE),
+        (-1, 0, CertifyStatus.TRIVIALLY_INFEASIBLE),
+    ):
+        assert main(base + ["--beta", str(beta)]) == code
+        assert certify(TOY.a, (1, 1, 1), beta).status is status
+        assert capsys.readouterr().out == documents.serialize_certify_status(status, beta)
 
 
 def test_intervals_matches_library(toy_files, capsys):
     _, inst_path, dec_path = toy_files
     assert main(["intervals", "--instance", inst_path, "--decomposition", dec_path]) == 0
-    cover = documents.parse_interval_cover(capsys.readouterr().out)
     dec = toy_decomposition()
-    assert cover == enumerate_intervals(TOY.a, dec.v, dec.scale, dec.residual)
+    assert capsys.readouterr().out == documents.serialize_interval_cover(
+        enumerate_intervals(TOY.a, dec.v, dec.scale, dec.residual)
+    )
 
 
 @pytest.mark.parametrize("value", ["x", None, [1], 1.5, True, -1])
@@ -144,27 +204,48 @@ def test_malformed_provenance_count_is_a_usage_error(toy_files, capsys, value):
     assert "$.provenance.swaps" in capsys.readouterr().err
 
 
-def test_intervals_capacity(toy_files):
-    _, inst_path, dec_path = toy_files
-    code = main([
-        "intervals", "--instance", inst_path, "--decomposition", dec_path, "--cap", "1",
-    ])
-    assert code == 3
+def test_intervals_capacity(tmp_path, capsys):
+    # ||v||_1 = 4000004 levels, past the fixed enumeration cap of 10^6
+    a = (2000001, 2000003)
+    dec = Decomposition(
+        v=a,
+        scale=Fraction(1),
+        residual=(Fraction(0), Fraction(0)),
+        method=Method.LLL_ROWS,
+        provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
+        bounds=(),
+    )
+    _, inst_path, dec_path = write_pair(tmp_path, Instance(n=2, a=a), dec)
+    base = ["--instance", inst_path, "--decomposition", dec_path]
+    assert main(["intervals", *base]) == 3
+    assert main(["stats", *base, "--mode", "exact"]) == 3
+    assert "exceeds the cap 1000000" in capsys.readouterr().err
+    # the cap is a constant: no option can lift it
+    removed_option = "--" + "cap"
+    for command in ("intervals", "stats"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *base, removed_option, "1"])
+        assert exit_info.value.code == 2
 
 
 def test_stats_exact_and_sampled(toy_files, capsys):
     _, inst_path, dec_path = toy_files
-    assert main(["stats", "--instance", inst_path, "--decomposition", dec_path]) == 0
-    stats = documents.parse_coverage_stats(capsys.readouterr().out)
     dec = toy_decomposition()
-    assert stats == coverage_stats(TOY.a, dec.v, dec.scale, dec.residual, "exact")
+    assert main(["stats", "--instance", inst_path, "--decomposition", dec_path]) == 0
+    assert capsys.readouterr().out == documents.serialize_coverage_stats(
+        coverage_stats(TOY.a, dec.v, dec.scale, dec.residual, "exact")
+    )
 
     assert main([
         "stats", "--instance", inst_path, "--decomposition", dec_path,
         "--mode", "sampled", "--sample-size", "60", "--seed", "4",
     ]) == 0
-    sampled = documents.parse_coverage_stats(capsys.readouterr().out)
-    assert sampled.sample_size == 60 and sampled.g + sampled.b == 60
+    sampled = capsys.readouterr().out
+    assert sampled == documents.serialize_coverage_stats(
+        coverage_stats(
+            TOY.a, dec.v, dec.scale, dec.residual, "sampled", sample_size=60, seed=4
+        )
+    )
 
     # sampled mode without a seed is a usage error
     assert main([
@@ -178,7 +259,7 @@ def test_stats_exact_and_sampled(toy_files, capsys):
         "--mode", "sampled", "--sample-size", "60", "--seed", "4",
         "--workers", "2",
     ]) == 0
-    assert documents.parse_coverage_stats(capsys.readouterr().out) == sampled
+    assert capsys.readouterr().out == sampled
 
     # a worker count below one is a usage error
     assert main([
@@ -191,9 +272,10 @@ def test_stats_exact_and_sampled(toy_files, capsys):
 def test_cor1_exact(toy_files, capsys):
     _, inst_path, dec_path = toy_files
     assert main(["cor1", "--instance", inst_path, "--decomposition", dec_path]) == 0
-    report = documents.parse_infeasible_coverage(capsys.readouterr().out)
+    report = infeasible_coverage_report(TOY.a, (1, 1, 1), "exact")
     assert report.infeasible_count == 296
     assert report.fraction == 1
+    assert capsys.readouterr().out == documents.serialize_infeasible_coverage(report)
 
 
 def test_normalize_gcd_flow(tmp_path, capsys):
@@ -217,8 +299,9 @@ def test_normalize_gcd_flow(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(base + ["--beta", "3", "--normalize-gcd"]) == 0
-    status, _ = documents.parse_certify_status(capsys.readouterr().out)
-    assert status is CertifyStatus.TRIVIALLY_INFEASIBLE_GCD
+    assert capsys.readouterr().out == documents.serialize_certify_status(
+        CertifyStatus.TRIVIALLY_INFEASIBLE_GCD, 3
+    )
 
     code = main(base + ["--beta", "4", "--normalize-gcd"])
     out = capsys.readouterr().out

@@ -10,11 +10,10 @@ from sscert.decompose import (
     decompose_frank_tardos,
     decompose_lll_rows,
     decompose_with_fallback,
-    parallelism,
     project_onto,
 )
 from sscert.errors import DomainError, MixedSignDirectionWarning
-from sscert.intmath import l1_norm
+from sscert.intmath import l1_norm, norm_sq
 from sscert.model import Instance, generate_instance
 
 
@@ -200,18 +199,20 @@ class TestDecompositionInvariants:
 
 class TestParallelism:
     def test_remark_member_values(self):
+        # ||r||^2 / scale^2 stays near 1/2 while sin^2(a, v) = ||r||^2 / ||a||^2 is tiny
         a, v = remark_family(100)
-        report = parallelism(a, v)
-        assert report.ratio_sq == Fraction(1979900010000, 2010101**2)
-        assert report.sin_sq == Fraction(1979900010000, 20201**2 * 200020001)
-        assert 0.48 < float(report.ratio_sq) < 0.50
-        assert float(report.sin_sq) < 3e-5
+        lam, res = project_onto(a, v)
+        ratio_sq = norm_sq(res) / lam**2
+        sin_sq = norm_sq(res) / norm_sq(a)
+        assert ratio_sq == Fraction(1979900010000, 2010101**2)
+        assert sin_sq == Fraction(1979900010000, 20201**2 * 200020001)
+        assert 0.48 < float(ratio_sq) < 0.50
+        assert float(sin_sq) < 3e-5
 
     def test_parallel_and_perpendicular(self):
-        assert parallelism((2, 4), (1, 2)).sin_sq == 0
-        report = parallelism((1, 0), (0, 1))
-        assert report.sin_sq == 1
-        assert report.ratio_sq is None
+        assert project_onto((2, 4), (1, 2))[1] == (0, 0)
+        # perpendicular: zero scale, the whole of a is residual
+        assert project_onto((1, 0), (0, 1)) == (0, (1, 0))
 
     def test_remark_ratio_monotone_toward_half(self):
         ratios = []
@@ -223,13 +224,3 @@ class TestParallelism:
         seconds = [r[1] for r in ratios]
         assert firsts[0] < firsts[1] < firsts[2] < Fraction(1, 2)
         assert Fraction(-1, 2) < seconds[2] < seconds[1] < seconds[0]
-
-    def test_f_bracket(self):
-        a, v = remark_family(10)
-        report = parallelism(a, v)
-        lo, hi = report.f_a_bracket
-        n = len(a)
-        # f(a)^(4n) = 2^(n^2) / ||a||^4
-        asq = sum(x * x for x in a)
-        target = Fraction(1 << (n * n), asq * asq)
-        assert lo ** (4 * n) <= target <= hi ** (4 * n)

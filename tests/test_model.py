@@ -1,12 +1,10 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from sscert.errors import DomainError
-from sscert.intmath import iroot, kth_root_bracket, log2_bracket
-from sscert.model import Instance, density, generate_instance
+from sscert.model import Instance, generate_instance
 from sscert.rng import SplitMix64, mix64, substream_seed
 
 
@@ -47,53 +45,39 @@ class TestRng:
 
 class TestDensity:
     def test_exact_power_of_two_threshold(self):
-        n = 10
         a = tuple(range(3, 12)) + (1 << 200,)
-        rep = density(a)
-        assert rep.satisfies_half_over_n is True
-        assert rep.log2_ainf == (Fraction(200), Fraction(200))
-        assert rep.density_bracket == (Fraction(1, 20), Fraction(1, 20))
+        assert Instance(n=10, a=a).low_density is True
 
     def test_one_below_threshold_fails(self):
         a = tuple(range(3, 12)) + ((1 << 200) - 1,)
-        assert density(a).satisfies_half_over_n is False
+        assert Instance(n=10, a=a).low_density is False
 
     def test_small_example(self):
-        rep = density((2, 3, 4))
-        assert rep.density_bracket == (Fraction(3, 2), Fraction(3, 2))
-        assert rep.satisfies_half_over_n is False
+        assert Instance(n=3, a=(2, 3, 4)).low_density is False
 
     def test_all_ones_rejected(self):
-        with pytest.raises(DomainError):
-            density((1, 1, 1))
-
-    def test_bracket_is_rigorous_and_tight(self):
-        # libm log2 of a big int is good to ~4e-14 absolute here, far
-        # inside the 2^-20 bracket width, so it is a usable referee
-        rnd = random.Random(5)
-        for _ in range(50):
-            m = rnd.getrandbits(rnd.randint(2, 400)) | 1
-            if m < 2:
-                continue
-            lo, hi = log2_bracket(m)
-            assert hi - lo <= Fraction(1, 1 << 20)
-            reference = math.log2(m)
-            assert float(lo) <= reference + 1e-9
-            assert reference - 1e-9 <= float(hi)
+        # log2(1) = 0: the density n / log2(max a) is unbounded
+        assert Instance(n=3, a=(1, 1, 1)).low_density is False
 
     def test_flag_agrees_with_bracket_when_it_decides(self):
+        # libm log2 of a big int is good to ~4e-14 absolute here, so a
+        # 1e-9 bracket around it is a usable referee away from the threshold
         rnd = random.Random(6)
-        for _ in range(30):
+        decided = 0
+        for _ in range(60):
             n = rnd.randint(2, 6)
-            a = tuple(rnd.randint(1, 1 << (2 * n * n + 2)) for _ in range(n))
-            if max(a) == 1:
+            a = tuple(rnd.randint(2, 1 << (2 * n * n + 2)) for _ in range(n))
+            if math.gcd(*a) != 1:
                 continue
-            rep = density(a)
-            threshold = Fraction(1, 2 * n)
-            if rep.density_bracket[1] < threshold:
-                assert rep.satisfies_half_over_n
-            if rep.density_bracket[0] > threshold:
-                assert not rep.satisfies_half_over_n
+            inst = Instance(n=n, a=a)
+            log2_max = math.log2(max(a))
+            if log2_max + 1e-9 < 2 * n * n:
+                assert not inst.low_density
+                decided += 1
+            elif log2_max - 1e-9 > 2 * n * n:
+                assert inst.low_density
+                decided += 1
+        assert decided >= 30
 
 
 class TestInstance:
@@ -103,11 +87,27 @@ class TestInstance:
         assert math.gcd(*inst.a) == 1
         assert inst.linf_norm >= 1 << 200
         assert all(1 <= x <= 1 << 201 for x in inst.a)
-        assert inst.density().satisfies_half_over_n
+        assert inst.low_density
 
     def test_generation_deterministic(self):
         assert generate_instance(6, 123) == generate_instance(6, 123)
         assert generate_instance(6, 123) != generate_instance(6, 124)
+
+    def test_generation_follows_documented_resampling(self):
+        # attempt t draws from substream t of the seed; the first vector
+        # with max(a) >= 2^(2 n^2) and gcd(a) = 1 is the instance
+        resampled = 0
+        for n in (2, 3):
+            bits = 2 * n * n + 1
+            for seed in range(40):
+                for attempt in range(100):
+                    rng = SplitMix64(substream_seed(seed, attempt))
+                    weights = tuple(rng.randbits(bits) + 1 for _ in range(n))
+                    if max(weights) >= 1 << (2 * n * n) and math.gcd(*weights) == 1:
+                        break
+                resampled += attempt > 0
+                assert generate_instance(n, seed).a == weights
+        assert resampled >= 10
 
     def test_n_one_rejected(self):
         with pytest.raises(DomainError):
@@ -125,19 +125,3 @@ class TestInstance:
         inst = Instance(n=3, a=(2, 3, 4))
         assert inst.l1_norm == 9
         assert inst.linf_norm == 4
-
-
-class TestIntMath:
-    def test_iroot_floor(self):
-        rnd = random.Random(3)
-        for _ in range(200):
-            x = rnd.getrandbits(rnd.randint(1, 120))
-            k = rnd.randint(1, 6)
-            r = iroot(x, k)
-            assert r**k <= x < (r + 1) ** k
-
-    def test_kth_root_bracket(self):
-        q = Fraction(22, 7)
-        lo, hi = kth_root_bracket(q, 3)
-        assert lo**3 <= q <= hi**3
-        assert hi - lo < Fraction(1, 1 << 20)
