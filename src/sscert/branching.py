@@ -31,12 +31,12 @@ from .errors import (
     RelaxationInfeasibleError,
 )
 from .intmath import l1_norm
-from .model import validate_weights
+from .model import validate_direction, validate_weights
 from .rng import SplitMix64
 
 Sense = Literal["min", "max"]
 
-ENUMERATION_CAP = 10**6
+ENUMERATION_CAP = 10**5
 
 
 class CertifyStatus(enum.Enum):
@@ -103,17 +103,6 @@ class CoverageStats:
     seed: int | None = None
 
 
-def _validate_direction(v, n: int) -> tuple[int, ...]:
-    v = tuple(v)
-    if len(v) != n:
-        raise DomainError("direction length differs from weight length")
-    if any(not isinstance(x, int) or x < 0 for x in v):
-        raise DomainError("direction must be a nonnegative integer vector")
-    if max(v) == 0:
-        raise DomainError("direction must be nonzero")
-    return v
-
-
 def _greedy_order(num, den, sense: Sense) -> list[int]:
     """Indices by num_i/den_i ratio: ascending for min, descending for max.
 
@@ -141,7 +130,7 @@ def lp_extreme_eq(
     lies outside [0, ||a||_1].
     """
     a = validate_weights(a)
-    v = _validate_direction(v, len(a))
+    v = validate_direction(v, len(a))
     _validate_sense(sense)
     total = sum(a)
     if beta < 0 or beta > total:
@@ -172,7 +161,7 @@ def lp_extreme_ineq(
     coordinates with v_i = 0 are free (1 for max, 0 for min).
     """
     a = validate_weights(a)
-    v = _validate_direction(v, len(a))
+    v = validate_direction(v, len(a))
     _validate_sense(sense)
     ve = sum(v)
     if sense == "max" and level < 0:
@@ -215,7 +204,7 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     consecutive integers) or no_certificate.
     """
     a = validate_weights(a)
-    v = _validate_direction(v, len(a))
+    v = validate_direction(v, len(a))
     if math.gcd(*a) != 1:
         raise DomainError("weights not coprime")
     total = sum(a)
@@ -244,7 +233,7 @@ def verify_certificate(a: Sequence[int], v: Sequence[int], cert: Certificate) ->
     """
     try:
         a = validate_weights(a)
-        v = _validate_direction(v, len(a))
+        v = validate_direction(v, len(a))
         level = cert.level
         beta = cert.beta
         if not isinstance(level, int) or not isinstance(beta, int):
@@ -266,7 +255,7 @@ def witnesses_consistent(
     """Do the stored witnesses attain vmin/vmax and satisfy a.x = beta?"""
     try:
         a = validate_weights(a)
-        v = _validate_direction(v, len(a))
+        v = validate_direction(v, len(a))
     except DomainError:
         return False
     for arg, target in ((cert.arg_min, cert.vmin), (cert.arg_max, cert.vmax)):
@@ -296,7 +285,7 @@ def enumerate_intervals(
     case callers must request a partial window.
     """
     a = validate_weights(a)
-    v = _validate_direction(v, len(a))
+    v = validate_direction(v, len(a))
     ve = sum(v)
     if k_hi is None:
         k_hi = ve
@@ -368,7 +357,7 @@ def coverage_stats(
     more than the CPU count or the draws; one runs in this process).
     """
     a = validate_weights(a)
-    v = _validate_direction(v, len(a))
+    v = validate_direction(v, len(a))
     if workers < 1:
         raise DomainError("workers must be >= 1")
     n = len(a)

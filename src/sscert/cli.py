@@ -128,8 +128,6 @@ def _cmd_certify(config: argparse.Namespace) -> int:
             return EXIT_OK
         beta //= divisor
     dec = _load_decomposition(config, inst)
-    if not dec.nonnegative():
-        raise DomainError("decomposition direction has negative components")
     result = certify(inst.a, dec.v, beta)
     if result.status is CertifyStatus.CERTIFIED:
         _emit(

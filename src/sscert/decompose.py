@@ -9,24 +9,26 @@ Two routes produce the branching direction v:
   are checked exactly on every output.
 * ``lll_rows``: reduce the columns of the matrix stacking a over the
   identity; v is the last row of the inverse transform, with scale and
-  residual defined by orthogonal projection. The reduction may return
-  a direction with mixed signs, which branching cannot use; callers
-  that need a usable direction go through ``decompose_with_fallback``.
+  residual defined by orthogonal projection. A reduced direction with
+  mixed signs, which branching cannot use, is a DomainError.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .diophantine import ApproxResult, choose_precision, dioph_approx
-from .errors import DomainError, InvariantViolation, MixedSignDirectionWarning
+from .errors import CapacityError, DomainError, InvariantViolation
 from .intmath import dot, l1_norm, norm_sq
 from .lll import Basis, ReductionStats, lll_reduce
-from .model import Instance
+from .model import Instance, validate_direction
+
+# beyond these dimensions the exact reduction runs for minutes
+FRANK_TARDOS_MAX_N = 16
+LLL_ROWS_MAX_N = 32
 
 
 class Method(enum.Enum):
@@ -48,7 +50,7 @@ class BoundCheck:
 
 @dataclass(frozen=True, slots=True)
 class Decomposition:
-    """Direction v with exact scale and residual, a = scale * v + residual."""
+    """Direction v >= 0, v != 0, exact scale and residual: a = scale * v + residual."""
 
     v: tuple[int, ...]
     scale: Fraction
@@ -56,15 +58,10 @@ class Decomposition:
     method: Method
     provenance: Union[ApproxResult, ReductionStats]
     bounds: tuple[BoundCheck, ...]
-    warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(self.v))
         object.__setattr__(self, "residual", tuple(self.residual))
-        if len(self.v) != len(self.residual):
-            raise DomainError("direction and residual lengths differ")
-        if all(x == 0 for x in self.v):
-            raise DomainError("direction must be nonzero")
+        object.__setattr__(self, "v", validate_direction(self.v, len(self.residual)))
         if self.scale <= 0:
             raise DomainError("scale must be positive")
         if l1_norm(self.residual) >= self.scale:
@@ -76,9 +73,6 @@ class Decomposition:
 
     def reconstruct_a(self) -> tuple[Fraction, ...]:
         return tuple(self.scale * vi + ri for vi, ri in zip(self.v, self.residual))
-
-    def nonnegative(self) -> bool:
-        return min(self.v) >= 0
 
 
 def project_onto(a: Sequence, v: Sequence) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -93,29 +87,13 @@ def project_onto(a: Sequence, v: Sequence) -> tuple[Fraction, tuple[Fraction, ..
     return lam, residual
 
 
-def _build(v, scale, residual, method, provenance, bounds):
-    warnings = ()
-    if min(v) < 0:
-        warnings = (
-            "direction has negative components; branching requires a "
-            "nonnegative direction",
-        )
-    return Decomposition(
-        v=tuple(v),
-        scale=scale,
-        residual=residual,
-        method=method,
-        provenance=provenance,
-        bounds=tuple(bounds),
-        warnings=warnings,
-    )
-
-
 def decompose_frank_tardos(inst: Instance) -> Decomposition:
     """Direction from diophantine approximation of a / max(a)."""
     n = inst.n
     if n < 10:
         raise DomainError("frank_tardos decomposition requires n >= 10")
+    if n > FRANK_TARDOS_MAX_N:
+        raise CapacityError(f"frank_tardos capped at n = {FRANK_TARDOS_MAX_N}")
     if not inst.low_density:
         raise DomainError(
             "instance density above 1/(2n): max weight below 2^(2 n^2)"
@@ -145,7 +123,7 @@ def decompose_frank_tardos(inst: Instance) -> Decomposition:
     )
     if not all(b.holds for b in bounds):
         raise InvariantViolation("decomposition bound failed; kernel bug")
-    return _build(approx.v, scale, residual, Method.FRANK_TARDOS, approx, bounds)
+    return Decomposition(approx.v, scale, residual, Method.FRANK_TARDOS, approx, bounds)
 
 
 def _check(name, lhs, rhs, relation, note=""):
@@ -161,6 +139,8 @@ def decompose_lll_rows(inst: Instance) -> Decomposition:
     n = inst.n
     if n < 2:
         raise DomainError("reduction decomposition requires n >= 2")
+    if n > LLL_ROWS_MAX_N:
+        raise CapacityError(f"lll_rows capped at n = {LLL_ROWS_MAX_N}")
     if inst.linf_norm ** 2 < 1 << (n * (n + 2)):
         raise DomainError(
             "instance density above 1/(n/2 + 1): max weight too small"
@@ -178,11 +158,11 @@ def decompose_lll_rows(inst: Instance) -> Decomposition:
         v = tuple(-x for x in v)
     if all(x == 0 for x in v):
         raise InvariantViolation("last row of a unimodular inverse is zero")
+    if min(v) < 0:
+        raise DomainError("reduced direction has mixed signs; branching needs v >= 0")
     scale, residual = project_onto(inst.a, v)
-    if scale <= 0:
-        raise DomainError("projection scale not positive; direction unusable")
     bounds = _reduction_bounds(inst.a, v, scale, residual)
-    return _build(v, scale, residual, Method.LLL_ROWS, reduced.stats, bounds)
+    return Decomposition(v, scale, residual, Method.LLL_ROWS, reduced.stats, bounds)
 
 
 def _reduction_bounds(a, v, scale, residual):
@@ -213,37 +193,7 @@ def _reduction_bounds(a, v, scale, residual):
 def decompose_with_fallback(
     inst: Instance, method: Method = Method.FRANK_TARDOS
 ) -> Decomposition:
-    """Dispatch on method; fall back from an unusable reduced direction.
-
-    When lll_rows yields a mixed-sign direction (or none at all) a
-    MixedSignDirectionWarning is issued and frank_tardos is used if its
-    preconditions hold; otherwise the mixed-sign result is returned for
-    inspection (or the reduction error re-raised).
-    """
+    """Decomposition by ``method``, no fallback; renamed with the next benchmark change."""
     if method is Method.FRANK_TARDOS:
         return decompose_frank_tardos(inst)
-    try:
-        dec = decompose_lll_rows(inst)
-    except DomainError as exc:
-        if _frank_tardos_applies(inst):
-            _warn_mixed(str(exc))
-            return decompose_frank_tardos(inst)
-        raise
-    if dec.nonnegative():
-        return dec
-    _warn_mixed("reduced direction has mixed signs")
-    if _frank_tardos_applies(inst):
-        return decompose_frank_tardos(inst)
-    return dec
-
-
-def _frank_tardos_applies(inst: Instance) -> bool:
-    return inst.n >= 10 and inst.low_density
-
-
-def _warn_mixed(detail: str) -> None:
-    _warnings.warn(
-        f"{detail}; falling back where possible", MixedSignDirectionWarning,
-        stacklevel=3,
-    )
-
+    return decompose_lll_rows(inst)

@@ -198,7 +198,6 @@ def serialize_decomposition(dec: Decomposition) -> str:
             for b in dec.bounds
         ],
         "provenance": provenance,
-        "warnings": list(dec.warnings),
     }
     return _dump(payload)
 
@@ -264,11 +263,6 @@ def parse_decomposition(text: str) -> Decomposition:
                 )
         else:
             raise ParseError(f"unknown provenance type {prov_type!r}", "$.provenance.type")
-        warnings = _req(doc, "warnings")
-        if not isinstance(warnings, list) or any(
-            not isinstance(w, str) for w in warnings
-        ):
-            raise ParseError("warnings must be an array of strings", "$.warnings")
         return Decomposition(
             v=v,
             scale=scale,
@@ -276,7 +270,6 @@ def parse_decomposition(text: str) -> Decomposition:
             method=method,
             provenance=provenance,
             bounds=tuple(bounds),
-            warnings=tuple(warnings),
         )
     except (DomainError, InvariantViolation) as exc:
         raise ParseError(str(exc), "$") from None

@@ -43,6 +43,3 @@ class ParseError(Error):
             message = f"{message} (at {location})"
         super().__init__(message)
 
-
-class MixedSignDirectionWarning(UserWarning):
-    """Reduction produced a direction with mixed signs, unusable for branching."""

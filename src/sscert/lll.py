@@ -102,14 +102,10 @@ class ReducedBasis:
         ]
         if prod != ident:
             raise DomainError("transform and inverse do not multiply to identity")
-        _check_reduced_conditions(self.gso, DEFAULT_DELTA)
-
-    @property
-    def first_vector(self) -> tuple[Fraction, ...]:
-        return self.basis.cols[0]
+        _check_reduced_conditions(self.gso)
 
 
-def _check_reduced_conditions(gso: GramSchmidt, delta: Fraction) -> None:
+def _check_reduced_conditions(gso: GramSchmidt) -> None:
     half = Fraction(1, 2)
     for row in gso.mu:
         for mu in row:
@@ -118,7 +114,7 @@ def _check_reduced_conditions(gso: GramSchmidt, delta: Fraction) -> None:
     norms = gso.norms_sq
     for i in range(1, len(norms)):
         mu = gso.mu[i][i - 1]
-        if norms[i] < (delta - mu * mu) * norms[i - 1]:
+        if norms[i] < (DEFAULT_DELTA - mu * mu) * norms[i - 1]:
             raise DomainError("Lovasz condition fails")
 
 
@@ -144,20 +140,13 @@ def gram_schmidt(basis: Basis) -> GramSchmidt:
     return GramSchmidt(mu=tuple(mu_rows), norms_sq=tuple(norms))
 
 
-def is_reduced(basis: Basis, delta: Fraction = DEFAULT_DELTA) -> bool:
-    """Exact size-reduction and Lovasz check; RankError on dependence."""
-    _validate_delta(delta)
+def is_reduced(basis: Basis) -> bool:
+    """Exact size-reduction and Lovasz check at delta = 3/4; RankError on dependence."""
     try:
-        _check_reduced_conditions(gram_schmidt(basis), delta)
+        _check_reduced_conditions(gram_schmidt(basis))
     except DomainError:
         return False
     return True
-
-
-def _validate_delta(delta: Fraction) -> None:
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise DomainError("delta must lie strictly between 1/4 and 1")
 
 
 def _common_denominator(basis: Basis) -> int:

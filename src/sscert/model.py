@@ -26,6 +26,18 @@ def validate_weights(a: Sequence[int]) -> tuple[int, ...]:
     return weights
 
 
+def validate_direction(v: Sequence[int], n: int) -> tuple[int, ...]:
+    """The direction as a tuple; DomainError unless n integers >= 0, not all 0."""
+    v = tuple(v)
+    if len(v) != n:
+        raise DomainError("direction length differs from weight length")
+    if any(not isinstance(x, int) or x < 0 for x in v):
+        raise DomainError("direction must be a nonnegative integer vector")
+    if max(v) == 0:
+        raise DomainError("direction must be nonzero")
+    return v
+
+
 @dataclass(frozen=True, slots=True)
 class Instance:
     """Subset sum weights: ``n`` positive coprime integers ``a``."""

@@ -16,12 +16,11 @@ from typing import Sequence
 from .branching import (
     ENUMERATION_CAP,
     CertifyStatus,
-    _validate_direction,
     certify,
     lp_extreme_ineq,
 )
 from .errors import CapacityError, DomainError
-from .model import validate_weights
+from .model import validate_direction, validate_weights
 from .rng import SplitMix64
 
 _FEASIBLE_CAP = 32
@@ -117,7 +116,7 @@ def check_good_intervals(
     a = validate_weights(a)
     if len(a) > 10 or sum(a) > 10**4:
         raise CapacityError("exhaustive interval check capped at n <= 10, ||a||_1 <= 10^4")
-    v = _validate_direction(v, len(a))
+    v = validate_direction(v, len(a))
     ve = sum(v)
     if ve > ENUMERATION_CAP:
         raise CapacityError("direction l1 norm exceeds the enumeration cap")

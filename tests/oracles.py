@@ -6,7 +6,7 @@ shares no code with the implementation under test.
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt
+from math import ceil
 
 
 def box_min_norm_sq(cols, coeff_bound):

@@ -309,6 +309,9 @@ class TestIntervals:
         zero = (Fraction(0), Fraction(0))
         with pytest.raises(CapacityError):
             enumerate_intervals(a, a, Fraction(1), zero)
+        # a level range one past the cap of 10^5 is refused before any LP
+        with pytest.raises(CapacityError):
+            enumerate_intervals(a, a, Fraction(1), zero, k_lo=5, k_hi=5 + 10**5 + 1)
         cover = enumerate_intervals(a, a, Fraction(1), zero, k_lo=5, k_hi=7)
         assert cover.bad == tuple((Fraction(k), Fraction(k)) for k in (5, 6, 7))
         assert cover.good_length_bound_holds

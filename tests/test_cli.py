@@ -13,6 +13,7 @@ from sscert.errors import CapacityError, DomainError, InvariantViolation
 from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
 from sscert.oracle import infeasible_coverage_report
+from test_decompose import mixed_sign_reduction
 
 TOY = Instance(n=3, a=(100, 101, 102))
 
@@ -205,7 +206,7 @@ def test_malformed_provenance_count_is_a_usage_error(toy_files, capsys, value):
 
 
 def test_intervals_capacity(tmp_path, capsys):
-    # ||v||_1 = 4000004 levels, past the fixed enumeration cap of 10^6
+    # ||v||_1 = 4000004 levels, past the fixed enumeration cap of 10^5
     a = (2000001, 2000003)
     dec = Decomposition(
         v=a,
@@ -219,7 +220,7 @@ def test_intervals_capacity(tmp_path, capsys):
     base = ["--instance", inst_path, "--decomposition", dec_path]
     assert main(["intervals", *base]) == 3
     assert main(["stats", *base, "--mode", "exact"]) == 3
-    assert "exceeds the cap 1000000" in capsys.readouterr().err
+    assert "exceeds the cap 100000;" in capsys.readouterr().err
     # the cap is a constant: no option can lift it
     removed_option = "--" + "cap"
     for command in ("intervals", "stats"):
@@ -317,6 +318,31 @@ def test_decomposition_instance_mismatch(toy_files, tmp_path):
         "certify", "--instance", str(other), "--decomposition", dec_path,
         "--beta", "5",
     ]) == 2
+
+
+def write_instance(tmp_path, n, seed):
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(documents.serialize_instance(generate_instance(n, seed)))
+    return str(inst_path)
+
+
+def test_decompose_mixed_sign_reduction_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # no fallback document and no Python warning, one diagnostic line
+    inst_path = write_instance(tmp_path, 10, 1)
+    out = tmp_path / "direction.json"
+    mixed_sign_reduction(monkeypatch)
+    argv = ["decompose", "--instance", inst_path, "--method", "lll_rows", "-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sscert: reduced direction has mixed signs")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+def test_decompose_is_bounded_by_n(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, 17, 1)
+    assert main(["decompose", "--instance", inst_path]) == 3
+    assert "capped at n = 16" in capsys.readouterr().err
 
 
 def test_end_to_end_pipeline(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,8 +13,9 @@ from sscert.decompose import (
     decompose_with_fallback,
     project_onto,
 )
-from sscert.errors import DomainError, MixedSignDirectionWarning
+from sscert.errors import CapacityError, DomainError
 from sscert.intmath import l1_norm, norm_sq
+from sscert.lll import lll_reduce
 from sscert.model import Instance, generate_instance
 
 
@@ -118,61 +120,65 @@ class TestLllRows:
             decompose_lll_rows(Instance(n=3, a=(2, 3, 5)))
 
 
+def mixed_sign_reduction(monkeypatch):
+    """Make the last row of the reduction's inverse transform (1, -1, 1, ..., 1)."""
+
+    def reduce(basis):
+        d = basis.dim
+        last = (1, -1) + (1,) * (d - 2)
+        rows = tuple(tuple(int(i == j) for j in range(d)) for i in range(d - 1))
+        # a transform pair that differs from the identity in its last row only
+        u = (*rows, tuple(-x for x in last[:-1]) + (1,))
+        return dataclasses.replace(lll_reduce(basis), U=u, U_inv=(*rows, last))
+
+    monkeypatch.setattr("sscert.decompose.lll_reduce", reduce)
+
+
 class TestFallback:
     def test_frank_tardos_passthrough(self):
         inst = generate_instance(10, 42)
         assert decompose_with_fallback(inst) == decompose_frank_tardos(inst)
 
-    def test_mixed_sign_falls_back(self, monkeypatch, mixed_sign_warnings):
+    def test_mixed_sign_reduction_rejected(self, monkeypatch):
+        # no fallback to frank_tardos, which would apply to this instance
         inst = generate_instance(10, 42)
-        mixed = Decomposition(
-            v=(1, -1) + (1,) * 8,
-            scale=Fraction(3),
-            residual=(Fraction(0),) * 10,
-            method=Method.LLL_ROWS,
-            provenance=decompose_frank_tardos(inst).provenance,
-            bounds=(),
-        )
-        monkeypatch.setattr(
-            "sscert.decompose.decompose_lll_rows", lambda _: mixed
-        )
-        dec = decompose_with_fallback(inst, Method.LLL_ROWS)
-        assert dec.method is Method.FRANK_TARDOS
-        assert any(
-            issubclass(w.category, MixedSignDirectionWarning)
-            for w in mixed_sign_warnings
-        )
+        mixed_sign_reduction(monkeypatch)
+        with pytest.raises(DomainError, match="mixed signs"):
+            decompose_lll_rows(inst)
+        with pytest.raises(DomainError, match="mixed signs"):
+            decompose_with_fallback(inst, Method.LLL_ROWS)
 
-    def test_mixed_sign_returned_when_no_fallback(self, monkeypatch, mixed_sign_warnings):
-        inst = Instance(n=4, a=(4097, 8192, 12288, 16385))
-        mixed = Decomposition(
-            v=(1, -1, 1, 1),
-            scale=Fraction(3),
-            residual=(Fraction(0),) * 4,
-            method=Method.LLL_ROWS,
-            provenance=None,
-            bounds=(),
-        )
-        monkeypatch.setattr(
-            "sscert.decompose.decompose_lll_rows", lambda _: mixed
-        )
-        dec = decompose_with_fallback(inst, Method.LLL_ROWS)
-        assert dec is mixed
-        assert mixed_sign_warnings
+
+class TestDimensionLimits:
+    # refused before any lattice is built; each would reduce for minutes
+    @pytest.fixture(autouse=True)
+    def no_lattice(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a lattice was built")
+
+        monkeypatch.setattr("sscert.decompose.dioph_approx", fail)
+        monkeypatch.setattr("sscert.decompose.lll_reduce", fail)
+
+    def test_frank_tardos_above_16(self):
+        with pytest.raises(CapacityError):
+            decompose_frank_tardos(generate_instance(17, 1))
+
+    def test_lll_rows_above_32(self):
+        with pytest.raises(CapacityError):
+            decompose_lll_rows(generate_instance(33, 1))
 
 
 class TestDecompositionInvariants:
-    def test_mixed_sign_warning_recorded_for_reduction(self):
-        dec = Decomposition(
-            v=(1, -1),
-            scale=Fraction(5),
-            residual=(Fraction(1), Fraction(1)),
-            method=Method.LLL_ROWS,
-            provenance=None,
-            bounds=(),
-        )
-        assert dec.warnings == ()
-        assert not dec.nonnegative()
+    def test_mixed_sign_direction_rejected(self):
+        with pytest.raises(DomainError):
+            Decomposition(
+                v=(1, -1),
+                scale=Fraction(5),
+                residual=(Fraction(1), Fraction(1)),
+                method=Method.LLL_ROWS,
+                provenance=None,
+                bounds=(),
+            )
 
     def test_residual_dominating_scale_rejected(self):
         with pytest.raises(DomainError):

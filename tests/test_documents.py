@@ -16,6 +16,33 @@ TOY = Instance(n=3, a=(100, 101, 102), seed=7)
 TOY_SCALE = Fraction(101)
 TOY_RESIDUAL = (Fraction(-1), Fraction(0), Fraction(1))
 
+# a reduction decomposition of TOY in the format that still carried a
+# "warnings" array; the parser ignores keys it does not read
+WARNINGS_KEY_DOCUMENT = """{
+  "bounds": [],
+  "kind": "decomposition",
+  "lambda": "101/1",
+  "method": "lll_rows",
+  "provenance": {
+    "dim": 3,
+    "size_reductions": 5,
+    "swaps": 4,
+    "type": "lattice_reduction"
+  },
+  "r": [
+    "-1/1",
+    "0/1",
+    "1/1"
+  ],
+  "v": [
+    "1",
+    "1",
+    "1"
+  ],
+  "warnings": []
+}
+"""
+
 
 def roundtrip_canonical(serialize, parse, obj):
     text = serialize(obj)
@@ -115,6 +142,27 @@ class TestDecompositionDocs:
             documents.serialize_decomposition, documents.parse_decomposition, dec
         )
         assert sys.get_int_max_str_digits() == limit
+
+
+    def test_warnings_key_is_ignored(self):
+        dec = documents.parse_decomposition(WARNINGS_KEY_DOCUMENT)
+        assert dec == Decomposition(
+            v=(1, 1, 1),
+            scale=TOY_SCALE,
+            residual=TOY_RESIDUAL,
+            method=Method.LLL_ROWS,
+            provenance=ReductionStats(dim=3, swaps=4, size_reductions=5),
+            bounds=(),
+        )
+        expected = json.loads(WARNINGS_KEY_DOCUMENT)
+        del expected["warnings"]
+        assert json.loads(documents.serialize_decomposition(dec)) == expected
+
+    def test_negative_direction_entry_rejected(self):
+        doc = json.loads(WARNINGS_KEY_DOCUMENT)
+        doc["v"][1] = "-1"
+        with pytest.raises(ParseError, match="nonnegative"):
+            documents.parse_decomposition(json.dumps(doc))
 
 
 class TestReductionProvenance:
