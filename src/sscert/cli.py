@@ -22,7 +22,7 @@ from .branching import (
     enumerate_intervals,
     verify_certificate,
 )
-from .decompose import Method, decompose_with_fallback
+from .decompose import LLL_ROWS_MAX_N, Method, decompose_with_fallback
 from .errors import (
     CapacityError,
     DomainError,
@@ -40,7 +40,6 @@ EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
 _DECIMAL_RE = re.compile(r"-?[0-9]+\Z")
-_MAX_N = 64
 _MAX_SAMPLE_SIZE = 10**6
 
 
@@ -102,7 +101,8 @@ def _load_decomposition(config: argparse.Namespace, inst: Instance):
 
 
 def _cmd_generate(config: argparse.Namespace) -> int:
-    inst = generate_instance(_bounded(config.n, "n", _MAX_N), _seed(config.seed))
+    n = _bounded(config.n, "n", LLL_ROWS_MAX_N)
+    inst = generate_instance(n, _seed(config.seed))
     _emit(documents.serialize_instance(inst), config.output)
     return EXIT_OK
 
@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=None, help="required for sampled mode")
 
     p = sub.add_parser("generate", help="generate a low density instance")
-    p.add_argument("--n", required=True, help=f"2 to {_MAX_N}, decimal string")
+    p.add_argument("--n", required=True, help=f"2 to {LLL_ROWS_MAX_N}, decimal string")
     p.add_argument("--seed", required=True, help="0 to 2^64 - 1, decimal string")
     add_common(p)
 

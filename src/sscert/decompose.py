@@ -10,7 +10,11 @@ Two routes produce the branching direction v:
 * ``lll_rows``: reduce the columns of the matrix stacking a over the
   identity; v is the last row of the inverse transform, with scale and
   residual defined by orthogonal projection. A reduced direction with
-  mixed signs, which branching cannot use, is a DomainError.
+  mixed signs, which branching cannot use, is a DomainError. Its three
+  guarantees are reported, not enforced.
+
+``Decomposition.bounds`` computes a method's checks from v, scale and
+residual, so a decomposition read from a document cannot claim them.
 """
 
 from __future__ import annotations
@@ -38,14 +42,10 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class BoundCheck:
-    """One exact inequality check: ``lhs relation rhs``."""
+    """One guarantee of a decomposition and whether it holds, checked exactly."""
 
     name: str
     holds: bool
-    lhs: Fraction
-    rhs: Fraction
-    relation: str  # "<=" or ">="
-    note: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +57,6 @@ class Decomposition:
     residual: tuple[Fraction, ...]
     method: Method
     provenance: Union[ApproxResult, ReductionStats]
-    bounds: tuple[BoundCheck, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "residual", tuple(self.residual))
@@ -66,6 +65,13 @@ class Decomposition:
             raise DomainError("scale must be positive")
         if l1_norm(self.residual) >= self.scale:
             raise DomainError("residual l1 norm must be below the scale")
+
+    @property
+    def bounds(self) -> tuple[BoundCheck, ...]:
+        """The method's three guarantees, recomputed from v, scale and residual."""
+        if self.method is Method.FRANK_TARDOS:
+            return _frank_tardos_bounds(self.v, self.scale, self.residual)
+        return _reduction_bounds(self.reconstruct_a(), self.v, self.scale, self.residual)
 
     @property
     def n(self) -> int:
@@ -106,31 +112,19 @@ def decompose_frank_tardos(inst: Instance) -> Decomposition:
         raise InvariantViolation("approximant of a positive vector must be >= 0, != 0")
     scale = Fraction(ainf, approx.q)
     residual = tuple(Fraction(ai) - scale * vi for ai, vi in zip(inst.a, approx.v))
-    bounds = (
-        _check(
-            "direction_l1",
-            Fraction(l1_norm(approx.v)),
-            Fraction(1 << (2 * n * n)),
-            "<=",
-        ),
-        _check(
-            "residual_ratio",
-            l1_norm(residual) / scale,
-            Fraction(1, 1 << (n + 2)),
-            "<=",
-        ),
-        _check("scale_lower", scale, Fraction(1 << (n + 2)), ">="),
-    )
-    if not all(b.holds for b in bounds):
+    dec = Decomposition(approx.v, scale, residual, Method.FRANK_TARDOS, approx)
+    if not all(b.holds for b in dec.bounds):
         raise InvariantViolation("decomposition bound failed; kernel bug")
-    return Decomposition(approx.v, scale, residual, Method.FRANK_TARDOS, approx, bounds)
+    return dec
 
 
-def _check(name, lhs, rhs, relation, note=""):
-    holds = lhs <= rhs if relation == "<=" else lhs >= rhs
-    return BoundCheck(
-        name=name, holds=holds, lhs=Fraction(lhs), rhs=Fraction(rhs),
-        relation=relation, note=note,
+def _frank_tardos_bounds(v, scale, residual):
+    """The three Frank-Tardos guarantees; the residual ratio is cleared of 2^-(n+2)."""
+    n = len(v)
+    return (
+        BoundCheck("direction_l1", l1_norm(v) <= 1 << (2 * n * n)),
+        BoundCheck("residual_ratio", l1_norm(residual) * (1 << (n + 2)) <= scale),
+        BoundCheck("scale_lower", scale >= 1 << (n + 2)),
     )
 
 
@@ -161,8 +155,7 @@ def decompose_lll_rows(inst: Instance) -> Decomposition:
     if min(v) < 0:
         raise DomainError("reduced direction has mixed signs; branching needs v >= 0")
     scale, residual = project_onto(inst.a, v)
-    bounds = _reduction_bounds(inst.a, v, scale, residual)
-    return Decomposition(v, scale, residual, Method.LLL_ROWS, reduced.stats, bounds)
+    return Decomposition(v, scale, residual, Method.LLL_ROWS, reduced.stats)
 
 
 def _reduction_bounds(a, v, scale, residual):
@@ -170,23 +163,22 @@ def _reduction_bounds(a, v, scale, residual):
 
     With f = 2^(n/4) / ||a||^(1/n), comparisons against f are done
     after raising both sides to the 4n-th power, so that only
-    ||a||^2 (an integer) appears.
+    ||a||^2 appears.
     """
     n = len(a)
     asq = norm_sq(a)
     vsq = norm_sq(v)
     rsq = norm_sq(residual)
-    note = "both sides raised to the 4n-th power"
-    lhs1 = (Fraction(vsq) * (1 + rsq)) ** (2 * n)
-    rhs1 = Fraction((1 << (n * n)) * asq ** (2 * n - 2))
-    lhs2 = scale ** (4 * n) * (1 << (n * n))
-    rhs2 = Fraction(asq * asq)
-    lhs3 = (rsq / scale**2) ** (2 * n) * (asq * asq)
-    rhs3 = Fraction(1 << (4 * n + n * n))
     return (
-        _check("direction_residual_norm", lhs1, rhs1, "<=", note),
-        _check("scale_lower", lhs2, rhs2, ">=", note),
-        _check("residual_ratio", lhs3, rhs3, "<=", note),
+        BoundCheck(
+            "direction_residual_norm",
+            (vsq * (1 + rsq)) ** (2 * n) <= (1 << (n * n)) * asq ** (2 * n - 2),
+        ),
+        BoundCheck("scale_lower", scale ** (4 * n) * (1 << (n * n)) >= asq * asq),
+        BoundCheck(
+            "residual_ratio",
+            (rsq / scale**2) ** (2 * n) * (asq * asq) <= 1 << (4 * n + n * n),
+        ),
     )
 
 

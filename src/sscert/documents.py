@@ -3,7 +3,9 @@
 Documents are JSON with sorted keys, two-space indent, and a trailing
 newline, so identical objects serialize to identical bytes. All big
 integers are decimal strings; rationals are "numerator/denominator" in
-lowest terms with positive denominator. Only the documents a command
+lowest terms with positive denominator. No number may have more digits
+than the interpreter's int/str conversion limit: reading one is a
+ParseError, writing one a CapacityError. Only the documents a command
 reads back (instance, decomposition, certificate) have parsers; the
 status and report documents are output only. Parsing is lenient about
 non-canonical rationals (plain integers allowed) but strict about
@@ -15,42 +17,19 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from fractions import Fraction
 from typing import Any
 
 from .branching import Certificate, CertifyStatus, CoverageStats, IntervalCover
-from .decompose import BoundCheck, Decomposition, Method
+from .decompose import Decomposition, Method
 from .diophantine import ApproxResult
-from .errors import DomainError, InvariantViolation, ParseError
+from .errors import CapacityError, DomainError, InvariantViolation, ParseError
 from .lll import ReductionStats
 from .model import Instance
 from .oracle import InfeasibleCoverageReport
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
-
-
-def _unlimited(operation):
-    """Run an int/str conversion with the digit-count guard lifted.
-
-    Exact witnesses (for example the cleared-exponent bound values of a
-    reduction decomposition) routinely exceed CPython's default 4300
-    digit conversion limit; documents must still round-trip them. The
-    previous limit is restored before returning, so the guard stays in
-    place for every other conversion in the process.
-    """
-    try:
-        return operation()
-    except ValueError as exc:
-        if "int_max_str_digits" not in str(exc):
-            raise
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return operation()
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 def _dump(payload: dict) -> str:
@@ -83,17 +62,29 @@ def _req(doc: dict, key: str, path: str = "$") -> Any:
 
 
 def format_int(x: int) -> str:
-    return _unlimited(lambda: str(x))
+    try:
+        return str(x)
+    except ValueError:  # more digits than the interpreter converts
+        raise CapacityError(
+            f"a {x.bit_length()}-bit number exceeds the int/str digit limit"
+        ) from None
+
+
+def _digits(text: str, path: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError("number exceeds the int/str digit limit", path) from None
 
 
 def parse_int(value: Any, path: str) -> int:
     if not isinstance(value, str) or not _INT_RE.match(value):
         raise ParseError("expected a decimal integer string", path)
-    return _unlimited(lambda: int(value))
+    return _digits(value, path)
 
 
 def format_fraction(f: Fraction) -> str:
-    return _unlimited(lambda: f"{f.numerator}/{f.denominator}")
+    return f"{format_int(f.numerator)}/{format_int(f.denominator)}"
 
 
 def parse_fraction(value: Any, path: str) -> Fraction:
@@ -102,8 +93,8 @@ def parse_fraction(value: Any, path: str) -> Fraction:
     match = _FRACTION_RE.match(value)
     if not match:
         raise ParseError("expected 'numerator/denominator'", path)
-    num = _unlimited(lambda: int(match.group(1)))
-    den = _unlimited(lambda: int(match.group(2))) if match.group(2) is not None else 1
+    num = _digits(match.group(1), path)
+    den = _digits(match.group(2), path) if match.group(2) is not None else 1
     if den == 0:
         raise ParseError("zero denominator", path)
     return Fraction(num, den)
@@ -186,17 +177,6 @@ def serialize_decomposition(dec: Decomposition) -> str:
         "v": [format_int(x) for x in dec.v],
         "lambda": format_fraction(dec.scale),
         "r": [format_fraction(x) for x in dec.residual],
-        "bounds": [
-            {
-                "name": b.name,
-                "relation": b.relation,
-                "holds": b.holds,
-                "lhs": format_fraction(b.lhs),
-                "rhs": format_fraction(b.rhs),
-                "note": b.note,
-            }
-            for b in dec.bounds
-        ],
         "provenance": provenance,
     }
     return _dump(payload)
@@ -212,27 +192,6 @@ def parse_decomposition(text: str) -> Decomposition:
     v = _parse_int_list(_req(doc, "v"), "$.v")
     scale = parse_fraction(_req(doc, "lambda"), "$.lambda")
     residual = _parse_fraction_list(_req(doc, "r"), "$.r")
-    bounds = []
-    raw_bounds = _req(doc, "bounds")
-    if not isinstance(raw_bounds, list):
-        raise ParseError("expected an array", "$.bounds")
-    for i, raw in enumerate(raw_bounds):
-        path = f"$.bounds[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError("expected an object", path)
-        holds = _req(raw, "holds", path)
-        if not isinstance(holds, bool):
-            raise ParseError("holds must be a boolean", f"{path}.holds")
-        bounds.append(
-            BoundCheck(
-                name=str(_req(raw, "name", path)),
-                holds=holds,
-                lhs=parse_fraction(_req(raw, "lhs", path), f"{path}.lhs"),
-                rhs=parse_fraction(_req(raw, "rhs", path), f"{path}.rhs"),
-                relation=str(_req(raw, "relation", path)),
-                note=str(raw.get("note", "")),
-            )
-        )
     raw_prov = _req(doc, "provenance")
     if not isinstance(raw_prov, dict):
         raise ParseError("expected an object", "$.provenance")
@@ -269,7 +228,6 @@ def parse_decomposition(text: str) -> Decomposition:
             residual=residual,
             method=method,
             provenance=provenance,
-            bounds=tuple(bounds),
         )
     except (DomainError, InvariantViolation) as exc:
         raise ParseError(str(exc), "$") from None

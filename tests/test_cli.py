@@ -25,7 +25,6 @@ def toy_decomposition():
         residual=(Fraction(-1), Fraction(0), Fraction(1)),
         method=Method.LLL_ROWS,
         provenance=ReductionStats(dim=3, swaps=0, size_reductions=0),
-        bounds=(),
     )
 
 
@@ -117,9 +116,43 @@ def test_counts_take_ascii_digits_only(toy_files, argv):
 
 
 def test_generate_n_is_bounded(capsys):
-    # refused before the 2 n^2 + 1 bit weights are drawn
-    assert main(["generate", "--n", "65", "--seed", "1"]) == 3
-    assert "n 65 exceeds the limit 64" in capsys.readouterr().err
+    # no decompose method accepts n above 32; refused before any weight is drawn
+    assert main(["generate", "--n", "33", "--seed", "1"]) == 3
+    assert "n 33 exceeds the limit 32" in capsys.readouterr().err
+    assert main(["generate", "--n", "32", "--seed", "1"]) == 0
+
+
+@pytest.fixture
+def digit_limit_unchanged():
+    limit = sys.get_int_max_str_digits()
+    yield
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_huge_weight_is_a_usage_error(tmp_path, capsys, digit_limit_unchanged):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"kind": "instance", "n": 2, "a": ["1" * 10**6, "3"]}))
+    out = tmp_path / "direction.json"
+    assert main(["decompose", "--instance", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "$.a[0]" in err
+    assert not out.exists()
+
+
+def test_decomposition_past_digit_limit_is_a_capacity_error(
+    tmp_path, capsys, digit_limit_unchanged
+):
+    # two coprime 3914-digit weights: the reduction's scale has 5871 digits
+    a = (7**4631, 5**5599)
+    assert [len(str(x)) for x in a] == [3914, 3914]
+    path = tmp_path / "instance.json"
+    path.write_text(documents.serialize_instance(Instance(n=2, a=a)))
+    out = tmp_path / "direction.json"
+    argv = ["decompose", "--method", "lll_rows", "--instance", str(path), "-o", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "digit limit" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["18446744073709551621", "18446744073709551616", "-1"])
@@ -214,7 +247,6 @@ def test_intervals_capacity(tmp_path, capsys):
         residual=(Fraction(0), Fraction(0)),
         method=Method.LLL_ROWS,
         provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
-        bounds=(),
     )
     _, inst_path, dec_path = write_pair(tmp_path, Instance(n=2, a=a), dec)
     base = ["--instance", inst_path, "--decomposition", dec_path]
@@ -291,7 +323,6 @@ def test_normalize_gcd_flow(tmp_path, capsys):
         residual=(Fraction(0),) * 3,
         method=Method.LLL_ROWS,
         provenance=ReductionStats(dim=3, swaps=0, size_reductions=0),
-        bounds=(),
     )
     dec_path.write_text(documents.serialize_decomposition(dec))
 

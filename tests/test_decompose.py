@@ -177,7 +177,6 @@ class TestDecompositionInvariants:
                 residual=(Fraction(1), Fraction(1)),
                 method=Method.LLL_ROWS,
                 provenance=None,
-                bounds=(),
             )
 
     def test_residual_dominating_scale_rejected(self):
@@ -188,7 +187,6 @@ class TestDecompositionInvariants:
                 residual=(Fraction(1), Fraction(1)),
                 method=Method.FRANK_TARDOS,
                 provenance=None,
-                bounds=(),
             )
 
     def test_zero_direction_rejected(self):
@@ -199,7 +197,6 @@ class TestDecompositionInvariants:
                 residual=(Fraction(0), Fraction(0)),
                 method=Method.FRANK_TARDOS,
                 provenance=None,
-                bounds=(),
             )
 
 

@@ -1,13 +1,19 @@
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from sscert import documents
 from sscert.branching import CertifyStatus, certify, coverage_stats, enumerate_intervals
-from sscert.decompose import Decomposition, Method, decompose_frank_tardos
-from sscert.errors import ParseError
+from sscert.decompose import (
+    Decomposition,
+    Method,
+    decompose_frank_tardos,
+    decompose_lll_rows,
+)
+from sscert.errors import CapacityError, ParseError
 from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
 from sscert.oracle import infeasible_coverage_report
@@ -16,8 +22,8 @@ TOY = Instance(n=3, a=(100, 101, 102), seed=7)
 TOY_SCALE = Fraction(101)
 TOY_RESIDUAL = (Fraction(-1), Fraction(0), Fraction(1))
 
-# a reduction decomposition of TOY in the format that still carried a
-# "warnings" array; the parser ignores keys it does not read
+# a reduction decomposition of TOY in the format that still carried
+# "bounds" and "warnings" arrays; the parser ignores keys it does not read
 WARNINGS_KEY_DOCUMENT = """{
   "bounds": [],
   "kind": "decomposition",
@@ -131,18 +137,39 @@ class TestDecompositionDocs:
         with pytest.raises(ParseError):
             documents.parse_decomposition(tampered)
 
-    def test_roundtrip_reduction_with_huge_witnesses(self):
-        # bound witnesses of the reduction method exceed the default
-        # int/str conversion limit at pipeline scale
-        from sscert.decompose import decompose_lll_rows
-
+    def test_roundtrip_reduction_within_digit_limit(self):
         dec = decompose_lll_rows(generate_instance(10, 42))
         limit = sys.get_int_max_str_digits()
-        roundtrip_canonical(
+        text = roundtrip_canonical(
             documents.serialize_decomposition, documents.parse_decomposition, dec
         )
+        assert "bounds" not in json.loads(text)
         assert sys.get_int_max_str_digits() == limit
 
+    @pytest.mark.parametrize("decompose", [decompose_frank_tardos, decompose_lll_rows])
+    def test_parsed_bounds_equal_computed(self, decompose):
+        dec = decompose(generate_instance(10, 1))
+        parsed = documents.parse_decomposition(documents.serialize_decomposition(dec))
+        assert parsed.bounds == dec.bounds
+        assert len(dec.bounds) == 3
+
+    def test_forged_bounds_are_not_read(self):
+        # a = v = (2000001, 2000003), scale 1: far below the reduction's
+        # scale bound, whatever a document claims
+        doc = json.loads(documents.serialize_decomposition(Decomposition(
+            v=(2000001, 2000003),
+            scale=Fraction(1),
+            residual=(Fraction(0), Fraction(0)),
+            method=Method.LLL_ROWS,
+            provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
+        )))
+        doc["bounds"] = [
+            {"name": name, "relation": "<=", "holds": True, "lhs": "0/1",
+             "rhs": "1/1", "note": ""}
+            for name in ("direction_residual_norm", "scale_lower", "residual_ratio")
+        ]
+        parsed = documents.parse_decomposition(json.dumps(doc))
+        assert {b.name: b.holds for b in parsed.bounds}["scale_lower"] is False
 
     def test_warnings_key_is_ignored(self):
         dec = documents.parse_decomposition(WARNINGS_KEY_DOCUMENT)
@@ -152,10 +179,9 @@ class TestDecompositionDocs:
             residual=TOY_RESIDUAL,
             method=Method.LLL_ROWS,
             provenance=ReductionStats(dim=3, swaps=4, size_reductions=5),
-            bounds=(),
         )
         expected = json.loads(WARNINGS_KEY_DOCUMENT)
-        del expected["warnings"]
+        del expected["bounds"], expected["warnings"]
         assert json.loads(documents.serialize_decomposition(dec)) == expected
 
     def test_negative_direction_entry_rejected(self):
@@ -173,7 +199,6 @@ class TestReductionProvenance:
             residual=TOY_RESIDUAL,
             method=Method.LLL_ROWS,
             provenance=ReductionStats(dim=3, swaps=4, size_reductions=5),
-            bounds=(),
         )
         doc = json.loads(documents.serialize_decomposition(dec))
         doc["provenance"].update(fields)
@@ -195,6 +220,34 @@ class TestReductionProvenance:
         with pytest.raises(ParseError) as err:
             documents.parse_decomposition(self.text(dim=dim))
         assert "$.provenance.dim" in str(err.value)
+
+
+class TestDigitLimit:
+    # no conversion lifts the interpreter's int/str digit limit
+    @pytest.fixture(autouse=True)
+    def limit_unchanged(self):
+        limit = sys.get_int_max_str_digits()
+        yield
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_huge_weight_is_a_parse_error(self):
+        text = json.dumps({"kind": "instance", "n": 2, "a": ["1" * 10**6, "3"]})
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            documents.parse_instance(text)
+        assert time.perf_counter() - start < 1
+        assert "$.a[0]" in str(err.value)
+
+    def test_huge_rational_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            documents.parse_fraction("1/" + "7" * 5000, "$.lambda")
+        assert "$.lambda" in str(err.value)
+
+    def test_huge_number_is_a_capacity_error(self):
+        with pytest.raises(CapacityError):
+            documents.format_int(10**5000)
+        with pytest.raises(CapacityError):
+            documents.format_fraction(Fraction(1, 10**5000))
 
 
 class TestCertificateDocs:
