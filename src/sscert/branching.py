@@ -3,9 +3,9 @@
 A right-hand side beta is certified infeasible when the exact LP range
 [vmin, vmax] of v.x over {x | a.x = beta, 0 <= x <= e} contains no
 integer: every point of the relaxation then has a fractional v.x, so
-no 0/1 solution exists. The single-constraint LPs are solved by exact
-greedy ratio fills (cross-multiplied comparisons, no division), which
-match the LP vertex optimum.
+no 0/1 solution exists. All four single-constraint LPs are solved by
+one exact greedy fill over a v_i/a_i ratio order (cross-multiplied
+comparisons, no division), which matches the LP vertex optimum.
 
 The same machinery yields, for each branching level k, a closed "bad"
 interval [min(a,k), max(a,k)] and an open "good" interval between
@@ -37,6 +37,9 @@ from .rng import SplitMix64
 Sense = Literal["min", "max"]
 
 ENUMERATION_CAP = 10**5
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class CertifyStatus(enum.Enum):
@@ -120,6 +123,27 @@ def _greedy_order(num, den, sense: Sense) -> list[int]:
     return sorted(range(len(num)), key=cmp_to_key(compare))
 
 
+def _fill(order, cost, gain, budget) -> tuple[Fraction, list[Fraction]]:
+    """Greedy fractional knapsack: value and x of max{gain.x | cost.x <= budget}.
+
+    Takes the items in the given order, each whole while its cost fits
+    the budget, then the part of the next one that fits. Items of cost 0
+    must come first in the order.
+    """
+    x = [_ZERO] * len(cost)
+    value = 0
+    for i in order:
+        if cost[i] > budget:
+            if budget:
+                x[i] = Fraction(budget, cost[i])
+                return value + gain[i] * x[i], x
+            break
+        x[i] = _ONE
+        value += gain[i]
+        budget -= cost[i]
+    return Fraction(value), x
+
+
 def lp_extreme_eq(
     a: Sequence[int], v: Sequence[int], beta: int, sense: Sense
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -135,20 +159,7 @@ def lp_extreme_eq(
     total = sum(a)
     if beta < 0 or beta > total:
         raise RelaxationInfeasibleError(beta, total)
-    x: list[Fraction] = [Fraction(0)] * len(a)
-    value = Fraction(0)
-    remaining = beta
-    for i in _greedy_order(v, a, sense):
-        if remaining == 0:
-            break
-        if remaining >= a[i]:
-            x[i] = Fraction(1)
-            remaining -= a[i]
-            value += v[i]
-        else:
-            x[i] = Fraction(remaining, a[i])
-            value += v[i] * x[i]
-            remaining = 0
+    value, x = _fill(_greedy_order(v, a, sense), a, v, beta)
     return value, tuple(x)
 
 
@@ -157,8 +168,10 @@ def lp_extreme_ineq(
 ) -> Fraction:
     """max{a.x | v.x <= level} or min{a.x | v.x >= level} over the box.
 
-    Exact fractional knapsack greedy with objective a and constraint v;
-    coordinates with v_i = 0 are free (1 for max, 0 for min).
+    The max side fills by ascending v_i/a_i, so the coordinates with
+    v_i = 0 come first at no cost. The min side is its complement
+    y = e - x: min{a.x | v.x >= level} equals
+    ||a||_1 - max{a.y | v.y <= ||v||_1 - level}.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -168,27 +181,10 @@ def lp_extreme_ineq(
         raise DomainError("max side needs level >= 0")
     if sense == "min" and level > ve:
         raise DomainError("min side needs level <= ||v||_1")
-
-    active = [i for i in range(len(a)) if v[i] > 0]
-    value = Fraction(0)
+    order = _greedy_order(v, a, "min")
     if sense == "max":
-        value += sum(a[i] for i in range(len(a)) if v[i] == 0)
-        budget = level
-    else:
-        budget = max(level, 0)
-    # ratio here is a_i/v_i (objective per unit of constraint)
-    order = _greedy_order([a[i] for i in active], [v[i] for i in active], sense)
-    for pos in order:
-        i = active[pos]
-        if budget == 0:
-            break
-        if budget >= v[i]:
-            budget -= v[i]
-            value += a[i]
-        else:
-            value += Fraction(a[i] * budget, v[i])
-            budget = 0
-    return value
+        return _fill(order, v, a, level)[0]
+    return sum(a) - _fill(order, v, a, ve - level)[0]
 
 
 def _validate_sense(sense: str) -> None:
@@ -293,8 +289,8 @@ def enumerate_intervals(
         raise DomainError("need 0 <= k_lo <= k_hi <= ||v||_1")
     if k_hi - k_lo > ENUMERATION_CAP:
         raise CapacityError(
-            f"level range {k_hi - k_lo} exceeds the cap {ENUMERATION_CAP}; "
-            "enumerate a partial window [k_lo, k_hi] instead"
+            f"level range of {(k_hi - k_lo).bit_length()} bits exceeds the cap "
+            f"{ENUMERATION_CAP}; enumerate a partial window [k_lo, k_hi] instead"
         )
     mins = [lp_extreme_ineq(a, v, k, "min") for k in range(k_lo, k_hi + 1)]
     maxs = [lp_extreme_ineq(a, v, k, "max") for k in range(k_lo, k_hi + 1)]

@@ -73,10 +73,6 @@ class Decomposition:
             return _frank_tardos_bounds(self.v, self.scale, self.residual)
         return _reduction_bounds(self.reconstruct_a(), self.v, self.scale, self.residual)
 
-    @property
-    def n(self) -> int:
-        return len(self.v)
-
     def reconstruct_a(self) -> tuple[Fraction, ...]:
         return tuple(self.scale * vi + ri for vi, ri in zip(self.v, self.residual))
 

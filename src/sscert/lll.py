@@ -31,11 +31,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from . import _lll_py as _kernel
 from .errors import DomainError, RankError
-from .intmath import dot
+
 
 def kernel_name() -> str:
     """Name of the reduction kernel ("python")."""
@@ -118,37 +117,6 @@ def _check_reduced_conditions(gso: GramSchmidt) -> None:
             raise DomainError("Lovasz condition fails")
 
 
-def gram_schmidt(basis: Basis) -> GramSchmidt:
-    """Exact rational Gram-Schmidt data of the columns."""
-    ortho: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    mu_rows: list[tuple[Fraction, ...]] = []
-    for i, col in enumerate(basis.cols):
-        vec = list(col)
-        row = []
-        for j in range(i):
-            coeff = dot(col, ortho[j]) / norms[j]
-            row.append(coeff)
-            for t in range(len(vec)):
-                vec[t] -= coeff * ortho[j][t]
-        nsq = dot(vec, vec)
-        if nsq == 0:
-            raise RankError("columns are linearly dependent")
-        ortho.append(vec)
-        norms.append(nsq)
-        mu_rows.append(tuple(row))
-    return GramSchmidt(mu=tuple(mu_rows), norms_sq=tuple(norms))
-
-
-def is_reduced(basis: Basis) -> bool:
-    """Exact size-reduction and Lovasz check at delta = 3/4; RankError on dependence."""
-    try:
-        _check_reduced_conditions(gram_schmidt(basis))
-    except DomainError:
-        return False
-    return True
-
-
 def _common_denominator(basis: Basis) -> int:
     return math.lcm(*(x.denominator for col in basis.cols for x in col))
 
@@ -221,8 +189,3 @@ def _mul(a_cols, b_cols):
     """
     a_rows = list(zip(*a_cols))
     return [[sum(map(mul, row, col)) for row in a_rows] for col in b_cols]
-
-
-def basis_from_ints(cols: Sequence[Sequence[int]]) -> Basis:
-    """Convenience constructor from integer columns."""
-    return Basis(cols=tuple(tuple(Fraction(x) for x in col) for col in cols))

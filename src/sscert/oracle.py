@@ -2,9 +2,8 @@
 
 Feasibility decisions use meet-in-the-middle over subset sums (weights
 are big integers, so value-indexed dynamic programming is not an
-option). The module also cross-checks the interval characterization of
-certifiable right-hand sides and reports the certified share of
-infeasible ones.
+option). The module also reports the certified share of infeasible
+right-hand sides, the figure of the paper's Corollary 1.
 """
 
 from __future__ import annotations
@@ -13,14 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .branching import (
-    ENUMERATION_CAP,
-    CertifyStatus,
-    certify,
-    lp_extreme_ineq,
-)
+from .branching import ENUMERATION_CAP, CertifyStatus, certify
 from .errors import CapacityError, DomainError
-from .model import validate_direction, validate_weights
+from .model import validate_weights
 from .rng import SplitMix64
 
 _FEASIBLE_CAP = 32
@@ -101,34 +95,6 @@ def all_feasible_sums(a: Sequence[int]) -> frozenset[int]:
     for w in a:
         sums |= {s + w for s in sums}
     return frozenset(sums)
-
-
-def check_good_intervals(
-    a: Sequence[int], v: Sequence[int]
-) -> tuple[bool, tuple[tuple[int, bool, bool], ...]]:
-    """Certified betas vs good-interval members, for every integer beta.
-
-    For each beta in {0, ..., ||a||_1} compares the definition (the
-    certify range test) against membership in some open interval
-    (max(a,k), min(a,k+1)); returns the verdict and any counterexamples
-    as (beta, certified, in_interval) triples.
-    """
-    a = validate_weights(a)
-    if len(a) > 10 or sum(a) > 10**4:
-        raise CapacityError("exhaustive interval check capped at n <= 10, ||a||_1 <= 10^4")
-    v = validate_direction(v, len(a))
-    ve = sum(v)
-    if ve > ENUMERATION_CAP:
-        raise CapacityError("direction l1 norm exceeds the enumeration cap")
-    mins = [lp_extreme_ineq(a, v, k, "min") for k in range(ve + 1)]
-    maxs = [lp_extreme_ineq(a, v, k, "max") for k in range(ve + 1)]
-    mismatches = []
-    for beta in range(sum(a) + 1):
-        certified = certify(a, v, beta).status is CertifyStatus.CERTIFIED
-        in_interval = any(maxs[k] < beta < mins[k + 1] for k in range(ve))
-        if certified != in_interval:
-            mismatches.append((beta, certified, in_interval))
-    return not mismatches, tuple(mismatches)
 
 
 def infeasible_coverage_report(

@@ -24,7 +24,8 @@ def box_min_norm_sq(cols, coeff_bound):
     return best
 
 
-def _gso(cols):
+def gso(cols):
+    """Exact Gram-Schmidt data: mu (d x d, mu[i][j] for j < i) and squared norms."""
     d = len(cols)
     ortho = []
     norms = []
@@ -42,6 +43,16 @@ def _gso(cols):
     return mu, norms
 
 
+def is_reduced(cols):
+    """Size reduction and the Lovasz condition at delta = 3/4."""
+    mu, norms = gso(cols)
+    d = len(cols)
+    if any(abs(mu[i][j]) > Fraction(1, 2) for i in range(d) for j in range(i)):
+        return False
+    delta = Fraction(3, 4)
+    return all(norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1] for i in range(1, d))
+
+
 def svp_min_norm_sq(cols):
     """Exact shortest nonzero lattice vector norm^2 (Fincke-Pohst).
 
@@ -51,7 +62,7 @@ def svp_min_norm_sq(cols):
     current best shrinks early and prunes the rest.
     """
     d = len(cols)
-    mu, norms = _gso(cols)
+    mu, norms = gso(cols)
     best = min(sum(x * x for x in col) for col in cols)
     coeffs = [0] * d
 

@@ -10,7 +10,7 @@ import math
 import random
 from fractions import Fraction
 
-from oracles import gram_det, lp_eq_vertex, lp_ineq_vertex, svp_min_norm_sq
+from oracles import gram_det, is_reduced, lp_eq_vertex, lp_ineq_vertex, svp_min_norm_sq
 from sscert.branching import (
     CertifyStatus,
     certify,
@@ -22,15 +22,34 @@ from sscert.branching import (
 )
 from sscert.decompose import decompose_frank_tardos
 from sscert.diophantine import dioph_approx
-from sscert.errors import RankError
 from sscert.intmath import l1_norm
-from sscert.lll import basis_from_ints, gram_schmidt, is_reduced, lll_reduce
+from sscert.lll import Basis, lll_reduce
 from sscert.model import generate_instance
-from sscert.oracle import check_good_intervals, feasible
+from sscert.oracle import feasible
 
 
 def report(line):
     print(line, flush=True)
+
+
+def check_good_intervals(a, v):
+    """Certified betas vs good-interval members, for every integer beta.
+
+    For each beta in {0, ..., ||a||_1} compares the definition (the
+    certify range test) against membership in some open interval
+    (max(a,k), min(a,k+1)); returns the verdict and any counterexamples
+    as (beta, certified, in_interval) triples.
+    """
+    ve = sum(v)
+    mins = [lp_extreme_ineq(a, v, k, "min") for k in range(ve + 1)]
+    maxs = [lp_extreme_ineq(a, v, k, "max") for k in range(ve + 1)]
+    mismatches = []
+    for beta in range(sum(a) + 1):
+        certified = certify(a, v, beta).status is CertifyStatus.CERTIFIED
+        in_interval = any(maxs[k] < beta < mins[k + 1] for k in range(ve))
+        if certified != in_interval:
+            mismatches.append((beta, certified, in_interval))
+    return not mismatches, tuple(mismatches)
 
 
 def test_criterion_1_decomposition_bounds_exact():
@@ -184,11 +203,8 @@ def test_criterion_6_pipeline_coverage_statistical():
 def _random_basis(rnd, d, bound):
     while True:
         cols = [[rnd.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
-        try:
-            gram_schmidt(basis_from_ints(cols))
+        if gram_det(cols) != 0:
             return cols
-        except RankError:
-            continue
 
 
 def test_criterion_7_reduction_quality_and_invariants():
@@ -196,16 +212,16 @@ def test_criterion_7_reduction_quality_and_invariants():
     for _ in range(60):
         d = rnd.randint(2, 5)
         cols = _random_basis(rnd, d, 50)
-        red = lll_reduce(basis_from_ints(cols))
+        red = lll_reduce(Basis(cols))
         first = sum(x * x for x in red.basis.cols[0])
         assert first <= (1 << (d - 1)) * svp_min_norm_sq(cols)
 
     for _ in range(1000):
         d = rnd.randint(2, 8)
         cols = _random_basis(rnd, d, 30)
-        basis = basis_from_ints(cols)
+        basis = Basis(cols)
         red = lll_reduce(basis)
-        assert is_reduced(red.basis)
+        assert is_reduced(red.basis.cols)
         ident = tuple(
             tuple(
                 sum(red.U[i][t] * red.U_inv[t][j] for t in range(d))

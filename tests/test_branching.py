@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -39,6 +40,15 @@ def random_small_instance(rnd, nmax=8, wmax=60, vmax=4):
     if max(v) == 0:
         v = v[:-1] + (1,)
     return a, v
+
+
+def exhaustive_small_instances():
+    """Every a in {1..4}^n and nonzero v in {0..2}^n for n <= 3."""
+    for n in (1, 2, 3):
+        for a in product(range(1, 5), repeat=n):
+            for v in product(range(3), repeat=n):
+                if any(v):
+                    yield a, v
 
 
 class TestLpExtremeEq:
@@ -81,6 +91,23 @@ class TestLpExtremeEq:
                 assert all(0 <= x <= 1 for x in arg)
                 assert sum(1 for x in arg if 0 < x < 1) <= 1
 
+    def test_exhaustive_small_against_vertex_enumeration(self):
+        for a, v in exhaustive_small_instances():
+            for beta, sense in product(range(sum(a) + 1), ("min", "max")):
+                value, arg = lp_extreme_eq(a, v, beta, sense)
+                assert value == lp_eq_vertex(a, v, beta, sense), (a, v, beta, sense)
+                assert sum(ai * xi for ai, xi in zip(a, arg)) == beta
+                assert sum(vi * xi for vi, xi in zip(v, arg)) == value
+                assert all(0 <= x <= 1 for x in arg)
+                assert sum(1 for x in arg if 0 < x < 1) <= 1
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_ties_fill_the_smaller_index_first(self, sense):
+        # certificate documents carry this vertex, so the tie order is fixed
+        value, arg = lp_extreme_eq((2, 2, 2), (1, 1, 1), 3, sense)
+        assert value == Fraction(3, 2)
+        assert arg == (1, Fraction(1, 2), 0)
+
 
 class TestLpExtremeIneq:
     def test_toy_values(self):
@@ -112,6 +139,17 @@ class TestLpExtremeIneq:
             level = rnd.randint(0, ve)
             assert lp_extreme_ineq(a, v, level, "max") == lp_ineq_vertex(a, v, level, "max")
             assert lp_extreme_ineq(a, v, level, "min") == lp_ineq_vertex(a, v, level, "min")
+
+    def test_exhaustive_small_against_vertex_enumeration(self):
+        for a, v in exhaustive_small_instances():
+            ve = sum(v)
+            for level, sense in product(range(-1, ve + 2), ("min", "max")):
+                if (sense, level) in (("max", -1), ("min", ve + 1)):
+                    with pytest.raises(DomainError):
+                        lp_extreme_ineq(a, v, level, sense)
+                    continue
+                value = lp_extreme_ineq(a, v, level, sense)
+                assert value == lp_ineq_vertex(a, v, level, sense), (a, v, level, sense)
 
     def test_monotone_in_level(self):
         rnd = random.Random(43)
@@ -425,7 +463,7 @@ class TestCoverage:
     def test_import_leaves_process_pool_unloaded(self):
         # only a coverage call with workers > 1 imports the process pool
         code = (
-            "import sys, sscert; print(sorted(m for m in sys.modules"
+            "import sys, sscert.cli; print(sorted(m for m in sys.modules"
             " if m.startswith(('multiprocessing', 'concurrent'))))"
         )
         proc = subprocess.run(

@@ -261,6 +261,22 @@ def test_intervals_capacity(tmp_path, capsys):
         assert exit_info.value.code == 2
 
 
+def test_intervals_capacity_past_digit_limit(tmp_path, capsys, digit_limit_unchanged):
+    # every number is within the int/str digit limit, ||v||_1 is not
+    a = (9 * 10**4299 + 1, 9 * 10**4299 + 2)
+    dec = Decomposition(
+        v=a,
+        scale=Fraction(1),
+        residual=(Fraction(0), Fraction(0)),
+        method=Method.LLL_ROWS,
+        provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
+    )
+    _, inst_path, dec_path = write_pair(tmp_path, Instance(n=2, a=a), dec)
+    assert main(["intervals", "--instance", inst_path, "--decomposition", dec_path]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds the cap 100000;" in err
+
+
 def test_stats_exact_and_sampled(toy_files, capsys):
     _, inst_path, dec_path = toy_files
     dec = toy_decomposition()
