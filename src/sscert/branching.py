@@ -10,8 +10,9 @@ comparisons, no division), which matches the LP vertex optimum.
 The same machinery yields, for each branching level k, a closed "bad"
 interval [min(a,k), max(a,k)] and an open "good" interval between
 consecutive levels; good intervals contain exactly the certified
-right-hand sides, and coverage statistics compare the certified share
-against the exact bound 2 (||r||_1 + 1) / scale.
+right-hand sides. Exact coverage statistics count the integers in bad
+intervals in closed form, without enumerating levels, and compare the
+share against the exact bound 2 (||r||_1 + 1) / scale.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -316,14 +318,39 @@ def enumerate_intervals(
     )
 
 
-def count_integers_in_bad(cover: IntervalCover) -> int:
-    """Number of integers inside the closed bad intervals."""
-    total = 0
-    for lo, hi in cover.bad:
-        count = math.floor(hi) - math.ceil(lo) + 1
-        if count > 0:
-            total += count
-    return total
+def _bad_count(a, v) -> tuple[int, Fraction]:
+    """Integers of [0, ||a||_1] in bad intervals, and the least good length.
+
+    With M(k) = max(a, k), min(a, k) = ||a||_1 - M(||v||_1 - k), so the
+    count is 2 sum_k floor(M(k)) - (||v||_1 + 1)(||a||_1 - 1). M is linear
+    between the prefix sums of v in greedy order, over whole periods, so
+    each segment adds a full-period floor sum (Graham, Knuth & Patashnik,
+    Concrete Mathematics, 3.5). The count needs disjoint levels. The good
+    length min(a, k+1) - max(a, k) = ||a||_1 - M(||v||_1 - 1 - k) - M(k) is
+    convex in k and symmetric about (||v||_1 - 1)/2, so its least value
+    lies at a prefix sum; DomainError if it is not positive there.
+    """
+    order = _greedy_order(v, a, "min")
+    total, last = sum(a), sum(v) - 1
+    prefix_a, prefix_v = [0], [0]
+    floors = total
+    for i in order:
+        floors += v[i] * prefix_a[-1]
+        floors += ((a[i] - 1) * (v[i] - 1) + math.gcd(a[i], v[i]) - 1) // 2
+        prefix_a.append(prefix_a[-1] + a[i])
+        prefix_v.append(prefix_v[-1] + v[i])
+
+    def lp_max(k: int) -> Fraction:
+        j = bisect_right(prefix_v, k) - 1
+        if j == len(order):
+            return Fraction(total)
+        i = order[j]
+        return prefix_a[j] + Fraction(a[i] * (k - prefix_v[j]), v[i])
+
+    least = min(total - lp_max(last - k) - lp_max(k) for k in prefix_v if k <= last)
+    if least <= 0:
+        raise DomainError("consecutive levels overlap; decomposition hypotheses violated")
+    return 2 * floors - (last + 2) * (total - 1), least
 
 
 def _classify_chunk(args) -> tuple[int, int]:
@@ -347,10 +374,11 @@ def coverage_stats(
 ) -> CoverageStats:
     """Exact or sampled share of uncertified right-hand sides.
 
-    Exact mode enumerates every interval (capacity-gated); sampled mode
-    draws beta uniformly from {0, ..., ||a||_1} with the given seed and
-    classifies each via certify, in at most ``workers`` processes (no
-    more than the CPU count or the draws; one runs in this process).
+    Exact mode counts the integers in bad intervals in closed form
+    (DomainError when levels overlap); sampled mode draws beta uniformly
+    from {0, ..., ||a||_1} with the given seed and classifies each via
+    certify, in at most ``workers`` processes (no more than the CPU
+    count or the draws; one runs in this process).
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -360,9 +388,8 @@ def coverage_stats(
     bound = 2 * (l1_norm(tuple(Fraction(r) for r in residual)) + 1) / Fraction(scale)
     two_pow = Fraction(1, 1 << n)
     if mode == "exact":
-        cover = enumerate_intervals(a, v, scale, residual)
         total = sum(a) + 1
-        b = count_integers_in_bad(cover)
+        b = _bad_count(a, v)[0]
         g = total - b
         frac = Fraction(b, total)
         if frac > bound:

@@ -117,6 +117,7 @@ def _cmd_decompose(config: argparse.Namespace) -> int:
 def _cmd_certify(config: argparse.Namespace) -> int:
     beta = _decimal(config.beta, "beta")
     inst, divisor = _load_instance(config)
+    dec = _load_decomposition(config, inst)
     if divisor != 1:
         if beta % divisor != 0:
             _emit(
@@ -127,7 +128,6 @@ def _cmd_certify(config: argparse.Namespace) -> int:
             )
             return EXIT_OK
         beta //= divisor
-    dec = _load_decomposition(config, inst)
     result = certify(inst.a, dec.v, beta)
     if result.status is CertifyStatus.CERTIFIED:
         _emit(
@@ -169,16 +169,7 @@ def _cmd_intervals(config: argparse.Namespace) -> int:
 def _cmd_stats(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
     dec = _load_decomposition(config, inst)
-    stats = coverage_stats(
-        inst.a,
-        dec.v,
-        dec.scale,
-        dec.residual,
-        mode=config.mode,
-        sample_size=_bounded(config.sample_size, "sample size", _MAX_SAMPLE_SIZE),
-        seed=_seed(config.seed),
-        workers=_decimal(config.workers, "workers"),
-    )
+    stats = coverage_stats(inst.a, dec.v, dec.scale, dec.residual, "exact")
     _emit(documents.serialize_coverage_stats(stats), config.output)
     return EXIT_OK
 
@@ -244,16 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="divide non-coprime weights by their gcd instead of rejecting",
         )
 
-    def add_sampling(p):
-        p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-        p.add_argument(
-            "--sample-size",
-            dest="sample_size",
-            default="10000",
-            help=f"1 to {_MAX_SAMPLE_SIZE}, decimal string",
-        )
-        p.add_argument("--seed", default=None, help="required for sampled mode")
-
     p = sub.add_parser("generate", help="generate a low density instance")
     p.add_argument("--n", required=True, help=f"2 to {LLL_ROWS_MAX_N}, decimal string")
     p.add_argument("--seed", required=True, help="0 to 2^64 - 1, decimal string")
@@ -286,17 +267,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-hi", dest="k_hi", default=None, help="decimal string")
     add_common(p)
 
-    p = sub.add_parser("stats", help="coverage statistics over right-hand sides")
+    p = sub.add_parser("stats", help="exact coverage statistics over right-hand sides")
     add_instance(p)
     p.add_argument("--decomposition", required=True)
-    add_sampling(p)
-    p.add_argument("--workers", default="1", help="decimal string")
     add_common(p)
 
     p = sub.add_parser("cor1", help="certified share of infeasible right-hand sides")
     add_instance(p)
     p.add_argument("--decomposition", required=True)
-    add_sampling(p)
+    p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
+    p.add_argument(
+        "--sample-size",
+        dest="sample_size",
+        default="10000",
+        help=f"1 to {_MAX_SAMPLE_SIZE}, decimal string",
+    )
+    p.add_argument("--seed", default=None, help="required for sampled mode")
     add_common(p)
 
     return parser

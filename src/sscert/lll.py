@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import _lll_py as _kernel
-from .errors import DomainError, RankError
+from .errors import DomainError, InvariantViolation, RankError
 
 
 def kernel_name() -> str:
@@ -100,7 +100,7 @@ class ReducedBasis:
             for i in range(d)
         ]
         if prod != ident:
-            raise DomainError("transform and inverse do not multiply to identity")
+            raise InvariantViolation("transform and inverse do not multiply to identity")
         _check_reduced_conditions(self.gso)
 
 
@@ -109,12 +109,12 @@ def _check_reduced_conditions(gso: GramSchmidt) -> None:
     for row in gso.mu:
         for mu in row:
             if abs(mu) > half:
-                raise DomainError("basis is not size-reduced")
+                raise InvariantViolation("basis is not size-reduced")
     norms = gso.norms_sq
     for i in range(1, len(norms)):
         mu = gso.mu[i][i - 1]
         if norms[i] < (DEFAULT_DELTA - mu * mu) * norms[i - 1]:
-            raise DomainError("Lovasz condition fails")
+            raise InvariantViolation("Lovasz condition fails")
 
 
 def _common_denominator(basis: Basis) -> int:
@@ -145,7 +145,7 @@ def lll_reduce(basis: Basis) -> ReducedBasis:
         swaps += s
         reductions += r
     if _mul(int_cols, u) != b:
-        raise DomainError("reduced basis is not input times U")
+        raise InvariantViolation("reduced basis is not input times U")
 
     reduced = Basis(cols=tuple(tuple(Fraction(x, scale) for x in col) for col in b))
     u_rows = tuple(tuple(u[j][i] for j in range(d)) for i in range(d))

@@ -8,13 +8,14 @@ right-hand sides, the figure of the paper's Corollary 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .branching import ENUMERATION_CAP, CertifyStatus, certify
-from .errors import CapacityError, DomainError
-from .model import validate_weights
+from .branching import CertifyStatus, _bad_count, certify
+from .errors import CapacityError, DomainError, InvariantViolation
+from .model import validate_direction, validate_weights
 from .rng import SplitMix64
 
 _FEASIBLE_CAP = 32
@@ -29,7 +30,7 @@ class FeasibilityAnswer:
 
     def __post_init__(self):
         if self.feasible != (self.witness is not None):
-            raise DomainError("witness present iff feasible")
+            raise InvariantViolation("witness present iff feasible")
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +47,7 @@ class InfeasibleCoverageReport:
 
     def __post_init__(self):
         if self.certified_infeasible_count > self.infeasible_count:
-            raise DomainError("certified count exceeds infeasible count")
+            raise InvariantViolation("certified count exceeds infeasible count")
 
 
 def _half_sums(weights: Sequence[int]) -> dict[int, int]:
@@ -81,7 +82,7 @@ def feasible(a: Sequence[int], beta: int) -> FeasibilityAnswer:
                 for i in range(n)
             )
             if sum(ai * xi for ai, xi in zip(a, witness)) != beta:
-                raise DomainError("oracle witness failed its own check")
+                raise InvariantViolation("oracle witness failed its own check")
             return FeasibilityAnswer(beta=beta, feasible=True, witness=witness)
     return FeasibilityAnswer(beta=beta, feasible=False, witness=None)
 
@@ -106,12 +107,14 @@ def infeasible_coverage_report(
 ) -> InfeasibleCoverageReport:
     """Certified fraction of infeasible right-hand sides.
 
-    Exact mode decides every beta in {0, ..., ||a||_1} with the subset
-    sum oracle (n <= 20, range capped). Sampled mode classifies drawn
-    betas via certify and cross-checks uncertified ones with the oracle
-    when n <= 32; beyond that uncertified draws count as infeasible,
-    which can only lower the reported fraction. An empty infeasible
-    set reports fraction 1 (vacuous).
+    Exact mode (n <= 20) counts the infeasible beta in {0, ..., ||a||_1}
+    from the subset-sum set, and the certified ones, all infeasible, as
+    the integers in good intervals (DomainError when levels overlap).
+    Sampled mode classifies drawn betas via certify and cross-checks
+    uncertified ones with the oracle when n <= 32; beyond that
+    uncertified draws count as infeasible, which can only lower the
+    reported fraction. An empty infeasible set reports fraction 1
+    (vacuous).
     """
     a = validate_weights(a)
     n = len(a)
@@ -119,19 +122,13 @@ def infeasible_coverage_report(
     if mode == "exact":
         if n > 20:
             raise CapacityError("exact mode capped at n = 20")
-        total = sum(a)
-        if total > ENUMERATION_CAP:
-            raise CapacityError("exact mode needs ||a||_1 within the enumeration cap")
-        sums = all_feasible_sums(a)
-        infeasible = 0
-        certified = 0
-        for beta in range(total + 1):
-            if beta in sums:
-                continue
-            infeasible += 1
-            if certify(a, v, beta).status is CertifyStatus.CERTIFIED:
-                certified += 1
-        fraction = Fraction(certified, infeasible) if infeasible else Fraction(1)
+        infeasible = sum(a) + 1 - len(all_feasible_sums(a))
+        certified, fraction = 0, Fraction(1)
+        if infeasible:  # every certified beta is infeasible
+            if math.gcd(*a) != 1:
+                raise DomainError("weights not coprime")
+            certified = sum(a) + 1 - _bad_count(a, validate_direction(v, n))[0]
+            fraction = Fraction(certified, infeasible)
         return InfeasibleCoverageReport(
             mode=mode, infeasible_count=infeasible,
             certified_infeasible_count=certified, fraction=fraction, bound=bound,

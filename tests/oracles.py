@@ -6,7 +6,7 @@ shares no code with the implementation under test.
 
 from fractions import Fraction
 from itertools import product
-from math import ceil
+from math import ceil, floor
 
 
 def box_min_norm_sq(cols, coeff_bound):
@@ -197,3 +197,30 @@ def subset_feasible_naive(a, beta):
         if sum(ai * xi for ai, xi in zip(a, x)) == beta:
             return True
     return False
+
+
+def count_integers_in_bad(cover):
+    """Number of integers inside the closed bad intervals of an IntervalCover."""
+    total = 0
+    for lo, hi in cover.bad:
+        count = floor(hi) - ceil(lo) + 1
+        if count > 0:
+            total += count
+    return total
+
+
+def infeasible_coverage_brute(a, v):
+    """(infeasible, certified infeasible) counts by a loop over every beta.
+
+    A beta is infeasible when no 0/1 point attains it, and certified
+    when its LP range [vmin, vmax] of v.x holds no integer.
+    """
+    sums = {sum(ai * xi for ai, xi in zip(a, x)) for x in product((0, 1), repeat=len(a))}
+    infeasible = certified = 0
+    for beta in range(sum(a) + 1):
+        if beta in sums:
+            continue
+        infeasible += 1
+        if floor(lp_eq_vertex(a, v, beta, "max")) < lp_eq_vertex(a, v, beta, "min"):
+            certified += 1
+    return infeasible, certified

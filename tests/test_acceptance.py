@@ -10,22 +10,28 @@ import math
 import random
 from fractions import Fraction
 
-from oracles import gram_det, is_reduced, lp_eq_vertex, lp_ineq_vertex, svp_min_norm_sq
+from oracles import (
+    count_integers_in_bad,
+    gram_det,
+    is_reduced,
+    lp_eq_vertex,
+    lp_ineq_vertex,
+    svp_min_norm_sq,
+)
 from sscert.branching import (
     CertifyStatus,
     certify,
-    count_integers_in_bad,
     coverage_stats,
     enumerate_intervals,
     lp_extreme_eq,
     lp_extreme_ineq,
 )
-from sscert.decompose import decompose_frank_tardos
+from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
 from sscert.diophantine import dioph_approx
 from sscert.intmath import l1_norm
 from sscert.lll import Basis, lll_reduce
 from sscert.model import generate_instance
-from sscert.oracle import feasible
+from sscert.oracle import feasible, infeasible_coverage_report
 
 
 def report(line):
@@ -198,6 +204,24 @@ def test_criterion_6_pipeline_coverage_statistical():
         assert stats.bad_fraction_bound < Fraction(1, 1 << 11)
     report("PASS criterion 6: sampled uncertified fraction within "
            "10x bound + 3 sigma on n=10 pipeline instances (10^4 draws each)")
+
+
+def test_pipeline_coverage_exact():
+    # the exact counts over all of [0, ||a||_1], beside the sampled criterion 6
+    runs = [(10, decompose_frank_tardos), (12, decompose_frank_tardos),
+            (14, decompose_frank_tardos), (20, decompose_lll_rows)]
+    for n, method in runs:
+        inst = generate_instance(n, 1)
+        dec = method(inst)
+        stats = coverage_stats(inst.a, dec.v, dec.scale, dec.residual, "exact")
+        assert stats.g + stats.b == sum(inst.a) + 1
+        assert 0 < stats.bad_fraction <= stats.bad_fraction_bound
+        if n == 10:
+            cor1 = infeasible_coverage_report(inst.a, dec.v, "exact")
+            assert cor1.certified_infeasible_count == stats.g
+            assert cor1.fraction >= cor1.bound
+    report("PASS exact coverage: bad fraction within 2(||r||_1 + 1)/scale on "
+           "FT n = 10, 12, 14 and lll_rows n = 20, Corollary 1's 1 - 2^-n at n = 10")
 
 
 def _random_basis(rnd, d, bound):

@@ -8,12 +8,17 @@ from itertools import product
 
 import pytest
 
-from oracles import lp_eq_vertex, lp_ineq_vertex, subset_feasible_naive
+from oracles import (
+    count_integers_in_bad,
+    lp_eq_vertex,
+    lp_ineq_vertex,
+    subset_feasible_naive,
+)
 from sscert.branching import (
     Certificate,
     CertifyStatus,
+    _bad_count,
     certify,
-    count_integers_in_bad,
     coverage_stats,
     enumerate_intervals,
     lp_extreme_eq,
@@ -382,6 +387,45 @@ class TestIntervals:
             assert chain == sorted(chain)
             assert len(cover.good) == sum(v)
             assert count_integers_in_bad(cover) <= (sum(v) + 1) * (res_l1 + 1)
+
+
+class TestBadCount:
+    # per n: weights 1..w and direction entries 0..m, every combination
+    GRID = {1: (10, 4), 2: (8, 3), 3: (5, 2), 4: (3, 1), 5: (2, 1)}
+
+    @staticmethod
+    def agree(a, v):
+        """Closed form against enumeration: count, overlap verdict, least good length."""
+        try:
+            cover = enumerate_intervals(a, v, Fraction(1), (Fraction(0),) * len(a))
+        except DomainError:
+            with pytest.raises(DomainError, match="overlap"):
+                _bad_count(a, v)
+            return False
+        expected = (count_integers_in_bad(cover), cover.min_good_length)
+        assert _bad_count(a, v) == expected, (a, v)
+        return True
+
+    def test_exhaustive_small_against_enumeration(self):
+        verdicts = []
+        for n, (w, m) in self.GRID.items():
+            for a in product(range(1, w + 1), repeat=n):
+                for v in product(range(m + 1), repeat=n):
+                    if any(v):
+                        verdicts.append(self.agree(a, v))
+        assert verdicts.count(True) > 800 and verdicts.count(False) > 5000
+
+    def test_near_multiples_against_enumeration(self):
+        # a = scale * v + r keeps most levels disjoint, also for n = 4, 5
+        rnd = random.Random(1212)
+        disjoint = 0
+        for _ in range(400):
+            n = rnd.randint(3, 5)
+            v = tuple(rnd.randint(0, 3) for _ in range(n - 1)) + (rnd.randint(1, 3),)
+            scale = rnd.randint(5, 20)
+            a = tuple(max(1, scale * vi + rnd.randint(-2, 2)) for vi in v)
+            disjoint += self.agree(a, v)
+        assert disjoint > 200
 
 
 class TestCoverage:

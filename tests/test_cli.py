@@ -101,16 +101,14 @@ def test_non_ascii_digits_are_a_usage_error():
     [
         ["generate", "--n", "\u0663", "--seed", "5"],
         ["generate", "--n", "1_0", "--seed", "5"],
-        ["stats", "--mode", "sampled", "--sample-size", "\u0665\u0660", "--seed", "4"],
-        ["stats", "--mode", "sampled", "--sample-size", "60", "--seed", "4",
-         "--workers", "\u0662"],
+        ["cor1", "--mode", "sampled", "--sample-size", "\u0665\u0660", "--seed", "4"],
     ],
-    ids=["n_arabic_indic", "n_underscore", "sample_size_arabic_indic", "workers_arabic_indic"],
+    ids=["n_arabic_indic", "n_underscore", "sample_size_arabic_indic"],
 )
 def test_counts_take_ascii_digits_only(toy_files, argv):
     # int() reads "\u0663" as 3 and "1_0" as 10; counts take 0-9 only
     _, inst_path, dec_path = toy_files
-    if argv[0] == "stats":
+    if argv[0] == "cor1":
         argv = argv[:1] + ["--instance", inst_path, "--decomposition", dec_path] + argv[1:]
     assert main(argv) == 2
 
@@ -160,11 +158,10 @@ def test_seed_outside_64_bits_is_a_usage_error(toy_files, seed):
     # SplitMix64 masks its seed to 64 bits: 2^64 + 5 would draw what 5 draws
     _, inst_path, dec_path = toy_files
     assert main(["generate", "--n", "3", "--seed", seed]) == 2
-    for command in ("stats", "cor1"):
-        assert main([
-            command, "--instance", inst_path, "--decomposition", dec_path,
-            "--mode", "sampled", "--sample-size", "10", "--seed", seed,
-        ]) == 2
+    assert main([
+        "cor1", "--instance", inst_path, "--decomposition", dec_path,
+        "--mode", "sampled", "--sample-size", "10", "--seed", seed,
+    ]) == 2
 
 
 def test_largest_seed_is_accepted(capsys):
@@ -174,7 +171,7 @@ def test_largest_seed_is_accepted(capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["stats", "cor1"])
+@pytest.mark.parametrize("command", ["cor1"])
 def test_sample_size_is_bounded(toy_files, command):
     # refused before any right-hand side is drawn
     _, inst_path, dec_path = toy_files
@@ -251,8 +248,11 @@ def test_intervals_capacity(tmp_path, capsys):
     _, inst_path, dec_path = write_pair(tmp_path, Instance(n=2, a=a), dec)
     base = ["--instance", inst_path, "--decomposition", dec_path]
     assert main(["intervals", *base]) == 3
-    assert main(["stats", *base, "--mode", "exact"]) == 3
     assert "exceeds the cap 100000;" in capsys.readouterr().err
+    # exact stats counts in closed form: no cap, every integer is bad
+    assert main(["stats", *base]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["g"], stats["b"]) == ("0", str(sum(a) + 1))
     # the cap is a constant: no option can lift it
     removed_option = "--" + "cap"
     for command in ("intervals", "stats"):
@@ -277,45 +277,22 @@ def test_intervals_capacity_past_digit_limit(tmp_path, capsys, digit_limit_uncha
     assert err.count("\n") == 1 and "exceeds the cap 100000;" in err
 
 
-def test_stats_exact_and_sampled(toy_files, capsys):
+def test_stats_is_exact_only(toy_files, capsys):
     _, inst_path, dec_path = toy_files
     dec = toy_decomposition()
-    assert main(["stats", "--instance", inst_path, "--decomposition", dec_path]) == 0
+    base = ["stats", "--instance", inst_path, "--decomposition", dec_path]
+    assert main(base) == 0
     assert capsys.readouterr().out == documents.serialize_coverage_stats(
         coverage_stats(TOY.a, dec.v, dec.scale, dec.residual, "exact")
     )
-
-    assert main([
-        "stats", "--instance", inst_path, "--decomposition", dec_path,
-        "--mode", "sampled", "--sample-size", "60", "--seed", "4",
-    ]) == 0
-    sampled = capsys.readouterr().out
-    assert sampled == documents.serialize_coverage_stats(
-        coverage_stats(
-            TOY.a, dec.v, dec.scale, dec.residual, "sampled", sample_size=60, seed=4
-        )
-    )
-
-    # sampled mode without a seed is a usage error
-    assert main([
-        "stats", "--instance", inst_path, "--decomposition", dec_path,
-        "--mode", "sampled",
-    ]) == 2
-
-    # worker count must not change the result
-    assert main([
-        "stats", "--instance", inst_path, "--decomposition", dec_path,
-        "--mode", "sampled", "--sample-size", "60", "--seed", "4",
-        "--workers", "2",
-    ]) == 0
-    assert capsys.readouterr().out == sampled
-
-    # a worker count below one is a usage error
-    assert main([
-        "stats", "--instance", inst_path, "--decomposition", dec_path,
-        "--mode", "sampled", "--sample-size", "60", "--seed", "4",
-        "--workers", "0",
-    ]) == 2
+    # the sampling options are gone: argparse refuses each one
+    for option, value in (
+        ("--mode", "sampled"), ("--mode", "exact"), ("--sample-size", "60"),
+        ("--seed", "4"), ("--workers", "2"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*base, option, value])
+        assert exit_info.value.code == 2
 
 
 def test_cor1_exact(toy_files, capsys):
@@ -356,6 +333,14 @@ def test_normalize_gcd_flow(tmp_path, capsys):
     assert code in (0, 1)
     assert documents.document_kind(out) in ("certificate", "certify_status")
 
+    # the decomposition is read for every beta, divisible by the gcd or not
+    missing = ["certify", "--instance", str(inst_path), "--normalize-gcd",
+               "--decomposition", str(tmp_path / "missing.json")]
+    for beta in ("3", "4"):
+        assert main(missing + ["--beta", beta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
 
 def test_decomposition_instance_mismatch(toy_files, tmp_path):
     _, inst_path, dec_path = toy_files
@@ -383,6 +368,26 @@ def test_decompose_mixed_sign_reduction_is_a_usage_error(tmp_path, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.err.startswith("sscert: reduced direction has mixed signs")
     assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+def test_kernel_fault_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # a kernel whose basis is not input times U breaks a post-condition
+    from sscert import _lll_py
+
+    real = _lll_py.lll_reduce_ints
+
+    def faulty(cols, delta):
+        b, *rest = real(cols, delta)
+        b[0][0] += 1
+        return (b, *rest)
+
+    monkeypatch.setattr(_lll_py, "lll_reduce_ints", faulty)
+    out = tmp_path / "direction.json"
+    assert main(["decompose", "--instance", write_instance(tmp_path, 10, 1),
+                 "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "sscert: internal error: reduced basis is not input times U\n"
     assert not out.exists()
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import subset_feasible_naive
+from oracles import infeasible_coverage_brute, subset_feasible_naive
+from sscert.branching import enumerate_intervals
 from sscert.errors import CapacityError, DomainError
 from sscert.oracle import all_feasible_sums, feasible, infeasible_coverage_report
 from test_acceptance import check_good_intervals
@@ -112,9 +113,38 @@ class TestInfeasibleCoverage:
         assert report.bound == Fraction(7, 8)
 
     def test_vacuous_fraction_is_one(self):
+        # levels 1 and 2 overlap here, but no beta is infeasible to count
         report = infeasible_coverage_report((1, 2, 4), (1, 1, 1), "exact")
         assert report.infeasible_count == 0
         assert report.fraction == 1
+        # with overlapping levels and infeasible beta, the count is refused
+        with pytest.raises(DomainError, match="overlap"):
+            infeasible_coverage_report((1, 2, 5), (1, 1, 1), "exact")
+
+    def test_exact_matches_brute_force_loop(self):
+        rnd = random.Random(1313)
+        counted = 0
+        for _ in range(300):
+            n = rnd.randint(2, 4)
+            v = tuple(rnd.randint(0, 2) for _ in range(n - 1)) + (rnd.randint(1, 2),)
+            scale = rnd.randint(3, 12)
+            a = tuple(max(1, scale * vi + rnd.randint(-2, 2)) for vi in v)
+            if math.gcd(*a) != 1:
+                continue
+            infeasible, certified = infeasible_coverage_brute(a, v)
+            try:
+                enumerate_intervals(a, v, Fraction(1), (Fraction(0),) * n)
+            except DomainError:
+                if infeasible:
+                    with pytest.raises(DomainError, match="overlap"):
+                        infeasible_coverage_report(a, v, "exact")
+                    continue
+            report = infeasible_coverage_report(a, v, "exact")
+            assert (report.infeasible_count, report.certified_infeasible_count) == (
+                infeasible, certified
+            ), (a, v)
+            counted += 1
+        assert counted > 150
 
     def test_sampled_cross_checks(self):
         report = infeasible_coverage_report(
