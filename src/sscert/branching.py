@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -318,8 +317,8 @@ def enumerate_intervals(
     )
 
 
-def _bad_count(a, v) -> tuple[int, Fraction]:
-    """Integers of [0, ||a||_1] in bad intervals, and the least good length.
+def _bad_count(a, v) -> int:
+    """Integers of [0, ||a||_1] in bad intervals, without enumerating levels.
 
     With M(k) = max(a, k), min(a, k) = ||a||_1 - M(||v||_1 - k), so the
     count is 2 sum_k floor(M(k)) - (||v||_1 + 1)(||a||_1 - 1). M is linear
@@ -327,30 +326,19 @@ def _bad_count(a, v) -> tuple[int, Fraction]:
     each segment adds a full-period floor sum (Graham, Knuth & Patashnik,
     Concrete Mathematics, 3.5). The count needs disjoint levels. The good
     length min(a, k+1) - max(a, k) = ||a||_1 - M(||v||_1 - 1 - k) - M(k) is
-    convex in k and symmetric about (||v||_1 - 1)/2, so its least value
-    lies at a prefix sum; DomainError if it is not positive there.
+    convex in k (M is concave) and symmetric about (||v||_1 - 1)/2, so its
+    least value is at the centre; DomainError if it is not positive there.
     """
-    order = _greedy_order(v, a, "min")
-    total, last = sum(a), sum(v) - 1
-    prefix_a, prefix_v = [0], [0]
-    floors = total
-    for i in order:
-        floors += v[i] * prefix_a[-1]
-        floors += ((a[i] - 1) * (v[i] - 1) + math.gcd(a[i], v[i]) - 1) // 2
-        prefix_a.append(prefix_a[-1] + a[i])
-        prefix_v.append(prefix_v[-1] + v[i])
-
-    def lp_max(k: int) -> Fraction:
-        j = bisect_right(prefix_v, k) - 1
-        if j == len(order):
-            return Fraction(total)
-        i = order[j]
-        return prefix_a[j] + Fraction(a[i] * (k - prefix_v[j]), v[i])
-
-    least = min(total - lp_max(last - k) - lp_max(k) for k in prefix_v if k <= last)
-    if least <= 0:
+    k = (sum(v) - 1) // 2
+    if lp_extreme_ineq(a, v, k + 1, "min") <= lp_extreme_ineq(a, v, k, "max"):
         raise DomainError("consecutive levels overlap; decomposition hypotheses violated")
-    return 2 * floors - (last + 2) * (total - 1), least
+    total, done = sum(a), 0
+    floors = total
+    for i in _greedy_order(v, a, "min"):
+        floors += v[i] * done
+        floors += ((a[i] - 1) * (v[i] - 1) + math.gcd(a[i], v[i]) - 1) // 2
+        done += a[i]
+    return 2 * floors - (sum(v) + 1) * (total - 1)
 
 
 def _classify_chunk(args) -> tuple[int, int]:
@@ -389,7 +377,7 @@ def coverage_stats(
     two_pow = Fraction(1, 1 << n)
     if mode == "exact":
         total = sum(a) + 1
-        b = _bad_count(a, v)[0]
+        b = _bad_count(a, v)
         g = total - b
         frac = Fraction(b, total)
         if frac > bound:

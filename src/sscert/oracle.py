@@ -8,9 +8,11 @@ right-hand sides, the figure of the paper's Corollary 1.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from .branching import CertifyStatus, _bad_count, certify
@@ -98,6 +100,19 @@ def all_feasible_sums(a: Sequence[int]) -> frozenset[int]:
     return frozenset(sums)
 
 
+def count_feasible_sums(a: Sequence[int]) -> int:
+    """Size of the subset-sum value set, holding only its two halves' sums.
+
+    The shifts l + R of the right half's sorted sums R, one per left sum
+    l, merge into the whole set in ascending order, so memory grows as
+    2^(n/2), not 2^n.
+    """
+    a = validate_weights(a)
+    right = sorted(_half_sums(a[len(a) // 2 :]))
+    shifts = (map(left.__add__, right) for left in _half_sums(a[: len(a) // 2]))
+    return sum(1 for _ in groupby(heapq.merge(*shifts)))
+
+
 def infeasible_coverage_report(
     a: Sequence[int],
     v: Sequence[int],
@@ -108,8 +123,9 @@ def infeasible_coverage_report(
     """Certified fraction of infeasible right-hand sides.
 
     Exact mode (n <= 20) counts the infeasible beta in {0, ..., ||a||_1}
-    from the subset-sum set, and the certified ones, all infeasible, as
-    the integers in good intervals (DomainError when levels overlap).
+    by count_feasible_sums, holding at most 2^10 sums per half, and the
+    certified ones, all infeasible, as the integers in good intervals
+    (DomainError when levels overlap).
     Sampled mode classifies drawn betas via certify and cross-checks
     uncertified ones with the oracle when n <= 32; beyond that
     uncertified draws count as infeasible, which can only lower the
@@ -122,12 +138,12 @@ def infeasible_coverage_report(
     if mode == "exact":
         if n > 20:
             raise CapacityError("exact mode capped at n = 20")
-        infeasible = sum(a) + 1 - len(all_feasible_sums(a))
+        infeasible = sum(a) + 1 - count_feasible_sums(a)
         certified, fraction = 0, Fraction(1)
         if infeasible:  # every certified beta is infeasible
             if math.gcd(*a) != 1:
                 raise DomainError("weights not coprime")
-            certified = sum(a) + 1 - _bad_count(a, validate_direction(v, n))[0]
+            certified = sum(a) + 1 - _bad_count(a, validate_direction(v, n))
             fraction = Fraction(certified, infeasible)
         return InfeasibleCoverageReport(
             mode=mode, infeasible_count=infeasible,

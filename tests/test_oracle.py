@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from oracles import infeasible_coverage_brute, subset_feasible_naive
 from sscert.branching import enumerate_intervals
 from sscert.errors import CapacityError, DomainError
-from sscert.oracle import all_feasible_sums, feasible, infeasible_coverage_report
+from sscert.oracle import (
+    all_feasible_sums,
+    count_feasible_sums,
+    feasible,
+    infeasible_coverage_report,
+)
 from test_acceptance import check_good_intervals
 
 TOY_A = (100, 101, 102)
@@ -66,6 +72,29 @@ class TestAllFeasibleSums:
         sums = all_feasible_sums(a)
         for beta in range(sum(a) + 1):
             assert (beta in sums) == feasible(a, beta).feasible
+
+
+class TestCountFeasibleSums:
+    def test_matches_the_set(self):
+        rnd = random.Random(55)
+        for _ in range(200):
+            n = rnd.randint(1, 10)
+            # small weights repeat sums across the two halves
+            a = tuple(rnd.randint(1, 12) for _ in range(n))
+            assert count_feasible_sums(a) == len(all_feasible_sums(a)), a
+
+    def test_holds_only_the_halves(self):
+        rnd = random.Random(56)
+        a = tuple(rnd.getrandbits(800) | 1 for _ in range(16))
+        tracemalloc.start()
+        try:
+            count = count_feasible_sums(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2^16 distinct sums of 800 bits would take over 10 MB as a set
+        assert count == 1 << 16
+        assert peak < 1 << 20
 
 
 class TestGoodIntervals:
