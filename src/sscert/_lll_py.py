@@ -9,7 +9,8 @@ rational Gram-Schmidt data it maintains
 
 so every division below is exact. The unimodular transform U and its
 inverse are updated incrementally: a column operation on the basis is
-mirrored on U, and the inverse row operation is applied to U^-1.
+mirrored on U, and the inverse row operation is applied to U^-1. The
+Lovasz constant is fixed at 3/4 in the swap test.
 """
 
 KERNEL_NAME = "python"
@@ -49,10 +50,8 @@ def _size_reduce(b, u, uinv, lam, dvec, i, j):
     return True
 
 
-def lll_reduce_ints(cols, delta):
+def lll_reduce_ints(cols):
     """Reduce integer columns in place of a copy; returns all state.
-
-    ``delta`` is the Lovasz constant, a Fraction in (1/4, 1).
 
     Returns ``(b, u, uinv, lam, dvec, swaps, reductions)`` where ``b``
     is the reduced basis (list of columns), ``u`` the unimodular
@@ -62,7 +61,6 @@ def lll_reduce_ints(cols, delta):
 
     Raises ValueError when the columns are linearly dependent.
     """
-    num, den = delta.numerator, delta.denominator
     d = len(cols)
     b = [list(c) for c in cols]
     u = [[1 if r == j else 0 for r in range(d)] for j in range(d)]
@@ -94,7 +92,7 @@ def lll_reduce_ints(cols, delta):
         if _size_reduce(b, u, uinv, lam, dvec, k, k - 1):
             reductions += 1
         lkk = lam[k][k - 1]
-        if den * (dvec[k + 1] * dvec[k - 1] + lkk * lkk) < num * dvec[k] * dvec[k]:
+        if 4 * (dvec[k + 1] * dvec[k - 1] + lkk * lkk) < 3 * dvec[k] * dvec[k]:
             # Lovasz condition fails at the lowest unsettled index: swap
             swaps += 1
             b[k - 1], b[k] = b[k], b[k - 1]

@@ -136,11 +136,7 @@ def decompose_lll_rows(inst: Instance) -> Decomposition:
             "instance density above 1/(n/2 + 1): max weight too small"
         )
     cols = tuple(
-        tuple(
-            Fraction(inst.a[j]) if t == 0 else Fraction(1 if t == j + 1 else 0)
-            for t in range(n + 1)
-        )
-        for j in range(n)
+        (aj,) + tuple(int(t == j) for t in range(n)) for j, aj in enumerate(inst.a)
     )
     reduced = lll_reduce(Basis(cols=cols))
     v = reduced.U_inv[n - 1]

@@ -15,6 +15,7 @@ stated form (checked exactly on every result).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -56,20 +57,24 @@ class ApproxResult:
 
 
 def build_approx_lattice(alpha: Sequence[Fraction], precision: int) -> Basis:
-    """Unit columns plus the column (alpha, corner), corner as above."""
+    """Unit columns plus the column (alpha, corner), corner as above.
+
+    Every entry is multiplied by the least common denominator of all of
+    them, which changes no reduction step.
+    """
     if precision < 1:
         raise DomainError("precision must be a positive integer")
     alpha = tuple(Fraction(x) for x in alpha)
     n = len(alpha)
     if n < 1:
         raise DomainError("alpha must be nonempty")
-    corner = Fraction(1, (1 << corner_exponent(n)) * precision ** (n + 1))
-    zero = Fraction(0)
-    cols = [
-        tuple(Fraction(1) if t == i else zero for t in range(n + 1))
-        for i in range(n)
-    ]
-    cols.append(alpha + (corner,))
+    corner_den = (1 << corner_exponent(n)) * precision ** (n + 1)
+    scale = math.lcm(corner_den, *(x.denominator for x in alpha))
+    cols = [tuple(scale if t == i else 0 for t in range(n + 1)) for i in range(n)]
+    cols.append(
+        tuple(x.numerator * (scale // x.denominator) for x in alpha)
+        + (scale // corner_den,)
+    )
     return Basis(cols=tuple(cols))
 
 
@@ -95,8 +100,9 @@ def choose_precision(n: int) -> int:
     """Quality parameter N = n * 2^(n+2), the window's integral low end.
 
     Verifies exactly (with exponents cleared to integers) that this N
-    keeps the direction norm, residual ratio, and scale bounds of the
-    decomposition pipeline; the window is nonempty only for n >= 10.
+    keeps the direction norm and scale bounds of the decomposition
+    pipeline; the residual ratio n / N = 2^-(n+2) holds by construction.
+    The window is nonempty only for n >= 10.
     """
     if n <= 9:
         raise DomainError("no valid quality parameter window below n = 10")
@@ -105,9 +111,6 @@ def choose_precision(n: int) -> int:
     # direction norm: n * 2^(n(n+1)/4) * N^n <= 2^(2 n^2), raised to the 4th
     if n**4 * (1 << (n * (n + 1))) * p4n > 1 << (8 * n * n):
         raise InvariantViolation("direction norm bound fails at chosen N")
-    # residual ratio: n / N <= 2^-(n+2)
-    if n << (n + 2) > precision:
-        raise InvariantViolation("residual ratio bound fails at chosen N")
     # scale: 2^(2 n^2 - n(n+1)/4) / N^n >= 2^(n+2), raised to the 4th
     if 1 << (8 * n * n - n * (n + 1)) < (1 << (4 * (n + 2))) * p4n:
         raise InvariantViolation("scale lower bound fails at chosen N")

@@ -1,17 +1,17 @@
-"""Exact rational LLL reduction with unimodular transform tracking.
+"""Exact integer LLL reduction with unimodular transform tracking.
 
-The reduction runs in the all-integer kernel of ``_lll_py`` on Python
-ints, always at the Lovasz constant delta = 3/4. Rational bases are
-scaled by a common denominator first, which leaves the reduction
-decisions and the transform U unchanged.
+The reduction runs in the all-integer kernel of ``_lll_py`` on integer
+columns, always at the Lovasz constant 3/4. Callers with rational data
+scale it to integers first, which leaves the reduction decisions and
+the transform U unchanged.
 
-The scaled basis is fed to the kernel one precision level at a time
+The basis is fed to the kernel one precision level at a time
 (gradual feeding: van Hoeij & Novocin, "Gradual sub-lattice
 reduction", LATIN 2010; Novocin, Stehle & Villard, STOC 2011). For
 shifts s from the top bit length down to 0 in steps of
 FEED_STEP_BITS, every entry x is truncated to sign(x) * (|x| >> s),
 a nonzero entry that would vanish kept as +-1 (for the diophantine
-lattice this is the corner max(c, 2^-k)); the truncated basis times
+lattice this is its small corner entry); the truncated basis times
 the transform accumulated so far is reduced, and its transform is
 composed onto the accumulated one. A level whose truncated columns
 are dependent is skipped. Each level starts from a basis the previous
@@ -19,7 +19,9 @@ ones left almost reduced, so the expensive swaps happen on small
 numbers. One exact kernel pass on the full basis times the
 accumulated transform finishes, so the output is exactly LLL-reduced
 whatever the levels did; U and U^-1 are the composed transforms, and
-the stats sum the swaps and size reductions of every pass.
+the stats sum the swaps and size reductions of every pass. Size
+reduction and the Lovasz condition are checked once, on the integer
+Gram data of that pass.
 
 Column convention throughout: the lattice is the set of integer
 combinations of the basis columns, and ``reduced = input . U``.
@@ -27,9 +29,7 @@ combinations of the basis columns, and ``reduced = input . U``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from . import _lll_py as _kernel
@@ -41,19 +41,20 @@ def kernel_name() -> str:
     return _kernel.KERNEL_NAME
 
 
-DEFAULT_DELTA = Fraction(3, 4)
 FEED_STEP_BITS = 64
 
 
 @dataclass(frozen=True, slots=True)
 class Basis:
-    """Linearly independent columns of exact rationals."""
+    """Linearly independent integer columns."""
 
-    cols: tuple[tuple[Fraction, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        cols = tuple(tuple(Fraction(x) for x in col) for col in self.cols)
+        cols = tuple(tuple(col) for col in self.cols)
         object.__setattr__(self, "cols", cols)
+        if any(type(x) is not int for col in cols for x in col):
+            raise DomainError("basis entries must be integers")
         if not cols:
             raise DomainError("basis needs at least one column")
         m = len(cols[0])
@@ -68,14 +69,6 @@ class Basis:
 
 
 @dataclass(frozen=True, slots=True)
-class GramSchmidt:
-    """mu coefficients (mu[i][j] for j < i) and squared b*_i norms."""
-
-    mu: tuple[tuple[Fraction, ...], ...]
-    norms_sq: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class ReductionStats:
     dim: int
     swaps: int
@@ -84,58 +77,46 @@ class ReductionStats:
 
 @dataclass(frozen=True, slots=True)
 class ReducedBasis:
-    """LLL output: reduced columns, transform, inverse, Gram data."""
+    """LLL output: reduced columns, transform and its inverse."""
 
     basis: Basis
     U: tuple[tuple[int, ...], ...]
     U_inv: tuple[tuple[int, ...], ...]
-    gso: GramSchmidt
     stats: ReductionStats
 
     def __post_init__(self):
         d = self.basis.dim
-        ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        prod = [
-            [sum(self.U[i][t] * self.U_inv[t][j] for t in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        if prod != ident:
+        # rows of U . U^-1, see _mul
+        if _mul(self.U_inv, self.U) != [[int(i == j) for j in range(d)] for i in range(d)]:
             raise InvariantViolation("transform and inverse do not multiply to identity")
-        _check_reduced_conditions(self.gso)
 
 
-def _check_reduced_conditions(gso: GramSchmidt) -> None:
-    half = Fraction(1, 2)
-    for row in gso.mu:
-        for mu in row:
-            if abs(mu) > half:
-                raise InvariantViolation("basis is not size-reduced")
-    norms = gso.norms_sq
-    for i in range(1, len(norms)):
-        mu = gso.mu[i][i - 1]
-        if norms[i] < (DEFAULT_DELTA - mu * mu) * norms[i - 1]:
+def _check_reduced(lam, dvec) -> None:
+    """Size reduction and the Lovasz condition at 3/4 on the kernel's Gram data.
+
+    mu_ij = lam[i][j] / dvec[j+1] and |b*_i|^2 = dvec[i+1] / dvec[i]
+    turn |mu_ij| <= 1/2 and |b*_k|^2 >= (3/4 - mu_k,k-1^2) |b*_k-1|^2 into integers.
+    """
+    for row in lam:
+        if any(2 * abs(x) > dvec[j + 1] for j, x in enumerate(row)):
+            raise InvariantViolation("basis is not size-reduced")
+    for k in range(1, len(lam)):
+        if 4 * (dvec[k + 1] * dvec[k - 1] + lam[k][k - 1] ** 2) < 3 * dvec[k] ** 2:
             raise InvariantViolation("Lovasz condition fails")
-
-
-def _common_denominator(basis: Basis) -> int:
-    return math.lcm(*(x.denominator for col in basis.cols for x in col))
 
 
 def lll_reduce(basis: Basis) -> ReducedBasis:
     """LLL-reduce the basis columns, feeding them in one precision level at a time."""
-    scale = _common_denominator(basis)
-    int_cols = [
-        [x.numerator * (scale // x.denominator) for x in col] for col in basis.cols
-    ]
+    cols = basis.cols
     d = basis.dim
     u = [[1 if r == j else 0 for r in range(d)] for j in range(d)]
     uinv = [list(col) for col in u]
     swaps = reductions = 0
-    top = max(abs(x).bit_length() for col in int_cols for x in col)
+    top = max(abs(x).bit_length() for col in cols for x in col)
     for shift in [*range(top - FEED_STEP_BITS, 0, -FEED_STEP_BITS), 0]:
         try:
             b, lu, luinv, lam, dvec, s, r = _kernel.lll_reduce_ints(
-                _mul(_truncate(int_cols, shift), u), DEFAULT_DELTA
+                _mul(_truncate(cols, shift), u)
             )
         except ValueError as exc:
             if shift == 0:
@@ -144,24 +125,13 @@ def lll_reduce(basis: Basis) -> ReducedBasis:
         u, uinv = _mul(u, lu), _mul(uinv, luinv)
         swaps += s
         reductions += r
-    if _mul(int_cols, u) != b:
+    if _mul(cols, u) != b:
         raise InvariantViolation("reduced basis is not input times U")
-
-    reduced = Basis(cols=tuple(tuple(Fraction(x, scale) for x in col) for col in b))
-    u_rows = tuple(tuple(u[j][i] for j in range(d)) for i in range(d))
-    uinv_rows = tuple(tuple(row) for row in uinv)
-    scale_sq = scale * scale
-    gso = GramSchmidt(
-        mu=tuple(
-            tuple(Fraction(lam[i][j], dvec[j + 1]) for j in range(i)) for i in range(d)
-        ),
-        norms_sq=tuple(Fraction(dvec[i + 1], dvec[i]) / scale_sq for i in range(d)),
-    )
+    _check_reduced(lam, dvec)
     return ReducedBasis(
-        basis=reduced,
-        U=u_rows,
-        U_inv=uinv_rows,
-        gso=gso,
+        basis=Basis(cols=b),
+        U=tuple(tuple(u[j][i] for j in range(d)) for i in range(d)),
+        U_inv=tuple(tuple(row) for row in uinv),
         stats=ReductionStats(dim=d, swaps=swaps, size_reductions=reductions),
     )
 

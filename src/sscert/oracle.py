@@ -21,7 +21,6 @@ from .model import validate_direction, validate_weights
 from .rng import SplitMix64
 
 _FEASIBLE_CAP = 32
-_SUMS_CAP = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,17 +86,6 @@ def feasible(a: Sequence[int], beta: int) -> FeasibilityAnswer:
                 raise InvariantViolation("oracle witness failed its own check")
             return FeasibilityAnswer(beta=beta, feasible=True, witness=witness)
     return FeasibilityAnswer(beta=beta, feasible=False, witness=None)
-
-
-def all_feasible_sums(a: Sequence[int]) -> frozenset[int]:
-    """Exact subset-sum value set (at most 2^n values), n <= 24."""
-    a = validate_weights(a)
-    if len(a) > _SUMS_CAP:
-        raise CapacityError(f"sum enumeration capped at n = {_SUMS_CAP}")
-    sums = {0}
-    for w in a:
-        sums |= {s + w for s in sums}
-    return frozenset(sums)
 
 
 def count_feasible_sums(a: Sequence[int]) -> int:

@@ -199,6 +199,16 @@ def subset_feasible_naive(a, beta):
     return False
 
 
+def all_feasible_sums(a):
+    """Subset-sum value set by doubling a set of sums, n <= 24."""
+    if len(a) > 24:
+        raise ValueError("sum enumeration capped at n = 24")
+    sums = {0}
+    for w in a:
+        sums |= {s + w for s in sums}
+    return frozenset(sums)
+
+
 def count_integers_in_bad(cover):
     """Number of integers inside the closed bad intervals of an IntervalCover."""
     total = 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sscert import cli, documents
+from sscert import cli, documents, lll
 from sscert.branching import CertifyStatus, certify, coverage_stats, enumerate_intervals
 from sscert.cli import main
 from sscert.decompose import Decomposition, Method
@@ -14,6 +14,7 @@ from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
 from sscert.oracle import infeasible_coverage_report
 from test_decompose import mixed_sign_reduction
+from test_lll import FAULTS, faulty_kernel
 
 TOY = Instance(n=3, a=(100, 101, 102))
 
@@ -372,23 +373,14 @@ def test_decompose_mixed_sign_reduction_is_a_usage_error(tmp_path, monkeypatch, 
 
 
 def test_kernel_fault_is_an_internal_error(tmp_path, monkeypatch, capsys):
-    # a kernel whose basis is not input times U breaks a post-condition
-    from sscert import _lll_py
-
-    real = _lll_py.lll_reduce_ints
-
-    def faulty(cols, delta):
-        b, *rest = real(cols, delta)
-        b[0][0] += 1
-        return (b, *rest)
-
-    monkeypatch.setattr(_lll_py, "lll_reduce_ints", faulty)
+    # a kernel result that breaks any one post-condition is exit 4
+    inst_path = write_instance(tmp_path, 10, 1)
     out = tmp_path / "direction.json"
-    assert main(["decompose", "--instance", write_instance(tmp_path, 10, 1),
-                 "-o", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err == "sscert: internal error: reduced basis is not input times U\n"
-    assert not out.exists()
+    for part, message in FAULTS.items():
+        monkeypatch.setattr(lll, "_kernel", faulty_kernel(part))
+        assert main(["decompose", "--instance", inst_path, "-o", str(out)]) == 4
+        assert capsys.readouterr().err == f"sscert: internal error: {message}\n"
+        assert not out.exists()
 
 
 def test_decompose_is_bounded_by_n(tmp_path, capsys):

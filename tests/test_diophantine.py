@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -26,17 +27,15 @@ def contract_holds(result, alpha):
 class TestLattice:
     def test_corner_n1(self):
         basis = build_approx_lattice((Fraction(1, 2),), 2)
-        # corner is 2^-ceil(1*2/4) * 2^-2 = 1/8; determinant of the
-        # Gram matrix is its square
-        assert basis.cols[1][1] == Fraction(1, 8)
-        assert gram_det(basis.cols) == Fraction(1, 64)
+        # corner is 2^-ceil(1*2/4) * 2^-2 = 1/8, so the lattice is scaled
+        # by 8; the Gram determinant is (8^2 * 1/8)^2
+        assert basis.cols == ((8, 0), (4, 1))
+        assert gram_det(basis.cols) == 64
 
     def test_zero_alpha(self):
         basis = build_approx_lattice((Fraction(0), Fraction(0)), 1)
-        assert basis.cols[0] == (Fraction(1), Fraction(0), Fraction(0))
-        assert basis.cols[1] == (Fraction(0), Fraction(1), Fraction(0))
-        corner = Fraction(1, 1 << corner_exponent(2))
-        assert basis.cols[2] == (Fraction(0), Fraction(0), corner)
+        scale = 1 << corner_exponent(2)
+        assert basis.cols == ((scale, 0, 0), (0, scale, 0), (0, 0, 1))
 
     def test_gram_determinant_is_corner_squared(self):
         rnd = random.Random(21)
@@ -46,9 +45,16 @@ class TestLattice:
                 Fraction(rnd.randint(-20, 20), rnd.randint(1, 20)) for _ in range(n)
             )
             precision = rnd.randint(1, 9)
+            corner = Fraction(1, (1 << corner_exponent(n)) * precision ** (n + 1))
+            rational = [
+                *(tuple(int(t == i) for t in range(n + 1)) for i in range(n)),
+                alpha + (corner,),
+            ]
+            scale = math.lcm(*(x.denominator for col in rational for x in col))
             basis = build_approx_lattice(alpha, precision)
-            corner = basis.cols[n][n]
-            assert gram_det(basis.cols) == corner * corner
+            # the rational lattice times its lcm, with determinant scale^(n+1) * corner
+            assert basis.cols == tuple(tuple(x * scale for x in col) for col in rational)
+            assert gram_det(basis.cols) == (scale ** (n + 1) * corner) ** 2
 
 
 class TestDiophApprox:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,15 +9,14 @@ import pytest
 from oracles import (
     box_min_norm_sq,
     gram_det,
-    gso,
     invert_matrix,
     is_reduced,
     svp_min_norm_sq,
 )
 from sscert import _lll_py, documents, lll
 from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
-from sscert.diophantine import build_approx_lattice, choose_precision
-from sscert.errors import RankError
+from sscert.diophantine import build_approx_lattice, choose_precision, corner_exponent
+from sscert.errors import DomainError, InvariantViolation, RankError
 from sscert.lll import Basis, kernel_name, lll_reduce
 from sscert.model import generate_instance
 
@@ -48,7 +48,7 @@ class TestIsReduced:
 class TestLllReduce:
     def test_identity_unchanged(self):
         red = lll_reduce(Basis([(1, 0), (0, 1)]))
-        assert red.basis.cols == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        assert red.basis.cols == ((1, 0), (0, 1))
         assert red.U == ((1, 0), (0, 1))
         assert red.stats.swaps == 0
 
@@ -57,7 +57,7 @@ class TestLllReduce:
         first_norm_sq = sum(x * x for x in red.basis.cols[0])
         assert first_norm_sq == 1
         # |det U| = 1 keeps the lattice equal to Z^2
-        assert gram_det([[int(x) for x in col] for col in red.basis.cols]) == 1
+        assert gram_det(red.basis.cols) == 1
 
     def test_two_dim_quality_against_box_oracle(self):
         cols = [(201, 0), (188, 1)]
@@ -72,20 +72,16 @@ class TestLllReduce:
         for _ in range(60):
             d = rnd.randint(2, 6)
             cols = random_int_basis(rnd, d, m=d + rnd.randint(0, 2), bound=40)
-            basis = Basis(cols)
-            red = lll_reduce(basis)
-            d = basis.dim
+            red = lll_reduce(Basis(cols))
             # unimodularity: integral inverse, U Uinv = I (checked in
             # the constructor) and both agree with direct inversion
             assert tuple(invert_matrix(red.U)) == tuple(
                 tuple(Fraction(x) for x in row) for row in red.U_inv
             )
             # lattice and determinant preservation
-            assert gram_det([[int(x) for x in c] for c in red.basis.cols]) == gram_det(cols)
-            # kernel Gram data matches an independent recomputation
-            mu, norms = gso(red.basis.cols)
-            assert red.gso.mu == tuple(tuple(mu[i][:i]) for i in range(d))
-            assert red.gso.norms_sq == tuple(norms)
+            assert gram_det(red.basis.cols) == gram_det(cols)
+            # the kernel's verdict agrees with an independent Gram-Schmidt
+            assert is_reduced(red.basis.cols)
 
     def test_first_column_quality_small_dims(self):
         rnd = random.Random(14)
@@ -97,18 +93,23 @@ class TestLllReduce:
             assert first <= (1 << (d - 1)) * svp_min_norm_sq(cols)
 
     def test_rational_basis(self):
-        basis = Basis(
-            cols=(
-                (Fraction(1, 3), Fraction(1, 5)),
-                (Fraction(2, 7), Fraction(3, 4)),
-            )
-        )
+        # a rational lattice is reduced as its multiple by the lcm of its
+        # denominators; the rational basis itself is refused
+        alpha, precision = (Fraction(1, 3), Fraction(-2, 7)), 5
+        corner = Fraction(1, (1 << corner_exponent(2)) * precision**3)
+        rational = [(1, 0, 0), (0, 1, 0), alpha + (corner,)]
+        scale = math.lcm(*(x.denominator for col in rational for x in col))
+        basis = build_approx_lattice(alpha, precision)
+        assert basis.cols == tuple(tuple(x * scale for x in col) for col in rational)
+        assert all(type(x) is int for col in basis.cols for x in col)
+        with pytest.raises(DomainError):
+            Basis(rational)
         red = lll_reduce(basis)
         assert is_reduced(red.basis.cols)
         # reduced = input . U, exactly
-        for j in range(2):
-            for t in range(2):
-                acc = sum(basis.cols[i][t] * red.U[i][j] for i in range(2))
+        for j in range(3):
+            for t in range(3):
+                acc = sum(basis.cols[i][t] * red.U[i][j] for i in range(3))
                 assert acc == red.basis.cols[j][t]
 
     def test_rank_error(self):
@@ -150,10 +151,8 @@ def knapsack_lattice(a):
 def assert_fed_matches_plain(basis):
     """Fed lll_reduce against one kernel pass on the unfed basis."""
     fed = lll_reduce(basis)
-    scale = math.lcm(*(x.denominator for col in basis.cols for x in col))
-    int_cols = [[int(x * scale) for x in col] for col in basis.cols]
-    b, u, uinv, _, _, _, _ = _lll_py.lll_reduce_ints(int_cols, lll.DEFAULT_DELTA)
-    plain = Basis(cols=tuple(tuple(Fraction(x, scale) for x in col) for col in b))
+    b, u, uinv, _, _, _, _ = _lll_py.lll_reduce_ints(basis.cols)
+    plain = Basis(cols=b)
     assert is_reduced(fed.basis.cols) and is_reduced(plain.cols)
     d = basis.dim
     ident = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -176,9 +175,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = lll._kernel
 
-    def recording(cols, delta):
+    def recording(cols):
         try:
-            result = kernel.lll_reduce_ints(cols, delta)
+            result = kernel.lll_reduce_ints(cols)
         except ValueError:
             calls.append(None)
             raise
@@ -240,6 +239,64 @@ class TestFeeding:
         assert min(first.v) >= 0
         text = documents.serialize_decomposition(first)
         assert documents.serialize_decomposition(decompose(inst)) == text
+
+
+# SHA-256 of the decomposition documents at seed 1, recorded at commit
+# 5d39c1d; a change to the reduction that moves one says so
+PINNED_SHA256 = [
+    (decompose_frank_tardos, 10,
+     "fbf345d6dabc99cdbd20c53148aca711fc0adf517accaff8bccd3ac155d44aec"),
+    (decompose_frank_tardos, 12,
+     "fccf40bffc29673d694af1e680bde94d88851fde4b8499190e6f935d37ba355c"),
+    (decompose_lll_rows, 20,
+     "16082cf0557666d36a795923eef746c4684b9a179b8e5274aca8dc59968a506b"),
+]
+
+
+@pytest.mark.parametrize("decompose, n, digest", PINNED_SHA256, ids=["ft10", "ft12", "rows20"])
+def test_directions_are_pinned(decompose, n, digest):
+    text = documents.serialize_decomposition(decompose(generate_instance(n, 1)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# what a corrupted kernel result must break, and the message it raises
+FAULTS = {
+    "basis": "reduced basis is not input times U",
+    "lam": "basis is not size-reduced",
+    "dvec": "Lovasz condition fails",
+    "uinv": "transform and inverse do not multiply to identity",
+}
+
+
+def faulty_kernel(part):
+    """A kernel shaped like perfbench's tracing proxy, corrupting ``part`` of each result.
+
+    Each corruption breaks exactly one post-condition: lam[1][0] = dvec[1]
+    makes |mu_10| = 1, and multiplying dvec[1] by dvec[2] + 1 fails the
+    Lovasz condition at k = 1 while size reduction still holds.
+    """
+
+    def corrupt(cols):
+        b, u, uinv, lam, dvec, s, r = _lll_py.lll_reduce_ints(cols)
+        if part == "basis":
+            b[0][0] += 1
+        elif part == "lam":
+            lam[1][0] = dvec[1]
+        elif part == "dvec":
+            dvec[1] *= dvec[2] + 1
+        else:
+            uinv[0][0] += 1
+        return b, u, uinv, lam, dvec, s, r
+
+    return SimpleNamespace(KERNEL_NAME=_lll_py.KERNEL_NAME, lll_reduce_ints=corrupt)
+
+
+@pytest.mark.parametrize("part", FAULTS)
+def test_each_post_condition_fires(part, monkeypatch):
+    monkeypatch.setattr(lll, "_kernel", faulty_kernel(part))
+    for basis in (Basis(random_int_basis(random.Random(16), 4)), knapsack_lattice((3, 5, 7))):
+        with pytest.raises(InvariantViolation, match=FAULTS[part]):
+            lll_reduce(basis)
 
 
 def test_kernel_name_reports_active_module():
