@@ -3,9 +3,12 @@
 A right-hand side beta is certified infeasible when the exact LP range
 [vmin, vmax] of v.x over {x | a.x = beta, 0 <= x <= e} contains no
 integer: every point of the relaxation then has a fractional v.x, so
-no 0/1 solution exists. All four single-constraint LPs are solved by
-one exact greedy fill over a v_i/a_i ratio order (cross-multiplied
-comparisons, no division), which matches the LP vertex optimum.
+no 0/1 solution exists. Each single-constraint LP is solved by a greedy
+fill over a v_i/a_i ratio order (cross-multiplied comparisons, no
+division), which matches the LP vertex optimum. The order depends on
+(a, v) only, so the two equality LPs of the certifier bisect prefix
+sums prepared once per (a, v); the two inequality LPs of the verifier
+run the greedy fill itself.
 
 The same machinery yields, for each branching level k, a closed "bad"
 interval [min(a,k), max(a,k)] and an open "good" interval between
@@ -20,9 +23,11 @@ from __future__ import annotations
 import enum
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
+from operator import itemgetter
 from typing import Literal, Sequence
 
 from .errors import (
@@ -145,23 +150,60 @@ def _fill(order, cost, gain, budget) -> tuple[Fraction, list[Fraction]]:
     return Fraction(value), x
 
 
+@lru_cache(maxsize=8)
+def _prepared(a: tuple[int, ...], v: tuple[int, ...]):
+    """(coprime, ||a||_1, {sense: (order, A, V, place)}) of validated a, v.
+
+    ``order`` is the greedy order of the sense, A and V the prefix sums
+    of a and v in that order, and ``place`` turns a vertex listed in
+    greedy order into one listed by index: entry i of its result is
+    entry rank(i) of its argument, rank(i) being i's position in
+    ``order``. One permutation stands in for the n + 1 partial 0/1
+    vertices, which would take n^2 memory. Callers must validate a and v
+    first: Fraction and float entries hash equal to ints.
+    """
+    n = len(a)
+    sides = {}
+    for sense in ("min", "max"):
+        order = _greedy_order(v, a, sense)
+        A, V, rank = [0], [0], [0] * n
+        for r, i in enumerate(order):
+            A.append(A[-1] + a[i])
+            V.append(V[-1] + v[i])
+            rank[i] = r
+        # itemgetter of one index returns the item, not a 1-tuple
+        place = itemgetter(*rank) if n > 1 else tuple
+        sides[sense] = (order, A, V, place)
+    return math.gcd(*a) == 1, sum(a), sides
+
+
 def lp_extreme_eq(
     a: Sequence[int], v: Sequence[int], beta: int, sense: Sense
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact optimum of v.x over {a.x = beta, 0 <= x <= e} plus a vertex.
 
-    Greedy fill by v_i/a_i ratio; the argument has at most one
-    fractional coordinate. Raises RelaxationInfeasibleError when beta
-    lies outside [0, ||a||_1].
+    The greedy fill by v_i/a_i ratio, answered by one bisection of its
+    prefix sums of a: the items before the bisected one are whole, and
+    that one takes the remainder, one exact division. The argument has
+    at most one fractional coordinate. Raises DomainError unless beta is
+    an int, and RelaxationInfeasibleError when it lies outside
+    [0, ||a||_1].
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
     _validate_sense(sense)
-    total = sum(a)
+    _validate_beta(beta)
+    _, total, sides = _prepared(a, v)
     if beta < 0 or beta > total:
         raise RelaxationInfeasibleError(beta, total)
-    value, x = _fill(_greedy_order(v, a, sense), a, v, beta)
-    return value, tuple(x)
+    order, A, V, place = sides[sense]
+    j = bisect_right(A, beta) - 1
+    if A[j] == beta:
+        return Fraction(V[j]), place((_ONE,) * j + (_ZERO,) * (len(a) - j))
+    i, rest = order[j], beta - A[j]
+    part = (Fraction(rest, a[i]),)
+    x = place((_ONE,) * j + part + (_ZERO,) * (len(a) - j - 1))
+    return Fraction(V[j] * a[i] + v[i] * rest, a[i]), x
 
 
 def lp_extreme_ineq(
@@ -193,18 +235,28 @@ def _validate_sense(sense: str) -> None:
         raise DomainError('sense must be "min" or "max"')
 
 
+def _validate_beta(beta: int) -> None:
+    if not isinstance(beta, int):
+        raise DomainError("beta must be an integer")
+
+
 def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     """Certificate for beta when no integer lies in [vmin, vmax].
 
     Out-of-range beta is trivially infeasible; otherwise either a
     Certificate (sound: the relaxation traps v.x strictly between
-    consecutive integers) or no_certificate.
+    consecutive integers) or no_certificate. DomainError unless beta is
+    an int and the weights are coprime. Coprimality and ||a||_1 come
+    from the data prepared once per (a, v), as do the greedy orders of
+    the two lp_extreme_eq calls, so a repeated pair costs two bisections
+    and two exact divisions per beta.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    if math.gcd(*a) != 1:
+    _validate_beta(beta)
+    coprime, total, _ = _prepared(a, v)
+    if not coprime:
         raise DomainError("weights not coprime")
-    total = sum(a)
     if beta < 0 or beta > total:
         return CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, beta)
     vmin, arg_min = lp_extreme_eq(a, v, beta, "min")

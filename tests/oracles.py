@@ -160,6 +160,30 @@ def lp_eq_vertex(a, v, beta, sense):
     return min(values) if sense == "min" else max(values)
 
 
+def lp_eq_greedy(a, v, beta, sense):
+    """Optimum of v.x over {a.x = beta, 0 <= x <= e} and its vertex, by greedy fill.
+
+    The fill that the certifier's bisection of prefix sums must equal:
+    take the items by v_i/a_i (ascending for min, descending for max,
+    ties to the smaller index), each whole while it fits the budget
+    beta, then the part of the next one that fits. Assumes
+    0 <= beta <= sum(a).
+    """
+    sign = 1 if sense == "min" else -1
+    order = sorted(range(len(a)), key=lambda i: (sign * Fraction(v[i], a[i]), i))
+    x = [Fraction(0)] * len(a)
+    value = Fraction(0)
+    budget = beta
+    for i in order:
+        take = min(Fraction(1), Fraction(budget, a[i]))
+        if take == 0:
+            break
+        x[i] = take
+        value += v[i] * take
+        budget -= a[i] * take
+    return value, tuple(x)
+
+
 def lp_ineq_vertex(a, v, level, sense):
     """max{a.x | v.x <= level} / min{a.x | v.x >= level} over the box."""
     n = len(a)

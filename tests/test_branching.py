@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -10,14 +11,18 @@ import pytest
 
 from oracles import (
     count_integers_in_bad,
+    lp_eq_greedy,
     lp_eq_vertex,
     lp_ineq_vertex,
     subset_feasible_naive,
 )
+from sscert import branching
 from sscert.branching import (
     Certificate,
+    CertifyResult,
     CertifyStatus,
     _bad_count,
+    _prepared,
     certify,
     coverage_stats,
     enumerate_intervals,
@@ -26,11 +31,14 @@ from sscert.branching import (
     verify_certificate,
     witnesses_consistent,
 )
+from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
 from sscert.errors import (
     CapacityError,
     DomainError,
     RelaxationInfeasibleError,
 )
+from sscert.model import generate_instance
+from sscert.rng import SplitMix64
 
 TOY_A = (100, 101, 102)
 TOY_V = (1, 1, 1)
@@ -54,6 +62,22 @@ def exhaustive_small_instances():
             for v in product(range(3), repeat=n):
                 if any(v):
                     yield a, v
+
+
+def certify_by_greedy(a, v, beta):
+    """The CertifyResult that the greedy-fill referee gives."""
+    if not 0 <= beta <= sum(a):
+        return CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, beta)
+    vmin, arg_min = lp_eq_greedy(a, v, beta, "min")
+    vmax, arg_max = lp_eq_greedy(a, v, beta, "max")
+    if math.floor(vmax) < vmin:
+        cert = Certificate(beta, math.floor(vmin), vmin, vmax, arg_min, arg_max)
+        return CertifyResult(CertifyStatus.CERTIFIED, beta, cert)
+    return CertifyResult(CertifyStatus.NO_CERTIFICATE, beta)
+
+
+# in range and out of it, integral or not
+NOT_INTS = [Fraction(1, 2), Fraction(2), Fraction(-1, 2), 0.5, 2.0, 1e30]
 
 
 class TestLpExtremeEq:
@@ -105,6 +129,21 @@ class TestLpExtremeEq:
                 assert sum(vi * xi for vi, xi in zip(v, arg)) == value
                 assert all(0 <= x <= 1 for x in arg)
                 assert sum(1 for x in arg if 0 < x < 1) <= 1
+
+    def test_exhaustive_small_against_greedy_referee(self):
+        # the bisection over prepared prefix sums gives the greedy fill's vertex
+        for a, v in exhaustive_small_instances():
+            for beta, sense in product(range(sum(a) + 1), ("min", "max")):
+                value, arg = lp_extreme_eq(a, v, beta, sense)
+                ref_value, ref_arg = lp_eq_greedy(a, v, beta, sense)
+                assert value == ref_value and arg == ref_arg, (a, v, beta, sense)
+                assert type(value) is Fraction
+                assert all(type(x) is Fraction for x in arg)
+
+    @pytest.mark.parametrize("beta", NOT_INTS)
+    def test_rejects_non_integer_beta(self, beta):
+        with pytest.raises(DomainError):
+            lp_extreme_eq((3, 5, 7), (1, 2, 2), beta, "min")
 
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_ties_fill_the_smaller_index_first(self, sense):
@@ -195,6 +234,36 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(TOY_A, (1, -1, 1), 5)
 
+    @pytest.mark.parametrize("beta", NOT_INTS)
+    def test_rejects_non_integer_beta(self, beta):
+        # unrefused, Fraction(1, 2) gets a certificate that verification rejects
+        with pytest.raises(DomainError):
+            certify((3, 5, 7), (1, 2, 2), beta)
+
+    def test_calls_lp_extreme_eq_through_the_module(self, monkeypatch):
+        # the benchmark's traced run times each side through this attribute
+        senses = []
+
+        def recording(a, v, beta, sense):
+            senses.append(sense)
+            return lp_extreme_eq(a, v, beta, sense)
+
+        monkeypatch.setattr(branching, "lp_extreme_eq", recording)
+        assert certify(TOY_A, TOY_V, 150) == certify_by_greedy(TOY_A, TOY_V, 150)
+        assert senses == ["min", "max"]
+
+    @pytest.mark.parametrize(
+        "decompose, n", [(decompose_frank_tardos, 10), (decompose_lll_rows, 20)],
+        ids=["ft10", "rows20"],
+    )
+    def test_pipeline_betas_match_greedy_referee(self, decompose, n):
+        inst = generate_instance(n, 1)
+        v = decompose(inst).v
+        rng = SplitMix64(1)
+        betas = [0, inst.l1_norm] + [rng.randint(0, inst.l1_norm) for _ in range(200)]
+        for beta in betas:
+            assert certify(inst.a, v, beta) == certify_by_greedy(inst.a, v, beta), beta
+
     def test_soundness_exhaustive_small(self):
         rnd = random.Random(44)
         for _ in range(25):
@@ -243,6 +312,60 @@ class TestCertify:
             result = certify(inst.a, dec.v, beta)
             if result.status is CertifyStatus.CERTIFIED:
                 assert not feasible(inst.a, beta).feasible
+
+
+class TestPreparedCache:
+    """The (a, v) data that certify prepares once must not change any answer."""
+
+    A, V = (3, 5, 7), (1, 2, 2)
+
+    def test_validation_comes_before_the_cache(self):
+        # Fraction and float entries hash equal to the cached ints
+        certify(self.A, self.V, 6)
+        for convert in (Fraction, float):
+            a, v = tuple(map(convert, self.A)), tuple(map(convert, self.V))
+            for pair in ((a, self.V), (self.A, v)):
+                with pytest.raises(DomainError):
+                    certify(*pair, 6)
+                with pytest.raises(DomainError):
+                    lp_extreme_eq(*pair, 6, "min")
+
+    def test_lists_match_tuples(self):
+        for beta in range(-1, sum(self.A) + 2):
+            assert certify(list(self.A), list(self.V), beta) == certify(self.A, self.V, beta)
+        for beta, sense in product(range(sum(self.A) + 1), ("min", "max")):
+            got = lp_extreme_eq(list(self.A), list(self.V), beta, sense)
+            assert got == lp_extreme_eq(self.A, self.V, beta, sense)
+
+    def test_non_coprime_weights_stay_refused(self):
+        lp_extreme_eq((2, 4, 6), (1, 1, 1), 5, "min")
+        for _ in range(2):
+            with pytest.raises(DomainError, match="coprime"):
+                certify((2, 4, 6), (1, 1, 1), 5)
+
+    def test_interleaved_pairs(self):
+        # one pair shares a, another v, so each key part must count
+        pairs = [(self.A, self.V), (self.A, (2, 1, 0)), ((4, 5, 7), self.V)]
+        for beta in range(-1, 18):
+            for a, v in pairs:
+                assert certify(a, v, beta) == certify_by_greedy(a, v, beta), (a, v, beta)
+
+    def test_is_bounded(self):
+        for k in range(20):
+            certify((k + 2, k + 3), (1, 1), 1)
+        assert _prepared.cache_info().currsize <= 8
+
+    def test_memory_is_linear_in_n(self):
+        # the n + 1 partial vertices themselves would hold 62 MiB at n = 2000
+        n = 2000
+        _prepared.cache_clear()
+        tracemalloc.start()
+        try:
+            certify(tuple(range(1, n + 1)), (1,) * n, n)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**21
 
 
 class TestVerify:
