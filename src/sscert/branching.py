@@ -4,11 +4,13 @@ A right-hand side beta is certified infeasible when the exact LP range
 [vmin, vmax] of v.x over {x | a.x = beta, 0 <= x <= e} contains no
 integer: every point of the relaxation then has a fractional v.x, so
 no 0/1 solution exists. Each single-constraint LP is solved by a greedy
-fill over a v_i/a_i ratio order (cross-multiplied comparisons, no
-division), which matches the LP vertex optimum. The order depends on
-(a, v) only, so the two equality LPs of the certifier bisect prefix
-sums prepared once per (a, v); the two inequality LPs of the verifier
-run the greedy fill itself.
+fill over a v_i/a_i ratio order, which matches the LP vertex optimum.
+The order sorts exact integer keys: floor(v_i 2^S / a_i) with 2^S above
+the square of every weight, so distinct ratios get distinct keys. The
+order depends on (a, v) only, so the two equality LPs of the certifier
+bisect prefix sums prepared once per (a, v); the two inequality LPs of
+the verifier run the greedy fill itself, in integers, with one Fraction
+for the result.
 
 The same machinery yields, for each branching level k, a closed "bad"
 interval [min(a,k), max(a,k)] and an open "good" interval between
@@ -26,7 +28,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from typing import Literal, Sequence
 
@@ -115,39 +117,35 @@ class CoverageStats:
 def _greedy_order(num, den, sense: Sense) -> list[int]:
     """Indices by num_i/den_i ratio: ascending for min, descending for max.
 
-    Exact cross-multiplied comparison; ties resolve to the smaller index.
+    Sorts the integer keys floor(num_i 2^S / den_i), S twice the bit
+    length of the largest den. Distinct ratios differ by at least
+    1/(den_i den_j) > 2^-S, so their keys differ and keep the order;
+    equal ratios get equal keys, and the stable sort (stable also in
+    reverse) resolves those ties to the smaller index.
     """
-
-    want_min = sense == "min"
-
-    def compare(i: int, j: int) -> int:
-        diff = num[i] * den[j] - num[j] * den[i]
-        if diff != 0:
-            return -1 if (diff < 0) == want_min else 1
-        return -1 if i < j else 1
-
-    return sorted(range(len(num)), key=cmp_to_key(compare))
+    shift = 2 * max(den).bit_length()
+    keys = [(x << shift) // d for x, d in zip(num, den)]
+    return sorted(range(len(keys)), key=keys.__getitem__, reverse=sense == "max")
 
 
-def _fill(order, cost, gain, budget) -> tuple[Fraction, list[Fraction]]:
-    """Greedy fractional knapsack: value and x of max{gain.x | cost.x <= budget}.
+def _fill(order, cost, gain, budget) -> tuple[int, int]:
+    """Greedy fractional knapsack: max{gain.x | cost.x <= budget} as (num, den).
 
     Takes the items in the given order, each whole while its cost fits
-    the budget, then the part of the next one that fits. Items of cost 0
+    the budget, then the part of the next one that fits, so the value is
+    an integer plus one fraction of that item's gain. Items of cost 0
     must come first in the order.
     """
-    x = [_ZERO] * len(cost)
     value = 0
     for i in order:
-        if cost[i] > budget:
+        c = cost[i]
+        if c > budget:
             if budget:
-                x[i] = Fraction(budget, cost[i])
-                return value + gain[i] * x[i], x
+                return value * c + gain[i] * budget, c
             break
-        x[i] = _ONE
         value += gain[i]
-        budget -= cost[i]
-    return Fraction(value), x
+        budget -= c
+    return value, 1
 
 
 @lru_cache(maxsize=8)
@@ -211,23 +209,31 @@ def lp_extreme_ineq(
 ) -> Fraction:
     """max{a.x | v.x <= level} or min{a.x | v.x >= level} over the box.
 
+    DomainError for a max side below level 0 or a min side above
+    ||v||_1, which no x in the box attains.
+    """
+    a = validate_weights(a)
+    v = validate_direction(v, len(a))
+    _validate_sense(sense)
+    if sense == "max" and level < 0:
+        raise DomainError("max side needs level >= 0")
+    if sense == "min" and level > sum(v):
+        raise DomainError("min side needs level <= ||v||_1")
+    return _one_sided(a, v, _greedy_order(v, a, "min"), level, sense)
+
+
+def _one_sided(a, v, order, level, sense: Sense) -> Fraction:
+    """lp_extreme_ineq of validated a, v, in range, given their ascending order.
+
     The max side fills by ascending v_i/a_i, so the coordinates with
     v_i = 0 come first at no cost. The min side is its complement
     y = e - x: min{a.x | v.x >= level} equals
     ||a||_1 - max{a.y | v.y <= ||v||_1 - level}.
     """
-    a = validate_weights(a)
-    v = validate_direction(v, len(a))
-    _validate_sense(sense)
-    ve = sum(v)
-    if sense == "max" and level < 0:
-        raise DomainError("max side needs level >= 0")
-    if sense == "min" and level > ve:
-        raise DomainError("min side needs level <= ||v||_1")
-    order = _greedy_order(v, a, "min")
     if sense == "max":
-        return _fill(order, v, a, level)[0]
-    return sum(a) - _fill(order, v, a, ve - level)[0]
+        return Fraction(*_fill(order, v, a, level))
+    num, den = _fill(order, v, a, sum(v) - level)
+    return Fraction(sum(a) * den - num, den)
 
 
 def _validate_sense(sense: str) -> None:
@@ -278,17 +284,15 @@ def verify_certificate(a: Sequence[int], v: Sequence[int], cert: Certificate) ->
     """Independent check: max(a, level) < beta < min(a, level + 1).
 
     Recomputes both one-sided LPs and never consults the certificate's
-    own vmin/vmax or witnesses; any malformed input yields False.
+    own vmin/vmax or witnesses; any malformed input yields False. The
+    two lp_extreme_ineq calls validate a and v and refuse a level
+    outside [0, ||v||_1), so their DomainError is the rejection.
     """
+    level = cert.level
+    beta = cert.beta
+    if not isinstance(level, int) or not isinstance(beta, int):
+        return False
     try:
-        a = validate_weights(a)
-        v = validate_direction(v, len(a))
-        level = cert.level
-        beta = cert.beta
-        if not isinstance(level, int) or not isinstance(beta, int):
-            return False
-        if level < 0 or level + 1 > sum(v):
-            return False
         return (
             lp_extreme_ineq(a, v, level, "max")
             < beta
@@ -345,8 +349,9 @@ def enumerate_intervals(
             f"level range of {(k_hi - k_lo).bit_length()} bits exceeds the cap "
             f"{ENUMERATION_CAP}; enumerate a partial window [k_lo, k_hi] instead"
         )
-    mins = [lp_extreme_ineq(a, v, k, "min") for k in range(k_lo, k_hi + 1)]
-    maxs = [lp_extreme_ineq(a, v, k, "max") for k in range(k_lo, k_hi + 1)]
+    order = _greedy_order(v, a, "min")
+    mins = [_one_sided(a, v, order, k, "min") for k in range(k_lo, k_hi + 1)]
+    maxs = [_one_sided(a, v, order, k, "max") for k in range(k_lo, k_hi + 1)]
     for i in range(len(mins)):
         if mins[i] > maxs[i]:
             raise InvariantViolation("bad interval endpoints out of order")
@@ -381,12 +386,13 @@ def _bad_count(a, v) -> int:
     convex in k (M is concave) and symmetric about (||v||_1 - 1)/2, so its
     least value is at the centre; DomainError if it is not positive there.
     """
+    order = _greedy_order(v, a, "min")
     k = (sum(v) - 1) // 2
-    if lp_extreme_ineq(a, v, k + 1, "min") <= lp_extreme_ineq(a, v, k, "max"):
+    if _one_sided(a, v, order, k + 1, "min") <= _one_sided(a, v, order, k, "max"):
         raise DomainError("consecutive levels overlap; decomposition hypotheses violated")
     total, done = sum(a), 0
     floors = total
-    for i in _greedy_order(v, a, "min"):
+    for i in order:
         floors += v[i] * done
         floors += ((a[i] - 1) * (v[i] - 1) + math.gcd(a[i], v[i]) - 1) // 2
         done += a[i]

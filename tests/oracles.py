@@ -5,6 +5,7 @@ shares no code with the implementation under test.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 from math import ceil, floor
 
@@ -182,6 +183,23 @@ def lp_eq_greedy(a, v, beta, sense):
         value += v[i] * take
         budget -= a[i] * take
     return value, tuple(x)
+
+
+def greedy_order_cmp(num, den, sense):
+    """Indices by num_i/den_i: ascending for min, descending for max.
+
+    Each pair is compared by cross-multiplying, with no division and no
+    key; ties go to the smaller index in both senses.
+    """
+    want_min = sense == "min"
+
+    def compare(i, j):
+        diff = num[i] * den[j] - num[j] * den[i]
+        if diff != 0:
+            return -1 if (diff < 0) == want_min else 1
+        return -1 if i < j else 1
+
+    return sorted(range(len(num)), key=cmp_to_key(compare))
 
 
 def lp_ineq_vertex(a, v, level, sense):

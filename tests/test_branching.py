@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +13,7 @@ import pytest
 
 from oracles import (
     count_integers_in_bad,
+    greedy_order_cmp,
     lp_eq_greedy,
     lp_eq_vertex,
     lp_ineq_vertex,
@@ -22,6 +25,7 @@ from sscert.branching import (
     CertifyResult,
     CertifyStatus,
     _bad_count,
+    _greedy_order,
     _prepared,
     certify,
     coverage_stats,
@@ -151,6 +155,80 @@ class TestLpExtremeEq:
         value, arg = lp_extreme_eq((2, 2, 2), (1, 1, 1), 3, sense)
         assert value == Fraction(3, 2)
         assert arg == (1, Fraction(1, 2), 0)
+
+
+def adjacent_ratios(rnd, digits):
+    """(p, q, r, s) with weights q, s of the given digit count and p/q - r/s = 1/(q s).
+
+    Two ratios with these weights can be no closer, so the sort keys
+    must resolve exactly this gap.
+    """
+    while True:
+        q = rnd.randrange(10 ** (digits - 1), 10**digits)
+        s = rnd.randrange(10 ** (digits - 1), 10**digits)
+        if math.gcd(q, s) == 1:
+            break
+    p = pow(s, -1, q)  # p s - r q = 1
+    return p, q, (p * s - 1) // q, s
+
+
+class TestGreedyOrder:
+    """The integer sort keys must give the cross-multiplying referee's order."""
+
+    # per n: weights 1..w and direction entries 0..m, every combination
+    GRID = {1: (6, 4), 2: (6, 4), 3: (5, 3), 4: (3, 2), 5: (2, 2)}
+
+    @staticmethod
+    def agree(num, den):
+        for sense in ("min", "max"):
+            assert _greedy_order(num, den, sense) == greedy_order_cmp(num, den, sense), (
+                num, den, sense,
+            )
+
+    def test_exhaustive_small_grid(self):
+        # zero entries and tied ratios (1/2 = 2/4, equal pairs) included
+        for n, (w, m) in self.GRID.items():
+            for den in product(range(1, w + 1), repeat=n):
+                for num in product(range(m + 1), repeat=n):
+                    self.agree(num, den)
+
+    @pytest.mark.parametrize(
+        "decompose, n",
+        [
+            (decompose_frank_tardos, 10),
+            (decompose_frank_tardos, 12),
+            (decompose_frank_tardos, 14),
+            (decompose_lll_rows, 20),
+        ],
+        ids=["ft10", "ft12", "ft14", "rows20"],
+    )
+    def test_pipeline_directions(self, decompose, n):
+        inst = generate_instance(n, 1)
+        self.agree(decompose(inst).v, inst.a)
+
+    def test_closest_ratios_at_the_digit_limit(self):
+        # 4,300 digits is the int/str conversion limit the documents accept
+        rnd = random.Random(4300)
+        for _ in range(3):
+            p, q, r, s = adjacent_ratios(rnd, 4300)
+            assert p * s - r * q == 1
+            # the greater ratio first and last, and a tie beside each
+            self.agree((p, r), (q, s))
+            self.agree((r, p), (s, q))
+            self.agree((p, r, 2 * r, 2 * p), (q, s, 2 * s, 2 * q))
+
+    def test_oversized_input_is_ordered_in_bounded_time(self):
+        # exact keys cost O(B^2) for B-bit weights, also when v is small
+        rnd = random.Random(200)
+        a = tuple(rnd.randrange(10**4299, 10**4300) for _ in range(200))
+        for v in (
+            tuple(rnd.randrange(256) for _ in a),
+            tuple(rnd.randrange(10**4299, 10**4300) for _ in a),
+        ):
+            start = time.perf_counter()
+            orders = [_greedy_order(v, a, sense) for sense in ("min", "max")]
+            assert time.perf_counter() - start < 5
+            assert orders == [greedy_order_cmp(v, a, sense) for sense in ("min", "max")]
 
 
 class TestLpExtremeIneq:
@@ -407,6 +485,33 @@ class TestVerify:
             arg_min=(), arg_max=(),
         )
         assert not verify_certificate(TOY_A, TOY_V, silly)
+
+    def test_calls_lp_extreme_ineq_through_the_module(self, monkeypatch):
+        # the benchmark's traced run times each side through this attribute
+        calls = []
+
+        def recording(a, v, level, sense):
+            calls.append((level, sense))
+            return lp_extreme_ineq(a, v, level, sense)
+
+        monkeypatch.setattr(branching, "lp_extreme_ineq", recording)
+        assert verify_certificate(TOY_A, TOY_V, certify(TOY_A, TOY_V, 150).certificate)
+        assert calls == [(1, "max"), (2, "min")]
+
+    def test_malformed_input_is_rejected_not_raised(self):
+        cert = certify(TOY_A, TOY_V, 150).certificate
+        assert verify_certificate(TOY_A, TOY_V, cert) is True
+        for a in [
+            (100, 101.0, 102), (100, Fraction(101), 102), (100, "101", 102),
+            (0, 101, 102), (-100, 101, 102), (),
+        ]:
+            assert verify_certificate(a, TOY_V, cert) is False, a
+        for v in [(1, 1), (1, 1, 1, 1), (0, 0, 0), (1, -1, 1), (1, 1.0, 1)]:
+            assert verify_certificate(TOY_A, v, cert) is False, v
+        for level in (Fraction(1), 1.0):
+            assert verify_certificate(TOY_A, TOY_V, replace(cert, level=level)) is False
+        for beta in (Fraction(150), 150.0, Fraction(301, 2)):
+            assert verify_certificate(TOY_A, TOY_V, replace(cert, beta=beta)) is False
 
     def test_agrees_with_certify_everywhere(self):
         rnd = random.Random(45)
