@@ -10,7 +10,6 @@ byte-identical documents. Diagnostics are single lines on stderr.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
@@ -39,7 +38,6 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
-_DECIMAL_RE = re.compile(r"-?[0-9]+\Z")
 _MAX_SAMPLE_SIZE = 10**6
 
 
@@ -60,18 +58,9 @@ def _diag(message: str) -> None:
     print(f"sscert: {message}", file=sys.stderr)
 
 
-def _decimal(value: str, what: str) -> int:
-    if not _DECIMAL_RE.match(value):
-        raise DomainError(f"{what} must be a decimal integer string")
-    try:
-        return int(value)
-    except ValueError:  # more digits than the interpreter converts
-        raise DomainError(f"{what} has too many digits") from None
-
-
 def _bounded(value: str, what: str, limit: int) -> int:
     """A decimal argument; CapacityError above ``limit``."""
-    number = _decimal(value, what)
+    number = documents.parse_int(value, what)
     if number > limit:
         raise CapacityError(f"{what} {number} exceeds the limit {limit}")
     return number
@@ -81,16 +70,14 @@ def _seed(value: str | None) -> int | None:
     """A SplitMix64 seed; DomainError outside [0, 2^64), which it would mask."""
     if value is None:
         return None
-    seed = _decimal(value, "seed")
+    seed = documents.parse_int(value, "seed")
     if not 0 <= seed < 1 << 64:
         raise DomainError("seed must lie in [0, 2^64)")
     return seed
 
 
 def _load_instance(config: argparse.Namespace) -> tuple[Instance, int]:
-    return documents.parse_instance(
-        _read(config.instance), normalize_gcd=config.normalize_gcd
-    )
+    return documents.parse_instance(_read(config.instance))
 
 
 def _load_decomposition(config: argparse.Namespace, inst: Instance):
@@ -115,7 +102,7 @@ def _cmd_decompose(config: argparse.Namespace) -> int:
 
 
 def _cmd_certify(config: argparse.Namespace) -> int:
-    beta = _decimal(config.beta, "beta")
+    beta = documents.parse_int(config.beta, "beta")
     inst, divisor = _load_instance(config)
     dec = _load_decomposition(config, inst)
     if divisor != 1:
@@ -157,8 +144,8 @@ def _cmd_verify(config: argparse.Namespace) -> int:
 def _cmd_intervals(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
     dec = _load_decomposition(config, inst)
-    k_lo = _decimal(config.k_lo, "k_lo") if config.k_lo is not None else 0
-    k_hi = _decimal(config.k_hi, "k_hi") if config.k_hi is not None else None
+    k_lo = documents.parse_int(config.k_lo, "k_lo") if config.k_lo is not None else 0
+    k_hi = documents.parse_int(config.k_hi, "k_hi") if config.k_hi is not None else None
     cover = enumerate_intervals(
         inst.a, dec.v, dec.scale, dec.residual, k_lo=k_lo, k_hi=k_hi
     )
@@ -177,13 +164,12 @@ def _cmd_stats(config: argparse.Namespace) -> int:
 def _cmd_cor1(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
     dec = _load_decomposition(config, inst)
-    report = infeasible_coverage_report(
-        inst.a,
-        dec.v,
-        mode=config.mode,
-        sample_size=_bounded(config.sample_size, "sample size", _MAX_SAMPLE_SIZE),
-        seed=_seed(config.seed),
-    )
+    if config.mode == "sampled":
+        sample_size = _bounded(config.sample_size, "sample size", _MAX_SAMPLE_SIZE)
+        seed = _seed(config.seed)
+    else:  # exact mode draws nothing, so it reads no sampling option
+        sample_size = seed = None
+    report = infeasible_coverage_report(inst.a, dec.v, config.mode, sample_size, seed)
     _emit(documents.serialize_infeasible_coverage(report), config.output)
     return EXIT_OK
 
@@ -229,11 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_instance(p):
         p.add_argument("--instance", required=True, help="instance document path or -")
-        p.add_argument(
-            "--normalize-gcd",
-            action="store_true",
-            help="divide non-coprime weights by their gcd instead of rejecting",
-        )
 
     p = sub.add_parser("generate", help="generate a low density instance")
     p.add_argument("--n", required=True, help=f"2 to {LLL_ROWS_MAX_N}, decimal string")

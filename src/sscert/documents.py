@@ -126,11 +126,12 @@ def serialize_instance(inst: Instance) -> str:
     return _dump(payload)
 
 
-def parse_instance(text: str, normalize_gcd: bool = False) -> tuple[Instance, int]:
-    """Parse an instance document; returns (instance, gcd_divided_out).
+def parse_instance(text: str) -> tuple[Instance, int]:
+    """Parse an instance document; returns (instance, g).
 
-    Without ``normalize_gcd`` non-coprime weights are a parse error and
-    the returned divisor is always 1.
+    g is the gcd of the document's weights, and the instance holds them
+    divided by g: a right-hand side beta of the document is beta / g of
+    the instance, and infeasible when g does not divide it.
     """
     doc = _object(_load(text), "instance")
     n = _req(doc, "n")
@@ -143,14 +144,7 @@ def parse_instance(text: str, normalize_gcd: bool = False) -> tuple[Instance, in
         raise ParseError("weights must be >= 1", "$.a")
     seed = parse_int(doc["seed"], "$.seed") if "seed" in doc else None
     divisor = math.gcd(*weights)
-    if divisor != 1:
-        if not normalize_gcd:
-            raise ParseError("weights not coprime", "$.a")
-        weights = tuple(x // divisor for x in weights)
-    try:
-        return Instance(n=n, a=weights, seed=seed), divisor
-    except DomainError as exc:
-        raise ParseError(str(exc), "$") from None
+    return Instance(a=tuple(x // divisor for x in weights), seed=seed), divisor
 
 
 # -- decomposition ----------------------------------------------------------

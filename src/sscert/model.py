@@ -40,21 +40,19 @@ def validate_direction(v: Sequence[int], n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Instance:
-    """Subset sum weights: ``n`` positive coprime integers ``a``."""
+    """Subset sum weights: positive coprime integers ``a``, ``n`` of them."""
 
-    n: int
     a: tuple[int, ...]
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        if self.n < 1:
-            raise DomainError("instance dimension must be at least 1")
-        if len(self.a) != self.n:
-            raise DomainError(f"expected {self.n} weights, got {len(self.a)}")
-        validate_weights(self.a)
+        object.__setattr__(self, "a", validate_weights(self.a))
         if math.gcd(*self.a) != 1:
             raise DomainError("weights not coprime")
+
+    @property
+    def n(self) -> int:
+        return len(self.a)
 
     @property
     def l1_norm(self) -> int:
@@ -84,7 +82,7 @@ def generate_instance(n: int, seed: int) -> Instance:
         rng = SplitMix64(substream_seed(seed, attempt))
         weights = tuple(rng.randbits(bits) + 1 for _ in range(n))
         if math.gcd(*weights) == 1:
-            inst = Instance(n=n, a=weights, seed=seed)
+            inst = Instance(a=weights, seed=seed)
             if inst.low_density:
                 return inst
     raise GenerationError(f"no acceptable vector after {_RESAMPLE_CAP} attempts")

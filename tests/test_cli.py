@@ -16,7 +16,7 @@ from sscert.oracle import infeasible_coverage_report
 from test_decompose import mixed_sign_reduction
 from test_lll import FAULTS, faulty_kernel
 
-TOY = Instance(n=3, a=(100, 101, 102))
+TOY = Instance(a=(100, 101, 102))
 
 
 def toy_decomposition():
@@ -145,7 +145,7 @@ def test_decomposition_past_digit_limit_is_a_capacity_error(
     a = (7**4631, 5**5599)
     assert [len(str(x)) for x in a] == [3914, 3914]
     path = tmp_path / "instance.json"
-    path.write_text(documents.serialize_instance(Instance(n=2, a=a)))
+    path.write_text(documents.serialize_instance(Instance(a=a)))
     out = tmp_path / "direction.json"
     argv = ["decompose", "--method", "lll_rows", "--instance", str(path), "-o", str(out)]
     assert main(argv) == 3
@@ -246,7 +246,7 @@ def test_intervals_capacity(tmp_path, capsys):
         method=Method.LLL_ROWS,
         provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
     )
-    _, inst_path, dec_path = write_pair(tmp_path, Instance(n=2, a=a), dec)
+    _, inst_path, dec_path = write_pair(tmp_path, Instance(a=a), dec)
     base = ["--instance", inst_path, "--decomposition", dec_path]
     assert main(["intervals", *base]) == 3
     assert "exceeds the cap 100000;" in capsys.readouterr().err
@@ -272,7 +272,7 @@ def test_intervals_capacity_past_digit_limit(tmp_path, capsys, digit_limit_uncha
         method=Method.LLL_ROWS,
         provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
     )
-    _, inst_path, dec_path = write_pair(tmp_path, Instance(n=2, a=a), dec)
+    _, inst_path, dec_path = write_pair(tmp_path, Instance(a=a), dec)
     assert main(["intervals", "--instance", inst_path, "--decomposition", dec_path]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "exceeds the cap 100000;" in err
@@ -305,48 +305,81 @@ def test_cor1_exact(toy_files, capsys):
     assert capsys.readouterr().out == documents.serialize_infeasible_coverage(report)
 
 
-def test_normalize_gcd_flow(tmp_path, capsys):
-    inst_path = tmp_path / "inst.json"
-    dec_path = tmp_path / "dec.json"
-    inst_path.write_text(
-        '{"a": ["2", "4", "6"], "kind": "instance", "n": 3}\n'
-    )
-    dec = Decomposition(
-        v=(1, 2, 3),
-        scale=Fraction(1),
-        residual=(Fraction(0),) * 3,
-        method=Method.LLL_ROWS,
-        provenance=ReductionStats(dim=3, swaps=0, size_reductions=0),
-    )
-    dec_path.write_text(documents.serialize_decomposition(dec))
+# a right-hand side that the n=10, seed-1 instance certifies
+CERTIFIED_BETA = 6210704809787412867635402647213653485620103494156017967728800
 
-    base = ["certify", "--instance", str(inst_path), "--decomposition", str(dec_path)]
-    assert main(base + ["--beta", "4"]) == 2  # not coprime without the flag
-    capsys.readouterr()
 
-    assert main(base + ["--beta", "3", "--normalize-gcd"]) == 0
-    assert capsys.readouterr().out == documents.serialize_certify_status(
-        CertifyStatus.TRIVIALLY_INFEASIBLE_GCD, 3
+def test_non_coprime_instance_flow(tmp_path, capsys):
+    # 3a goes through every command as a does: the gcd 3 is divided out
+    # of the weights, and out of beta where it divides beta
+    coprime = write_instance(tmp_path, 10, 1)
+    doc = json.loads(open(coprime).read())
+    doc["a"] = [str(3 * int(x)) for x in doc["a"]]
+    tripled = tmp_path / "tripled.json"
+    tripled.write_text(json.dumps(doc))
+
+    def output(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    dec_path = tmp_path / "direction.json"
+    dec_path.write_text(output(["decompose", "--instance", coprime]))
+    with_dec = ["--decomposition", str(dec_path), "--instance"]
+    for command in (
+        ["decompose", "--instance"], ["decompose", "--method", "lll_rows", "--instance"],
+        ["stats", *with_dec], ["cor1", *with_dec],
+        ["intervals", "--k-lo", "0", "--k-hi", "50", *with_dec],
+    ):
+        assert output(command + [str(tripled)]) == output(command + [coprime])
+
+    certify_tripled = ["certify", "--instance", str(tripled),
+                       "--decomposition", str(dec_path), "--beta"]
+    cert = output(certify_tripled + [str(3 * CERTIFIED_BETA)])
+    assert cert == output([
+        "certify", "--instance", coprime, "--decomposition", str(dec_path),
+        "--beta", str(CERTIFIED_BETA),
+    ])
+    assert documents.document_kind(cert) == "certificate"
+    cert_path = tmp_path / "certificate.json"
+    cert_path.write_text(cert)
+    output(["verify", "--instance", str(tripled), "--certificate", str(cert_path)])
+
+    beta = 3 * CERTIFIED_BETA + 1
+    assert output(certify_tripled + [str(beta)]) == documents.serialize_certify_status(
+        CertifyStatus.TRIVIALLY_INFEASIBLE_GCD, beta
     )
-
-    code = main(base + ["--beta", "4", "--normalize-gcd"])
-    out = capsys.readouterr().out
-    assert code in (0, 1)
-    assert documents.document_kind(out) in ("certificate", "certify_status")
 
     # the decomposition is read for every beta, divisible by the gcd or not
-    missing = ["certify", "--instance", str(inst_path), "--normalize-gcd",
+    missing = ["certify", "--instance", str(tripled),
                "--decomposition", str(tmp_path / "missing.json")]
-    for beta in ("3", "4"):
-        assert main(missing + ["--beta", beta]) == 2
+    for beta in (3 * CERTIFIED_BETA, 3 * CERTIFIED_BETA + 1):
+        assert main(missing + ["--beta", str(beta)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
+
+    # dividing out the gcd is no option: argparse refuses the old flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(certify_tripled + [str(beta), "--normalize-gcd"])
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "option", [["--sample-size", "2000000"], ["--seed", "-1"]], ids=["size", "seed"]
+)
+def test_exact_cor1_reads_no_sampling_option(toy_files, capsys, option):
+    # exact mode draws nothing: a sampling option past its bounds is not read
+    _, inst_path, dec_path = toy_files
+    base = ["cor1", "--instance", inst_path, "--decomposition", dec_path]
+    assert main(base) == 0
+    expected = capsys.readouterr().out
+    assert main(base + option) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_decomposition_instance_mismatch(toy_files, tmp_path):
     _, inst_path, dec_path = toy_files
     other = tmp_path / "other.json"
-    other.write_text(documents.serialize_instance(Instance(n=3, a=(3, 5, 7))))
+    other.write_text(documents.serialize_instance(Instance(a=(3, 5, 7))))
     assert main([
         "certify", "--instance", str(other), "--decomposition", dec_path,
         "--beta", "5",

@@ -82,12 +82,12 @@ class TestFrankTardos:
         capped = tuple(min(x, (1 << 200) - 1) for x in base.a)
         if math.gcd(*capped) != 1:
             capped = capped[:-1] + (capped[-1] + 1,)
-        inst = Instance(n=10, a=capped)
+        inst = Instance(a=capped)
         with pytest.raises(DomainError):
             decompose_frank_tardos(inst)
 
     def test_small_n_gate(self):
-        inst = Instance(n=2, a=(1 << 300, (1 << 300) + 1))
+        inst = Instance(a=(1 << 300, (1 << 300) + 1))
         with pytest.raises(DomainError):
             decompose_frank_tardos(inst)
 
@@ -95,10 +95,9 @@ class TestFrankTardos:
 class TestLllRows:
     def test_near_multiple_toy(self):
         # a close to 2^12 * (1, 2, 3, 4), coprime by the +1 offsets
-        n = 4
         scale0 = 1 << 12
         a = (scale0 + 1, 2 * scale0, 3 * scale0, 4 * scale0 + 1)
-        inst = Instance(n=n, a=a)
+        inst = Instance(a=a)
         dec = decompose_lll_rows(inst)
         assert dec.method is Method.LLL_ROWS
         assert dec.reconstruct_a() == tuple(Fraction(x) for x in a)
@@ -117,7 +116,7 @@ class TestLllRows:
 
     def test_density_gate(self):
         with pytest.raises(DomainError):
-            decompose_lll_rows(Instance(n=3, a=(2, 3, 5)))
+            decompose_lll_rows(Instance(a=(2, 3, 5)))
 
 
 def mixed_sign_reduction(monkeypatch):

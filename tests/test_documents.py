@@ -18,7 +18,7 @@ from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
 from sscert.oracle import infeasible_coverage_report
 
-TOY = Instance(n=3, a=(100, 101, 102), seed=7)
+TOY = Instance(a=(100, 101, 102), seed=7)
 TOY_SCALE = Fraction(101)
 TOY_RESIDUAL = (Fraction(-1), Fraction(0), Fraction(1))
 
@@ -84,20 +84,19 @@ class TestInstanceDocs:
         assert parsed == TOY and divisor == 1
         assert documents.serialize_instance(parsed) == text
 
-    def test_non_coprime_rejected_with_position(self):
-        text = documents.serialize_instance(TOY).replace(
-            '"100"', '"2"').replace('"101"', '"4"').replace('"102"', '"6"')
-        with pytest.raises(ParseError) as err:
-            documents.parse_instance(text)
-        assert "not coprime" in str(err.value)
-        assert "$.a" in str(err.value)
+    def test_gcd_divided_out(self):
+        # the document of 2a parses as the instance of a, with divisor 2
+        doc = json.loads(documents.serialize_instance(TOY))
+        doc["a"] = [str(2 * x) for x in TOY.a]
+        assert documents.parse_instance(json.dumps(doc)) == (TOY, 2)
 
-    def test_normalize_gcd(self):
-        text = documents.serialize_instance(TOY).replace(
-            '"100"', '"2"').replace('"101"', '"4"').replace('"102"', '"6"')
-        inst, divisor = documents.parse_instance(text, normalize_gcd=True)
-        assert divisor == 2
-        assert inst.a == (1, 2, 3)
+    def test_count_disagreeing_with_weights_rejected_with_position(self):
+        doc = json.loads(documents.serialize_instance(TOY))
+        doc["a"] = doc["a"][:2]
+        with pytest.raises(ParseError) as err:
+            documents.parse_instance(json.dumps(doc))
+        assert "expected 3 weights, got 2" in str(err.value)
+        assert "$.a" in str(err.value)
 
     def test_malformed_json_position(self):
         with pytest.raises(ParseError) as err:
@@ -117,7 +116,7 @@ class TestInstanceDocs:
             documents.parse_instance(forged)
 
     def test_seed_optional(self):
-        inst = Instance(n=2, a=(2, 3))
+        inst = Instance(a=(2, 3))
         text = documents.serialize_instance(inst)
         assert "seed" not in text
         assert documents.parse_instance(text)[0] == inst

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -46,18 +47,18 @@ class TestRng:
 class TestDensity:
     def test_exact_power_of_two_threshold(self):
         a = tuple(range(3, 12)) + (1 << 200,)
-        assert Instance(n=10, a=a).low_density is True
+        assert Instance(a=a).low_density is True
 
     def test_one_below_threshold_fails(self):
         a = tuple(range(3, 12)) + ((1 << 200) - 1,)
-        assert Instance(n=10, a=a).low_density is False
+        assert Instance(a=a).low_density is False
 
     def test_small_example(self):
-        assert Instance(n=3, a=(2, 3, 4)).low_density is False
+        assert Instance(a=(2, 3, 4)).low_density is False
 
     def test_all_ones_rejected(self):
         # log2(1) = 0: the density n / log2(max a) is unbounded
-        assert Instance(n=3, a=(1, 1, 1)).low_density is False
+        assert Instance(a=(1, 1, 1)).low_density is False
 
     def test_flag_agrees_with_bracket_when_it_decides(self):
         # libm log2 of a big int is good to ~4e-14 absolute here, so a
@@ -69,7 +70,7 @@ class TestDensity:
             a = tuple(rnd.randint(2, 1 << (2 * n * n + 2)) for _ in range(n))
             if math.gcd(*a) != 1:
                 continue
-            inst = Instance(n=n, a=a)
+            inst = Instance(a=a)
             log2_max = math.log2(max(a))
             if log2_max + 1e-9 < 2 * n * n:
                 assert not inst.low_density
@@ -115,13 +116,19 @@ class TestInstance:
 
     def test_invariants_enforced(self):
         with pytest.raises(DomainError):
-            Instance(n=3, a=(2, 4, 6))
+            Instance(a=(2, 4, 6))
         with pytest.raises(DomainError):
-            Instance(n=2, a=(0, 1))
+            Instance(a=(0, 1))
         with pytest.raises(DomainError):
-            Instance(n=3, a=(1, 2))
+            Instance(a=())
+
+    def test_weights_are_the_instance(self):
+        # n is counted from the weights, never stored beside them
+        assert [f.name for f in dataclasses.fields(Instance)] == ["a", "seed"]
+        assert Instance(a=[2, 3, 4]) == Instance(a=(2, 3, 4))
+        assert Instance(a=(2, 3, 4)).n == 3
 
     def test_norms_are_derived(self):
-        inst = Instance(n=3, a=(2, 3, 4))
+        inst = Instance(a=(2, 3, 4))
         assert inst.l1_norm == 9
         assert inst.linf_norm == 4
