@@ -7,10 +7,13 @@ no 0/1 solution exists. Each single-constraint LP is solved by a greedy
 fill over a v_i/a_i ratio order, which matches the LP vertex optimum.
 The order sorts exact integer keys: floor(v_i 2^S / a_i) with 2^S above
 the square of every weight, so distinct ratios get distinct keys. The
-order depends on (a, v) only, so the two equality LPs of the certifier
-bisect prefix sums prepared once per (a, v); the two inequality LPs of
-the verifier run the greedy fill itself, in integers, with one Fraction
-for the result.
+order depends on (a, v) only, so each side keeps it once per (a, v) in
+a small cache of its own: the two equality LPs of the certifier bisect
+the prefix sums of ``_prepared``, and the two inequality LPs of the
+verifier run the greedy fill itself, in integers, with one Fraction for
+the result, over the ascending order of ``_ascending``. The caches share
+nothing, so the verifier stays an independent re-check of the
+certifier rather than a second reading of its data.
 
 The same machinery yields, for each branching level k, a closed "bad"
 interval [min(a,k), max(a,k)] and an open "good" interval between
@@ -149,6 +152,18 @@ def _fill(order, cost, gain, budget) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=8)
+def _ascending(a: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The verifier's ascending v_i/a_i order of validated a, v.
+
+    Both one-sided LPs of a verify fill in this order, so a verify sorts
+    once for a new pair and not at all for a repeated one. Callers must
+    validate a and v first: Fraction and float entries hash equal to
+    ints. The certifier's ``_prepared`` neither reads nor fills it.
+    """
+    return tuple(_greedy_order(v, a, "min"))
+
+
+@lru_cache(maxsize=8)
 def _prepared(a: tuple[int, ...], v: tuple[int, ...]):
     """(coprime, ||a||_1, {sense: (order, A, V, place)}) of validated a, v.
 
@@ -209,8 +224,12 @@ def lp_extreme_ineq(
 ) -> Fraction:
     """max{a.x | v.x <= level} or min{a.x | v.x >= level} over the box.
 
-    DomainError for a max side below level 0 or a min side above
-    ||v||_1, which no x in the box attains.
+    Both sides fill in the ascending v_i/a_i order, which the verifier
+    keeps per (a, v) in its own cache, ``_ascending``, apart from the
+    certifier's ``_prepared``: a verify's two calls sort at most once,
+    and the check shares no data with what it checks. DomainError for a
+    max side below level 0 or a min side above ||v||_1, which no x in
+    the box attains.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -219,7 +238,7 @@ def lp_extreme_ineq(
         raise DomainError("max side needs level >= 0")
     if sense == "min" and level > sum(v):
         raise DomainError("min side needs level <= ||v||_1")
-    return _one_sided(a, v, _greedy_order(v, a, "min"), level, sense)
+    return _one_sided(a, v, _ascending(a, v), level, sense)
 
 
 def _one_sided(a, v, order, level, sense: Sense) -> Fraction:
@@ -349,7 +368,7 @@ def enumerate_intervals(
             f"level range of {(k_hi - k_lo).bit_length()} bits exceeds the cap "
             f"{ENUMERATION_CAP}; enumerate a partial window [k_lo, k_hi] instead"
         )
-    order = _greedy_order(v, a, "min")
+    order = _ascending(a, v)
     mins = [_one_sided(a, v, order, k, "min") for k in range(k_lo, k_hi + 1)]
     maxs = [_one_sided(a, v, order, k, "max") for k in range(k_lo, k_hi + 1)]
     for i in range(len(mins)):
@@ -386,7 +405,7 @@ def _bad_count(a, v) -> int:
     convex in k (M is concave) and symmetric about (||v||_1 - 1)/2, so its
     least value is at the centre; DomainError if it is not positive there.
     """
-    order = _greedy_order(v, a, "min")
+    order = _ascending(a, v)
     k = (sum(v) - 1) // 2
     if _one_sided(a, v, order, k + 1, "min") <= _one_sided(a, v, order, k, "max"):
         raise DomainError("consecutive levels overlap; decomposition hypotheses violated")

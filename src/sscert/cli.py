@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import documents
@@ -102,24 +103,22 @@ def _cmd_decompose(config: argparse.Namespace) -> int:
 
 
 def _cmd_certify(config: argparse.Namespace) -> int:
+    """Certify beta / g against a / g; every document names beta as asked.
+
+    The certificate's witnesses x satisfy (a / g).x = beta / g, so
+    a.x = beta, and v.x does not depend on g: its fields hold for a.
+    """
     beta = documents.parse_int(config.beta, "beta")
     inst, divisor = _load_instance(config)
     dec = _load_decomposition(config, inst)
-    if divisor != 1:
-        if beta % divisor != 0:
-            _emit(
-                documents.serialize_certify_status(
-                    CertifyStatus.TRIVIALLY_INFEASIBLE_GCD, beta
-                ),
-                config.output,
-            )
-            return EXIT_OK
-        beta //= divisor
-    result = certify(inst.a, dec.v, beta)
+    if beta % divisor != 0:
+        status = CertifyStatus.TRIVIALLY_INFEASIBLE_GCD
+        _emit(documents.serialize_certify_status(status, beta), config.output)
+        return EXIT_OK
+    result = certify(inst.a, dec.v, beta // divisor)
     if result.status is CertifyStatus.CERTIFIED:
-        _emit(
-            documents.serialize_certificate(result.certificate, dec.v), config.output
-        )
+        cert = replace(result.certificate, beta=beta)
+        _emit(documents.serialize_certificate(cert, dec.v), config.output)
         return EXIT_OK
     _emit(documents.serialize_certify_status(result.status, beta), config.output)
     if result.status is CertifyStatus.NO_CERTIFICATE:
@@ -128,13 +127,17 @@ def _cmd_certify(config: argparse.Namespace) -> int:
 
 
 def _cmd_verify(config: argparse.Namespace) -> int:
-    inst, _ = _load_instance(config)
+    """Check the certificate's beta against a: as beta / g against a / g."""
+    inst, divisor = _load_instance(config)
     try:
         cert, v = documents.parse_certificate(_read(config.certificate))
     except ParseError as exc:
         _diag(f"certificate rejected: {exc}")
         return EXIT_REJECTED
-    if verify_certificate(inst.a, v, cert):
+    if cert.beta % divisor != 0:
+        _diag(f"rejected: the weights' gcd {divisor} does not divide beta")
+        return EXIT_REJECTED
+    if verify_certificate(inst.a, v, replace(cert, beta=cert.beta // divisor)):
         _diag("verified")
         return EXIT_OK
     _diag("rejected")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .errors import DomainError, GenerationError
@@ -21,7 +22,8 @@ _RESAMPLE_CAP = 1000
 def validate_weights(a: Sequence[int]) -> tuple[int, ...]:
     """The weights as a tuple; DomainError unless all are integers >= 1."""
     weights = tuple(a)
-    if not weights or any(not isinstance(x, int) or x < 1 for x in weights):
+    # the type test runs first, so min() never compares mixed types
+    if not weights or not all(map(isinstance, weights, repeat(int))) or min(weights) < 1:
         raise DomainError("weights must be integers >= 1")
     return weights
 
@@ -31,9 +33,11 @@ def validate_direction(v: Sequence[int], n: int) -> tuple[int, ...]:
     v = tuple(v)
     if len(v) != n:
         raise DomainError("direction length differs from weight length")
-    if any(not isinstance(x, int) or x < 0 for x in v):
+    # the type test runs first, so min() never compares mixed types; an
+    # empty v skips min() and is all zero
+    if not all(map(isinstance, v, repeat(int))) or (v and min(v) < 0):
         raise DomainError("direction must be a nonnegative integer vector")
-    if max(v) == 0:
+    if not any(v):
         raise DomainError("direction must be nonzero")
     return v
 

@@ -276,3 +276,31 @@ def infeasible_coverage_brute(a, v):
         if floor(lp_eq_vertex(a, v, beta, "max")) < lp_eq_vertex(a, v, beta, "min"):
             certified += 1
     return infeasible, certified
+
+
+def validate_weights_gen(a):
+    """The weight check as one generator over the entries.
+
+    ValueError with the package's message where the package raises
+    DomainError.
+    """
+    weights = tuple(a)
+    if not weights or any(not isinstance(x, int) or x < 1 for x in weights):
+        raise ValueError("weights must be integers >= 1")
+    return weights
+
+
+def validate_direction_gen(v, n):
+    """The direction check as one generator over the entries.
+
+    ValueError with the package's message where the package raises
+    DomainError; an empty v reaches max() and raises its ValueError.
+    """
+    v = tuple(v)
+    if len(v) != n:
+        raise ValueError("direction length differs from weight length")
+    if any(not isinstance(x, int) or x < 0 for x in v):
+        raise ValueError("direction must be a nonnegative integer vector")
+    if max(v) == 0:
+        raise ValueError("direction must be nonzero")
+    return v

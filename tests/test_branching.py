@@ -24,6 +24,7 @@ from sscert.branching import (
     Certificate,
     CertifyResult,
     CertifyStatus,
+    _ascending,
     _bad_count,
     _greedy_order,
     _prepared,
@@ -392,28 +393,90 @@ class TestCertify:
                 assert not feasible(inst.a, beta).feasible
 
 
-class TestPreparedCache:
-    """The (a, v) data that certify prepares once must not change any answer."""
+class CacheContract:
+    """What a per-(a, v) cache must keep: every answer, refusal and bound.
+
+    A subclass names the cache, the answers it serves at each point of a
+    pair and their referee. The certifier's ``_prepared`` and the
+    verifier's ``_ascending`` keep the same contract.
+    """
 
     A, V = (3, 5, 7), (1, 2, 2)
 
     def test_validation_comes_before_the_cache(self):
         # Fraction and float entries hash equal to the cached ints
-        certify(self.A, self.V, 6)
+        for point in self.points(self.A, self.V):
+            self.answer(self.A, self.V, point)
         for convert in (Fraction, float):
             a, v = tuple(map(convert, self.A)), tuple(map(convert, self.V))
             for pair in ((a, self.V), (self.A, v)):
-                with pytest.raises(DomainError):
-                    certify(*pair, 6)
-                with pytest.raises(DomainError):
-                    lp_extreme_eq(*pair, 6, "min")
+                self.assert_refused(*pair)
 
     def test_lists_match_tuples(self):
-        for beta in range(-1, sum(self.A) + 2):
-            assert certify(list(self.A), list(self.V), beta) == certify(self.A, self.V, beta)
-        for beta, sense in product(range(sum(self.A) + 1), ("min", "max")):
-            got = lp_extreme_eq(list(self.A), list(self.V), beta, sense)
-            assert got == lp_extreme_eq(self.A, self.V, beta, sense)
+        for point in self.points(self.A, self.V):
+            got = self.answer(list(self.A), list(self.V), point)
+            assert got == self.answer(self.A, self.V, point), point
+
+    def test_interleaved_pairs(self):
+        # one pair shares a, another v, so each key part must count; the
+        # points span those of every pair and a little beyond
+        pairs = [(self.A, self.V), (self.A, (2, 1, 0)), ((4, 5, 7), self.V)]
+        for point in self.points((4, 5, 7), (2, 2, 2)):
+            for a, v in pairs:
+                assert self.answer(a, v, point) == self.referee(a, v, point), (a, v, point)
+
+    def test_is_bounded(self):
+        for k in range(20):
+            self.fill((k + 2, k + 3), (1, 1))
+        assert self.cache.cache_info().currsize <= 8
+
+    def test_memory_is_linear_in_n(self):
+        n = 2000
+        self.cache.cache_clear()
+        tracemalloc.start()
+        try:
+            self.fill(tuple(range(1, n + 1)), (1,) * n)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**21
+
+
+class TestPreparedCache(CacheContract):
+    """The (a, v) data that certify prepares once must not change any answer."""
+
+    cache = staticmethod(_prepared)
+
+    @staticmethod
+    def points(a, v):
+        return range(-1, sum(a) + 2)
+
+    @staticmethod
+    def answer(a, v, beta):
+        """certify, and both lp_extreme_eq sides where the relaxation is not empty."""
+        sides = None
+        if 0 <= beta <= sum(a):
+            sides = [lp_extreme_eq(a, v, beta, sense) for sense in ("min", "max")]
+        return certify(a, v, beta), sides
+
+    @staticmethod
+    def referee(a, v, beta):
+        sides = None
+        if 0 <= beta <= sum(a):
+            sides = [lp_eq_greedy(a, v, beta, sense) for sense in ("min", "max")]
+        return certify_by_greedy(a, v, beta), sides
+
+    @staticmethod
+    def assert_refused(a, v):
+        with pytest.raises(DomainError):
+            certify(a, v, 6)
+        with pytest.raises(DomainError):
+            lp_extreme_eq(a, v, 6, "min")
+
+    @staticmethod
+    def fill(a, v):
+        # at n = 2000 the n + 1 partial vertices themselves would hold 62 MiB
+        certify(a, v, len(a))
 
     def test_non_coprime_weights_stay_refused(self):
         lp_extreme_eq((2, 4, 6), (1, 1, 1), 5, "min")
@@ -421,29 +484,61 @@ class TestPreparedCache:
             with pytest.raises(DomainError, match="coprime"):
                 certify((2, 4, 6), (1, 1, 1), 5)
 
-    def test_interleaved_pairs(self):
-        # one pair shares a, another v, so each key part must count
-        pairs = [(self.A, self.V), (self.A, (2, 1, 0)), ((4, 5, 7), self.V)]
-        for beta in range(-1, 18):
-            for a, v in pairs:
-                assert certify(a, v, beta) == certify_by_greedy(a, v, beta), (a, v, beta)
+    def test_verify_leaves_it_alone(self):
+        # the verifier shares no data with the certifier
+        cert = certify((11, 13, 17), (1, 2, 3), 37).certificate
+        before = _prepared.cache_info()
+        assert verify_certificate((11, 13, 17), (1, 2, 3), cert) is True
+        assert _prepared.cache_info() == before
 
-    def test_is_bounded(self):
-        for k in range(20):
-            certify((k + 2, k + 3), (1, 1), 1)
-        assert _prepared.cache_info().currsize <= 8
 
-    def test_memory_is_linear_in_n(self):
-        # the n + 1 partial vertices themselves would hold 62 MiB at n = 2000
-        n = 2000
-        _prepared.cache_clear()
-        tracemalloc.start()
+class TestAscendingCache(CacheContract):
+    """The verifier's ascending order, kept once per (a, v), must not change any answer."""
+
+    cache = staticmethod(_ascending)
+
+    @staticmethod
+    def points(a, v):
+        return list(product(range(-1, sum(v) + 2), ("min", "max")))
+
+    @staticmethod
+    def answer(a, v, point):
+        """lp_extreme_ineq, or None where it refuses the level."""
         try:
-            certify(tuple(range(1, n + 1)), (1,) * n, n)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert held < 2**21
+            return lp_extreme_ineq(a, v, *point)
+        except DomainError:
+            return None
+
+    @staticmethod
+    def referee(a, v, point):
+        return lp_ineq_vertex(a, v, *point)
+
+    def assert_refused(self, a, v):
+        with pytest.raises(DomainError):
+            lp_extreme_ineq(a, v, 1, "max")
+        cert = certify(self.A, self.V, 11).certificate
+        assert verify_certificate(self.A, self.V, cert) is True
+        assert verify_certificate(a, v, cert) is False
+
+    @staticmethod
+    def fill(a, v):
+        lp_extreme_ineq(a, v, 1, "max")
+
+    def test_one_sort_per_pair(self):
+        # a verify sorts a new pair once, for both sides, and a repeated pair not at all
+        a, v = (31, 37, 41), (1, 2, 2)
+        cert = certify(a, v, 33).certificate
+        _ascending.cache_clear()
+        assert verify_certificate(a, v, cert) is True
+        assert verify_certificate(a, v, cert) is True
+        info = _ascending.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_certify_leaves_it_alone(self):
+        # the certifier shares no data with the verifier
+        before = _ascending.cache_info()
+        assert certify((19, 23, 29), (2, 1, 3), 63).status is CertifyStatus.CERTIFIED
+        assert _ascending.cache_info() == before
 
 
 class TestVerify:

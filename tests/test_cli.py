@@ -311,7 +311,8 @@ CERTIFIED_BETA = 6210704809787412867635402647213653485620103494156017967728800
 
 def test_non_coprime_instance_flow(tmp_path, capsys):
     # 3a goes through every command as a does: the gcd 3 is divided out
-    # of the weights, and out of beta where it divides beta
+    # of the weights, and out of beta where it divides beta; documents
+    # name beta as asked
     coprime = write_instance(tmp_path, 10, 1)
     doc = json.loads(open(coprime).read())
     doc["a"] = [str(3 * int(x)) for x in doc["a"]]
@@ -335,14 +336,25 @@ def test_non_coprime_instance_flow(tmp_path, capsys):
     certify_tripled = ["certify", "--instance", str(tripled),
                        "--decomposition", str(dec_path), "--beta"]
     cert = output(certify_tripled + [str(3 * CERTIFIED_BETA)])
-    assert cert == output([
+    coprime_cert = output([
         "certify", "--instance", coprime, "--decomposition", str(dec_path),
         "--beta", str(CERTIFIED_BETA),
     ])
+    # the certificate of a / g with beta as asked: a.x = g (a / g).x
+    assert json.loads(cert)["beta"] == str(3 * CERTIFIED_BETA)
+    assert cert == coprime_cert.replace(
+        f'"beta": "{CERTIFIED_BETA}"', f'"beta": "{3 * CERTIFIED_BETA}"'
+    )
     assert documents.document_kind(cert) == "certificate"
     cert_path = tmp_path / "certificate.json"
     cert_path.write_text(cert)
+    coprime_cert_path = tmp_path / "coprime_certificate.json"
+    coprime_cert_path.write_text(coprime_cert)
     output(["verify", "--instance", str(tripled), "--certificate", str(cert_path)])
+    # each certificate holds for its own instance only
+    for inst_path, path in ((coprime, cert_path), (tripled, coprime_cert_path)):
+        assert main(["verify", "--instance", str(inst_path), "--certificate", str(path)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
 
     beta = 3 * CERTIFIED_BETA + 1
     assert output(certify_tripled + [str(beta)]) == documents.serialize_certify_status(
@@ -361,6 +373,37 @@ def test_non_coprime_instance_flow(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(certify_tripled + [str(beta), "--normalize-gcd"])
     assert exit_info.value.code == 2
+
+
+def test_certificate_of_a_is_refused_for_its_multiple(toy_files, capsys):
+    # 300 and 250 are certified for (100, 101, 102); against (300, 303, 306)
+    # the claim 300 is false (x = (1, 0, 0)) and 250 is not a multiple of 3
+    tmp_path, inst_path, dec_path = toy_files
+    tripled = tmp_path / "tripled.json"
+    tripled.write_text(json.dumps({"kind": "instance", "n": 3, "a": ["300", "303", "306"]}))
+    # the tripled weights read as the toy instance with divisor 3
+    assert documents.parse_instance(tripled.read_text()) == (TOY, 3)
+    for beta in (300, 250):
+        cert_path = tmp_path / f"certificate_{beta}.json"
+        assert main([
+            "certify", "--instance", inst_path, "--decomposition", dec_path,
+            "--beta", str(beta), "-o", str(cert_path),
+        ]) == 0
+        assert json.loads(cert_path.read_text())["beta"] == str(beta)
+        assert main(["verify", "--instance", inst_path, "--certificate", str(cert_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--instance", str(tripled), "--certificate", str(cert_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("sscert: rejected")
+    # 3 * 300 is the claim about (300, 303, 306) that holds
+    cert_path = tmp_path / "certificate_900.json"
+    assert main([
+        "certify", "--instance", str(tripled), "--decomposition", dec_path,
+        "--beta", "900", "-o", str(cert_path),
+    ]) == 0
+    assert json.loads(cert_path.read_text())["beta"] == "900"
+    assert main(["verify", "--instance", str(tripled), "--certificate", str(cert_path)]) == 0
+    assert main(["verify", "--instance", inst_path, "--certificate", str(cert_path)]) == 1
 
 
 @pytest.mark.parametrize(

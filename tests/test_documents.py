@@ -189,6 +189,13 @@ class TestDecompositionDocs:
         with pytest.raises(ParseError, match="nonnegative"):
             documents.parse_decomposition(json.dumps(doc))
 
+    def test_empty_direction_rejected(self):
+        # an empty v is all zero: a document error, not an internal one
+        doc = json.loads(WARNINGS_KEY_DOCUMENT)
+        doc["v"], doc["r"], doc["provenance"]["dim"] = [], [], 0
+        with pytest.raises(ParseError, match="nonzero"):
+            documents.parse_decomposition(json.dumps(doc))
+
 
 class TestReductionProvenance:
     def text(self, **fields):

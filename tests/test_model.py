@@ -1,11 +1,14 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from oracles import validate_direction_gen, validate_weights_gen
 from sscert.errors import DomainError
-from sscert.model import Instance, generate_instance
+from sscert.model import Instance, generate_instance, validate_direction, validate_weights
 from sscert.rng import SplitMix64, mix64, substream_seed
 
 
@@ -132,3 +135,46 @@ class TestInstance:
         inst = Instance(a=(2, 3, 4))
         assert inst.l1_norm == 9
         assert inst.linf_norm == 4
+
+
+def verdict(check, args, refusal):
+    """("ok", result) or ("refused", message); any other exception propagates."""
+    try:
+        return "ok", check(*args)
+    except refusal as exc:
+        return "refused", str(exc)
+
+
+# every vector of up to three entries of every kind the checks meet: ints
+# in and out of range, bools, int-valued Fraction and float, str and None
+ENTRIES = [1, 2, 0, -1, True, False, Fraction(1), Fraction(1, 2), 1.0, "1", None]
+GRID = [x for k in range(4) for x in product(ENTRIES, repeat=k)]
+
+
+class TestValidators:
+    def test_weights_match_the_generator_form(self):
+        for a in GRID:
+            got = verdict(validate_weights, (a,), DomainError)
+            assert got == verdict(validate_weights_gen, (a,), ValueError), a
+            assert verdict(validate_weights, (list(a),), DomainError) == got, a
+
+    def test_direction_matches_the_generator_form(self):
+        for v in GRID[1:]:
+            for n in (len(v) - 1, len(v), len(v) + 1):
+                got = verdict(validate_direction, (v, n), DomainError)
+                assert got == verdict(validate_direction_gen, (v, n), ValueError), (v, n)
+
+    def test_type_is_checked_before_any_comparison(self):
+        # min() would raise TypeError comparing "1" or None with an int
+        for bad in ((-1, "1"), (0, "1"), (2, 0, None), ("1", -1)):
+            with pytest.raises(DomainError, match="integers >= 1"):
+                validate_weights(bad)
+            with pytest.raises(DomainError, match="nonnegative integer vector"):
+                validate_direction(bad, len(bad))
+
+    def test_empty_direction_is_refused(self):
+        # the generator form reached max(()) and raised its ValueError
+        with pytest.raises(ValueError, match="empty"):
+            validate_direction_gen((), 0)
+        with pytest.raises(DomainError, match="nonzero"):
+            validate_direction((), 0)
