@@ -15,6 +15,13 @@ the result, over the ascending order of ``_ascending``. The caches share
 nothing, so the verifier stays an independent re-check of the
 certifier rather than a second reading of its data.
 
+Every entry point checks a and v once, into the ``Weights`` and
+``Direction`` types of ``model``; a typed tuple passes any later check
+with one type test, so the entry points hand them to each other and to
+the caches, which only ever see checked vectors. The certifier and the
+verifier decide on the numerators and denominators of their LP values
+in integers.
+
 The same machinery yields, for each branching level k, a closed "bad"
 interval [min(a,k), max(a,k)] and an open "good" interval between
 consecutive levels; good intervals contain exactly the certified
@@ -42,7 +49,7 @@ from .errors import (
     RelaxationInfeasibleError,
 )
 from .intmath import l1_norm
-from .model import validate_direction, validate_weights
+from .model import Direction, Weights, validate_direction, validate_weights
 from .rng import SplitMix64
 
 Sense = Literal["min", "max"]
@@ -74,7 +81,17 @@ class Certificate:
     def __post_init__(self):
         object.__setattr__(self, "arg_min", tuple(self.arg_min))
         object.__setattr__(self, "arg_max", tuple(self.arg_max))
-        if not self.level < self.vmin <= self.vmax < self.level + 1:
+        level, lo, hi = self.level, self.vmin, self.vmax
+        if type(level) is int and type(lo) is type(hi) is Fraction:
+            # cross-multiplied: a Fraction's denominator is positive
+            holds = (
+                level * lo.denominator < lo.numerator
+                and lo.numerator * hi.denominator <= hi.numerator * lo.denominator
+                and hi.numerator < (level + 1) * hi.denominator
+            )
+        else:  # other numbers, compared exactly as they are
+            holds = level < lo <= hi < level + 1
+        if not holds:
             raise DomainError("certificate bounds must satisfy l < vmin <= vmax < l+1")
 
 
@@ -152,28 +169,30 @@ def _fill(order, cost, gain, budget) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=8)
-def _ascending(a: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """The verifier's ascending v_i/a_i order of validated a, v.
+def _ascending(a: Weights, v: Direction) -> tuple[tuple[int, ...], int, int]:
+    """The verifier's (ascending v_i/a_i order, ||a||_1, ||v||_1) of a, v.
 
     Both one-sided LPs of a verify fill in this order, so a verify sorts
-    once for a new pair and not at all for a repeated one. Callers must
-    validate a and v first: Fraction and float entries hash equal to
-    ints. The certifier's ``_prepared`` neither reads nor fills it.
+    and sums once for a new pair and not at all for a repeated one. The
+    types say a and v were checked: Fraction and float entries hash
+    equal to ints, so the cache must only see checked vectors. The
+    certifier's ``_prepared`` neither reads nor fills it.
     """
-    return tuple(_greedy_order(v, a, "min"))
+    return tuple(_greedy_order(v, a, "min")), sum(a), sum(v)
 
 
 @lru_cache(maxsize=8)
-def _prepared(a: tuple[int, ...], v: tuple[int, ...]):
-    """(coprime, ||a||_1, {sense: (order, A, V, place)}) of validated a, v.
+def _prepared(a: Weights, v: Direction):
+    """(coprime, ||a||_1, {sense: (order, A, V, place)}) of a, v.
 
     ``order`` is the greedy order of the sense, A and V the prefix sums
     of a and v in that order, and ``place`` turns a vertex listed in
     greedy order into one listed by index: entry i of its result is
     entry rank(i) of its argument, rank(i) being i's position in
     ``order``. One permutation stands in for the n + 1 partial 0/1
-    vertices, which would take n^2 memory. Callers must validate a and v
-    first: Fraction and float entries hash equal to ints.
+    vertices, which would take n^2 memory. The types say a and v were
+    checked: Fraction and float entries hash equal to ints, so the cache
+    must only see checked vectors.
     """
     n = len(a)
     sides = {}
@@ -236,23 +255,25 @@ def lp_extreme_ineq(
     _validate_sense(sense)
     if sense == "max" and level < 0:
         raise DomainError("max side needs level >= 0")
-    if sense == "min" and level > sum(v):
+    ascending = _ascending(a, v)
+    if sense == "min" and level > ascending[2]:
         raise DomainError("min side needs level <= ||v||_1")
-    return _one_sided(a, v, _ascending(a, v), level, sense)
+    return _one_sided(a, v, ascending, level, sense)
 
 
-def _one_sided(a, v, order, level, sense: Sense) -> Fraction:
-    """lp_extreme_ineq of validated a, v, in range, given their ascending order.
+def _one_sided(a, v, ascending, level, sense: Sense) -> Fraction:
+    """lp_extreme_ineq of checked a, v, in range, given their ``_ascending``.
 
     The max side fills by ascending v_i/a_i, so the coordinates with
     v_i = 0 come first at no cost. The min side is its complement
     y = e - x: min{a.x | v.x >= level} equals
     ||a||_1 - max{a.y | v.y <= ||v||_1 - level}.
     """
+    order, total_a, total_v = ascending
     if sense == "max":
         return Fraction(*_fill(order, v, a, level))
-    num, den = _fill(order, v, a, sum(v) - level)
-    return Fraction(sum(a) * den - num, den)
+    num, den = _fill(order, v, a, total_v - level)
+    return Fraction(total_a * den - num, den)
 
 
 def _validate_sense(sense: str) -> None:
@@ -274,7 +295,8 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     an int and the weights are coprime. Coprimality and ||a||_1 come
     from the data prepared once per (a, v), as do the greedy orders of
     the two lp_extreme_eq calls, so a repeated pair costs two bisections
-    and two exact divisions per beta.
+    and two exact divisions per beta. a and v are checked once, and the
+    typed tuples pass to both lp_extreme_eq calls.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -286,10 +308,12 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
         return CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, beta)
     vmin, arg_min = lp_extreme_eq(a, v, beta, "min")
     vmax, arg_max = lp_extreme_eq(a, v, beta, "max")
-    if math.floor(vmax) < vmin:
+    # floor(vmax) < vmin: vmin is not an integer, and floor(vmax) is its floor
+    level, frac = divmod(vmin.numerator, vmin.denominator)
+    if frac and vmax.numerator // vmax.denominator == level:
         cert = Certificate(
             beta=beta,
-            level=math.floor(vmin),
+            level=level,
             vmin=vmin,
             vmax=vmax,
             arg_min=arg_min,
@@ -303,22 +327,25 @@ def verify_certificate(a: Sequence[int], v: Sequence[int], cert: Certificate) ->
     """Independent check: max(a, level) < beta < min(a, level + 1).
 
     Recomputes both one-sided LPs and never consults the certificate's
-    own vmin/vmax or witnesses; any malformed input yields False. The
-    two lp_extreme_ineq calls validate a and v and refuse a level
-    outside [0, ||v||_1), so their DomainError is the rejection.
+    own vmin/vmax or witnesses; any malformed input yields False. a and
+    v are checked once, and the two lp_extreme_ineq calls refuse a level
+    outside [0, ||v||_1), so a DomainError of either is the rejection.
+    Both comparisons cross-multiply by the LP values' denominators.
     """
     level = cert.level
     beta = cert.beta
     if not isinstance(level, int) or not isinstance(beta, int):
         return False
     try:
-        return (
-            lp_extreme_ineq(a, v, level, "max")
-            < beta
-            < lp_extreme_ineq(a, v, level + 1, "min")
-        )
+        a = validate_weights(a)
+        v = validate_direction(v, len(a))
+        hi = lp_extreme_ineq(a, v, level, "max")
+        if not hi.numerator < beta * hi.denominator:
+            return False
+        lo = lp_extreme_ineq(a, v, level + 1, "min")
     except DomainError:
         return False
+    return beta * lo.denominator < lo.numerator
 
 
 def witnesses_consistent(
@@ -358,7 +385,8 @@ def enumerate_intervals(
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    ve = sum(v)
+    ascending = _ascending(a, v)
+    ve = ascending[2]
     if k_hi is None:
         k_hi = ve
     if not 0 <= k_lo <= k_hi <= ve:
@@ -368,9 +396,8 @@ def enumerate_intervals(
             f"level range of {(k_hi - k_lo).bit_length()} bits exceeds the cap "
             f"{ENUMERATION_CAP}; enumerate a partial window [k_lo, k_hi] instead"
         )
-    order = _ascending(a, v)
-    mins = [_one_sided(a, v, order, k, "min") for k in range(k_lo, k_hi + 1)]
-    maxs = [_one_sided(a, v, order, k, "max") for k in range(k_lo, k_hi + 1)]
+    mins = [_one_sided(a, v, ascending, k, "min") for k in range(k_lo, k_hi + 1)]
+    maxs = [_one_sided(a, v, ascending, k, "max") for k in range(k_lo, k_hi + 1)]
     for i in range(len(mins)):
         if mins[i] > maxs[i]:
             raise InvariantViolation("bad interval endpoints out of order")
@@ -405,21 +432,24 @@ def _bad_count(a, v) -> int:
     convex in k (M is concave) and symmetric about (||v||_1 - 1)/2, so its
     least value is at the centre; DomainError if it is not positive there.
     """
-    order = _ascending(a, v)
-    k = (sum(v) - 1) // 2
-    if _one_sided(a, v, order, k + 1, "min") <= _one_sided(a, v, order, k, "max"):
+    ascending = _ascending(a, v)
+    order, total, total_v = ascending
+    k = (total_v - 1) // 2
+    if _one_sided(a, v, ascending, k + 1, "min") <= _one_sided(a, v, ascending, k, "max"):
         raise DomainError("consecutive levels overlap; decomposition hypotheses violated")
-    total, done = sum(a), 0
+    done = 0
     floors = total
     for i in order:
         floors += v[i] * done
         floors += ((a[i] - 1) * (v[i] - 1) + math.gcd(a[i], v[i]) - 1) // 2
         done += a[i]
-    return 2 * floors - (sum(v) + 1) * (total - 1)
+    return 2 * floors - (total_v + 1) * (total - 1)
 
 
 def _classify_chunk(args) -> tuple[int, int]:
     a, v, betas = args
+    a = validate_weights(a)
+    v = validate_direction(v, len(a))
     certified = 0
     for beta in betas:
         if certify(a, v, beta).status is CertifyStatus.CERTIFIED:

@@ -28,7 +28,7 @@ from .diophantine import ApproxResult, choose_precision, dioph_approx
 from .errors import CapacityError, DomainError, InvariantViolation
 from .intmath import dot, l1_norm, norm_sq
 from .lll import Basis, ReductionStats, lll_reduce
-from .model import Instance, validate_direction
+from .model import Direction, Instance, validate_direction
 
 # beyond these dimensions the exact reduction runs for minutes
 FRANK_TARDOS_MAX_N = 16
@@ -52,7 +52,7 @@ class BoundCheck:
 class Decomposition:
     """Direction v >= 0, v != 0, exact scale and residual: a = scale * v + residual."""
 
-    v: tuple[int, ...]
+    v: Direction
     scale: Fraction
     residual: tuple[Fraction, ...]
     method: Method

@@ -4,6 +4,11 @@ Instances carry positive coprime integer weights. An instance is "low
 density" for the branching pipeline when its density n / log2(max a_i)
 is at most 1/(2n), which is decided by the exact integer comparison
 max(a) >= 2^(2 n^2) (``Instance.low_density``).
+
+A checked weight vector is a ``Weights`` and a checked direction a
+``Direction``: each is a tuple built only through its check, so a
+function that receives one only tests its type. Slicing or adding them
+gives plain tuples, and pickle and copy rebuild them through the check.
 """
 
 from __future__ import annotations
@@ -19,34 +24,71 @@ from .rng import SplitMix64, substream_seed
 _RESAMPLE_CAP = 1000
 
 
-def validate_weights(a: Sequence[int]) -> tuple[int, ...]:
-    """The weights as a tuple; DomainError unless all are integers >= 1."""
-    weights = tuple(a)
-    # the type test runs first, so min() never compares mixed types
-    if not weights or not all(map(isinstance, weights, repeat(int))) or min(weights) < 1:
-        raise DomainError("weights must be integers >= 1")
-    return weights
+class Weights(tuple):
+    """Weights that passed the check: a nonempty tuple of integers >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, a):
+        if type(a) is cls:
+            return a
+        weights = tuple.__new__(cls, a)
+        # the type test runs first, so min() never compares mixed types
+        if not weights or not all(map(isinstance, weights, repeat(int))) or min(weights) < 1:
+            raise DomainError("weights must be integers >= 1")
+        return weights
+
+    def __reduce__(self):
+        # pickle protocols 0 and 1 would rebuild the tuple without __new__
+        return Weights, (tuple(self),)
 
 
-def validate_direction(v: Sequence[int], n: int) -> tuple[int, ...]:
-    """The direction as a tuple; DomainError unless n integers >= 0, not all 0."""
-    v = tuple(v)
-    if len(v) != n:
-        raise DomainError("direction length differs from weight length")
-    # the type test runs first, so min() never compares mixed types; an
-    # empty v skips min() and is all zero
-    if not all(map(isinstance, v, repeat(int))) or (v and min(v) < 0):
-        raise DomainError("direction must be a nonnegative integer vector")
-    if not any(v):
-        raise DomainError("direction must be nonzero")
-    return v
+class Direction(tuple):
+    """A direction that passed the check: integers >= 0, not all 0.
+
+    Its length is checked against the weights by ``validate_direction``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, v):
+        if type(v) is cls:
+            return v
+        v = tuple.__new__(cls, v)
+        # the type test runs first, so min() never compares mixed types; an
+        # empty v skips min() and is all zero
+        if not all(map(isinstance, v, repeat(int))) or (v and min(v) < 0):
+            raise DomainError("direction must be a nonnegative integer vector")
+        if not any(v):
+            raise DomainError("direction must be nonzero")
+        return v
+
+    def __reduce__(self):
+        # pickle protocols 0 and 1 would rebuild the tuple without __new__
+        return Direction, (tuple(self),)
+
+
+def validate_weights(a: Sequence[int]) -> Weights:
+    """The weights as Weights; DomainError unless all are integers >= 1."""
+    return a if type(a) is Weights else Weights(a)
+
+
+def validate_direction(v: Sequence[int], n: int) -> Direction:
+    """The direction as a Direction; DomainError unless n integers >= 0, not all 0."""
+    if type(v) is not Direction:
+        v = tuple(v)
+        if len(v) == n:
+            return Direction(v)
+    elif len(v) == n:
+        return v
+    raise DomainError("direction length differs from weight length")
 
 
 @dataclass(frozen=True, slots=True)
 class Instance:
     """Subset sum weights: positive coprime integers ``a``, ``n`` of them."""
 
-    a: tuple[int, ...]
+    a: Weights
     seed: int | None = None
 
     def __post_init__(self):

@@ -143,6 +143,7 @@ def infeasible_coverage_report(
         raise DomainError("sampled mode needs sample_size >= 1")
     if seed is None:
         raise DomainError("sampled mode needs a seed")
+    v = validate_direction(v, n)  # once, not in every certify call
     rng = SplitMix64(seed)
     total = sum(a)
     infeasible = 0

@@ -233,6 +233,11 @@ def lp_ineq_vertex(a, v, level, sense):
     return max(values) if sense == "max" else min(values)
 
 
+def certificate_bounds_hold(level, vmin, vmax):
+    """level < vmin <= vmax < level + 1, as one chain of Fraction comparisons."""
+    return Fraction(level) < Fraction(vmin) <= Fraction(vmax) < Fraction(level) + 1
+
+
 def subset_feasible_naive(a, beta):
     """Subset sum decision by full 0/1 enumeration."""
     for x in product((0, 1), repeat=len(a)):

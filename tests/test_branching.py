@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from oracles import (
+    certificate_bounds_hold,
     count_integers_in_bad,
     greedy_order_cmp,
     lp_eq_greedy,
@@ -42,7 +43,7 @@ from sscert.errors import (
     DomainError,
     RelaxationInfeasibleError,
 )
-from sscert.model import generate_instance
+from sscert.model import Direction, Weights, generate_instance
 from sscert.rng import SplitMix64
 
 TOY_A = (100, 101, 102)
@@ -343,6 +344,29 @@ class TestCertify:
         for beta in betas:
             assert certify(inst.a, v, beta) == certify_by_greedy(inst.a, v, beta), beta
 
+    def test_bisected_item_without_weight_in_v(self):
+        # the min side bisects the v_i = 0 item: a remainder, yet vmin = 0 is
+        # an integer, so a decision on the remainder alone would certify
+        assert lp_extreme_eq((2, 3), (0, 1), 1, "min")[0] == 0
+        assert lp_extreme_eq((2, 3), (0, 1), 1, "max")[0] == Fraction(1, 3)
+        result = certify((2, 3), (0, 1), 1)
+        assert result == CertifyResult(CertifyStatus.NO_CERTIFICATE, 1)
+
+    def test_integer_decision_exhaustive_small(self):
+        # status, level and the whole certificate, against the Fraction floors
+        certified = 0
+        for a, v in exhaustive_small_instances():
+            if math.gcd(*a) != 1:
+                continue
+            for beta in range(-1, sum(a) + 2):
+                got, want = certify(a, v, beta), certify_by_greedy(a, v, beta)
+                assert got.status is want.status, (a, v, beta)
+                if got.certificate is not None:
+                    assert got.certificate.level == want.certificate.level
+                    certified += 1
+                assert got == want, (a, v, beta)
+        assert certified > 200
+
     def test_soundness_exhaustive_small(self):
         rnd = random.Random(44)
         for _ in range(25):
@@ -404,11 +428,13 @@ class CacheContract:
     A, V = (3, 5, 7), (1, 2, 2)
 
     def test_validation_comes_before_the_cache(self):
-        # Fraction and float entries hash equal to the cached ints
+        # Fraction and float entries hash equal to the cached ints, and their
+        # tuples equal the cached typed tuples
         for point in self.points(self.A, self.V):
             self.answer(self.A, self.V, point)
-        for convert in (Fraction, float):
-            a, v = tuple(map(convert, self.A)), tuple(map(convert, self.V))
+        for convert, container in product((Fraction, float), (tuple, list)):
+            a, v = container(map(convert, self.A)), container(map(convert, self.V))
+            assert tuple(a) == Weights(self.A) and tuple(v) == Direction(self.V)
             for pair in ((a, self.V), (self.A, v)):
                 self.assert_refused(*pair)
 
@@ -534,11 +560,63 @@ class TestAscendingCache(CacheContract):
         info = _ascending.cache_info()
         assert (info.misses, info.hits) == (1, 3)
 
+    def test_holds_the_norms_beside_the_order(self):
+        a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
+        assert _ascending(a, v) == ((0, 2, 1), 109, 5)
+
     def test_certify_leaves_it_alone(self):
         # the certifier shares no data with the verifier
         before = _ascending.cache_info()
         assert certify((19, 23, 29), (2, 1, 3), 63).status is CertifyStatus.CERTIFIED
         assert _ascending.cache_info() == before
+
+
+class TestCertificateBounds:
+    """The certificate's integer bound check against the Fraction chain."""
+
+    @staticmethod
+    def builds(level, vmin, vmax):
+        try:
+            Certificate(beta=0, level=level, vmin=vmin, vmax=vmax, arg_min=(), arg_max=())
+        except DomainError:
+            return False
+        return True
+
+    def test_named_edges(self):
+        F = Fraction
+        cases = [
+            (0, F(0), F(1, 2), False),  # vmin = level
+            (0, F(1, 2), F(1), False),  # vmax = level + 1
+            (0, F(2, 3), F(1, 3), False),  # vmin > vmax
+            (0, F(1, 2), F(1, 2), True),
+            (-2, F(-3, 2), F(-4, 3), True),  # negative level
+            (-2, F(-5, 2), F(-3, 2), False),
+            (1, F(1), F(2), False),  # integer endpoints
+            (1, F(3, 2), F(2), False),
+        ]
+        for level, vmin, vmax, holds in cases:
+            assert certificate_bounds_hold(level, vmin, vmax) is holds
+            assert self.builds(level, vmin, vmax) is holds, (level, vmin, vmax)
+
+    def test_grid_matches_the_fraction_chain(self):
+        values = sorted({Fraction(p, q) for q in (1, 2, 3, 5) for p in range(-9, 10)})
+        held = 0
+        for level in range(-3, 3):
+            for vmin, vmax in product(values, repeat=2):
+                holds = certificate_bounds_hold(level, vmin, vmax)
+                assert self.builds(level, vmin, vmax) is holds, (level, vmin, vmax)
+                held += holds
+        assert held > 100
+
+    def test_other_numbers_compare_exactly(self):
+        # no float rounding or overflow: denominators past the float range
+        d = 1 << 1100
+        lo, hi = Fraction(d + 1, d), Fraction(d + 2, d)
+        for level in (1, 1.0, Fraction(1), True):
+            assert self.builds(level, lo, hi)
+            assert not self.builds(level, Fraction(1), hi)
+        assert self.builds(0, 0.5, Fraction(3, 4)) and self.builds(0, 0.25, 0.5)
+        assert not self.builds(0.5, Fraction(1, 2), Fraction(3, 4))
 
 
 class TestVerify:
@@ -607,6 +685,24 @@ class TestVerify:
             assert verify_certificate(TOY_A, TOY_V, replace(cert, level=level)) is False
         for beta in (Fraction(150), 150.0, Fraction(301, 2)):
             assert verify_certificate(TOY_A, TOY_V, replace(cert, beta=beta)) is False
+
+    def test_endpoints_are_rejected_exhaustive_small(self):
+        # beta = max(a, l) or min(a, l + 1) is rejected; the chain decides the rest
+        endpoints = 0
+        for a, v in exhaustive_small_instances():
+            for level in range(sum(v)):
+                hi = lp_ineq_vertex(a, v, level, "max")
+                lo = lp_ineq_vertex(a, v, level + 1, "min")
+                for beta in range(math.floor(hi) - 1, math.ceil(lo) + 2):
+                    forged = Certificate(
+                        beta=beta, level=level,
+                        vmin=level + Fraction(1, 3), vmax=level + Fraction(2, 3),
+                        arg_min=(), arg_max=(),
+                    )
+                    accepted = verify_certificate(a, v, forged)
+                    assert accepted is (hi < beta < lo), (a, v, level, beta)
+                    endpoints += beta in (hi, lo)
+        assert endpoints > 1000
 
     def test_agrees_with_certify_everywhere(self):
         rnd = random.Random(45)

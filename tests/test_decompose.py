@@ -16,7 +16,7 @@ from sscert.decompose import (
 from sscert.errors import CapacityError, DomainError
 from sscert.intmath import l1_norm, norm_sq
 from sscert.lll import lll_reduce
-from sscert.model import Instance, generate_instance
+from sscert.model import Direction, Instance, generate_instance
 
 
 def remark_family(m):
@@ -197,6 +197,18 @@ class TestDecompositionInvariants:
                 method=Method.FRANK_TARDOS,
                 provenance=None,
             )
+
+    def test_direction_is_held_checked(self):
+        dec = Decomposition(
+            v=[1, 2],
+            scale=Fraction(5),
+            residual=(Fraction(0), Fraction(0)),
+            method=Method.LLL_ROWS,
+            provenance=None,
+        )
+        assert type(dec.v) is Direction and dec.v == (1, 2)
+        with pytest.raises(DomainError, match="length"):
+            dataclasses.replace(dec, v=Direction((1, 2, 3)))
 
 
 class TestParallelism:

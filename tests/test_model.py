@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,7 +10,14 @@ import pytest
 
 from oracles import validate_direction_gen, validate_weights_gen
 from sscert.errors import DomainError
-from sscert.model import Instance, generate_instance, validate_direction, validate_weights
+from sscert.model import (
+    Direction,
+    Instance,
+    Weights,
+    generate_instance,
+    validate_direction,
+    validate_weights,
+)
 from sscert.rng import SplitMix64, mix64, substream_seed
 
 
@@ -164,6 +173,17 @@ class TestValidators:
                 got = verdict(validate_direction, (v, n), DomainError)
                 assert got == verdict(validate_direction_gen, (v, n), ValueError), (v, n)
 
+    def test_types_match_the_validators(self):
+        # the type constructors are the checks; the direction's length is
+        # the validator's alone
+        for x in GRID:
+            got = verdict(Weights, (x,), DomainError)
+            assert got == verdict(validate_weights, (x,), DomainError), x
+            assert got[0] != "ok" or type(got[1]) is Weights
+            got = verdict(Direction, (x,), DomainError)
+            assert got == verdict(validate_direction, (x, len(x)), DomainError), x
+            assert got[0] != "ok" or type(got[1]) is Direction
+
     def test_type_is_checked_before_any_comparison(self):
         # min() would raise TypeError comparing "1" or None with an int
         for bad in ((-1, "1"), (0, "1"), (2, 0, None), ("1", -1)):
@@ -178,3 +198,60 @@ class TestValidators:
             validate_direction_gen((), 0)
         with pytest.raises(DomainError, match="nonzero"):
             validate_direction((), 0)
+
+
+class _Edited:
+    """Pickles as a call of ``cls`` on entries that no check has seen."""
+
+    def __init__(self, cls, entries):
+        self.cls, self.entries = cls, entries
+
+    def __reduce__(self):
+        return self.cls, (self.entries,)
+
+
+class TestCheckedTypes:
+    W, D = (3, 5, 10**30), (0, 1, 10**30)
+
+    def test_typed_tuples_pass_unchanged(self):
+        w, d = Weights(self.W), Direction(self.D)
+        assert Weights(w) is w and validate_weights(w) is w
+        assert Direction(d) is d and validate_direction(d, 3) is d
+        assert w == self.W and d == self.D and hash(w) == hash(self.W)
+        # a typed direction still has its length checked
+        with pytest.raises(DomainError, match="length"):
+            validate_direction(d, 2)
+
+    def test_lists_and_plain_tuples_are_checked_into_the_type(self):
+        for x in (self.W, list(self.W), iter(self.W)):
+            assert type(validate_weights(x)) is Weights
+        for x in (self.D, list(self.D), iter(self.D)):
+            assert type(validate_direction(x, 3)) is Direction
+
+    def test_slices_and_sums_are_plain_tuples(self):
+        for typed in (Weights(self.W), Direction(self.D)):
+            for part in (typed[:], typed[1:], typed[::-1], typed + (1,), (1,) + typed, typed * 2):
+                assert type(part) is tuple, part
+
+    def test_holders_keep_the_types(self):
+        inst = Instance(a=[2, 3, 4])
+        assert type(inst.a) is Weights
+        assert type(dataclasses.replace(inst, a=(5, 7)).a) is Weights
+
+    def test_pickle_and_copies_check_again(self):
+        for cls, entries in ((Weights, self.W), (Direction, self.D)):
+            typed = cls(entries)
+            # every protocol rebuilds through the type, which runs the check
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(typed, protocol))
+                assert type(back) is cls and back == typed, protocol
+                edited = pickle.dumps(_Edited(cls, entries[:2] + (Fraction(7),)), protocol)
+                assert b"_Edited" not in edited
+                with pytest.raises(DomainError):
+                    pickle.loads(edited)
+            for clone in (copy.copy(typed), copy.deepcopy(typed)):
+                assert type(clone) is cls and clone == typed
+            # a deepcopy whose memo swaps an entry for a Fraction is refused
+            big = entries[2]
+            with pytest.raises(DomainError):
+                copy.deepcopy(typed, {id(big): Fraction(big)})
