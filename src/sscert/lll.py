@@ -1,11 +1,6 @@
-"""Exact integer LLL reduction with unimodular transform tracking.
+"""Integer LLL reduction with unimodular transform tracking.
 
-The reduction runs in the all-integer kernel of ``_lll_py`` on integer
-columns, always at the Lovasz constant 3/4. Callers with rational data
-scale it to integers first, which leaves the reduction decisions and
-the transform U unchanged.
-
-The basis is fed to the kernel one precision level at a time
+The basis is fed to the reduction one precision level at a time
 (gradual feeding: van Hoeij & Novocin, "Gradual sub-lattice
 reduction", LATIN 2010; Novocin, Stehle & Villard, STOC 2011). For
 shifts s from the top bit length down to 0 in steps of
@@ -13,15 +8,27 @@ FEED_STEP_BITS, every entry x is truncated to sign(x) * (|x| >> s),
 a nonzero entry that would vanish kept as +-1 (for the diophantine
 lattice this is its small corner entry); the truncated basis times
 the transform accumulated so far is reduced, and its transform is
-composed onto the accumulated one. A level whose truncated columns
-are dependent is skipped. Each level starts from a basis the previous
-ones left almost reduced, so the expensive swaps happen on small
-numbers. One exact kernel pass on the full basis times the
-accumulated transform finishes, so the output is exactly LLL-reduced
-whatever the levels did; U and U^-1 are the composed transforms, and
-the stats sum the swaps and size reductions of every pass. Size
-reduction and the Lovasz condition are checked once, on the integer
-Gram data of that pass.
+composed onto the accumulated one. Each level starts from a basis the
+previous ones left almost reduced, so the expensive swaps happen on
+small numbers.
+
+A truncated level (s > 0) whose entries reach FLOAT_BITS_PER_DIM bits
+per column goes to the float-guided kernel of ``_lll_fp``, which keeps
+the basis and the transforms exact and takes each step from double
+Gram-Schmidt data only when its error bound proves the step is the
+exact kernel's; it refuses the level otherwise. Smaller levels, where
+the exact kernel's integers are short, and refused ones go to the
+all-integer kernel of ``_lll_py``. A level whose truncated columns are
+dependent is skipped. Either kernel leaves the same basis and
+transform, so the output does not depend on which one ran.
+
+One exact kernel pass on the full basis times the accumulated
+transform finishes, so the output is exactly LLL-reduced whatever the
+levels did: size reduction and the Lovasz condition at 3/4 are
+checked once, on the integer Gram data of that pass, and the result
+must equal the input times U, with U . U^-1 the identity. U and U^-1
+are the composed transforms, and the stats sum the swaps and size
+reductions of every pass.
 
 Column convention throughout: the lattice is the set of integer
 combinations of the basis columns, and ``reduced = input . U``.
@@ -32,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
+from . import _lll_fp
 from . import _lll_py as _kernel
 from .errors import DomainError, InvariantViolation, RankError
 
@@ -42,6 +50,9 @@ def kernel_name() -> str:
 
 
 FEED_STEP_BITS = 64
+# a truncated level goes to the float-guided kernel when its entries reach
+# this many bits per column; below it the exact kernel is faster
+FLOAT_BITS_PER_DIM = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,16 +123,21 @@ def lll_reduce(basis: Basis) -> ReducedBasis:
     u = [[1 if r == j else 0 for r in range(d)] for j in range(d)]
     uinv = [list(col) for col in u]
     swaps = reductions = 0
-    top = max(abs(x).bit_length() for col in cols for x in col)
+    top = _bits(cols)
     for shift in [*range(top - FEED_STEP_BITS, 0, -FEED_STEP_BITS), 0]:
-        try:
-            b, lu, luinv, lam, dvec, s, r = _kernel.lll_reduce_ints(
-                _mul(_truncate(cols, shift), u)
-            )
-        except ValueError as exc:
-            if shift == 0:
-                raise RankError(str(exc)) from None
-            continue  # the truncated columns are dependent: skip the level
+        level = _mul(_truncate(cols, shift), u)
+        guided = None
+        if shift and _bits(level) >= FLOAT_BITS_PER_DIM * d:
+            guided = _lll_fp.lll_reduce_fp(level)
+        if guided is not None:
+            _, lu, luinv, s, r = guided
+        else:
+            try:
+                b, lu, luinv, lam, dvec, s, r = _kernel.lll_reduce_ints(level)
+            except ValueError as exc:
+                if shift == 0:
+                    raise RankError(str(exc)) from None
+                continue  # the truncated columns are dependent: skip the level
         u, uinv = _mul(u, lu), _mul(uinv, luinv)
         swaps += s
         reductions += r
@@ -134,6 +150,10 @@ def lll_reduce(basis: Basis) -> ReducedBasis:
         U_inv=tuple(tuple(row) for row in uinv),
         stats=ReductionStats(dim=d, swaps=swaps, size_reductions=reductions),
     )
+
+
+def _bits(cols):
+    return max(abs(x).bit_length() for col in cols for x in col)
 
 
 def _truncate(cols, shift):

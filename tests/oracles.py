@@ -309,3 +309,43 @@ def validate_direction_gen(v, n):
     if max(v) == 0:
         raise ValueError("direction must be nonzero")
     return v
+
+
+def fed_reduce_exact(cols, reduce_ints, step=64):
+    """The fed LLL reduction with every level in the exact kernel ``reduce_ints``.
+
+    The levels truncate each entry x to sign(x) * (|x| >> s), a nonzero
+    entry kept as +-1, for s from the top bit length down to 0 in steps
+    of ``step``; each is reduced times the transform so far, and a level
+    the kernel finds dependent (ValueError) is skipped. Returns
+    ``(levels, b, U, U_inv, swaps, reductions)``: the level inputs, the
+    last pass's basis, U and U^-1 as lists of rows, and the summed counts.
+    """
+    d = len(cols)
+    u = [[int(i == j) for j in range(d)] for i in range(d)]  # rows
+    uinv = [row[:] for row in u]
+    swaps = reductions = 0
+    levels = []
+
+    def mat(x, y):
+        return [[sum(x[i][t] * y[t][j] for t in range(len(y))) for j in range(len(y[0]))]
+                for i in range(len(x))]
+
+    top = max(abs(x).bit_length() for col in cols for x in col)
+    for shift in [*range(top - step, 0, -step), 0]:
+        trunc = [[(-1 if x < 0 else 1) * ((abs(x) >> shift) or (1 if x else 0)) for x in col]
+                 for col in cols]
+        # columns of trunc . U
+        level = [list(col) for col in zip(*mat([list(r) for r in zip(*trunc)], u))]
+        levels.append(level)
+        try:
+            b, lu, luinv, _, _, s, r = reduce_ints(level)
+        except ValueError:
+            if shift == 0:
+                raise
+            continue
+        u = mat(u, [list(r) for r in zip(*lu)])
+        uinv = mat(luinv, uinv)
+        swaps += s
+        reductions += r
+    return levels, b, u, uinv, swaps, reductions

@@ -8,12 +8,14 @@ import pytest
 
 from oracles import (
     box_min_norm_sq,
+    fed_reduce_exact,
     gram_det,
+    gso,
     invert_matrix,
     is_reduced,
     svp_min_norm_sq,
 )
-from sscert import _lll_py, documents, lll
+from sscert import _lll_fp, _lll_py, documents, lll
 from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
 from sscert.diophantine import build_approx_lattice, choose_precision, corner_exponent
 from sscert.errors import DomainError, InvariantViolation, RankError
@@ -141,6 +143,12 @@ def mixed_size_basis(rnd, d):
             return cols
 
 
+def mixed_size_bases():
+    """16 mixed-size bases of 1 to 8 columns."""
+    rnd = random.Random(15)
+    return [mixed_size_basis(rnd, rnd.randint(1, 8)) for _ in range(16)]
+
+
 def knapsack_lattice(a):
     n = len(a)
     return Basis(
@@ -171,57 +179,85 @@ def assert_fed_matches_plain(basis):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Swap and size-reduction counts of each kernel call, None if it raised."""
+    """Each level's kernel, with its swap and size-reduction counts.
+
+    One ``(kernel, counts)`` entry per kernel call, kernel "float" or
+    "exact"; counts is None when the float kernel refused the level or
+    the exact kernel raised.
+    """
     calls = []
-    kernel = lll._kernel
+    kernel, guided = lll._kernel, lll._lll_fp
 
     def recording(cols):
         try:
             result = kernel.lll_reduce_ints(cols)
         except ValueError:
-            calls.append(None)
+            calls.append(("exact", None))
             raise
-        calls.append(result[5:])
+        calls.append(("exact", result[5:]))
+        return result
+
+    def recording_fp(cols):
+        result = guided.lll_reduce_fp(cols)
+        calls.append(("float", result and result[3:]))
         return result
 
     monkeypatch.setattr(
         lll, "_kernel",
         SimpleNamespace(KERNEL_NAME=kernel.KERNEL_NAME, lll_reduce_ints=recording),
     )
+    monkeypatch.setattr(lll, "_lll_fp", SimpleNamespace(lll_reduce_fp=recording_fp))
     return calls
 
 
 def assert_stats_sum_levels(fed, calls):
-    done = [c for c in calls if c is not None]
+    done = [counts for _, counts in calls if counts is not None]
     assert fed.stats.swaps == sum(c[0] for c in done)
     assert fed.stats.size_reductions == sum(c[1] for c in done)
 
 
+def assert_matches_referee(basis):
+    """lll_reduce against the fed reduction with every level exact."""
+    fed = lll_reduce(basis)
+    _, b, u, uinv, swaps, reductions = fed_reduce_exact(basis.cols, _lll_py.lll_reduce_ints)
+    assert fed.basis.cols == tuple(map(tuple, b))
+    assert fed.U == tuple(map(tuple, u))
+    assert fed.U_inv == tuple(map(tuple, uinv))
+    assert fed.stats == lll.ReductionStats(dim=basis.dim, swaps=swaps, size_reductions=reductions)
+    return fed
+
+
+def frank_tardos_lattice(n, seed):
+    a = generate_instance(n, seed).a
+    return build_approx_lattice([Fraction(x, max(a)) for x in a], choose_precision(n))
+
+
 class TestFeeding:
     def test_mixed_size_random_bases(self):
-        rnd = random.Random(15)
-        for _ in range(16):
-            d = rnd.randint(1, 8)
-            assert_fed_matches_plain(Basis(mixed_size_basis(rnd, d)))
+        for cols in mixed_size_bases():
+            assert_fed_matches_plain(Basis(cols))
 
     def test_singular_levels_are_skipped(self, kernel_calls):
-        # the columns agree once the low 101 bits are cut off
+        # the columns agree once the low 101 bits are cut off: the float
+        # kernel refuses those levels, and the exact kernel skips them
         cols = [[(1 << 300) + (1 << 100), 1], [1 << 300, 1]]
         fed = assert_fed_matches_plain(Basis(cols))
-        assert None in kernel_calls
-        assert None not in kernel_calls[-2:]  # the last level, then the exact pass
+        assert kernel_calls[:2] == [("float", None), ("exact", None)]
+        # the last level, then the exact pass
+        assert [k for k, counts in kernel_calls[-2:] if counts] == ["float", "exact"]
         assert [abs(x) for col in fed.basis.cols for x in col] == [0, 1, 1 << 100, 0]
         assert_stats_sum_levels(fed, kernel_calls)
 
     @pytest.mark.parametrize("n", [10, 11, 12])
     def test_frank_tardos_lattice(self, n, kernel_calls):
-        a = generate_instance(n, 5).a
-        alpha = [Fraction(x, max(a)) for x in a]
-        fed = assert_fed_matches_plain(build_approx_lattice(alpha, choose_precision(n)))
-        # the corner kept as 1 leaves no level singular, and the levels
-        # leave the exact pass (the last call) nothing to swap
-        assert len(kernel_calls) > 2 and None not in kernel_calls
-        assert kernel_calls[-1][0] == 0
+        fed = assert_fed_matches_plain(frank_tardos_lattice(n, 5))
+        # the corner kept as 1 leaves no level singular, the float kernel
+        # takes every level it is given, and the levels leave the exact
+        # pass (the last call) nothing to swap
+        assert len(kernel_calls) > 2 and all(counts for _, counts in kernel_calls)
+        assert ("float", (0, 0)) in kernel_calls
+        kernel, (swaps, _) = kernel_calls[-1]
+        assert kernel == "exact" and swaps == 0
         assert_stats_sum_levels(fed, kernel_calls)
 
     def test_knapsack_lattice_n20(self):
@@ -239,6 +275,140 @@ class TestFeeding:
         assert min(first.v) >= 0
         text = documents.serialize_decomposition(first)
         assert documents.serialize_decomposition(decompose(inst)) == text
+
+
+def identity(d):
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def textbook_lll(cols, max_swaps):
+    """LLL at 3/4 on exact rational Gram-Schmidt data, stopped after max_swaps swaps.
+
+    Returns ``(b, u, uinv, swaps, reductions)`` shaped as the kernels' results.
+    """
+    d = len(cols)
+    b, u, uinv = [list(c) for c in cols], identity(d), identity(d)
+    swaps = reductions = 0
+    k = 1
+    while k < d and swaps < max_swaps:
+        mu, norms = gso(b)
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                uinv[j] = [x + q * y for x, y in zip(uinv[j], uinv[k])]
+                mu[k][: j + 1] = [x - q * y for x, y in zip(mu[k], mu[j][:j] + [Fraction(1)])]
+                reductions += 1
+        if norms[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            for vec in (b, u, uinv):
+                vec[k - 1], vec[k] = vec[k], vec[k - 1]
+            swaps += 1
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return b, u, uinv, swaps, reductions
+
+
+def half_swaps(cols):
+    return textbook_lll(cols, textbook_lll(cols, math.inf)[3] // 2)
+
+
+def no_steps(cols):
+    return [list(c) for c in cols], identity(len(cols)), identity(len(cols)), 0, 0
+
+
+def doubling(cols):
+    # U = diag(2, 1, ...) is not unimodular; no integer U^-1 exists
+    u = identity(len(cols))
+    u[0][0] = 2
+    return [[2 * x for x in cols[0]]] + [list(c) for c in cols[1:]], u, identity(len(cols)), 0, 0
+
+
+class TestFloatGuided:
+    """The float kernel on the truncated levels takes the exact kernel's steps."""
+
+    @pytest.mark.parametrize("n", range(10, 15))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_frank_tardos_matches_referee(self, n, seed):
+        assert_matches_referee(frank_tardos_lattice(n, seed))
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_knapsack_n20_matches_referee(self, seed, kernel_calls):
+        assert_matches_referee(knapsack_lattice(generate_instance(20, seed).a))
+        # its levels are short for their dimension: the exact kernel takes them
+        assert {kernel for kernel, _ in kernel_calls} == {"exact"}
+
+    def test_mixed_size_bases_match_referee(self, kernel_calls):
+        for cols in mixed_size_bases():
+            assert_matches_referee(Basis(cols))
+        # some of their levels sit on a tie or inside the error bound: each
+        # refused level goes to the exact kernel
+        refused = [i for i, call in enumerate(kernel_calls) if call == ("float", None)]
+        assert refused
+        assert all(kernel_calls[i + 1][0] == "exact" for i in refused)
+
+    def test_singular_level_matches_referee(self):
+        assert_matches_referee(Basis([[(1 << 300) + (1 << 100), 1], [1 << 300, 1]]))
+
+    @pytest.mark.parametrize(
+        "cols",
+        [frank_tardos_lattice(10, 1).cols, knapsack_lattice(generate_instance(20, 1).a).cols]
+        + mixed_size_bases(),
+        ids=["ft10", "rows20"] + [f"mixed{i}" for i in range(16)],
+    )
+    def test_kernel_steps_are_exact_or_refused(self, cols):
+        # on every level, small ones included: the exact kernel's result, or None
+        for level in fed_reduce_exact(cols, _lll_py.lll_reduce_ints)[0]:
+            guided = _lll_fp.lll_reduce_fp(level)
+            if guided is not None:
+                b, u, uinv, _, _, swaps, reductions = _lll_py.lll_reduce_ints(level)
+                assert guided == (b, u, uinv, swaps, reductions)
+
+    def test_kernel_scales_entries_past_the_double_range(self):
+        # entries of 1100 to 1300 bits, which float() cannot take
+        rnd = random.Random(21)
+        cols = [[rnd.getrandbits(rnd.randint(1100, 1300)) for _ in range(6)] for _ in range(5)]
+        b, u, uinv, _, _, swaps, reductions = _lll_py.lll_reduce_ints(cols)
+        assert _lll_fp.lll_reduce_fp(cols) == (b, u, uinv, swaps, reductions)
+
+    @pytest.mark.parametrize(
+        "cols",
+        [[[2, 0], [1, 1]], [[2, 0, 0, 0], [0, 1, 1, 1]]],
+        ids=["mu_is_one_half", "lovasz_equality"],
+    )
+    def test_kernel_refuses_a_tie(self, cols):
+        # |mu| = 1/2 exactly, and 4 c_1 = 3 c_0: no error bound can decide them
+        assert _lll_fp.lll_reduce_fp(cols) is None
+        _lll_py.lll_reduce_ints(cols)
+
+    def test_kernel_refuses_a_zero_pivot(self):
+        cols = [[1 << 70, 3], [1 << 71, 6]]
+        assert _lll_fp.lll_reduce_fp(cols) is None
+        with pytest.raises(ValueError):
+            _lll_py.lll_reduce_ints(cols)
+
+
+@pytest.mark.parametrize("wrong", [no_steps, half_swaps], ids=["no_steps", "half_swaps"])
+def test_only_the_exact_pass_decides(wrong, monkeypatch, kernel_calls):
+    # a float kernel that stops early leaves the work to the exact pass
+    monkeypatch.setattr(lll, "_lll_fp", SimpleNamespace(lll_reduce_fp=wrong))
+    last_pass_swaps = []
+    for cols in mixed_size_bases()[:8]:
+        kernel_calls.clear()
+        fed = lll_reduce(Basis(cols))
+        assert is_reduced(fed.basis.cols)
+        assert gram_det(fed.basis.cols) == gram_det(cols)
+        kernel, (swaps, _) = kernel_calls[-1]
+        assert kernel == "exact"
+        last_pass_swaps.append(swaps)
+    assert any(last_pass_swaps)
+
+
+def test_float_kernel_transform_must_be_unimodular(monkeypatch):
+    monkeypatch.setattr(lll, "_lll_fp", SimpleNamespace(lll_reduce_fp=doubling))
+    with pytest.raises(InvariantViolation, match="transform and inverse"):
+        lll_reduce(frank_tardos_lattice(10, 1))
 
 
 # SHA-256 of the decomposition documents at seed 1, recorded at commit
