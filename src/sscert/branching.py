@@ -10,10 +10,12 @@ the square of every weight, so distinct ratios get distinct keys. The
 order depends on (a, v) only, so each side keeps it once per (a, v) in
 a small cache of its own: the two equality LPs of the certifier bisect
 the prefix sums of ``_prepared``, and the two inequality LPs of the
-verifier run the greedy fill itself, in integers, with one Fraction for
-the result, over the ascending order of ``_ascending``. The caches share
-nothing, so the verifier stays an independent re-check of the
-certifier rather than a second reading of its data.
+verifier run the greedy fill itself over the ascending order of
+``_ascending``, in integers only: each returns its exact value as an
+unreduced pair (num, den), and the verifier cross-multiplies, so a
+verify builds no Fraction and takes no gcd. The caches share nothing,
+so the verifier stays an independent re-check of the certifier rather
+than a second reading of its data.
 
 Every entry point checks a and v once, into the ``Weights`` and
 ``Direction`` types of ``model``; a typed tuple passes any later check
@@ -224,7 +226,7 @@ def lp_extreme_eq(
     a = validate_weights(a)
     v = validate_direction(v, len(a))
     _validate_sense(sense)
-    _validate_beta(beta)
+    _validate_int(beta, "beta")
     _, total, sides = _prepared(a, v)
     if beta < 0 or beta > total:
         raise RelaxationInfeasibleError(beta, total)
@@ -240,19 +242,22 @@ def lp_extreme_eq(
 
 def lp_extreme_ineq(
     a: Sequence[int], v: Sequence[int], level: int, sense: Sense
-) -> Fraction:
+) -> tuple[int, int]:
     """max{a.x | v.x <= level} or min{a.x | v.x >= level} over the box.
 
-    Both sides fill in the ascending v_i/a_i order, which the verifier
-    keeps per (a, v) in its own cache, ``_ascending``, apart from the
-    certifier's ``_prepared``: a verify's two calls sort at most once,
-    and the check shares no data with what it checks. DomainError for a
+    The exact value as an unreduced integer pair (num, den), den > 0:
+    ``Fraction(num, den)`` is the LP optimum. Both sides fill in the
+    ascending v_i/a_i order, which the verifier keeps per (a, v) in its
+    own cache, ``_ascending``, apart from the certifier's ``_prepared``:
+    a verify's two calls sort at most once, and the check shares no data
+    with what it checks. DomainError unless level is an int, and for a
     max side below level 0 or a min side above ||v||_1, which no x in
     the box attains.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
     _validate_sense(sense)
+    _validate_int(level, "level")
     if sense == "max" and level < 0:
         raise DomainError("max side needs level >= 0")
     ascending = _ascending(a, v)
@@ -261,19 +266,19 @@ def lp_extreme_ineq(
     return _one_sided(a, v, ascending, level, sense)
 
 
-def _one_sided(a, v, ascending, level, sense: Sense) -> Fraction:
+def _one_sided(a, v, ascending, level, sense: Sense) -> tuple[int, int]:
     """lp_extreme_ineq of checked a, v, in range, given their ``_ascending``.
 
-    The max side fills by ascending v_i/a_i, so the coordinates with
-    v_i = 0 come first at no cost. The min side is its complement
-    y = e - x: min{a.x | v.x >= level} equals
-    ||a||_1 - max{a.y | v.y <= ||v||_1 - level}.
+    Returns (num, den), den > 0, unreduced. The max side fills by
+    ascending v_i/a_i, so the coordinates with v_i = 0 come first at no
+    cost. The min side is its complement y = e - x:
+    min{a.x | v.x >= level} equals ||a||_1 - max{a.y | v.y <= ||v||_1 - level}.
     """
     order, total_a, total_v = ascending
     if sense == "max":
-        return Fraction(*_fill(order, v, a, level))
+        return _fill(order, v, a, level)
     num, den = _fill(order, v, a, total_v - level)
-    return Fraction(total_a * den - num, den)
+    return total_a * den - num, den
 
 
 def _validate_sense(sense: str) -> None:
@@ -281,9 +286,9 @@ def _validate_sense(sense: str) -> None:
         raise DomainError('sense must be "min" or "max"')
 
 
-def _validate_beta(beta: int) -> None:
-    if not isinstance(beta, int):
-        raise DomainError("beta must be an integer")
+def _validate_int(value: int, name: str) -> None:
+    if not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer")
 
 
 def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
@@ -300,7 +305,7 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    _validate_beta(beta)
+    _validate_int(beta, "beta")
     coprime, total, _ = _prepared(a, v)
     if not coprime:
         raise DomainError("weights not coprime")
@@ -329,23 +334,26 @@ def verify_certificate(a: Sequence[int], v: Sequence[int], cert: Certificate) ->
     Recomputes both one-sided LPs and never consults the certificate's
     own vmin/vmax or witnesses; any malformed input yields False. a and
     v are checked once, and the two lp_extreme_ineq calls refuse a level
-    outside [0, ||v||_1), so a DomainError of either is the rejection.
-    Both comparisons cross-multiply by the LP values' denominators.
+    that is not an int or lies outside [0, ||v||_1), so a DomainError of
+    either is the rejection. Each call returns an unreduced (num, den)
+    with den > 0, and the decision is two cross-multiplications,
+    num < beta den on the max side and beta den < num on the min side:
+    no Fraction is built and no gcd taken.
     """
-    level = cert.level
     beta = cert.beta
-    if not isinstance(level, int) or not isinstance(beta, int):
+    if not isinstance(beta, int):
         return False
+    level = cert.level
     try:
         a = validate_weights(a)
         v = validate_direction(v, len(a))
-        hi = lp_extreme_ineq(a, v, level, "max")
-        if not hi.numerator < beta * hi.denominator:
+        num, den = lp_extreme_ineq(a, v, level, "max")
+        if not num < beta * den:
             return False
-        lo = lp_extreme_ineq(a, v, level + 1, "min")
+        num, den = lp_extreme_ineq(a, v, level + 1, "min")
     except DomainError:
         return False
-    return beta * lo.denominator < lo.numerator
+    return beta * den < num
 
 
 def witnesses_consistent(
@@ -381,7 +389,9 @@ def enumerate_intervals(
 
     Full enumeration is only possible when the level range fits
     ENUMERATION_CAP; ||v||_1 can be astronomically large, in which
-    case callers must request a partial window.
+    case callers must request a partial window. DomainError unless k_lo
+    and k_hi are ints. The order and overlap checks cross-multiply the
+    one-sided LP pairs; only the returned cover holds Fractions.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -389,6 +399,8 @@ def enumerate_intervals(
     ve = ascending[2]
     if k_hi is None:
         k_hi = ve
+    _validate_int(k_lo, "k_lo")
+    _validate_int(k_hi, "k_hi")
     if not 0 <= k_lo <= k_hi <= ve:
         raise DomainError("need 0 <= k_lo <= k_hi <= ||v||_1")
     if k_hi - k_lo > ENUMERATION_CAP:
@@ -396,17 +408,21 @@ def enumerate_intervals(
             f"level range of {(k_hi - k_lo).bit_length()} bits exceeds the cap "
             f"{ENUMERATION_CAP}; enumerate a partial window [k_lo, k_hi] instead"
         )
-    mins = [_one_sided(a, v, ascending, k, "min") for k in range(k_lo, k_hi + 1)]
-    maxs = [_one_sided(a, v, ascending, k, "max") for k in range(k_lo, k_hi + 1)]
-    for i in range(len(mins)):
-        if mins[i] > maxs[i]:
+    levels = range(k_lo, k_hi + 1)
+    min_pairs = [_one_sided(a, v, ascending, k, "min") for k in levels]
+    max_pairs = [_one_sided(a, v, ascending, k, "max") for k in levels]
+    for (lo, lo_den), (hi, hi_den) in zip(min_pairs, max_pairs):
+        if lo * hi_den > hi * lo_den:
             raise InvariantViolation("bad interval endpoints out of order")
-        if i + 1 < len(mins) and not maxs[i] < mins[i + 1]:
+    for (hi, hi_den), (lo, lo_den) in zip(max_pairs, min_pairs[1:]):
+        if not hi * lo_den < lo * hi_den:
             raise DomainError(
                 "consecutive levels overlap; decomposition hypotheses violated"
             )
-    bad = tuple((mins[i], maxs[i]) for i in range(len(mins)))
-    good = tuple((maxs[i], mins[i + 1]) for i in range(len(mins) - 1))
+    mins = [Fraction(*pair) for pair in min_pairs]
+    maxs = [Fraction(*pair) for pair in max_pairs]
+    bad = tuple(zip(mins, maxs))
+    good = tuple(zip(maxs, mins[1:]))
     bound = scale - l1_norm(residual)
     min_len = min((hi - lo for lo, hi in good), default=None)
     return IntervalCover(
@@ -435,7 +451,9 @@ def _bad_count(a, v) -> int:
     ascending = _ascending(a, v)
     order, total, total_v = ascending
     k = (total_v - 1) // 2
-    if _one_sided(a, v, ascending, k + 1, "min") <= _one_sided(a, v, ascending, k, "max"):
+    lo, lo_den = _one_sided(a, v, ascending, k + 1, "min")
+    hi, hi_den = _one_sided(a, v, ascending, k, "max")
+    if lo * hi_den <= hi * lo_den:
         raise DomainError("consecutive levels overlap; decomposition hypotheses violated")
     done = 0
     floors = total

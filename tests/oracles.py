@@ -185,6 +185,28 @@ def lp_eq_greedy(a, v, beta, sense):
     return value, tuple(x)
 
 
+def lp_ineq_greedy(a, v, level, sense):
+    """max{a.x | v.x <= level} / min{a.x | v.x >= level} over the box, by greedy fill.
+
+    Sorts by Fraction ratios v_i/a_i: the max side takes the least v per
+    unit of a first (v_i = 0 free), each item whole while its v fits the
+    budget level, then the part that fits; the min side takes the most v
+    per unit of a first until v.x reaches level. Assumes level >= 0 on
+    the max side and level <= sum(v) on the min side.
+    """
+    sign = 1 if sense == "max" else -1
+    order = sorted(range(len(a)), key=lambda i: sign * Fraction(v[i], a[i]))
+    value = Fraction(0)
+    budget = Fraction(level)
+    for i in order:
+        if sense == "min" and budget <= 0:
+            break
+        take = min(Fraction(1), budget / v[i]) if v[i] else Fraction(1)
+        value += a[i] * take
+        budget -= v[i] * take
+    return value
+
+
 def greedy_order_cmp(num, den, sense):
     """Indices by num_i/den_i: ascending for min, descending for max.
 

@@ -47,8 +47,8 @@ def check_good_intervals(a, v):
     as (beta, certified, in_interval) triples.
     """
     ve = sum(v)
-    mins = [lp_extreme_ineq(a, v, k, "min") for k in range(ve + 1)]
-    maxs = [lp_extreme_ineq(a, v, k, "max") for k in range(ve + 1)]
+    mins = [Fraction(*lp_extreme_ineq(a, v, k, "min")) for k in range(ve + 1)]
+    maxs = [Fraction(*lp_extreme_ineq(a, v, k, "max")) for k in range(ve + 1)]
     mismatches = []
     for beta in range(sum(a) + 1):
         certified = certify(a, v, beta).status is CertifyStatus.CERTIFIED
@@ -276,7 +276,7 @@ def test_criterion_8_greedy_lp_equals_vertex_enumeration():
             assert sum(ai * xi for ai, xi in zip(a, arg)) == beta
             assert sum(1 for x in arg if 0 < x < 1) <= 1
         level = rnd.randint(0, sum(v))
-        assert lp_extreme_ineq(a, v, level, "max") == lp_ineq_vertex(a, v, level, "max")
-        assert lp_extreme_ineq(a, v, level, "min") == lp_ineq_vertex(a, v, level, "min")
+        assert Fraction(*lp_extreme_ineq(a, v, level, "max")) == lp_ineq_vertex(a, v, level, "max")
+        assert Fraction(*lp_extreme_ineq(a, v, level, "min")) == lp_ineq_vertex(a, v, level, "min")
     report("PASS criterion 8: greedy LP values equal vertex enumeration on "
            "1000 random instances (n <= 8)")

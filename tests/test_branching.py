@@ -17,6 +17,7 @@ from oracles import (
     greedy_order_cmp,
     lp_eq_greedy,
     lp_eq_vertex,
+    lp_ineq_greedy,
     lp_ineq_vertex,
     subset_feasible_naive,
 )
@@ -235,25 +236,30 @@ class TestGreedyOrder:
 
 class TestLpExtremeIneq:
     def test_toy_values(self):
-        assert lp_extreme_ineq(TOY_A, TOY_V, 1, "max") == 102
-        assert lp_extreme_ineq(TOY_A, TOY_V, 2, "min") == 201
+        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 1, "max")) == 102
+        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 2, "min")) == 201
 
     def test_degenerate_levels(self):
-        assert lp_extreme_ineq(TOY_A, TOY_V, 0, "max") == 0
-        assert lp_extreme_ineq(TOY_A, TOY_V, 3, "max") == 303
-        assert lp_extreme_ineq(TOY_A, TOY_V, 0, "min") == 0
-        assert lp_extreme_ineq(TOY_A, TOY_V, 3, "min") == 303
+        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 0, "max")) == 0
+        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 3, "max")) == 303
+        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 0, "min")) == 0
+        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 3, "min")) == 303
 
     def test_level_gates(self):
         with pytest.raises(DomainError):
             lp_extreme_ineq(TOY_A, TOY_V, -1, "max")
         with pytest.raises(DomainError):
             lp_extreme_ineq(TOY_A, TOY_V, 4, "min")
+        # a Fraction level would otherwise give an LP value at a non-level
+        for level in (1.0, "1", Fraction(1), Fraction(3, 2), None):
+            for sense in ("min", "max"):
+                with pytest.raises(DomainError, match="level must be an integer"):
+                    lp_extreme_ineq(TOY_A, TOY_V, level, sense)
 
     def test_zero_direction_entries(self):
         # free coordinate: counted for max, dropped for min
-        assert lp_extreme_ineq((7, 3), (0, 1), 0, "max") == 7
-        assert lp_extreme_ineq((7, 3), (0, 1), 1, "min") == 3
+        assert Fraction(*lp_extreme_ineq((7, 3), (0, 1), 0, "max")) == 7
+        assert Fraction(*lp_extreme_ineq((7, 3), (0, 1), 1, "min")) == 3
 
     def test_matches_vertex_enumeration(self):
         rnd = random.Random(42)
@@ -261,8 +267,10 @@ class TestLpExtremeIneq:
             a, v = random_small_instance(rnd, nmax=6)
             ve = sum(v)
             level = rnd.randint(0, ve)
-            assert lp_extreme_ineq(a, v, level, "max") == lp_ineq_vertex(a, v, level, "max")
-            assert lp_extreme_ineq(a, v, level, "min") == lp_ineq_vertex(a, v, level, "min")
+            got = Fraction(*lp_extreme_ineq(a, v, level, "max"))
+            assert got == lp_ineq_vertex(a, v, level, "max")
+            got = Fraction(*lp_extreme_ineq(a, v, level, "min"))
+            assert got == lp_ineq_vertex(a, v, level, "min")
 
     def test_exhaustive_small_against_vertex_enumeration(self):
         for a, v in exhaustive_small_instances():
@@ -272,16 +280,21 @@ class TestLpExtremeIneq:
                     with pytest.raises(DomainError):
                         lp_extreme_ineq(a, v, level, sense)
                     continue
-                value = lp_extreme_ineq(a, v, level, sense)
-                assert value == lp_ineq_vertex(a, v, level, sense), (a, v, level, sense)
+                pair = lp_extreme_ineq(a, v, level, sense)
+                num, den = pair
+                assert type(num) is int and type(den) is int and den > 0, pair
+                vertex = lp_ineq_vertex(a, v, level, sense)
+                assert Fraction(*pair) == vertex, (a, v, level, sense)
+                # the referee of the pipeline-scale verify test
+                assert lp_ineq_greedy(a, v, level, sense) == vertex, (a, v, level, sense)
 
     def test_monotone_in_level(self):
         rnd = random.Random(43)
         for _ in range(40):
             a, v = random_small_instance(rnd, nmax=5)
             ve = sum(v)
-            maxs = [lp_extreme_ineq(a, v, k, "max") for k in range(ve + 1)]
-            mins = [lp_extreme_ineq(a, v, k, "min") for k in range(ve + 1)]
+            maxs = [Fraction(*lp_extreme_ineq(a, v, k, "max")) for k in range(ve + 1)]
+            mins = [Fraction(*lp_extreme_ineq(a, v, k, "min")) for k in range(ve + 1)]
             assert maxs == sorted(maxs)
             assert mins == sorted(mins)
 
@@ -531,7 +544,7 @@ class TestAscendingCache(CacheContract):
     def answer(a, v, point):
         """lp_extreme_ineq, or None where it refuses the level."""
         try:
-            return lp_extreme_ineq(a, v, *point)
+            return Fraction(*lp_extreme_ineq(a, v, *point))
         except DomainError:
             return None
 
@@ -624,8 +637,8 @@ class TestVerify:
         cert = certify(TOY_A, TOY_V, 150).certificate
         assert verify_certificate(TOY_A, TOY_V, cert)
         # the two one-sided values behind the acceptance
-        assert lp_extreme_ineq(TOY_A, TOY_V, 1, "max") == 102
-        assert lp_extreme_ineq(TOY_A, TOY_V, 2, "min") == 201
+        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 1, "max")) == 102
+        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 2, "min")) == 201
 
     def test_rejects_wrong_level(self):
         forged = Certificate(
@@ -670,6 +683,59 @@ class TestVerify:
         monkeypatch.setattr(branching, "lp_extreme_ineq", recording)
         assert verify_certificate(TOY_A, TOY_V, certify(TOY_A, TOY_V, 150).certificate)
         assert calls == [(1, "max"), (2, "min")]
+
+    def test_builds_no_fraction(self, monkeypatch):
+        # the decision is integer cross-multiplication, for a new pair too
+        def no_fraction(*args):
+            raise AssertionError("verify built a Fraction")
+
+        a, v = (31, 37, 41), (1, 2, 2)
+        cert = certify(a, v, 33).certificate
+        toy = certify(TOY_A, TOY_V, 150).certificate
+        _ascending.cache_clear()
+        monkeypatch.setattr(branching, "Fraction", no_fraction)
+        assert verify_certificate(a, v, cert) is True
+        assert verify_certificate(TOY_A, TOY_V, toy) is True
+        assert verify_certificate(a, v, replace(cert, beta=cert.beta + 40)) is False
+
+    @pytest.mark.parametrize(
+        "decompose, n",
+        [
+            (decompose_frank_tardos, 10),
+            (decompose_frank_tardos, 14),
+            (decompose_lll_rows, 20),
+        ],
+        ids=["ft10", "ft14", "rows20"],
+    )
+    def test_pipeline_certificates_and_their_neighbours(self, decompose, n):
+        # accepted as made; rejected at the levels beside it and at the
+        # integers next to its interval (max(a, l), min(a, l + 1)), taken
+        # from the Fraction greedy referee
+        inst = generate_instance(n, 1)
+        a, v = inst.a, decompose(inst).v
+        rng = SplitMix64(1)
+        checked = 0
+        while checked < 200:
+            result = certify(a, v, rng.randint(0, inst.l1_norm))
+            if result.status is not CertifyStatus.CERTIFIED:
+                continue
+            cert = result.certificate
+            level = cert.level
+            assert verify_certificate(a, v, cert) is True, cert.beta
+            for other in (level - 1, level + 1):
+                forged = replace(
+                    cert, level=other,
+                    vmin=other + Fraction(1, 3), vmax=other + Fraction(2, 3),
+                )
+                assert verify_certificate(a, v, forged) is False, (cert.beta, other)
+            hi = lp_ineq_greedy(a, v, level, "max")
+            lo = lp_ineq_greedy(a, v, level + 1, "min")
+            assert Fraction(*lp_extreme_ineq(a, v, level, "max")) == hi
+            assert Fraction(*lp_extreme_ineq(a, v, level + 1, "min")) == lo
+            assert hi < cert.beta < lo
+            for beta in (math.floor(hi), math.ceil(lo)):
+                assert verify_certificate(a, v, replace(cert, beta=beta)) is False, beta
+            checked += 1
 
     def test_malformed_input_is_rejected_not_raised(self):
         cert = certify(TOY_A, TOY_V, 150).certificate
@@ -778,6 +844,14 @@ class TestIntervals:
         assert cover.bad == tuple((Fraction(k), Fraction(k)) for k in (5, 6, 7))
         assert cover.good_length_bound_holds
 
+    def test_refuses_a_window_that_is_not_int(self):
+        for bad in (1.0, "1", Fraction(1), None):
+            with pytest.raises(DomainError, match="k_lo must be an integer"):
+                enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, k_lo=bad, k_hi=2)
+            if bad is not None:  # None asks for the whole range
+                with pytest.raises(DomainError, match="k_hi must be an integer"):
+                    enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, k_lo=0, k_hi=bad)
+
     def test_partial_range(self):
         cover = enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, 1, 2)
         assert cover.bad == ((Fraction(100), Fraction(102)), (Fraction(201), Fraction(203)))
@@ -824,7 +898,8 @@ class TestBadCount:
         assert _bad_count(a, v) == count_integers_in_bad(cover), (a, v)
         # the least good length, which decides overlap, is the centre one
         k = (sum(v) - 1) // 2
-        centre = lp_extreme_ineq(a, v, k + 1, "min") - lp_extreme_ineq(a, v, k, "max")
+        hi = Fraction(*lp_extreme_ineq(a, v, k, "max"))
+        centre = Fraction(*lp_extreme_ineq(a, v, k + 1, "min")) - hi
         assert cover.min_good_length == centre, (a, v)
         return True
 
