@@ -3,19 +3,20 @@
 A right-hand side beta is certified infeasible when the exact LP range
 [vmin, vmax] of v.x over {x | a.x = beta, 0 <= x <= e} contains no
 integer: every point of the relaxation then has a fractional v.x, so
-no 0/1 solution exists. Each single-constraint LP is solved by a greedy
-fill over a v_i/a_i ratio order, which matches the LP vertex optimum.
-The order sorts exact integer keys: floor(v_i 2^S / a_i) with 2^S above
-the square of every weight, so distinct ratios get distinct keys. The
-order depends on (a, v) only, so each side keeps it once per (a, v) in
-a small cache of its own: the two equality LPs of the certifier bisect
-the prefix sums of ``_prepared``, and the two inequality LPs of the
-verifier run the greedy fill itself over the ascending order of
-``_ascending``, in integers only: each returns its exact value as an
-unreduced pair (num, den), and the verifier cross-multiplies, so a
-verify builds no Fraction and takes no gcd. The caches share nothing,
-so the verifier stays an independent re-check of the certifier rather
-than a second reading of its data.
+no 0/1 solution exists. Each single-constraint LP is a fractional
+knapsack, whose greedy fill over a v_i/a_i ratio order matches the LP
+vertex optimum (Dantzig, 1957) and can be read off one bisection of
+prefix sums in that order. The order sorts exact integer keys:
+floor(v_i 2^S / a_i) with 2^S above the square of every weight, so
+distinct ratios get distinct keys. The order depends on (a, v) only, so
+each side keeps it and its prefix sums once per (a, v) in a small cache
+of its own: the two equality LPs of the certifier bisect the prefix sums
+of a in ``_prepared``, and the two inequality LPs of the verifier bisect
+the prefix sums of v in ``_ascending``, in integers only: each returns
+its exact value as an unreduced pair (num, den), and the verifier
+cross-multiplies, so a verify builds no Fraction and takes no gcd. The
+caches share nothing, so the verifier stays an independent re-check of
+the certifier rather than a second reading of its data.
 
 Every entry point checks a and v once, into the ``Weights`` and
 ``Direction`` types of ``model``; a typed tuple passes any later check
@@ -41,6 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
 from typing import Literal, Sequence
 
@@ -150,37 +152,22 @@ def _greedy_order(num, den, sense: Sense) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__, reverse=sense == "max")
 
 
-def _fill(order, cost, gain, budget) -> tuple[int, int]:
-    """Greedy fractional knapsack: max{gain.x | cost.x <= budget} as (num, den).
-
-    Takes the items in the given order, each whole while its cost fits
-    the budget, then the part of the next one that fits, so the value is
-    an integer plus one fraction of that item's gain. Items of cost 0
-    must come first in the order.
-    """
-    value = 0
-    for i in order:
-        c = cost[i]
-        if c > budget:
-            if budget:
-                return value * c + gain[i] * budget, c
-            break
-        value += gain[i]
-        budget -= c
-    return value, 1
-
-
 @lru_cache(maxsize=8)
-def _ascending(a: Weights, v: Direction) -> tuple[tuple[int, ...], int, int]:
-    """The verifier's (ascending v_i/a_i order, ||a||_1, ||v||_1) of a, v.
+def _ascending(a: Weights, v: Direction) -> tuple[tuple[int, ...], ...]:
+    """The verifier's (order, V, A) of a, v.
 
-    Both one-sided LPs of a verify fill in this order, so a verify sorts
-    and sums once for a new pair and not at all for a repeated one. The
-    types say a and v were checked: Fraction and float entries hash
-    equal to ints, so the cache must only see checked vectors. The
-    certifier's ``_prepared`` neither reads nor fills it.
+    ``order`` is the ascending v_i/a_i order, and V and A the prefix sums
+    of v and a in that order, so ||v||_1 is V[-1] and ||a||_1 is A[-1].
+    Both one-sided LPs of a verify bisect V, so a verify sorts and sums
+    once for a new pair and not at all for a repeated one. The types say
+    a and v were checked: Fraction and float entries hash equal to ints,
+    so the cache must only see checked vectors. The certifier's
+    ``_prepared`` neither reads nor fills it.
     """
-    return tuple(_greedy_order(v, a, "min")), sum(a), sum(v)
+    order = tuple(_greedy_order(v, a, "min"))
+    V = tuple(accumulate((v[i] for i in order), initial=0))
+    A = tuple(accumulate((a[i] for i in order), initial=0))
+    return order, V, A
 
 
 @lru_cache(maxsize=8)
@@ -246,13 +233,14 @@ def lp_extreme_ineq(
     """max{a.x | v.x <= level} or min{a.x | v.x >= level} over the box.
 
     The exact value as an unreduced integer pair (num, den), den > 0:
-    ``Fraction(num, den)`` is the LP optimum. Both sides fill in the
-    ascending v_i/a_i order, which the verifier keeps per (a, v) in its
-    own cache, ``_ascending``, apart from the certifier's ``_prepared``:
-    a verify's two calls sort at most once, and the check shares no data
-    with what it checks. DomainError unless level is an int, and for a
-    max side below level 0 or a min side above ||v||_1, which no x in
-    the box attains.
+    ``Fraction(num, den)`` is the LP optimum. Both sides bisect the
+    prefix sums of the ascending v_i/a_i order, which the verifier keeps
+    per (a, v) in its own cache, ``_ascending``, apart from the
+    certifier's ``_prepared``: a verify's two calls sort at most once,
+    each then takes O(log n) steps, and the check shares no data with
+    what it checks. DomainError unless level is an int, and for a max
+    side below level 0 or a min side above ||v||_1, which no x in the
+    box attains.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -261,7 +249,7 @@ def lp_extreme_ineq(
     if sense == "max" and level < 0:
         raise DomainError("max side needs level >= 0")
     ascending = _ascending(a, v)
-    if sense == "min" and level > ascending[2]:
+    if sense == "min" and level > ascending[1][-1]:
         raise DomainError("min side needs level <= ||v||_1")
     return _one_sided(a, v, ascending, level, sense)
 
@@ -269,16 +257,28 @@ def lp_extreme_ineq(
 def _one_sided(a, v, ascending, level, sense: Sense) -> tuple[int, int]:
     """lp_extreme_ineq of checked a, v, in range, given their ``_ascending``.
 
-    Returns (num, den), den > 0, unreduced. The max side fills by
-    ascending v_i/a_i, so the coordinates with v_i = 0 come first at no
-    cost. The min side is its complement y = e - x:
+    Returns (num, den), den > 0, unreduced. The max side is the greedy
+    fractional knapsack in ascending v_i/a_i order (Dantzig, 1957): the
+    items before the first prefix sum of v past level are whole, and the
+    next one takes the rest of level, so one bisection of V finds the
+    optimum. The items with v_i = 0 head the order at no cost, and V
+    repeats 0 for them, so bisect_right takes them all. The min side is
+    the complement y = e - x:
     min{a.x | v.x >= level} equals ||a||_1 - max{a.y | v.y <= ||v||_1 - level}.
     """
-    order, total_a, total_v = ascending
+    order, V, A = ascending
+    if sense == "min":
+        level = V[-1] - level
+    j = bisect_right(V, level) - 1
+    rest = level - V[j]
+    if rest and j < len(order):
+        i = order[j]
+        num, den = A[j] * v[i] + a[i] * rest, v[i]
+    else:
+        num, den = A[j], 1
     if sense == "max":
-        return _fill(order, v, a, level)
-    num, den = _fill(order, v, a, total_v - level)
-    return total_a * den - num, den
+        return num, den
+    return A[-1] * den - num, den
 
 
 def _validate_sense(sense: str) -> None:
@@ -396,7 +396,7 @@ def enumerate_intervals(
     a = validate_weights(a)
     v = validate_direction(v, len(a))
     ascending = _ascending(a, v)
-    ve = ascending[2]
+    ve = ascending[1][-1]
     if k_hi is None:
         k_hi = ve
     _validate_int(k_lo, "k_lo")
@@ -449,18 +449,17 @@ def _bad_count(a, v) -> int:
     least value is at the centre; DomainError if it is not positive there.
     """
     ascending = _ascending(a, v)
-    order, total, total_v = ascending
+    order, V, A = ascending
+    total, total_v = A[-1], V[-1]
     k = (total_v - 1) // 2
     lo, lo_den = _one_sided(a, v, ascending, k + 1, "min")
     hi, hi_den = _one_sided(a, v, ascending, k, "max")
     if lo * hi_den <= hi * lo_den:
         raise DomainError("consecutive levels overlap; decomposition hypotheses violated")
-    done = 0
     floors = total
-    for i in order:
+    for i, done in zip(order, A):
         floors += v[i] * done
         floors += ((a[i] - 1) * (v[i] - 1) + math.gcd(a[i], v[i]) - 1) // 2
-        done += a[i]
     return 2 * floors - (total_v + 1) * (total - 1)
 
 

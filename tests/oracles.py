@@ -207,6 +207,36 @@ def lp_ineq_greedy(a, v, level, sense):
     return value
 
 
+def greedy_fill_pair(a, v, level, sense):
+    """lp_ineq_greedy's value as the unreduced integer pair (num, den) of a fill.
+
+    Walks the ascending v_i/a_i order of ``greedy_order_cmp`` one item at
+    a time: each item whole while its v fits the budget, then the part of
+    the next one that fits, so the max side is an integer plus one
+    fraction a_i rest / v_i, returned as (A v_i + a_i rest, v_i), or
+    (A, 1) when nothing is split. The min side is the complement
+    ||a||_1 - max{a.y | v.y <= ||v||_1 - level} over the same den. Assumes
+    level >= 0 on the max side and level <= sum(v) on the min side.
+    """
+    order = greedy_order_cmp(v, a, "min")
+
+    def fill(budget):
+        value = 0
+        for i in order:
+            if v[i] > budget:
+                if budget:
+                    return value * v[i] + a[i] * budget, v[i]
+                break
+            value += a[i]
+            budget -= v[i]
+        return value, 1
+
+    if sense == "max":
+        return fill(level)
+    num, den = fill(sum(v) - level)
+    return sum(a) * den - num, den
+
+
 def greedy_order_cmp(num, den, sense):
     """Indices by num_i/den_i: ascending for min, descending for max.
 

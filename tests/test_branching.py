@@ -14,6 +14,7 @@ import pytest
 from oracles import (
     certificate_bounds_hold,
     count_integers_in_bad,
+    greedy_fill_pair,
     greedy_order_cmp,
     lp_eq_greedy,
     lp_eq_vertex,
@@ -29,6 +30,7 @@ from sscert.branching import (
     _ascending,
     _bad_count,
     _greedy_order,
+    _one_sided,
     _prepared,
     certify,
     coverage_stats,
@@ -299,6 +301,65 @@ class TestLpExtremeIneq:
             assert mins == sorted(mins)
 
 
+class TestOneSidedBisection:
+    """The bisection of prefix sums gives the greedy fill's very (num, den)."""
+
+    @staticmethod
+    def check(a, v, levels):
+        a, v = Weights(a), Direction(v)
+        ascending = _ascending(a, v)
+        ve = sum(v)
+        for level, sense in product(levels, ("min", "max")):
+            if (sense == "max" and level < 0) or (sense == "min" and level > ve):
+                with pytest.raises(DomainError):
+                    lp_extreme_ineq(a, v, level, sense)
+                continue
+            pair = _one_sided(a, v, ascending, level, sense)
+            # identical, not merely equal: the same unreduced integers
+            assert pair == greedy_fill_pair(a, v, level, sense), (a, v, level, sense)
+            assert lp_extreme_ineq(a, v, level, sense) == pair
+
+    def test_exhaustive_small(self):
+        for a, v in exhaustive_small_instances():
+            self.check(a, v, range(-1, sum(v) + 2))
+
+    @pytest.mark.parametrize(
+        "decompose, n",
+        [
+            (decompose_frank_tardos, 10),
+            (decompose_frank_tardos, 14),
+            (decompose_lll_rows, 20),
+        ],
+        ids=["ft10", "ft14", "rows20"],
+    )
+    def test_pipeline_prefix_sums_and_their_neighbours(self, decompose, n):
+        inst = generate_instance(n, 1)
+        a, v = inst.a, decompose(inst).v
+        _, V, _ = _ascending(a, v)
+        levels = {0, sum(v)} | {s + d for s in V for d in (-1, 0, 1)}
+        self.check(a, v, sorted(levels))
+
+    @pytest.mark.parametrize(
+        "a, v",
+        [
+            ((3, 5, 2, 4), (0, 1, 0, 2)),  # zeros apart, at the head of the order
+            ((5, 3, 10, 6, 7), (0, 1, 0, 2, 0)),  # zeros, and 1/3 = 2/6 tied
+            ((1, 1, 1), (0, 0, 1)),
+            ((2, 4, 6), (1, 2, 3)),  # every ratio tied
+            ((4, 2, 8, 6, 9), (2, 1, 4, 3, 0)),  # tied but for one zero
+            ((2, 2, 2), (1, 1, 1)),  # equal items
+        ],
+    )
+    def test_zero_entries_and_tied_ratios(self, a, v):
+        self.check(a, v, range(-1, sum(v) + 2))
+
+    def test_tie_splits_the_smaller_index(self):
+        # 4/1 = 8/2 in value, but the pair names the split item's v
+        a, v = Weights((2, 4, 6)), Direction((1, 2, 3))
+        assert _one_sided(a, v, _ascending(a, v), 2, "max") == (8, 2)
+        assert _one_sided(a, v, _ascending(a, v), 4, "min") == (12 * 2 - 8, 2)
+
+
 class TestCertify:
     def test_toy_certificate(self):
         result = certify(TOY_A, TOY_V, 150)
@@ -342,8 +403,16 @@ class TestCertify:
             return lp_extreme_eq(a, v, beta, sense)
 
         monkeypatch.setattr(branching, "lp_extreme_eq", recording)
-        assert certify(TOY_A, TOY_V, 150) == certify_by_greedy(TOY_A, TOY_V, 150)
-        assert senses == ["min", "max"]
+        # two calls per beta in range, certified or not, and none outside it
+        a, v = (11, 13, 17), (1, 2, 3)
+        statuses = set()
+        for beta in range(-1, sum(a) + 2):
+            senses.clear()
+            result = certify(a, v, beta)
+            assert result == certify_by_greedy(a, v, beta)
+            assert senses == (["min", "max"] if 0 <= beta <= sum(a) else []), beta
+            statuses.add(result.status)
+        assert len(statuses) == 3, statuses
 
     @pytest.mark.parametrize(
         "decompose, n", [(decompose_frank_tardos, 10), (decompose_lll_rows, 20)],
@@ -574,8 +643,10 @@ class TestAscendingCache(CacheContract):
         assert (info.misses, info.hits) == (1, 3)
 
     def test_holds_the_norms_beside_the_order(self):
+        # the prefix sums of v and a in that order end in ||v||_1 and ||a||_1
         a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
-        assert _ascending(a, v) == ((0, 2, 1), 109, 5)
+        order, V, A = _ascending(a, v)
+        assert (order, V, A) == ((0, 2, 1), (0, 1, 3, 5), (0, 31, 72, 109))
 
     def test_certify_leaves_it_alone(self):
         # the certifier shares no data with the verifier
@@ -681,8 +752,13 @@ class TestVerify:
             return lp_extreme_ineq(a, v, level, sense)
 
         monkeypatch.setattr(branching, "lp_extreme_ineq", recording)
-        assert verify_certificate(TOY_A, TOY_V, certify(TOY_A, TOY_V, 150).certificate)
-        assert calls == [(1, "max"), (2, "min")]
+        cert = certify(TOY_A, TOY_V, 150).certificate
+        both = [(1, "max"), (2, "min")]
+        # (max(a, 1), min(a, 2)) = (102, 201): 102 fails on the max side alone
+        for beta, accepted, sides in ((150, True, both), (102, False, both[:1]), (201, False, both)):
+            calls.clear()
+            assert verify_certificate(TOY_A, TOY_V, replace(cert, beta=beta)) is accepted
+            assert calls == sides, beta
 
     def test_builds_no_fraction(self, monkeypatch):
         # the decision is integer cross-multiplication, for a new pair too
