@@ -16,19 +16,17 @@ step for step: size-reduce k against k-1, test Lovasz at 3/4, then swap
 or size-reduce against k-2, ..., 0; reduce only when |mu| > 1/2,
 rounding ties toward zero; one count per (k, j) event. Every double
 carries a running error bound (Higham, "Accuracy and Stability of
-Numerical Algorithms", 2nd ed., section 3.3), and a decision is taken
-only when no value inside the bound would decide otherwise, so each
-step, and the result, is the exact kernel's. A |mu| too coarse to round
-but surely above 1/2 is reduced in several steps that count as one. A
-decision inside the bound is tried again on a copy of b_k reduced
-against the columns below the one it concerns, which leaves mu_kj and
-c_k unchanged but shrinks their error, and on the row recomputed from
-scratch, which drops the error that updates in place accumulated.
+Numerical Algorithms", 2nd ed., section 3.3), and each rounding and
+Lovasz decision gets one attempt: it is taken only when no value inside
+the bound would decide otherwise, so each step, and the result, is the
+exact kernel's.
 
 The kernel refuses the level (returns None) on a decision inside its
 error bound, a non-positive pivot (which includes dependent columns),
 an overflow, or a spent step budget; the caller then runs the exact
-kernel on the level.
+kernel on the level. No Frank-Tardos level up to n = 16 has been seen
+to reach a decision inside the bound; the short first levels of
+``lll_rows`` below n = 16, and entries of very different sizes, do.
 """
 
 from math import ldexp, sqrt
@@ -42,10 +40,6 @@ TINY = 2.0**-1000
 TARGET_BITS = 480
 # a float dot product below this share of the norms' product is redone exactly
 CANCELS = 2.0**-26
-# a reduction by more than this recomputes the row instead of updating it
-LAZY_Q = 1 << 26
-# steps one coarse size reduction may take
-COARSE_STEPS = 32
 
 
 class _Refused(Exception):
@@ -90,21 +84,20 @@ def _reduce(cols):
     # (|mu_ji| + dmu_ji)) interleaved, and the weights of a quotient's bound
     mw, lo, hi = [None] * d, [0.0] * d, [0.0] * d
 
-    def floats(v):
-        try:
-            fv = [float(x) * scale for x in v]
-        except OverflowError:
-            fv = [_scaled(x, shift) for x in v]
-        return fv, sum(map(mul, fv, fv))
-
     def load(k):
-        f[k], sq[k] = fv, sqv = floats(b[k])
+        try:
+            fv = [float(x) * scale for x in b[k]]
+        except OverflowError:
+            fv = [_scaled(x, shift) for x in b[k]]
+        f[k] = fv
+        sq[k] = sqv = sum(map(mul, fv, fv))
         nrm[k] = sqrt(sqv)
 
-    def gso(v, fv, sqv, k):
-        # mu_vj for j < k and |v*|^2, v's part orthogonal to b_0..b_{k-1}, with
-        # running error bounds: r_vj = <v, b_j> - sum_i mu_ji r_vi, mu_vj = r_vj / c_j
-        nv = sqrt(sqv)
+    def row(k):
+        # mu_vj for j < k and |v*|^2 of v = b_k, with running error bounds, where
+        # v* is v's part orthogonal to b_0..b_{k-1}: r_vj = <v, b_j> - sum_i mu_ji r_vi,
+        # mu_vj = r_vj / c_j
+        v, fv, sqv, nv = b[k], f[k], sq[k], nrm[k]
         gamma = (k + 2) * UNIT
         r, drs, muv, dmuv = [], [], [], []
         cv, dcv = sqv, dot_err * sqv + TINY
@@ -135,10 +128,7 @@ def _reduce(cols):
             a = ay + e
             dcv += a * ex + (e + gamma * a) * ax
         dcv += gamma * (abs(cv) + sqv)  # the subtractions, each below |v|^2 + |v*|^2
-        return muv, dmuv, cv, dcv
-
-    def row(k):
-        mu[k], dmu[k], c[k], dc[k] = gso(b[k], f[k], sq[k], k)
+        mu[k], dmu[k], c[k], dc[k] = muv, dmuv, cv, dcv
 
     def settle(k):
         # the pivot, and what later rows read of row k
@@ -154,30 +144,6 @@ def _reduce(cols):
         lo[k] = 1 / (ck - dck)
         hi[k] = dck * lo[k] + UNIT
 
-    def refine(k, j):
-        # mu[k][j:] and c[k] again, from a copy of b_k reduced against
-        # b_0, ..., b_{j-1}: adding those columns to b_k changes none of them
-        v, x = b[k], mu[k]
-        for _ in range(COARSE_STEPS):
-            x = list(x)
-            moved = False
-            for i in range(j - 1, -1, -1):
-                q = round(x[i])
-                if q:
-                    v = [a - q * y for a, y in zip(v, b[i])]
-                    x[:i] = [a - q * y for a, y in zip(x, mu[i])]
-                    moved = True
-            if not moved:
-                break
-            fv, sqv = floats(v)
-            x, dx, cv, dcv = gso(v, fv, sqv, k)
-        else:
-            raise _Refused("refine steps")
-        if v is b[k]:
-            return False
-        mu[k][j:], dmu[k][j:], c[k], dc[k] = x[j:], dx[j:], cv, dcv
-        return True
-
     def move(k, j, q):
         # b_k -= q b_j, mirrored on U and U^-1
         bj, uj = b[j], u[j]
@@ -187,64 +153,36 @@ def _reduce(cols):
 
     def size_reduce(k, j):
         # the exact kernel's _size_reduce(k, j); True if b_k moved
-        moved = refined = recomputed = False
-        for _ in range(COARSE_STEPS):
-            x = mu[k][j]
-            e = 2 * dmu[k][j]
-            ax = abs(x)
-            if ax + e < 0.5:
-                return moved
-            q = round(x)
-            if 0.5 - abs(x - q) > e:
-                # no half-integer within the bound: q is the exact rounding
-                move(k, j, q)
-                if abs(q) > LAZY_Q:
-                    load(k)
-                    row(k)
-                    return True
-                muk, dmuk, muj, dmuj = mu[k], dmu[k], mu[j], dmu[j]
-                aq = abs(q)
-                for i in range(j):
-                    y = muk[i] - q * muj[i]
-                    muk[i] = y
-                    dmuk[i] += aq * (dmuj[i] + UNIT * abs(muj[i])) + UNIT * abs(y)
-                y = x - q
-                muk[j] = y
-                dmuk[j] += UNIT * abs(y)
-                return True
-            if not refined and refine(k, j):
-                refined = True
-            elif ax - e > 0.5:
-                # |mu| is surely above 1/2 but too coarse to round: take a step
-                move(k, j, q)
-                load(k)
-                row(k)
-                moved, refined = True, False
-            elif not recomputed:
-                # the row may carry the errors of updates in place: recompute it
-                load(k)
-                row(k)
-                refined, recomputed = False, True
-            else:
-                raise _Refused("rounding")  # mu may sit on a half-integer
-        raise _Refused("coarse steps")
+        x = mu[k][j]
+        e = 2 * dmu[k][j]
+        if abs(x) + e < 0.5:
+            return False
+        q = round(x)
+        if not 0.5 - abs(x - q) > e:
+            raise _Refused("rounding")  # a half-integer lies within the bound
+        # q is the exact rounding, and not 0: |mu| is above 1/2
+        move(k, j, q)
+        muk, dmuk, muj, dmuj = mu[k], dmu[k], mu[j], dmu[j]
+        aq = abs(q)
+        for i in range(j):
+            y = muk[i] - q * muj[i]
+            muk[i] = y
+            dmuk[i] += aq * (dmuj[i] + UNIT * abs(muj[i])) + UNIT * abs(y)
+        y = x - q
+        muk[j] = y
+        dmuk[j] += UNIT * abs(y)
+        return True
 
     def lovasz_fails(k):
-        for retry in (None, refine, row, refine):
-            if retry is row:
-                load(k)
-                row(k)
-            elif retry is refine and not refine(k, k - 1):
-                continue
-            x, e = mu[k][k - 1], dmu[k][k - 1]
-            cp, dcp = c[k - 1], dc[k - 1]
-            t = 0.75 - x * x
-            rhs = t * cp
-            erhs = (2 * abs(x) + e) * e * (cp + dcp) + abs(t) * dcp + UNIT * (abs(rhs) + cp)
-            diff = c[k] - rhs
-            if abs(diff) > 2 * (dc[k] + erhs + UNIT * abs(c[k])):
-                return diff < 0
-        raise _Refused("lovasz")
+        x, e = mu[k][k - 1], dmu[k][k - 1]
+        cp, dcp = c[k - 1], dc[k - 1]
+        t = 0.75 - x * x
+        rhs = t * cp
+        erhs = (2 * abs(x) + e) * e * (cp + dcp) + abs(t) * dcp + UNIT * (abs(rhs) + cp)
+        diff = c[k] - rhs
+        if not abs(diff) > 2 * (dc[k] + erhs + UNIT * abs(c[k])):
+            raise _Refused("lovasz")  # 4 c_k = (3 - 4 mu^2) c_{k-1} within the bound
+        return diff < 0
 
     for k in range(d):
         load(k)

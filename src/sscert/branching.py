@@ -86,16 +86,14 @@ class Certificate:
         object.__setattr__(self, "arg_min", tuple(self.arg_min))
         object.__setattr__(self, "arg_max", tuple(self.arg_max))
         level, lo, hi = self.level, self.vmin, self.vmax
-        if type(level) is int and type(lo) is type(hi) is Fraction:
-            # cross-multiplied: a Fraction's denominator is positive
-            holds = (
-                level * lo.denominator < lo.numerator
-                and lo.numerator * hi.denominator <= hi.numerator * lo.denominator
-                and hi.numerator < (level + 1) * hi.denominator
-            )
-        else:  # other numbers, compared exactly as they are
-            holds = level < lo <= hi < level + 1
-        if not holds:
+        if not (type(level) is int and type(lo) is type(hi) is Fraction):
+            raise DomainError("certificate needs an int level and Fraction bounds")
+        # cross-multiplied: a Fraction's denominator is positive
+        if not (
+            level * lo.denominator < lo.numerator
+            and lo.numerator * hi.denominator <= hi.numerator * lo.denominator
+            and hi.numerator < (level + 1) * hi.denominator
+        ):
             raise DomainError("certificate bounds must satisfy l < vmin <= vmax < l+1")
 
 

@@ -16,9 +16,9 @@ A truncated level (s > 0) whose entries reach FLOAT_BITS_PER_DIM bits
 per column goes to the float-guided kernel of ``_lll_fp``, which keeps
 the basis and the transforms exact and takes each step from double
 Gram-Schmidt data only when its error bound proves the step is the
-exact kernel's; it refuses the level otherwise. Smaller levels, where
-the exact kernel's integers are short, and refused ones go to the
-all-integer kernel of ``_lll_py``. A level whose truncated columns are
+exact kernel's. A decision inside the bound refuses the level, and the
+all-integer kernel of ``_lll_py`` takes it, as it takes the smaller
+levels, where its integers are short. A level whose truncated columns are
 dependent is skipped. Either kernel leaves the same basis and
 transform, so the output does not depend on which one ran.
 

@@ -692,15 +692,19 @@ class TestCertificateBounds:
                 held += holds
         assert held > 100
 
-    def test_other_numbers_compare_exactly(self):
-        # no float rounding or overflow: denominators past the float range
-        d = 1 << 1100
+    def test_other_numbers_are_refused(self):
+        # certify and parse_certificate build an int level and Fraction
+        # bounds; any other type is a DomainError, even where its values hold
+        d = 1 << 1100  # denominators past the float range
         lo, hi = Fraction(d + 1, d), Fraction(d + 2, d)
-        for level in (1, 1.0, Fraction(1), True):
-            assert self.builds(level, lo, hi)
-            assert not self.builds(level, Fraction(1), hi)
-        assert self.builds(0, 0.5, Fraction(3, 4)) and self.builds(0, 0.25, 0.5)
-        assert not self.builds(0.5, Fraction(1, 2), Fraction(3, 4))
+        assert self.builds(1, lo, hi)
+        cases = [(level, lo, hi) for level in (1.0, Fraction(1), True)] + [
+            (0, 0.5, Fraction(3, 4)), (0, Fraction(1, 4), 0.5), (0, Fraction(1, 2), 1),
+            (0.5, Fraction(1, 2), Fraction(3, 4)),
+        ]
+        for level, vmin, vmax in cases:
+            with pytest.raises(DomainError, match="int level and Fraction bounds"):
+                Certificate(beta=0, level=level, vmin=vmin, vmax=vmax, arg_min=(), arg_max=())
 
 
 class TestVerify:
@@ -768,11 +772,12 @@ class TestVerify:
         a, v = (31, 37, 41), (1, 2, 2)
         cert = certify(a, v, 33).certificate
         toy = certify(TOY_A, TOY_V, 150).certificate
+        moved = replace(cert, beta=cert.beta + 40)  # the constructor reads Fraction
         _ascending.cache_clear()
         monkeypatch.setattr(branching, "Fraction", no_fraction)
         assert verify_certificate(a, v, cert) is True
         assert verify_certificate(TOY_A, TOY_V, toy) is True
-        assert verify_certificate(a, v, replace(cert, beta=cert.beta + 40)) is False
+        assert verify_certificate(a, v, moved) is False
 
     @pytest.mark.parametrize(
         "decompose, n",
@@ -824,7 +829,12 @@ class TestVerify:
         for v in [(1, 1), (1, 1, 1, 1), (0, 0, 0), (1, -1, 1), (1, 1.0, 1)]:
             assert verify_certificate(TOY_A, v, cert) is False, v
         for level in (Fraction(1), 1.0):
-            assert verify_certificate(TOY_A, TOY_V, replace(cert, level=level)) is False
+            # the constructor refuses such a level; a copy that skips it is rejected
+            with pytest.raises(DomainError):
+                replace(cert, level=level)
+            forged = replace(cert)
+            object.__setattr__(forged, "level", level)
+            assert verify_certificate(TOY_A, TOY_V, forged) is False
         for beta in (Fraction(150), 150.0, Fraction(301, 2)):
             assert verify_certificate(TOY_A, TOY_V, replace(cert, beta=beta)) is False
 

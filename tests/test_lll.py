@@ -243,8 +243,11 @@ class TestFeeding:
         cols = [[(1 << 300) + (1 << 100), 1], [1 << 300, 1]]
         fed = assert_fed_matches_plain(Basis(cols))
         assert kernel_calls[:2] == [("float", None), ("exact", None)]
-        # the last level, then the exact pass
-        assert [k for k, counts in kernel_calls[-2:] if counts] == ["float", "exact"]
+        # the last level, which the float kernel refuses and the exact
+        # kernel takes, then the exact pass
+        assert [(k, bool(counts)) for k, counts in kernel_calls[-3:]] == [
+            ("float", False), ("exact", True), ("exact", True)
+        ]
         assert [abs(x) for col in fed.basis.cols for x in col] == [0, 1, 1 << 100, 0]
         assert_stats_sum_levels(fed, kernel_calls)
 
@@ -259,6 +262,15 @@ class TestFeeding:
         kernel, (swaps, _) = kernel_calls[-1]
         assert kernel == "exact" and swaps == 0
         assert_stats_sum_levels(fed, kernel_calls)
+
+    def test_frank_tardos_levels_are_never_refused(self, kernel_calls):
+        # a refused level still ends right, in the exact kernel, but FT levels
+        # run several times slower there, and nothing else would show it: a
+        # CPython whose float sum computes other doubles (3.12+) must refuse none
+        for n in range(13, 17):
+            lll_reduce(frank_tardos_lattice(n, 1))
+        assert ("float", None) not in kernel_calls
+        assert sum(kernel == "float" for kernel, _ in kernel_calls) > 20
 
     def test_knapsack_lattice_n20(self):
         assert_fed_matches_plain(knapsack_lattice(generate_instance(20, 5).a))
@@ -366,11 +378,14 @@ class TestFloatGuided:
                 assert guided == (b, u, uinv, swaps, reductions)
 
     def test_kernel_scales_entries_past_the_double_range(self):
-        # entries of 1100 to 1300 bits, which float() cannot take
-        rnd = random.Random(21)
-        cols = [[rnd.getrandbits(rnd.randint(1100, 1300)) for _ in range(6)] for _ in range(5)]
-        b, u, uinv, _, _, swaps, reductions = _lll_py.lll_reduce_ints(cols)
-        assert _lll_fp.lll_reduce_fp(cols) == (b, u, uinv, swaps, reductions)
+        # the FT n=10 levels times 2^1100, past what float() can take: the
+        # kernel takes every one
+        levels = fed_reduce_exact(frank_tardos_lattice(10, 1).cols, _lll_py.lll_reduce_ints)[0]
+        assert len(levels) == 7
+        for level in levels:
+            cols = [[x << 1100 for x in col] for col in level]
+            b, u, uinv, _, _, swaps, reductions = _lll_py.lll_reduce_ints(cols)
+            assert _lll_fp.lll_reduce_fp(cols) == (b, u, uinv, swaps, reductions)
 
     @pytest.mark.parametrize(
         "cols",
@@ -412,8 +427,11 @@ def test_float_kernel_transform_must_be_unimodular(monkeypatch):
 
 
 # SHA-256 of the decomposition documents at seed 1, recorded at commit
-# 5d39c1d; a change to the reduction that moves one says so
+# 5d39c1d (lll_rows n=10 at 470cee8, whose levels then went to the float
+# kernel); a change to the reduction that moves one says so
 PINNED_SHA256 = [
+    (decompose_lll_rows, 10,
+     "55ab1c2bff202395f14ac5c1ba93e65ea53b8117fe137d174f3a42b494ce14fc"),
     (decompose_frank_tardos, 10,
      "fbf345d6dabc99cdbd20c53148aca711fc0adf517accaff8bccd3ac155d44aec"),
     (decompose_frank_tardos, 12,
@@ -423,7 +441,9 @@ PINNED_SHA256 = [
 ]
 
 
-@pytest.mark.parametrize("decompose, n, digest", PINNED_SHA256, ids=["ft10", "ft12", "rows20"])
+@pytest.mark.parametrize(
+    "decompose, n, digest", PINNED_SHA256, ids=["rows10", "ft10", "ft12", "rows20"]
+)
 def test_directions_are_pinned(decompose, n, digest):
     text = documents.serialize_decomposition(decompose(generate_instance(n, 1)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
