@@ -44,16 +44,29 @@ class ApproxResult:
         n = len(self.v)
         if self.q < 1:
             raise InvariantViolation("denominator q must be positive")
+        if self.precision < 1:
+            raise InvariantViolation("precision N must be positive")
         if self.err_inf > Fraction(1, self.precision):
             raise InvariantViolation("approximation error exceeds 1/N")
-        if self.q**4 > self.q_bound_pow4:
+        if exceeds_q_bound(self.q, n, self.precision):
             raise InvariantViolation("denominator exceeds the stated bound")
 
-    @property
-    def q_bound_pow4(self) -> int:
-        """Fourth power of the bound 2^(n(n+1)/4) * N^n, an exact integer."""
-        n = len(self.v)
-        return (1 << (n * (n + 1))) * self.precision ** (4 * n)
+
+def exceeds_q_bound(q: int, n: int, precision: int) -> bool:
+    """q^4 > 2^(n(n+1)) * N^(4n), the fourth power of q's bound, for q, N >= 1.
+
+    With b and c the bit lengths of q and N, q^4 lies in [2^(4b-4), 2^(4b))
+    and the bound in [2^lo, 2^(lo+4n)), lo = n(n+1) + 4n(c-1). The bit
+    lengths decide unless those ranges overlap, and then the bound has
+    fewer than 4b + 4n bits, so a document's n and N cannot make it large.
+    """
+    b = q.bit_length()
+    lo = n * (n + 1) + 4 * n * (precision.bit_length() - 1)
+    if 4 * b <= lo:
+        return False
+    if 4 * b - 4 >= lo + 4 * n:
+        return True
+    return q**4 > (1 << (n * (n + 1))) * precision ** (4 * n)
 
 
 def build_approx_lattice(alpha: Sequence[Fraction], precision: int) -> Basis:

@@ -12,15 +12,17 @@ composed onto the accumulated one. Each level starts from a basis the
 previous ones left almost reduced, so the expensive swaps happen on
 small numbers.
 
-A truncated level (s > 0) whose entries reach FLOAT_BITS_PER_DIM bits
-per column goes to the float-guided kernel of ``_lll_fp``, which keeps
-the basis and the transforms exact and takes each step from double
-Gram-Schmidt data only when its error bound proves the step is the
-exact kernel's. A decision inside the bound refuses the level, and the
-all-integer kernel of ``_lll_py`` takes it, as it takes the smaller
-levels, where its integers are short. A level whose truncated columns are
-dependent is skipped. Either kernel leaves the same basis and
-transform, so the output does not depend on which one ran.
+Every truncated level (s > 0) goes to the float-guided kernel of
+``_lll_fp`` first. It keeps the basis and the transforms exact and
+takes each step from double Gram-Schmidt data only when its error
+bound proves the step is the exact kernel's. A decision inside the
+bound refuses the level, and the all-integer kernel of ``_lll_py``
+takes it. A level whose truncated columns are dependent is refused by
+both kernels and skipped. No Frank-Tardos level up to n = 16 has been
+seen refused; every truncated ``lll_rows`` level measured at
+n = 6-32 is refused at a Lovasz decision, 0.2-21 ms per decomposition
+(README). Either kernel leaves the same basis and transform, so the
+output does not depend on which one ran.
 
 One exact kernel pass on the full basis times the accumulated
 transform finishes, so the output is exactly LLL-reduced whatever the
@@ -50,9 +52,6 @@ def kernel_name() -> str:
 
 
 FEED_STEP_BITS = 64
-# a truncated level goes to the float-guided kernel when its entries reach
-# this many bits per column; below it the exact kernel is faster
-FLOAT_BITS_PER_DIM = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,9 +125,7 @@ def lll_reduce(basis: Basis) -> ReducedBasis:
     top = _bits(cols)
     for shift in [*range(top - FEED_STEP_BITS, 0, -FEED_STEP_BITS), 0]:
         level = _mul(_truncate(cols, shift), u)
-        guided = None
-        if shift and _bits(level) >= FLOAT_BITS_PER_DIM * d:
-            guided = _lll_fp.lll_reduce_fp(level)
+        guided = _lll_fp.lll_reduce_fp(level) if shift else None
         if guided is not None:
             _, lu, luinv, s, r = guided
         else:

@@ -11,6 +11,7 @@ from sscert.diophantine import (
     choose_precision,
     corner_exponent,
     dioph_approx,
+    exceeds_q_bound,
 )
 from sscert.errors import DomainError, InvariantViolation
 
@@ -104,6 +105,19 @@ class TestDiophApprox:
             ApproxResult(q=0, v=(1,), precision=2, err_inf=Fraction(0))
         with pytest.raises(InvariantViolation):
             ApproxResult(q=1, v=(1,), precision=2, err_inf=Fraction(2, 3))
+        for precision in (0, -5):
+            with pytest.raises(InvariantViolation, match="precision"):
+                ApproxResult(q=1, v=(1,), precision=precision, err_inf=Fraction(0))
+
+    def test_q_bound_decided_as_the_plain_comparison(self):
+        # q around the fourth root of the bound, where the bit lengths of q^4
+        # and of the bound overlap and the exact comparison has to decide
+        for n in range(1, 7):
+            for precision in range(1, 65):
+                bound = (1 << (n * (n + 1))) * precision ** (4 * n)
+                root = math.isqrt(math.isqrt(bound))
+                for q in range(max(1, root - 1), root + 3):
+                    assert exceeds_q_bound(q, n, precision) == (q**4 > bound)
 
 
 class TestChoosePrecision:

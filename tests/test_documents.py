@@ -196,6 +196,19 @@ class TestDecompositionDocs:
         with pytest.raises(ParseError, match="nonzero"):
             documents.parse_decomposition(json.dumps(doc))
 
+    def test_long_direction_with_huge_precision_parses_quickly(self):
+        # the bound on q grows as 2^(n(n+1)) N^(4n) in the document's n and N:
+        # 2,000 entries and a 4,000-digit N make it about 110 million bits
+        doc = json.loads(
+            documents.serialize_decomposition(decompose_frank_tardos(generate_instance(10, 1)))
+        )
+        doc.update(v=["1"] * 2000, r=["0"] * 2000)
+        doc["provenance"].update(q="1", precision="9" * 4000, err_inf="0")
+        start = time.perf_counter()
+        dec = documents.parse_decomposition(json.dumps(doc))
+        assert time.perf_counter() - start < 5
+        assert len(dec.v) == 2000 and dec.provenance.q == 1
+
 
 class TestReductionProvenance:
     def text(self, **fields):
