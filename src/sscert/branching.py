@@ -72,11 +72,17 @@ class CertifyStatus(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class Certificate:
-    """Proof that level < v.x < level + 1 over the whole relaxation."""
+class Claim:
+    """level < v.x < level + 1 on the relaxation of a.x = beta: what verify reads."""
 
     beta: int
     level: int
+
+
+@dataclass(frozen=True, slots=True)
+class Certificate(Claim):
+    """A Claim with the LP values and vertices that ``certify`` found."""
+
     vmin: Fraction
     vmax: Fraction
     arg_min: tuple[Fraction, ...]
@@ -326,22 +332,22 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     return CertifyResult(CertifyStatus.NO_CERTIFICATE, beta)
 
 
-def verify_certificate(a: Sequence[int], v: Sequence[int], cert: Certificate) -> bool:
+def verify_certificate(a: Sequence[int], v: Sequence[int], claim: Claim) -> bool:
     """Independent check: max(a, level) < beta < min(a, level + 1).
 
-    Recomputes both one-sided LPs and never consults the certificate's
-    own vmin/vmax or witnesses; any malformed input yields False. a and
-    v are checked once, and the two lp_extreme_ineq calls refuse a level
-    that is not an int or lies outside [0, ||v||_1), so a DomainError of
-    either is the rejection. Each call returns an unreduced (num, den)
-    with den > 0, and the decision is two cross-multiplications,
-    num < beta den on the max side and beta den < num on the min side:
-    no Fraction is built and no gcd taken.
+    Recomputes both one-sided LPs from the claim's beta and level alone;
+    any malformed input yields False. a and v are checked once, and the
+    two lp_extreme_ineq calls refuse a level that is not an int or lies
+    outside [0, ||v||_1), so a DomainError of either is the rejection.
+    Each call returns an unreduced (num, den) with den > 0, and the
+    decision is two cross-multiplications, num < beta den on the max
+    side and beta den < num on the min side: no Fraction is built and no
+    gcd taken.
     """
-    beta = cert.beta
+    beta = claim.beta
     if not isinstance(beta, int):
         return False
-    level = cert.level
+    level = claim.level
     try:
         a = validate_weights(a)
         v = validate_direction(v, len(a))

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import documents
 from .branching import (
     CertifyStatus,
+    Claim,
     certify,
     coverage_stats,
     enumerate_intervals,
@@ -103,11 +103,7 @@ def _cmd_decompose(config: argparse.Namespace) -> int:
 
 
 def _cmd_certify(config: argparse.Namespace) -> int:
-    """Certify beta / g against a / g; every document names beta as asked.
-
-    The certificate's witnesses x satisfy (a / g).x = beta / g, so
-    a.x = beta, and v.x does not depend on g: its fields hold for a.
-    """
+    """Certify beta / g against a / g; every document names beta as asked."""
     beta = documents.parse_int(config.beta, "beta")
     inst, divisor = _load_instance(config)
     dec = _load_decomposition(config, inst)
@@ -117,8 +113,8 @@ def _cmd_certify(config: argparse.Namespace) -> int:
         return EXIT_OK
     result = certify(inst.a, dec.v, beta // divisor)
     if result.status is CertifyStatus.CERTIFIED:
-        cert = replace(result.certificate, beta=beta)
-        _emit(documents.serialize_certificate(cert, dec.v), config.output)
+        claim = Claim(beta, result.certificate.level)
+        _emit(documents.serialize_certificate(claim, dec.v), config.output)
         return EXIT_OK
     _emit(documents.serialize_certify_status(result.status, beta), config.output)
     if result.status is CertifyStatus.NO_CERTIFICATE:
@@ -130,14 +126,14 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     """Check the certificate's beta against a: as beta / g against a / g."""
     inst, divisor = _load_instance(config)
     try:
-        cert, v = documents.parse_certificate(_read(config.certificate))
+        claim, v = documents.parse_certificate(_read(config.certificate))
     except ParseError as exc:
         _diag(f"certificate rejected: {exc}")
         return EXIT_REJECTED
-    if cert.beta % divisor != 0:
+    if claim.beta % divisor != 0:
         _diag(f"rejected: the weights' gcd {divisor} does not divide beta")
         return EXIT_REJECTED
-    if verify_certificate(inst.a, v, replace(cert, beta=cert.beta // divisor)):
+    if verify_certificate(inst.a, v, Claim(claim.beta // divisor, claim.level)):
         _diag("verified")
         return EXIT_OK
     _diag("rejected")

@@ -63,8 +63,13 @@ class Decomposition:
         object.__setattr__(self, "v", validate_direction(self.v, len(self.residual)))
         if self.scale <= 0:
             raise DomainError("scale must be positive")
+        # r = a - scale * v for an integer a: one common denominator keeps the sum linear
+        if any(self.scale.denominator % r.denominator for r in self.residual):
+            raise DomainError("residual denominators must divide the scale's")
         if l1_norm(self.residual) >= self.scale:
             raise DomainError("residual l1 norm must be below the scale")
+        if (self.method is Method.FRANK_TARDOS) != isinstance(self.provenance, ApproxResult):
+            raise DomainError(f"method {self.method.value} needs its own provenance")
 
     @property
     def bounds(self) -> tuple[BoundCheck, ...]:

@@ -7,9 +7,10 @@ lowest terms with positive denominator. No number may have more digits
 than the interpreter's int/str conversion limit: reading one is a
 ParseError, writing one a CapacityError. Only the documents a command
 reads back (instance, decomposition, certificate) have parsers; the
-status and report documents are output only. Parsing is lenient about
-non-canonical rationals (plain integers allowed) but strict about
-structure, and reports a location with every error.
+status and report documents are output only. A certificate holds what
+the verifier reads: beta, the level ell and v. Parsing is lenient about
+non-canonical rationals (plain integers allowed) and ignores unread
+keys, but is strict about structure, and locates every error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .branching import Certificate, CertifyStatus, CoverageStats, IntervalCover
+from .branching import Claim, CertifyStatus, CoverageStats, IntervalCover
 from .decompose import Decomposition, Method
 from .diophantine import ApproxResult
 from .errors import CapacityError, DomainError, InvariantViolation, ParseError
@@ -239,34 +240,22 @@ def _parse_count(raw_prov: dict, key: str) -> int:
 # -- certificate ------------------------------------------------------------
 
 
-def serialize_certificate(cert: Certificate, v: tuple[int, ...]) -> str:
-    payload = {
+def serialize_certificate(claim: Claim, v: tuple[int, ...]) -> str:
+    return _dump({
         "kind": "certificate",
-        "beta": format_int(cert.beta),
-        "ell": format_int(cert.level),
-        "vmin": format_fraction(cert.vmin),
-        "vmax": format_fraction(cert.vmax),
-        "arg_min": [format_fraction(x) for x in cert.arg_min],
-        "arg_max": [format_fraction(x) for x in cert.arg_max],
+        "beta": format_int(claim.beta),
+        "ell": format_int(claim.level),
         "v": [format_int(x) for x in v],
-    }
-    return _dump(payload)
+    })
 
 
-def parse_certificate(text: str) -> tuple[Certificate, tuple[int, ...]]:
+def parse_certificate(text: str) -> tuple[Claim, tuple[int, ...]]:
     doc = _object(_load(text), "certificate")
-    try:
-        cert = Certificate(
-            beta=parse_int(_req(doc, "beta"), "$.beta"),
-            level=parse_int(_req(doc, "ell"), "$.ell"),
-            vmin=parse_fraction(_req(doc, "vmin"), "$.vmin"),
-            vmax=parse_fraction(_req(doc, "vmax"), "$.vmax"),
-            arg_min=_parse_fraction_list(_req(doc, "arg_min"), "$.arg_min"),
-            arg_max=_parse_fraction_list(_req(doc, "arg_max"), "$.arg_max"),
-        )
-    except DomainError as exc:
-        raise ParseError(str(exc), "$") from None
-    return cert, _parse_int_list(_req(doc, "v"), "$.v")
+    claim = Claim(
+        beta=parse_int(_req(doc, "beta"), "$.beta"),
+        level=parse_int(_req(doc, "ell"), "$.ell"),
+    )
+    return claim, _parse_int_list(_req(doc, "v"), "$.v")
 
 
 def serialize_certify_status(status: CertifyStatus, beta: int) -> str:

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from sscert import documents
-from sscert.branching import CertifyStatus, certify, coverage_stats, enumerate_intervals
+from sscert.branching import (
+    Claim,
+    CertifyStatus,
+    certify,
+    coverage_stats,
+    enumerate_intervals,
+    verify_certificate,
+)
 from sscert.decompose import (
     Decomposition,
     Method,
@@ -21,6 +28,8 @@ from sscert.oracle import infeasible_coverage_report
 TOY = Instance(a=(100, 101, 102), seed=7)
 TOY_SCALE = Fraction(101)
 TOY_RESIDUAL = (Fraction(-1), Fraction(0), Fraction(1))
+# certified on generate_instance(10, 1) by both methods' directions
+PIPELINE_BETA = 6210704809787412867635402647213653485620103494156017967728800
 
 # a reduction decomposition of TOY in the format that still carried
 # "bounds" and "warnings" arrays; the parser ignores keys it does not read
@@ -209,6 +218,54 @@ class TestDecompositionDocs:
         assert time.perf_counter() - start < 5
         assert len(dec.v) == 2000 and dec.provenance.q == 1
 
+    def test_non_ascii_rational_digits_rejected(self):
+        # "\u0661\u0660\u0661" is 101 in Arabic-Indic digits; int() would accept it
+        text = documents.serialize_decomposition(documents.parse_decomposition(
+            WARNINGS_KEY_DOCUMENT
+        ))
+        for canonical in ('"101/1"', '"-1/1"'):
+            assert canonical in text
+            forged = text.replace(canonical, canonical.replace("1", "\u0661"))
+            assert forged != text
+            with pytest.raises(ParseError, match="numerator/denominator"):
+                documents.parse_decomposition(forged)
+
+    def test_residual_denominators_must_divide_the_scale(self):
+        # r = a - scale * v for an integer a has the scale's denominator
+        # as a common one; 20,000 entries of 1/(10^30 + odd) would make
+        # the sum of |r_i| quadratic in the document's size (840 KB)
+        doc = json.loads(WARNINGS_KEY_DOCUMENT)
+        k = 20000
+        doc.update(
+            v=["1"] * k, r=[f"1/{10**30 + 2 * i + 1}" for i in range(k)],
+            **{"lambda": str(10**40)},
+        )
+        doc["provenance"]["dim"] = k
+        text = json.dumps(doc)
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="denominators"):
+            documents.parse_decomposition(text)
+        assert time.perf_counter() - start < 1
+        # the same denominators are read once the scale's has them all
+        doc.update(v=["1"] * 3, r=["1/3", "-1/5", "1/15"], **{"lambda": "101/15"})
+        doc["provenance"]["dim"] = 3
+        assert documents.parse_decomposition(json.dumps(doc)).scale == Fraction(101, 15)
+        doc["r"][2] = "1/7"
+        with pytest.raises(ParseError, match="denominators"):
+            documents.parse_decomposition(json.dumps(doc))
+
+    @pytest.mark.parametrize("decompose, relabel", [
+        (decompose_frank_tardos, "lll_rows"),
+        (decompose_lll_rows, "frank_tardos"),
+    ])
+    def test_method_must_match_provenance(self, decompose, relabel):
+        # a relabelled document would have the other method's bounds checked
+        doc = json.loads(documents.serialize_decomposition(decompose(generate_instance(10, 1))))
+        documents.parse_decomposition(json.dumps(doc))
+        doc["method"] = relabel
+        with pytest.raises(ParseError, match="provenance"):
+            documents.parse_decomposition(json.dumps(doc))
+
 
 class TestReductionProvenance:
     def text(self, **fields):
@@ -269,28 +326,63 @@ class TestDigitLimit:
             documents.format_fraction(Fraction(1, 10**5000))
 
 
+# a certificate of TOY at beta = 150 in the format that still carried the
+# LP values and vertices; the parser ignores keys it does not read
+OLD_CERTIFICATE_DOCUMENT = {
+    "kind": "certificate",
+    "beta": "150",
+    "ell": "1",
+    "vmin": "149/101",
+    "vmax": "151/101",
+    "arg_min": ["0/1", "48/101", "1/1"],
+    "arg_max": ["1/1", "50/101", "0/1"],
+    "v": ["1", "1", "1"],
+}
+
+
 class TestCertificateDocs:
     def test_roundtrip(self):
         cert = certify(TOY.a, (1, 1, 1), 150).certificate
         text = documents.serialize_certificate(cert, (1, 1, 1))
-        back, v = documents.parse_certificate(text)
-        assert back == cert and v == (1, 1, 1)
-        assert documents.serialize_certificate(back, v) == text
+        assert documents.parse_certificate(text) == (Claim(150, 1), (1, 1, 1))
+        assert documents.serialize_certificate(*documents.parse_certificate(text)) == text
 
-    def test_non_ascii_rational_digits_rejected(self):
-        cert = certify(TOY.a, (1, 1, 1), 150).certificate
-        text = documents.serialize_certificate(cert, (1, 1, 1))
-        assert '"vmin": "149/101"' in text
-        forged = text.replace('"vmin": "149/101"', '"vmin": "\u0661\u0664\u0669/101"')
-        with pytest.raises(ParseError):
-            documents.parse_certificate(forged)
+    @pytest.mark.parametrize("decompose", [decompose_frank_tardos, decompose_lll_rows])
+    def test_holds_only_what_verify_reads(self, decompose):
+        inst = generate_instance(10, 1)
+        dec = decompose(inst)
+        result = certify(inst.a, dec.v, PIPELINE_BETA)
+        assert result.status is CertifyStatus.CERTIFIED
+        text = documents.serialize_certificate(result.certificate, dec.v)
+        assert set(json.loads(text)) == {"kind", "beta", "ell", "v"}
+        if decompose is decompose_frank_tardos:
+            assert len(text.encode()) <= 800
+        claim, v = documents.parse_certificate(text)
+        assert type(claim) is Claim and v == dec.v
+        assert documents.serialize_certificate(claim, v) == text
 
-    def test_unordered_bounds_rejected(self):
-        cert = certify(TOY.a, (1, 1, 1), 150).certificate
-        text = documents.serialize_certificate(cert, (1, 1, 1))
-        broken = text.replace('"ell": "1"', '"ell": "2"')
-        with pytest.raises(ParseError):
-            documents.parse_certificate(broken)
+    def test_old_format_is_read_as_its_beta_ell_and_v(self):
+        # the LP values and vertices may be stale or malformed: only beta,
+        # ell and v are read, so the verdict is theirs
+        old = dict(OLD_CERTIFICATE_DOCUMENT)
+        claim, v = documents.parse_certificate(json.dumps(old))
+        assert (claim, v) == (Claim(150, 1), (1, 1, 1))
+        assert verify_certificate(TOY.a, v, claim) is True
+        stale = [
+            {"vmin": "151/101", "vmax": "149/101"},
+            {"vmin": "x", "arg_max": None},
+            {"arg_min": ["1/1"], "arg_max": ["2/1", "0/1", "0/1"]},
+            {"vmin": "\u0661\u0664\u0669/101", "vmax": "1/0"},
+        ]
+        for fields in stale:
+            for beta, ell in ((150, 1), (102, 1), (201, 1), (150, 0), (150, 2), (160, 1)):
+                doc = dict(old, **fields, beta=str(beta), ell=str(ell))
+                assert documents.parse_certificate(json.dumps(doc)) == (
+                    Claim(beta, ell), (1, 1, 1)
+                )
+                # (max(a, 1), min(a, 2)) = (102, 201): 150 and 160 lie inside
+                accepted = verify_certificate(TOY.a, (1, 1, 1), Claim(beta, ell))
+                assert accepted is (ell == 1 and 102 < beta < 201), (fields, beta, ell)
 
     def test_status_roundtrip(self):
         text = documents.serialize_certify_status(CertifyStatus.NO_CERTIFICATE, 101)
