@@ -30,7 +30,9 @@ interval [min(a,k), max(a,k)] and an open "good" interval between
 consecutive levels; good intervals contain exactly the certified
 right-hand sides. Exact coverage statistics count the integers in bad
 intervals in closed form, without enumerating levels, and compare the
-share against the exact bound 2 (||r||_1 + 1) / scale.
+share against the exact bound 2 (||r||_1 + 1) / scale. The same count
+brackets the certified share of the infeasible right-hand sides, the
+figure of the paper's Corollary 1, since at most 2^n are feasible.
 """
 
 from __future__ import annotations
@@ -140,6 +142,30 @@ class CoverageStats:
     two_pow_n_bound: Fraction
     sample_size: int | None = None
     seed: int | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class InfeasibleCoverageReport:
+    """Certified share of the infeasible right-hand sides, bracketed exactly.
+
+    ``certified`` of the ``total`` = ||a||_1 + 1 right-hand sides are
+    certified, all of them infeasible, and between 1 and 2^n are
+    feasible, so the share lies in [lower, upper] = [certified / total,
+    certified / (total - 2^n)]; ``upper`` is None when total <= 2^n. The
+    verdict is "holds" when lower reaches the target 1 - 2^-n, "fails"
+    when upper stays below it, and "undecided" otherwise.
+    """
+
+    total: int
+    certified: int
+    lower: Fraction
+    upper: Fraction | None
+    target: Fraction
+    verdict: Literal["holds", "fails", "undecided"]
+
+    def __post_init__(self):
+        if not 0 <= self.certified < self.total:  # beta = 0 is feasible
+            raise InvariantViolation("certified count outside [0, total)")
 
 
 def _greedy_order(num, den, sense: Sense) -> list[int]:
@@ -530,6 +556,32 @@ def coverage_stats(
         bad_fraction_bound=bound, two_pow_n_bound=two_pow,
         sample_size=sample_size, seed=seed,
     )
+
+
+def infeasible_coverage_report(
+    a: Sequence[int], v: Sequence[int]
+) -> InfeasibleCoverageReport:
+    """Corollary 1's bracket: the certified count in closed form, at every n.
+
+    DomainError when the weights are not coprime or levels overlap.
+    """
+    a = validate_weights(a)
+    v = validate_direction(v, len(a))
+    if math.gcd(*a) != 1:
+        raise DomainError("weights not coprime")
+    total = sum(a) + 1
+    certified = total - _bad_count(a, v)
+    most_feasible = 1 << len(a)
+    lower = Fraction(certified, total)
+    upper = Fraction(certified, total - most_feasible) if total > most_feasible else None
+    target = 1 - Fraction(1, most_feasible)
+    if lower >= target:
+        verdict = "holds"
+    elif upper is not None and upper < target:
+        verdict = "fails"
+    else:
+        verdict = "undecided"
+    return InfeasibleCoverageReport(total, certified, lower, upper, target, verdict)
 
 
 def _classify(a, v, betas, workers: int) -> tuple[int, int]:

@@ -20,6 +20,7 @@ from .branching import (
     certify,
     coverage_stats,
     enumerate_intervals,
+    infeasible_coverage_report,
     verify_certificate,
 )
 from .decompose import LLL_ROWS_MAX_N, Method, decompose_with_fallback
@@ -31,15 +32,12 @@ from .errors import (
     ParseError,
 )
 from .model import Instance, generate_instance
-from .oracle import infeasible_coverage_report
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
-
-_MAX_SAMPLE_SIZE = 10**6
 
 
 def _read(path: str) -> str:
@@ -59,24 +57,6 @@ def _diag(message: str) -> None:
     print(f"sscert: {message}", file=sys.stderr)
 
 
-def _bounded(value: str, what: str, limit: int) -> int:
-    """A decimal argument; CapacityError above ``limit``."""
-    number = documents.parse_int(value, what)
-    if number > limit:
-        raise CapacityError(f"{what} {number} exceeds the limit {limit}")
-    return number
-
-
-def _seed(value: str | None) -> int | None:
-    """A SplitMix64 seed; DomainError outside [0, 2^64), which it would mask."""
-    if value is None:
-        return None
-    seed = documents.parse_int(value, "seed")
-    if not 0 <= seed < 1 << 64:
-        raise DomainError("seed must lie in [0, 2^64)")
-    return seed
-
-
 def _load_instance(config: argparse.Namespace) -> tuple[Instance, int]:
     return documents.parse_instance(_read(config.instance))
 
@@ -89,9 +69,13 @@ def _load_decomposition(config: argparse.Namespace, inst: Instance):
 
 
 def _cmd_generate(config: argparse.Namespace) -> int:
-    n = _bounded(config.n, "n", LLL_ROWS_MAX_N)
-    inst = generate_instance(n, _seed(config.seed))
-    _emit(documents.serialize_instance(inst), config.output)
+    n = documents.parse_int(config.n, "n")
+    if n > LLL_ROWS_MAX_N:
+        raise CapacityError(f"n {n} exceeds the limit {LLL_ROWS_MAX_N}")
+    seed = documents.parse_int(config.seed, "seed")
+    if not 0 <= seed < 1 << 64:  # SplitMix64 would mask it to 64 bits
+        raise DomainError("seed must lie in [0, 2^64)")
+    _emit(documents.serialize_instance(generate_instance(n, seed)), config.output)
     return EXIT_OK
 
 
@@ -163,12 +147,7 @@ def _cmd_stats(config: argparse.Namespace) -> int:
 def _cmd_cor1(config: argparse.Namespace) -> int:
     inst, _ = _load_instance(config)
     dec = _load_decomposition(config, inst)
-    if config.mode == "sampled":
-        sample_size = _bounded(config.sample_size, "sample size", _MAX_SAMPLE_SIZE)
-        seed = _seed(config.seed)
-    else:  # exact mode draws nothing, so it reads no sampling option
-        sample_size = seed = None
-    report = infeasible_coverage_report(inst.a, dec.v, config.mode, sample_size, seed)
+    report = infeasible_coverage_report(inst.a, dec.v)
     _emit(documents.serialize_infeasible_coverage(report), config.output)
     return EXIT_OK
 
@@ -255,14 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cor1", help="certified share of infeasible right-hand sides")
     add_instance(p)
     p.add_argument("--decomposition", required=True)
-    p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument(
-        "--sample-size",
-        dest="sample_size",
-        default="10000",
-        help=f"1 to {_MAX_SAMPLE_SIZE}, decimal string",
-    )
-    p.add_argument("--seed", default=None, help="required for sampled mode")
     add_common(p)
 
     return parser

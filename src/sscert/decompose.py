@@ -62,14 +62,15 @@ class Decomposition:
         object.__setattr__(self, "residual", tuple(self.residual))
         object.__setattr__(self, "v", validate_direction(self.v, len(self.residual)))
         if self.scale <= 0:
-            raise DomainError("scale must be positive")
+            raise DomainError("scale must be positive", "scale")
         # r = a - scale * v for an integer a: one common denominator keeps the sum linear
-        if any(self.scale.denominator % r.denominator for r in self.residual):
-            raise DomainError("residual denominators must divide the scale's")
+        for i, r in enumerate(self.residual):
+            if self.scale.denominator % r.denominator:
+                raise DomainError("residual denominators must divide the scale's", "residual", i)
         if l1_norm(self.residual) >= self.scale:
-            raise DomainError("residual l1 norm must be below the scale")
+            raise DomainError("residual l1 norm must be below the scale", "residual")
         if (self.method is Method.FRANK_TARDOS) != isinstance(self.provenance, ApproxResult):
-            raise DomainError(f"method {self.method.value} needs its own provenance")
+            raise DomainError(f"method {self.method.value} needs its own provenance", "method")
 
     @property
     def bounds(self) -> tuple[BoundCheck, ...]:

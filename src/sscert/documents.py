@@ -21,13 +21,18 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .branching import Claim, CertifyStatus, CoverageStats, IntervalCover
+from .branching import (
+    Claim,
+    CertifyStatus,
+    CoverageStats,
+    InfeasibleCoverageReport,
+    IntervalCover,
+)
 from .decompose import Decomposition, Method
 from .diophantine import ApproxResult
 from .errors import CapacityError, DomainError, InvariantViolation, ParseError
 from .lll import ReductionStats
 from .model import Instance
-from .oracle import InfeasibleCoverageReport
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
@@ -177,6 +182,10 @@ def serialize_decomposition(dec: Decomposition) -> str:
     return _dump(payload)
 
 
+# the document key of each Decomposition field
+_DECOMPOSITION_KEYS = {"v": "v", "scale": "lambda", "residual": "r", "method": "method"}
+
+
 def parse_decomposition(text: str) -> Decomposition:
     doc = _object(_load(text), "decomposition")
     method_value = _req(doc, "method")
@@ -224,8 +233,13 @@ def parse_decomposition(text: str) -> Decomposition:
             method=method,
             provenance=provenance,
         )
-    except (DomainError, InvariantViolation) as exc:
-        raise ParseError(str(exc), "$") from None
+    except DomainError as exc:
+        path = "$" if exc.field is None else f"$.{_DECOMPOSITION_KEYS[exc.field]}"
+        if exc.index is not None:
+            path += f"[{exc.index}]"
+        raise ParseError(str(exc), path) from None
+    except InvariantViolation as exc:  # raised by the provenance's own checks
+        raise ParseError(str(exc), "$.provenance") from None
 
 
 def _parse_count(raw_prov: dict, key: str) -> int:
@@ -311,19 +325,15 @@ def serialize_coverage_stats(stats: CoverageStats) -> str:
 
 
 def serialize_infeasible_coverage(report: InfeasibleCoverageReport) -> str:
-    payload: dict[str, Any] = {
+    return _dump({
         "kind": "infeasible_coverage",
-        "mode": report.mode,
-        "infeasible": format_int(report.infeasible_count),
-        "certified_infeasible": format_int(report.certified_infeasible_count),
-        "fraction": format_fraction(report.fraction),
-        "bound": format_fraction(report.bound),
-    }
-    if report.sample_size is not None:
-        payload["sample_size"] = report.sample_size
-    if report.seed is not None:
-        payload["seed"] = format_int(report.seed)
-    return _dump(payload)
+        "total": format_int(report.total),
+        "certified": format_int(report.certified),
+        "lower": format_fraction(report.lower),
+        "upper": None if report.upper is None else format_fraction(report.upper),
+        "target": format_fraction(report.target),
+        "verdict": report.verdict,
+    })
 
 
 def document_kind(text: str) -> str:

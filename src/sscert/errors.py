@@ -6,7 +6,11 @@ class Error(Exception):
 
 
 class DomainError(Error):
-    """A precondition on operation inputs was violated."""
+    """A precondition on the input ``field`` (entry ``index``) was violated."""
+
+    def __init__(self, message, field=None, index=None):
+        super().__init__(message)
+        self.field, self.index = field, index
 
 
 class RankError(Error):

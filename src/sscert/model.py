@@ -58,9 +58,10 @@ class Direction(tuple):
         # the type test runs first, so min() never compares mixed types; an
         # empty v skips min() and is all zero
         if not all(map(isinstance, v, repeat(int))) or (v and min(v) < 0):
-            raise DomainError("direction must be a nonnegative integer vector")
+            bad = next(i for i, x in enumerate(v) if not isinstance(x, int) or x < 0)
+            raise DomainError("direction must be a nonnegative integer vector", "v", bad)
         if not any(v):
-            raise DomainError("direction must be nonzero")
+            raise DomainError("direction must be nonzero", "v")
         return v
 
     def __reduce__(self):
@@ -81,7 +82,7 @@ def validate_direction(v: Sequence[int], n: int) -> Direction:
             return Direction(v)
     elif len(v) == n:
         return v
-    raise DomainError("direction length differs from weight length")
+    raise DomainError("direction length differs from weight length", "v")
 
 
 @dataclass(frozen=True, slots=True)

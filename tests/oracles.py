@@ -4,9 +4,10 @@ Everything here is deliberately naive (enumeration, elimination) and
 shares no code with the implementation under test.
 """
 
+import heapq
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
+from itertools import groupby, product
 from math import ceil, floor
 
 
@@ -306,6 +307,19 @@ def all_feasible_sums(a):
     for w in a:
         sums |= {s + w for s in sums}
     return frozenset(sums)
+
+
+def count_feasible_sums(a):
+    """Size of the subset-sum value set, holding only its two halves' sums.
+
+    The shifts l + R of the right half's sorted sums R, one per left sum
+    l, merge into the whole set in ascending order, so memory grows as
+    2^(n/2), not 2^n.
+    """
+    half = len(a) // 2
+    right = sorted(all_feasible_sums(a[half:]))
+    shifts = (map(left.__add__, right) for left in all_feasible_sums(a[:half]))
+    return sum(1 for _ in groupby(heapq.merge(*shifts)))
 
 
 def count_integers_in_bad(cover):

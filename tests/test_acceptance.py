@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from oracles import (
+    count_feasible_sums,
     count_integers_in_bad,
     gram_det,
     is_reduced,
@@ -23,6 +24,7 @@ from sscert.branching import (
     certify,
     coverage_stats,
     enumerate_intervals,
+    infeasible_coverage_report,
     lp_extreme_eq,
     lp_extreme_ineq,
 )
@@ -31,7 +33,7 @@ from sscert.diophantine import dioph_approx
 from sscert.intmath import l1_norm
 from sscert.lll import Basis, lll_reduce
 from sscert.model import generate_instance
-from sscert.oracle import feasible, infeasible_coverage_report
+from sscert.oracle import feasible
 
 
 def report(line):
@@ -216,12 +218,14 @@ def test_pipeline_coverage_exact():
         stats = coverage_stats(inst.a, dec.v, dec.scale, dec.residual, "exact")
         assert stats.g + stats.b == sum(inst.a) + 1
         assert 0 < stats.bad_fraction <= stats.bad_fraction_bound
-        if n == 10:
-            cor1 = infeasible_coverage_report(inst.a, dec.v, "exact")
-            assert cor1.certified_infeasible_count == stats.g
-            assert cor1.fraction >= cor1.bound
-    report("PASS exact coverage: bad fraction within 2(||r||_1 + 1)/scale on "
-           "FT n = 10, 12, 14 and lll_rows n = 20, Corollary 1's 1 - 2^-n at n = 10")
+        cor1 = infeasible_coverage_report(inst.a, dec.v)
+        assert cor1.certified == stats.g
+        share = Fraction(stats.g, sum(inst.a) + 1 - count_feasible_sums(inst.a))
+        assert cor1.lower <= share <= cor1.upper
+        assert (cor1.verdict == "holds") == (stats.bad_fraction <= stats.two_pow_n_bound)
+        assert cor1.verdict == "holds"
+    report("PASS exact coverage: bad fraction within 2(||r||_1 + 1)/scale and "
+           "Corollary 1's 1 - 2^-n on FT n = 10, 12, 14 and lll_rows n = 20")
 
 
 def _random_basis(rnd, d, bound):

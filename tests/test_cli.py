@@ -6,13 +6,18 @@ from fractions import Fraction
 import pytest
 
 from sscert import cli, documents, lll
-from sscert.branching import CertifyStatus, certify, coverage_stats, enumerate_intervals
+from sscert.branching import (
+    CertifyStatus,
+    certify,
+    coverage_stats,
+    enumerate_intervals,
+    infeasible_coverage_report,
+)
 from sscert.cli import main
-from sscert.decompose import Decomposition, Method
+from sscert.decompose import Decomposition, Method, decompose_lll_rows
 from sscert.errors import CapacityError, DomainError, InvariantViolation
 from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
-from sscert.oracle import infeasible_coverage_report
 from test_decompose import mixed_sign_reduction
 from test_lll import FAULTS, faulty_kernel
 
@@ -102,15 +107,11 @@ def test_non_ascii_digits_are_a_usage_error():
     [
         ["generate", "--n", "\u0663", "--seed", "5"],
         ["generate", "--n", "1_0", "--seed", "5"],
-        ["cor1", "--mode", "sampled", "--sample-size", "\u0665\u0660", "--seed", "4"],
     ],
-    ids=["n_arabic_indic", "n_underscore", "sample_size_arabic_indic"],
+    ids=["n_arabic_indic", "n_underscore"],
 )
-def test_counts_take_ascii_digits_only(toy_files, argv):
+def test_counts_take_ascii_digits_only(argv):
     # int() reads "\u0663" as 3 and "1_0" as 10; counts take 0-9 only
-    _, inst_path, dec_path = toy_files
-    if argv[0] == "cor1":
-        argv = argv[:1] + ["--instance", inst_path, "--decomposition", dec_path] + argv[1:]
     assert main(argv) == 2
 
 
@@ -155,14 +156,9 @@ def test_decomposition_past_digit_limit_is_a_capacity_error(
 
 
 @pytest.mark.parametrize("seed", ["18446744073709551621", "18446744073709551616", "-1"])
-def test_seed_outside_64_bits_is_a_usage_error(toy_files, seed):
+def test_seed_outside_64_bits_is_a_usage_error(seed):
     # SplitMix64 masks its seed to 64 bits: 2^64 + 5 would draw what 5 draws
-    _, inst_path, dec_path = toy_files
     assert main(["generate", "--n", "3", "--seed", seed]) == 2
-    assert main([
-        "cor1", "--instance", inst_path, "--decomposition", dec_path,
-        "--mode", "sampled", "--sample-size", "10", "--seed", seed,
-    ]) == 2
 
 
 def test_largest_seed_is_accepted(capsys):
@@ -170,16 +166,6 @@ def test_largest_seed_is_accepted(capsys):
     assert capsys.readouterr().out == documents.serialize_instance(
         generate_instance(3, (1 << 64) - 1)
     )
-
-
-@pytest.mark.parametrize("command", ["cor1"])
-def test_sample_size_is_bounded(toy_files, command):
-    # refused before any right-hand side is drawn
-    _, inst_path, dec_path = toy_files
-    assert main([
-        command, "--instance", inst_path, "--decomposition", dec_path,
-        "--mode", "sampled", "--sample-size", "1000001", "--seed", "4",
-    ]) == 3
 
 
 def test_certify_verify_happy_path(toy_files):
@@ -299,10 +285,44 @@ def test_stats_is_exact_only(toy_files, capsys):
 def test_cor1_exact(toy_files, capsys):
     _, inst_path, dec_path = toy_files
     assert main(["cor1", "--instance", inst_path, "--decomposition", dec_path]) == 0
-    report = infeasible_coverage_report(TOY.a, (1, 1, 1), "exact")
-    assert report.infeasible_count == 296
-    assert report.fraction == 1
+    report = infeasible_coverage_report(TOY.a, (1, 1, 1))
+    assert report.certified == 296
+    assert report.verdict == "holds"
     assert capsys.readouterr().out == documents.serialize_infeasible_coverage(report)
+
+
+def test_cor1_has_no_sampling_options(toy_files):
+    # the count is exact at every n: argparse refuses each sampling option
+    _, inst_path, dec_path = toy_files
+    base = ["cor1", "--instance", inst_path, "--decomposition", dec_path]
+    for option, value in (
+        ("--mode", "sampled"), ("--mode", "exact"), ("--sample-size", "60"),
+        ("--seed", "4"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*base, option, value])
+        assert exit_info.value.code == 2
+
+
+def test_import_leaves_oracle_unloaded():
+    # the subset sum oracle is a referee; no command reaches it
+    code = "import sys, sscert.cli; print('sscert.oracle' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_cor1_decides_lll_rows_n24(tmp_path, capsys):
+    # the count is closed form: n = 24 takes what n = 10 takes, under a millisecond
+    inst = generate_instance(24, 1)
+    dec = decompose_lll_rows(inst)
+    _, inst_path, dec_path = write_pair(tmp_path, inst, dec)
+    assert main(["cor1", "--instance", inst_path, "--decomposition", dec_path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "holds"
+    assert int(doc["total"]) == sum(inst.a) + 1
 
 
 # a right-hand side that the n=10, seed-1 instance certifies
@@ -404,19 +424,6 @@ def test_certificate_of_a_is_refused_for_its_multiple(toy_files, capsys):
     assert json.loads(cert_path.read_text())["beta"] == "900"
     assert main(["verify", "--instance", str(tripled), "--certificate", str(cert_path)]) == 0
     assert main(["verify", "--instance", inst_path, "--certificate", str(cert_path)]) == 1
-
-
-@pytest.mark.parametrize(
-    "option", [["--sample-size", "2000000"], ["--seed", "-1"]], ids=["size", "seed"]
-)
-def test_exact_cor1_reads_no_sampling_option(toy_files, capsys, option):
-    # exact mode draws nothing: a sampling option past its bounds is not read
-    _, inst_path, dec_path = toy_files
-    base = ["cor1", "--instance", inst_path, "--decomposition", dec_path]
-    assert main(base) == 0
-    expected = capsys.readouterr().out
-    assert main(base + option) == 0
-    assert capsys.readouterr().out == expected
 
 
 def test_decomposition_instance_mismatch(toy_files, tmp_path):

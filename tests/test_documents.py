@@ -12,6 +12,7 @@ from sscert.branching import (
     certify,
     coverage_stats,
     enumerate_intervals,
+    infeasible_coverage_report,
     verify_certificate,
 )
 from sscert.decompose import (
@@ -23,7 +24,6 @@ from sscert.decompose import (
 from sscert.errors import CapacityError, ParseError
 from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
-from sscert.oracle import infeasible_coverage_report
 
 TOY = Instance(a=(100, 101, 102), seed=7)
 TOY_SCALE = Fraction(101)
@@ -142,7 +142,7 @@ class TestDecompositionDocs:
         dec = decompose_frank_tardos(generate_instance(10, 42))
         text = documents.serialize_decomposition(dec)
         tampered = text.replace('"q": "', '"q": "-')
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"at \$\.provenance\)"):
             documents.parse_decomposition(tampered)
 
     def test_roundtrip_reduction_within_digit_limit(self):
@@ -265,6 +265,24 @@ class TestDecompositionDocs:
         doc["method"] = relabel
         with pytest.raises(ParseError, match="provenance"):
             documents.parse_decomposition(json.dumps(doc))
+
+
+    @pytest.mark.parametrize("change, path", [
+        ({"lambda": "0"}, "$.lambda"),
+        ({"lambda": "-101/1"}, "$.lambda"),
+        ({"r": ["-1/1", "0/1", "1/7"]}, "$.r[2]"),
+        ({"r": ["-60/1", "0/1", "60/1"]}, "$.r"),
+        ({"method": "frank_tardos"}, "$.method"),
+        ({"v": ["1", "-1", "1"]}, "$.v[1]"),
+        ({"v": ["0", "0", "0"]}, "$.v"),
+    ], ids=["zero_lambda", "negative_lambda", "foreign_denominator", "residual_norm",
+            "method_mismatch", "negative_v", "zero_v"])
+    def test_invariant_error_is_located(self, change, path):
+        doc = json.loads(WARNINGS_KEY_DOCUMENT)
+        doc.update(change)
+        with pytest.raises(ParseError) as info:
+            documents.parse_decomposition(json.dumps(doc))
+        assert info.value.location == path
 
 
 class TestReductionProvenance:
@@ -436,15 +454,20 @@ class TestReportDocs:
         }
 
     def test_infeasible_coverage_roundtrip(self):
-        report = infeasible_coverage_report(TOY.a, (1, 1, 1), "exact")
+        report = infeasible_coverage_report(TOY.a, (1, 1, 1))
         assert json.loads(documents.serialize_infeasible_coverage(report)) == {
             "kind": "infeasible_coverage",
-            "mode": "exact",
-            "infeasible": "296",
-            "certified_infeasible": "296",
-            "fraction": "1/1",
-            "bound": "7/8",
+            "total": "304",
+            "certified": "296",
+            "lower": "37/38",
+            "upper": "1/1",
+            "target": "7/8",
+            "verdict": "holds",
         }
+        # at most 2^n right-hand sides are feasible: no upper end for total <= 2^n
+        unbounded = infeasible_coverage_report((1, 1), (1, 1))
+        doc = json.loads(documents.serialize_infeasible_coverage(unbounded))
+        assert (doc["total"], doc["upper"], doc["verdict"]) == ("3", None, "undecided")
 
     def test_document_kind(self):
         assert documents.document_kind(documents.serialize_instance(TOY)) == "instance"

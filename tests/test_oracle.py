@@ -5,10 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import all_feasible_sums, infeasible_coverage_brute, subset_feasible_naive
-from sscert.branching import enumerate_intervals
+from oracles import (
+    all_feasible_sums,
+    count_feasible_sums,
+    infeasible_coverage_brute,
+    subset_feasible_naive,
+)
+from sscert.branching import enumerate_intervals, infeasible_coverage_report
 from sscert.errors import CapacityError, DomainError
-from sscert.oracle import count_feasible_sums, feasible, infeasible_coverage_report
+from sscert.oracle import feasible
 from test_acceptance import check_good_intervals
 
 TOY_A = (100, 101, 102)
@@ -130,56 +135,56 @@ class TestGoodIntervals:
 
 class TestInfeasibleCoverage:
     def test_toy_exact_full_coverage(self):
-        report = infeasible_coverage_report(TOY_A, TOY_V, "exact")
-        assert report.infeasible_count == 296
-        assert report.certified_infeasible_count == 296
-        assert report.fraction == 1
-        assert report.bound == Fraction(7, 8)
+        # all 8 subset sums are distinct, so the upper end is the share itself
+        report = infeasible_coverage_report(TOY_A, TOY_V)
+        assert (report.total, report.certified) == (304, 296)
+        assert report.lower == Fraction(296, 304)
+        assert report.upper == 1
+        assert report.target == Fraction(7, 8)
+        assert report.verdict == "holds"
 
-    def test_vacuous_fraction_is_one(self):
-        # levels 1 and 2 overlap here, but no beta is infeasible to count
-        report = infeasible_coverage_report((1, 2, 4), (1, 1, 1), "exact")
-        assert report.infeasible_count == 0
-        assert report.fraction == 1
-        # with overlapping levels and infeasible beta, the count is refused
-        with pytest.raises(DomainError, match="overlap"):
-            infeasible_coverage_report((1, 2, 5), (1, 1, 1), "exact")
+    def test_overlapping_levels_are_refused(self):
+        # levels 1 and 2 overlap; no beta is infeasible for (1, 2, 4), some for (1, 2, 5)
+        for a in ((1, 2, 4), (1, 2, 5)):
+            with pytest.raises(DomainError, match="overlap"):
+                infeasible_coverage_report(a, (1, 1, 1))
+
+    def test_weights_must_be_coprime(self):
+        with pytest.raises(DomainError, match="coprime"):
+            infeasible_coverage_report((200, 202, 204), TOY_V)
 
     def test_exact_matches_brute_force_loop(self):
         rnd = random.Random(1313)
-        counted = 0
+        verdicts = {"holds": 0, "fails": 0, "undecided": 0}
+        unbounded = 0
         for _ in range(300):
-            n = rnd.randint(2, 4)
+            n = rnd.randint(2, 6)
             v = tuple(rnd.randint(0, 2) for _ in range(n - 1)) + (rnd.randint(1, 2),)
             scale = rnd.randint(3, 12)
             a = tuple(max(1, scale * vi + rnd.randint(-2, 2)) for vi in v)
             if math.gcd(*a) != 1:
                 continue
-            infeasible, certified = infeasible_coverage_brute(a, v)
             try:
                 enumerate_intervals(a, v, Fraction(1), (Fraction(0),) * n)
             except DomainError:
-                if infeasible:
-                    with pytest.raises(DomainError, match="overlap"):
-                        infeasible_coverage_report(a, v, "exact")
-                    continue
-            report = infeasible_coverage_report(a, v, "exact")
-            assert (report.infeasible_count, report.certified_infeasible_count) == (
-                infeasible, certified
-            ), (a, v)
-            counted += 1
-        assert counted > 150
-
-    def test_sampled_cross_checks(self):
-        report = infeasible_coverage_report(
-            TOY_A, TOY_V, "sampled", sample_size=200, seed=11
-        )
-        assert report.sample_size == 200
-        assert report.certified_infeasible_count <= report.infeasible_count <= 200
-        assert report.fraction == Fraction(
-            report.certified_infeasible_count, report.infeasible_count
-        )
-
-    def test_sampled_needs_seed(self):
-        with pytest.raises(DomainError):
-            infeasible_coverage_report(TOY_A, TOY_V, "sampled", sample_size=10)
+                with pytest.raises(DomainError, match="overlap"):
+                    infeasible_coverage_report(a, v)
+                continue
+            infeasible, certified = infeasible_coverage_brute(a, v)
+            report = infeasible_coverage_report(a, v)
+            assert report.total == sum(a) + 1
+            assert report.certified == certified, (a, v)
+            assert (report.upper is None) == (report.total <= 1 << n)
+            unbounded += report.upper is None
+            if infeasible:
+                share = Fraction(certified, infeasible)
+                assert report.lower <= share, (a, v)
+                assert report.upper is None or share <= report.upper, (a, v)
+                assert report.verdict != "holds" or share >= report.target, (a, v)
+                assert report.verdict != "fails" or share < report.target, (a, v)
+            else:  # no share to bracket: nothing is certified, and no end decides
+                assert report.verdict == "undecided"
+            verdicts[report.verdict] += 1
+        assert sum(verdicts.values()) > 150
+        assert min(verdicts.values()) > 0, verdicts
+        assert unbounded > 0
