@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,12 +47,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Literal, Sequence
 
-from .errors import (
-    CapacityError,
-    DomainError,
-    InvariantViolation,
-    RelaxationInfeasibleError,
-)
+from .errors import CapacityError, DomainError, InvariantViolation
 from .intmath import l1_norm
 from .model import Direction, Weights, validate_direction, validate_weights
 from .rng import SplitMix64
@@ -151,9 +145,10 @@ class InfeasibleCoverageReport:
     ``certified`` of the ``total`` = ||a||_1 + 1 right-hand sides are
     certified, all of them infeasible, and between 1 and 2^n are
     feasible, so the share lies in [lower, upper] = [certified / total,
-    certified / (total - 2^n)]; ``upper`` is None when total <= 2^n. The
-    verdict is "holds" when lower reaches the target 1 - 2^-n, "fails"
-    when upper stays below it, and "undecided" otherwise.
+    min(1, certified / (total - 2^n))]; ``upper`` is None when
+    total <= 2^n. The verdict is "holds" when lower reaches the target
+    1 - 2^-n, "fails" when upper stays below it, and "undecided"
+    otherwise.
     """
 
     total: int
@@ -236,9 +231,8 @@ def lp_extreme_eq(
     The greedy fill by v_i/a_i ratio, answered by one bisection of its
     prefix sums of a: the items before the bisected one are whole, and
     that one takes the remainder, one exact division. The argument has
-    at most one fractional coordinate. Raises DomainError unless beta is
-    an int, and RelaxationInfeasibleError when it lies outside
-    [0, ||a||_1].
+    at most one fractional coordinate. DomainError unless beta is an int
+    in [0, ||a||_1], where the relaxation is not empty.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -246,7 +240,7 @@ def lp_extreme_eq(
     _validate_int(beta, "beta")
     _, total, sides = _prepared(a, v)
     if beta < 0 or beta > total:
-        raise RelaxationInfeasibleError(beta, total)
+        raise DomainError(f"right-hand side {beta} outside [0, {total}]")
     order, A, V, place = sides[sense]
     j = bisect_right(A, beta) - 1
     if A[j] == beta:
@@ -493,17 +487,6 @@ def _bad_count(a, v) -> int:
     return 2 * floors - (total_v + 1) * (total - 1)
 
 
-def _classify_chunk(args) -> tuple[int, int]:
-    a, v, betas = args
-    a = validate_weights(a)
-    v = validate_direction(v, len(a))
-    certified = 0
-    for beta in betas:
-        if certify(a, v, beta).status is CertifyStatus.CERTIFIED:
-            certified += 1
-    return certified, len(betas) - certified
-
-
 def coverage_stats(
     a: Sequence[int],
     v: Sequence[int],
@@ -519,8 +502,9 @@ def coverage_stats(
     Exact mode counts the integers in bad intervals in closed form
     (DomainError when levels overlap); sampled mode draws beta uniformly
     from {0, ..., ||a||_1} with the given seed and classifies each via
-    certify, in at most ``workers`` processes (no more than the CPU
-    count or the draws; one runs in this process).
+    certify, in this process. ``workers`` must be >= 1 and is otherwise
+    unread: it stays for the benchmark's calls and goes with the sampled
+    mode (ROADMAP items 1b and 2).
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -548,8 +532,11 @@ def coverage_stats(
         raise DomainError("sampled mode needs a seed")
     rng = SplitMix64(seed)
     total = sum(a)
-    betas = [rng.randint(0, total) for _ in range(sample_size)]
-    certified, uncertified = _classify(a, v, betas, workers)
+    certified = sum(
+        certify(a, v, rng.randint(0, total)).status is CertifyStatus.CERTIFIED
+        for _ in range(sample_size)
+    )
+    uncertified = sample_size - certified
     return CoverageStats(
         mode=mode, g=certified, b=uncertified,
         bad_fraction=Fraction(uncertified, sample_size),
@@ -573,7 +560,10 @@ def infeasible_coverage_report(
     certified = total - _bad_count(a, v)
     most_feasible = 1 << len(a)
     lower = Fraction(certified, total)
-    upper = Fraction(certified, total - most_feasible) if total > most_feasible else None
+    upper = (
+        min(_ONE, Fraction(certified, total - most_feasible))
+        if total > most_feasible else None
+    )
     target = 1 - Fraction(1, most_feasible)
     if lower >= target:
         verdict = "holds"
@@ -583,23 +573,3 @@ def infeasible_coverage_report(
         verdict = "undecided"
     return InfeasibleCoverageReport(total, certified, lower, upper, target, verdict)
 
-
-def _classify(a, v, betas, workers: int) -> tuple[int, int]:
-    # forked pools start every worker on the first submit, so bound them
-    workers = min(workers, os.cpu_count() or 1, len(betas))
-    if workers <= 1:
-        return _classify_chunk((a, v, betas))
-    size = -(-len(betas) // workers)
-    chunks = [
-        (a, v, betas[i : i + size]) for i in range(0, len(betas), size)
-    ]
-    # imported here so that importing sscert does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    certified = 0
-    uncertified = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for good, bad in pool.map(_classify_chunk, chunks):
-            certified += good
-            uncertified += bad
-    return certified, uncertified

@@ -11,10 +11,13 @@ Two routes produce the branching direction v:
   identity; v is the last row of the inverse transform, with scale and
   residual defined by orthogonal projection. A reduced direction with
   mixed signs, which branching cannot use, is a DomainError. Its three
-  guarantees are reported, not enforced.
+  guarantees are computed by ``Decomposition.bounds`` but not enforced,
+  and no command prints them.
 
 ``Decomposition.bounds`` computes a method's checks from v, scale and
-residual, so a decomposition read from a document cannot claim them.
+residual, so a decomposition read from a document cannot claim them,
+and ``Decomposition.method`` is read off the provenance, so it cannot
+disagree with it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ class Decomposition:
     v: Direction
     scale: Fraction
     residual: tuple[Fraction, ...]
-    method: Method
     provenance: Union[ApproxResult, ReductionStats]
 
     def __post_init__(self):
@@ -69,8 +71,13 @@ class Decomposition:
                 raise DomainError("residual denominators must divide the scale's", "residual", i)
         if l1_norm(self.residual) >= self.scale:
             raise DomainError("residual l1 norm must be below the scale", "residual")
-        if (self.method is Method.FRANK_TARDOS) != isinstance(self.provenance, ApproxResult):
-            raise DomainError(f"method {self.method.value} needs its own provenance", "method")
+
+    @property
+    def method(self) -> Method:
+        """Frank-Tardos for a diophantine approximation, lll_rows otherwise."""
+        if isinstance(self.provenance, ApproxResult):
+            return Method.FRANK_TARDOS
+        return Method.LLL_ROWS
 
     @property
     def bounds(self) -> tuple[BoundCheck, ...]:
@@ -114,7 +121,7 @@ def decompose_frank_tardos(inst: Instance) -> Decomposition:
         raise InvariantViolation("approximant of a positive vector must be >= 0, != 0")
     scale = Fraction(ainf, approx.q)
     residual = tuple(Fraction(ai) - scale * vi for ai, vi in zip(inst.a, approx.v))
-    dec = Decomposition(approx.v, scale, residual, Method.FRANK_TARDOS, approx)
+    dec = Decomposition(approx.v, scale, residual, approx)
     if not all(b.holds for b in dec.bounds):
         raise InvariantViolation("decomposition bound failed; kernel bug")
     return dec
@@ -153,7 +160,7 @@ def decompose_lll_rows(inst: Instance) -> Decomposition:
     if min(v) < 0:
         raise DomainError("reduced direction has mixed signs; branching needs v >= 0")
     scale, residual = project_onto(inst.a, v)
-    return Decomposition(v, scale, residual, Method.LLL_ROWS, reduced.stats)
+    return Decomposition(v, scale, residual, reduced.stats)
 
 
 def _reduction_bounds(a, v, scale, residual):

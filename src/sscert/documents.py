@@ -106,16 +106,10 @@ def parse_fraction(value: Any, path: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _parse_int_list(value: Any, path: str) -> tuple[int, ...]:
+def _parse_list(value: Any, path: str, parse) -> tuple:
     if not isinstance(value, list):
         raise ParseError("expected an array", path)
-    return tuple(parse_int(x, f"{path}[{i}]") for i, x in enumerate(value))
-
-
-def _parse_fraction_list(value: Any, path: str) -> tuple[Fraction, ...]:
-    if not isinstance(value, list):
-        raise ParseError("expected an array", path)
-    return tuple(parse_fraction(x, f"{path}[{i}]") for i, x in enumerate(value))
+    return tuple(parse(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
 # -- instance ---------------------------------------------------------------
@@ -143,7 +137,7 @@ def parse_instance(text: str) -> tuple[Instance, int]:
     n = _req(doc, "n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError("n must be a positive JSON integer", "$.n")
-    weights = _parse_int_list(_req(doc, "a"), "$.a")
+    weights = _parse_list(_req(doc, "a"), "$.a", parse_int)
     if len(weights) != n:
         raise ParseError(f"expected {n} weights, got {len(weights)}", "$.a")
     if any(x < 1 for x in weights):
@@ -183,7 +177,7 @@ def serialize_decomposition(dec: Decomposition) -> str:
 
 
 # the document key of each Decomposition field
-_DECOMPOSITION_KEYS = {"v": "v", "scale": "lambda", "residual": "r", "method": "method"}
+_DECOMPOSITION_KEYS = {"v": "v", "scale": "lambda", "residual": "r"}
 
 
 def parse_decomposition(text: str) -> Decomposition:
@@ -193,9 +187,9 @@ def parse_decomposition(text: str) -> Decomposition:
         method = Method(method_value)
     except ValueError:
         raise ParseError(f"unknown method {method_value!r}", "$.method") from None
-    v = _parse_int_list(_req(doc, "v"), "$.v")
+    v = _parse_list(_req(doc, "v"), "$.v", parse_int)
     scale = parse_fraction(_req(doc, "lambda"), "$.lambda")
-    residual = _parse_fraction_list(_req(doc, "r"), "$.r")
+    residual = _parse_list(_req(doc, "r"), "$.r", parse_fraction)
     raw_prov = _req(doc, "provenance")
     if not isinstance(raw_prov, dict):
         raise ParseError("expected an object", "$.provenance")
@@ -226,13 +220,7 @@ def parse_decomposition(text: str) -> Decomposition:
                 )
         else:
             raise ParseError(f"unknown provenance type {prov_type!r}", "$.provenance.type")
-        return Decomposition(
-            v=v,
-            scale=scale,
-            residual=residual,
-            method=method,
-            provenance=provenance,
-        )
+        dec = Decomposition(v=v, scale=scale, residual=residual, provenance=provenance)
     except DomainError as exc:
         path = "$" if exc.field is None else f"$.{_DECOMPOSITION_KEYS[exc.field]}"
         if exc.index is not None:
@@ -240,6 +228,9 @@ def parse_decomposition(text: str) -> Decomposition:
         raise ParseError(str(exc), path) from None
     except InvariantViolation as exc:  # raised by the provenance's own checks
         raise ParseError(str(exc), "$.provenance") from None
+    if dec.method is not method:
+        raise ParseError(f"method {method.value} needs its own provenance", "$.method")
+    return dec
 
 
 def _parse_count(raw_prov: dict, key: str) -> int:
@@ -269,7 +260,7 @@ def parse_certificate(text: str) -> tuple[Claim, tuple[int, ...]]:
         beta=parse_int(_req(doc, "beta"), "$.beta"),
         level=parse_int(_req(doc, "ell"), "$.ell"),
     )
-    return claim, _parse_int_list(_req(doc, "v"), "$.v")
+    return claim, _parse_list(_req(doc, "v"), "$.v", parse_int)
 
 
 def serialize_certify_status(status: CertifyStatus, beta: int) -> str:

@@ -13,25 +13,8 @@ class DomainError(Error):
         self.field, self.index = field, index
 
 
-class RankError(Error):
-    """Basis columns are linearly dependent."""
-
-
 class CapacityError(Error):
     """Input exceeds a desk-scale enumeration or solver cap."""
-
-
-class GenerationError(Error):
-    """Instance resampling hit its retry cap."""
-
-
-class RelaxationInfeasibleError(Error):
-    """The LP relaxation itself is empty (right-hand side out of range)."""
-
-    def __init__(self, beta, l1_norm):
-        super().__init__(f"right-hand side {beta} outside [0, {l1_norm}]")
-        self.beta = beta
-        self.l1_norm = l1_norm
 
 
 class InvariantViolation(Error):

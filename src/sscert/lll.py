@@ -43,7 +43,7 @@ from operator import mul
 
 from . import _lll_fp
 from . import _lll_py as _kernel
-from .errors import DomainError, InvariantViolation, RankError
+from .errors import DomainError, InvariantViolation
 
 
 def kernel_name() -> str:
@@ -71,7 +71,7 @@ class Basis:
         if any(len(col) != m for col in cols):
             raise DomainError("basis columns must have equal length")
         if len(cols) > m:
-            raise RankError("more columns than coordinates")
+            raise DomainError("more columns than coordinates")
 
     @property
     def dim(self) -> int:
@@ -133,7 +133,7 @@ def lll_reduce(basis: Basis) -> ReducedBasis:
                 b, lu, luinv, lam, dvec, s, r = _kernel.lll_reduce_ints(level)
             except ValueError as exc:
                 if shift == 0:
-                    raise RankError(str(exc)) from None
+                    raise DomainError(str(exc)) from None
                 continue  # the truncated columns are dependent: skip the level
         u, uinv = _mul(u, lu), _mul(uinv, luinv)
         swaps += s

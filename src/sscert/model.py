@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
-from .errors import DomainError, GenerationError
+from .errors import DomainError
 from .rng import SplitMix64, substream_seed
 
 _RESAMPLE_CAP = 1000
@@ -132,4 +132,4 @@ def generate_instance(n: int, seed: int) -> Instance:
             inst = Instance(a=weights, seed=seed)
             if inst.low_density:
                 return inst
-    raise GenerationError(f"no acceptable vector after {_RESAMPLE_CAP} attempts")
+    raise DomainError(f"no acceptable vector after {_RESAMPLE_CAP} attempts")

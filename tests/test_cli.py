@@ -14,7 +14,7 @@ from sscert.branching import (
     infeasible_coverage_report,
 )
 from sscert.cli import main
-from sscert.decompose import Decomposition, Method, decompose_lll_rows
+from sscert.decompose import Decomposition, decompose_lll_rows
 from sscert.errors import CapacityError, DomainError, InvariantViolation
 from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
@@ -29,7 +29,6 @@ def toy_decomposition():
         v=(1, 1, 1),
         scale=Fraction(101),
         residual=(Fraction(-1), Fraction(0), Fraction(1)),
-        method=Method.LLL_ROWS,
         provenance=ReductionStats(dim=3, swaps=0, size_reductions=0),
     )
 
@@ -229,7 +228,6 @@ def test_intervals_capacity(tmp_path, capsys):
         v=a,
         scale=Fraction(1),
         residual=(Fraction(0), Fraction(0)),
-        method=Method.LLL_ROWS,
         provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
     )
     _, inst_path, dec_path = write_pair(tmp_path, Instance(a=a), dec)
@@ -255,7 +253,6 @@ def test_intervals_capacity_past_digit_limit(tmp_path, capsys, digit_limit_uncha
         v=a,
         scale=Fraction(1),
         residual=(Fraction(0), Fraction(0)),
-        method=Method.LLL_ROWS,
         provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
     )
     _, inst_path, dec_path = write_pair(tmp_path, Instance(a=a), dec)

@@ -174,7 +174,6 @@ class TestDecompositionInvariants:
                 v=(1, -1),
                 scale=Fraction(5),
                 residual=(Fraction(1), Fraction(1)),
-                method=Method.LLL_ROWS,
                 provenance=None,
             )
 
@@ -184,7 +183,6 @@ class TestDecompositionInvariants:
                 v=(1, 1),
                 scale=Fraction(1),
                 residual=(Fraction(1), Fraction(1)),
-                method=Method.FRANK_TARDOS,
                 provenance=None,
             )
 
@@ -194,7 +192,6 @@ class TestDecompositionInvariants:
                 v=(0, 0),
                 scale=Fraction(1),
                 residual=(Fraction(0), Fraction(0)),
-                method=Method.FRANK_TARDOS,
                 provenance=None,
             )
 
@@ -203,10 +200,10 @@ class TestDecompositionInvariants:
             v=[1, 2],
             scale=Fraction(5),
             residual=(Fraction(0), Fraction(0)),
-            method=Method.LLL_ROWS,
             provenance=None,
         )
         assert type(dec.v) is Direction and dec.v == (1, 2)
+        assert dec.method is Method.LLL_ROWS  # derived from the provenance
         with pytest.raises(DomainError, match="length"):
             dataclasses.replace(dec, v=Direction((1, 2, 3)))
 

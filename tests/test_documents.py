@@ -17,7 +17,6 @@ from sscert.branching import (
 )
 from sscert.decompose import (
     Decomposition,
-    Method,
     decompose_frank_tardos,
     decompose_lll_rows,
 )
@@ -168,7 +167,6 @@ class TestDecompositionDocs:
             v=(2000001, 2000003),
             scale=Fraction(1),
             residual=(Fraction(0), Fraction(0)),
-            method=Method.LLL_ROWS,
             provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
         )))
         doc["bounds"] = [
@@ -185,7 +183,6 @@ class TestDecompositionDocs:
             v=(1, 1, 1),
             scale=TOY_SCALE,
             residual=TOY_RESIDUAL,
-            method=Method.LLL_ROWS,
             provenance=ReductionStats(dim=3, swaps=4, size_reductions=5),
         )
         expected = json.loads(WARNINGS_KEY_DOCUMENT)
@@ -291,7 +288,6 @@ class TestReductionProvenance:
             v=(1, 1, 1),
             scale=TOY_SCALE,
             residual=TOY_RESIDUAL,
-            method=Method.LLL_ROWS,
             provenance=ReductionStats(dim=3, swaps=4, size_reductions=5),
         )
         doc = json.loads(documents.serialize_decomposition(dec))

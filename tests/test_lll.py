@@ -18,7 +18,7 @@ from oracles import (
 from sscert import _lll_fp, _lll_py, documents, lll
 from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
 from sscert.diophantine import build_approx_lattice, choose_precision, corner_exponent
-from sscert.errors import DomainError, InvariantViolation, RankError
+from sscert.errors import DomainError, InvariantViolation
 from sscert.lll import Basis, kernel_name, lll_reduce
 from sscert.model import generate_instance
 
@@ -115,9 +115,9 @@ class TestLllReduce:
                 assert acc == red.basis.cols[j][t]
 
     def test_rank_error(self):
-        with pytest.raises(RankError):
+        with pytest.raises(DomainError):
             lll_reduce(Basis([(1, 2), (2, 4)]))
-        with pytest.raises(RankError):
+        with pytest.raises(DomainError):
             Basis([(1, 0), (0, 1), (1, 1)])
 
 

@@ -175,6 +175,7 @@ class TestInfeasibleCoverage:
             assert report.total == sum(a) + 1
             assert report.certified == certified, (a, v)
             assert (report.upper is None) == (report.total <= 1 << n)
+            assert report.upper is None or report.upper <= 1, (a, v)
             unbounded += report.upper is None
             if infeasible:
                 share = Fraction(certified, infeasible)
