@@ -10,13 +10,14 @@ prefix sums in that order. The order sorts exact integer keys:
 floor(v_i 2^S / a_i) with 2^S above the square of every weight, so
 distinct ratios get distinct keys. The order depends on (a, v) only, so
 each side keeps it and its prefix sums once per (a, v) in a small cache
-of its own: the two equality LPs of the certifier bisect the prefix sums
-of a in ``_prepared``, and the two inequality LPs of the verifier bisect
-the prefix sums of v in ``_ascending``, in integers only: each returns
-its exact value as an unreduced pair (num, den), and the verifier
-cross-multiplies, so a verify builds no Fraction and takes no gcd. The
-caches share nothing, so the verifier stays an independent re-check of
-the certifier rather than a second reading of its data.
+of its own: the certifier's one equality LP call bisects the prefix sums
+of a in ``_prepared`` for both ends of [vmin, vmax], and the verifier's
+one inequality LP call bisects the prefix sums of v in ``_ascending``
+for both ends of its good interval, in integers only: each end is an
+unreduced pair (num, den), and the verifier cross-multiplies, so a
+verify builds no Fraction and takes no gcd. The caches share nothing,
+so the verifier stays an independent re-check of the certifier rather
+than a second reading of its data.
 
 Every entry point checks a and v once, into the ``Weights`` and
 ``Direction`` types of ``model``; a typed tuple passes any later check
@@ -197,19 +198,19 @@ def _ascending(a: Weights, v: Direction) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=8)
 def _prepared(a: Weights, v: Direction):
-    """(coprime, ||a||_1, {sense: (order, A, V, place)}) of a, v.
+    """(coprime, ||a||_1, (min side, max side)) of a, v.
 
-    ``order`` is the greedy order of the sense, A and V the prefix sums
-    of a and v in that order, and ``place`` turns a vertex listed in
-    greedy order into one listed by index: entry i of its result is
-    entry rank(i) of its argument, rank(i) being i's position in
-    ``order``. One permutation stands in for the n + 1 partial 0/1
-    vertices, which would take n^2 memory. The types say a and v were
-    checked: Fraction and float entries hash equal to ints, so the cache
-    must only see checked vectors.
+    Each side is (order, A, V, place): ``order`` is the greedy order of
+    its sense, A and V the prefix sums of a and v in that order, and
+    ``place`` turns a vertex listed in greedy order into one listed by
+    index: entry i of its result is entry rank(i) of its argument,
+    rank(i) being i's position in ``order``. One permutation stands in
+    for the n + 1 partial 0/1 vertices, which would take n^2 memory. The
+    types say a and v were checked: Fraction and float entries hash
+    equal to ints, so the cache must only see checked vectors.
     """
     n = len(a)
-    sides = {}
+    sides = []
     for sense in ("min", "max"):
         order = _greedy_order(v, a, sense)
         A, V, rank = [0], [0], [0] * n
@@ -219,67 +220,71 @@ def _prepared(a: Weights, v: Direction):
             rank[i] = r
         # itemgetter of one index returns the item, not a 1-tuple
         place = itemgetter(*rank) if n > 1 else tuple
-        sides[sense] = (order, A, V, place)
-    return math.gcd(*a) == 1, sum(a), sides
+        sides.append((order, A, V, place))
+    return math.gcd(*a) == 1, sum(a), tuple(sides)
 
 
 def lp_extreme_eq(
-    a: Sequence[int], v: Sequence[int], beta: int, sense: Sense
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact optimum of v.x over {a.x = beta, 0 <= x <= e} plus a vertex.
+    a: Sequence[int], v: Sequence[int], beta: int
+) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
+    """((vmin, arg_min), (vmax, arg_max)) of v.x over {a.x = beta, 0 <= x <= e}.
 
-    The greedy fill by v_i/a_i ratio, answered by one bisection of its
-    prefix sums of a: the items before the bisected one are whole, and
-    that one takes the remainder, one exact division. The argument has
-    at most one fractional coordinate. DomainError unless beta is an int
-    in [0, ||a||_1], where the relaxation is not empty.
+    Each end is the greedy fill by v_i/a_i ratio, ascending for the
+    minimum and descending for the maximum, answered by one bisection of
+    its prefix sums of a: the items before the bisected one are whole,
+    and that one takes the remainder, one exact division. Each vertex
+    has at most one fractional coordinate. a, v and beta are checked
+    once and the pair is looked up once for both ends. DomainError
+    unless beta is an int in [0, ||a||_1], where the relaxation is not
+    empty.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    _validate_sense(sense)
     _validate_int(beta, "beta")
     _, total, sides = _prepared(a, v)
     if beta < 0 or beta > total:
         raise DomainError(f"right-hand side {beta} outside [0, {total}]")
-    order, A, V, place = sides[sense]
-    j = bisect_right(A, beta) - 1
-    if A[j] == beta:
-        return Fraction(V[j]), place((_ONE,) * j + (_ZERO,) * (len(a) - j))
-    i, rest = order[j], beta - A[j]
-    part = (Fraction(rest, a[i]),)
-    x = place((_ONE,) * j + part + (_ZERO,) * (len(a) - j - 1))
-    return Fraction(V[j] * a[i] + v[i] * rest, a[i]), x
+    n = len(a)
+    ends = []
+    for order, A, V, place in sides:
+        j = bisect_right(A, beta) - 1
+        if A[j] == beta:
+            ends.append((Fraction(V[j]), place((_ONE,) * j + (_ZERO,) * (n - j))))
+            continue
+        i, rest = order[j], beta - A[j]
+        x = place((_ONE,) * j + (Fraction(rest, a[i]),) + (_ZERO,) * (n - j - 1))
+        ends.append((Fraction(V[j] * a[i] + v[i] * rest, a[i]), x))
+    return tuple(ends)
 
 
 def lp_extreme_ineq(
-    a: Sequence[int], v: Sequence[int], level: int, sense: Sense
-) -> tuple[int, int]:
-    """max{a.x | v.x <= level} or min{a.x | v.x >= level} over the box.
+    a: Sequence[int], v: Sequence[int], level: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The good interval (max(a, level), min(a, level + 1)) over the box.
 
-    The exact value as an unreduced integer pair (num, den), den > 0:
-    ``Fraction(num, den)`` is the LP optimum. Both sides bisect the
-    prefix sums of the ascending v_i/a_i order, which the verifier keeps
-    per (a, v) in its own cache, ``_ascending``, apart from the
-    certifier's ``_prepared``: a verify's two calls sort at most once,
-    each then takes O(log n) steps, and the check shares no data with
-    what it checks. DomainError unless level is an int, and for a max
-    side below level 0 or a min side above ||v||_1, which no x in the
-    box attains.
+    max(a, k) is max{a.x | v.x <= k} and min(a, k) is min{a.x | v.x >= k}
+    over the box, each an unreduced integer pair (num, den), den > 0.
+    Both ends bisect the prefix sums of the ascending v_i/a_i order,
+    which the verifier keeps per (a, v) in its own cache, ``_ascending``,
+    apart from the certifier's ``_prepared``: a, v and level are checked
+    once, the pair is looked up once, each end takes O(log n) steps, and
+    the check shares no data with what it checks. DomainError unless
+    level is an int in [0, ||v||_1), where both LPs are feasible.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    _validate_sense(sense)
     _validate_int(level, "level")
-    if sense == "max" and level < 0:
-        raise DomainError("max side needs level >= 0")
     ascending = _ascending(a, v)
-    if sense == "min" and level > ascending[1][-1]:
-        raise DomainError("min side needs level <= ||v||_1")
-    return _one_sided(a, v, ascending, level, sense)
+    if not 0 <= level < ascending[1][-1]:
+        raise DomainError("level outside [0, ||v||_1)")
+    return (
+        _one_sided(a, v, ascending, level, "max"),
+        _one_sided(a, v, ascending, level + 1, "min"),
+    )
 
 
 def _one_sided(a, v, ascending, level, sense: Sense) -> tuple[int, int]:
-    """lp_extreme_ineq of checked a, v, in range, given their ``_ascending``.
+    """max(a, level) or min(a, level) of checked a, v, level in [0, ||v||_1].
 
     Returns (num, den), den > 0, unreduced. The max side is the greedy
     fractional knapsack in ascending v_i/a_i order (Dantzig, 1957): the
@@ -305,11 +310,6 @@ def _one_sided(a, v, ascending, level, sense: Sense) -> tuple[int, int]:
     return A[-1] * den - num, den
 
 
-def _validate_sense(sense: str) -> None:
-    if sense not in ("min", "max"):
-        raise DomainError('sense must be "min" or "max"')
-
-
 def _validate_int(value: int, name: str) -> None:
     if not isinstance(value, int):
         raise DomainError(f"{name} must be an integer")
@@ -323,9 +323,9 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     consecutive integers) or no_certificate. DomainError unless beta is
     an int and the weights are coprime. Coprimality and ||a||_1 come
     from the data prepared once per (a, v), as do the greedy orders of
-    the two lp_extreme_eq calls, so a repeated pair costs two bisections
+    the one lp_extreme_eq call, so a repeated pair costs two bisections
     and two exact divisions per beta. a and v are checked once, and the
-    typed tuples pass to both lp_extreme_eq calls.
+    typed tuples pass to the lp_extreme_eq call, which returns both ends.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -335,8 +335,7 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
         raise DomainError("weights not coprime")
     if beta < 0 or beta > total:
         return CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, beta)
-    vmin, arg_min = lp_extreme_eq(a, v, beta, "min")
-    vmax, arg_max = lp_extreme_eq(a, v, beta, "max")
+    (vmin, arg_min), (vmax, arg_max) = lp_extreme_eq(a, v, beta)
     # floor(vmax) < vmin: vmin is not an integer, and floor(vmax) is its floor
     level, frac = divmod(vmin.numerator, vmin.denominator)
     if frac and vmax.numerator // vmax.denominator == level:
@@ -355,29 +354,23 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
 def verify_certificate(a: Sequence[int], v: Sequence[int], claim: Claim) -> bool:
     """Independent check: max(a, level) < beta < min(a, level + 1).
 
-    Recomputes both one-sided LPs from the claim's beta and level alone;
-    any malformed input yields False. a and v are checked once, and the
-    two lp_extreme_ineq calls refuse a level that is not an int or lies
-    outside [0, ||v||_1), so a DomainError of either is the rejection.
-    Each call returns an unreduced (num, den) with den > 0, and the
-    decision is two cross-multiplications, num < beta den on the max
-    side and beta den < num on the min side: no Fraction is built and no
-    gcd taken.
+    Recomputes the good interval of the claim's level with one
+    lp_extreme_ineq call and reads nothing else of the claim but beta;
+    any malformed input yields False. That call checks a, v and the
+    level, and refuses a level that is not an int or lies outside
+    [0, ||v||_1), so its DomainError is the rejection. Each end is an
+    unreduced (num, den) with den > 0, and the decision is two
+    cross-multiplications, hi < beta hi_den and beta lo_den < lo: no
+    Fraction is built and no gcd taken.
     """
     beta = claim.beta
     if not isinstance(beta, int):
         return False
-    level = claim.level
     try:
-        a = validate_weights(a)
-        v = validate_direction(v, len(a))
-        num, den = lp_extreme_ineq(a, v, level, "max")
-        if not num < beta * den:
-            return False
-        num, den = lp_extreme_ineq(a, v, level + 1, "min")
+        (hi, hi_den), (lo, lo_den) = lp_extreme_ineq(a, v, claim.level)
     except DomainError:
         return False
-    return beta * den < num
+    return hi < beta * hi_den and beta * lo_den < lo
 
 
 def witnesses_consistent(

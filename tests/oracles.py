@@ -256,34 +256,29 @@ def greedy_order_cmp(num, den, sense):
 
 
 def lp_ineq_vertex(a, v, level, sense):
-    """max{a.x | v.x <= level} / min{a.x | v.x >= level} over the box."""
+    """max{a.x | v.x <= level} / min{a.x | v.x >= level} over the box, v >= 0.
+
+    Every vertex is a 0/1 point on the right side of level, or a 0/1
+    point plus one coordinate f split so that v.x = level, which both
+    sides share. Returns None when the LP is empty.
+    """
     n = len(a)
+    sums = [(0, 0)]  # (v.x, a.x) of the 0/1 point of each mask
+    for i in range(n):
+        sums += [(vsum + v[i], asum + a[i]) for vsum, asum in sums]
     values = []
-    for mask in range(1 << n):
-        ones = [i for i in range(n) if (mask >> i) & 1]
-        vsum = sum(v[i] for i in ones)
-        asum = sum(a[i] for i in ones)
-        if sense == "max":
-            if vsum <= level:
-                values.append(Fraction(asum))
-            for f in range(n):
-                if (mask >> f) & 1 or v[f] == 0:
-                    continue
-                frac = Fraction(level - vsum, v[f])
-                if 0 < frac < 1:
-                    values.append(asum + a[f] * frac)
-        else:
-            if vsum >= level:
-                values.append(Fraction(asum))
-            for f in range(n):
-                if (mask >> f) & 1 or v[f] == 0:
-                    continue
-                frac = Fraction(level - vsum, v[f])
-                if 0 < frac < 1:
-                    values.append(asum + a[f] * frac)
+    for mask, (vsum, asum) in enumerate(sums):
+        if (vsum <= level) if sense == "max" else (vsum >= level):
+            values.append(asum)
+        gap = level - vsum  # a split item f takes gap / v[f], in (0, 1)
+        if gap > 0:
+            values += [
+                asum + a[f] * Fraction(gap, v[f])
+                for f in range(n) if gap < v[f] and not (mask >> f) & 1
+            ]
     if not values:
         return None
-    return max(values) if sense == "max" else min(values)
+    return Fraction(max(values) if sense == "max" else min(values))
 
 
 def certificate_bounds_hold(level, vmin, vmax):

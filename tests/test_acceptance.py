@@ -48,13 +48,13 @@ def check_good_intervals(a, v):
     (max(a,k), min(a,k+1)); returns the verdict and any counterexamples
     as (beta, certified, in_interval) triples.
     """
-    ve = sum(v)
-    mins = [Fraction(*lp_extreme_ineq(a, v, k, "min")) for k in range(ve + 1)]
-    maxs = [Fraction(*lp_extreme_ineq(a, v, k, "max")) for k in range(ve + 1)]
+    good = [
+        tuple(Fraction(*end) for end in lp_extreme_ineq(a, v, k)) for k in range(sum(v))
+    ]
     mismatches = []
     for beta in range(sum(a) + 1):
         certified = certify(a, v, beta).status is CertifyStatus.CERTIFIED
-        in_interval = any(maxs[k] < beta < mins[k + 1] for k in range(ve))
+        in_interval = any(lo < beta < hi for lo, hi in good)
         if certified != in_interval:
             mismatches.append((beta, certified, in_interval))
     return not mismatches, tuple(mismatches)
@@ -274,13 +274,13 @@ def test_criterion_8_greedy_lp_equals_vertex_enumeration():
         if max(v) == 0:
             v = v[:-1] + (1,)
         beta = rnd.randint(0, sum(a))
-        for sense in ("min", "max"):
-            value, arg = lp_extreme_eq(a, v, beta, sense)
+        for sense, (value, arg) in zip(("min", "max"), lp_extreme_eq(a, v, beta)):
             assert value == lp_eq_vertex(a, v, beta, sense)
             assert sum(ai * xi for ai, xi in zip(a, arg)) == beta
             assert sum(1 for x in arg if 0 < x < 1) <= 1
-        level = rnd.randint(0, sum(v))
-        assert Fraction(*lp_extreme_ineq(a, v, level, "max")) == lp_ineq_vertex(a, v, level, "max")
-        assert Fraction(*lp_extreme_ineq(a, v, level, "min")) == lp_ineq_vertex(a, v, level, "min")
+        for k in range(sum(v)):
+            hi, lo = (Fraction(*end) for end in lp_extreme_ineq(a, v, k))
+            assert hi == lp_ineq_vertex(a, v, k, "max")
+            assert lo == lp_ineq_vertex(a, v, k + 1, "min")
     report("PASS criterion 8: greedy LP values equal vertex enumeration on "
            "1000 random instances (n <= 8)")

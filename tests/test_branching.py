@@ -68,6 +68,9 @@ def exhaustive_small_instances():
                     yield a, v
 
 
+SENSES = ("min", "max")  # the order of lp_extreme_eq's two ends
+
+
 def certify_by_greedy(a, v, beta):
     """The CertifyResult that the greedy-fill referee gives."""
     if not 0 <= beta <= sum(a):
@@ -86,29 +89,26 @@ NOT_INTS = [Fraction(1, 2), Fraction(2), Fraction(-1, 2), 0.5, 2.0, 1e30]
 
 class TestLpExtremeEq:
     def test_toy_min_and_max(self):
-        value, arg = lp_extreme_eq(TOY_A, TOY_V, 150, "min")
+        (value, arg), (vmax, _) = lp_extreme_eq(TOY_A, TOY_V, 150)
         assert value == Fraction(149, 101)
         assert sum(a * x for a, x in zip(TOY_A, arg)) == 150
         assert sum(1 for x in arg if 0 < x < 1) <= 1
-        value, _ = lp_extreme_eq(TOY_A, TOY_V, 150, "max")
         # vertex enumeration puts the maximum at 151/101
-        assert value == lp_eq_vertex(TOY_A, TOY_V, 150, "max") == Fraction(151, 101)
+        assert vmax == lp_eq_vertex(TOY_A, TOY_V, 150, "max") == Fraction(151, 101)
 
     def test_endpoints(self):
-        value, arg = lp_extreme_eq((2, 3, 4), (1, 1, 1), 0, "min")
-        assert value == 0 and arg == (0, 0, 0)
-        value, arg = lp_extreme_eq((2, 3, 4), (1, 1, 1), 9, "max")
-        assert value == 3 and arg == (1, 1, 1)
+        # at either end of [0, ||a||_1] the relaxation is one 0/1 point
+        assert lp_extreme_eq((2, 3, 4), (1, 1, 1), 0) == ((0, (0, 0, 0)),) * 2
+        assert lp_extreme_eq((2, 3, 4), (1, 1, 1), 9) == ((3, (1, 1, 1)),) * 2
 
     def test_out_of_range_signals(self):
-        with pytest.raises(DomainError):
-            lp_extreme_eq((2, 3, 4), (1, 1, 1), -1, "min")
-        with pytest.raises(DomainError):
-            lp_extreme_eq((2, 3, 4), (1, 1, 1), 10, "max")
+        for beta in (-1, 10):
+            with pytest.raises(DomainError):
+                lp_extreme_eq((2, 3, 4), (1, 1, 1), beta)
 
     def test_zero_direction_entries_carry_weight(self):
         # the v_i = 0 item must absorb weight for feasibility
-        value, arg = lp_extreme_eq((5, 1), (0, 1), 5, "min")
+        (value, arg), _ = lp_extreme_eq((5, 1), (0, 1), 5)
         assert value == 0
         assert arg == (1, 0)
 
@@ -117,8 +117,7 @@ class TestLpExtremeEq:
         for _ in range(150):
             a, v = random_small_instance(rnd, nmax=6)
             beta = rnd.randint(0, sum(a))
-            for sense in ("min", "max"):
-                value, arg = lp_extreme_eq(a, v, beta, sense)
+            for sense, (value, arg) in zip(SENSES, lp_extreme_eq(a, v, beta)):
                 assert value == lp_eq_vertex(a, v, beta, sense)
                 assert sum(ai * xi for ai, xi in zip(a, arg)) == beta
                 assert all(0 <= x <= 1 for x in arg)
@@ -126,34 +125,34 @@ class TestLpExtremeEq:
 
     def test_exhaustive_small_against_vertex_enumeration(self):
         for a, v in exhaustive_small_instances():
-            for beta, sense in product(range(sum(a) + 1), ("min", "max")):
-                value, arg = lp_extreme_eq(a, v, beta, sense)
-                assert value == lp_eq_vertex(a, v, beta, sense), (a, v, beta, sense)
-                assert sum(ai * xi for ai, xi in zip(a, arg)) == beta
-                assert sum(vi * xi for vi, xi in zip(v, arg)) == value
-                assert all(0 <= x <= 1 for x in arg)
-                assert sum(1 for x in arg if 0 < x < 1) <= 1
+            for beta in range(sum(a) + 1):
+                for sense, (value, arg) in zip(SENSES, lp_extreme_eq(a, v, beta)):
+                    assert value == lp_eq_vertex(a, v, beta, sense), (a, v, beta, sense)
+                    assert sum(ai * xi for ai, xi in zip(a, arg)) == beta
+                    assert sum(vi * xi for vi, xi in zip(v, arg)) == value
+                    assert all(0 <= x <= 1 for x in arg)
+                    assert sum(1 for x in arg if 0 < x < 1) <= 1
 
     def test_exhaustive_small_against_greedy_referee(self):
         # the bisection over prepared prefix sums gives the greedy fill's vertex
         for a, v in exhaustive_small_instances():
-            for beta, sense in product(range(sum(a) + 1), ("min", "max")):
-                value, arg = lp_extreme_eq(a, v, beta, sense)
-                ref_value, ref_arg = lp_eq_greedy(a, v, beta, sense)
-                assert value == ref_value and arg == ref_arg, (a, v, beta, sense)
-                assert type(value) is Fraction
-                assert all(type(x) is Fraction for x in arg)
+            for beta in range(sum(a) + 1):
+                ends = lp_extreme_eq(a, v, beta)
+                assert ends == tuple(lp_eq_greedy(a, v, beta, s) for s in SENSES), (a, v, beta)
+                for value, arg in ends:
+                    assert type(value) is Fraction
+                    assert all(type(x) is Fraction for x in arg)
 
     @pytest.mark.parametrize("beta", NOT_INTS)
     def test_rejects_non_integer_beta(self, beta):
         with pytest.raises(DomainError):
-            lp_extreme_eq((3, 5, 7), (1, 2, 2), beta, "min")
+            lp_extreme_eq((3, 5, 7), (1, 2, 2), beta)
 
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_ties_fill_the_smaller_index_first(self, sense):
         # no document carries the vertex, but certify's witnesses stay
         # deterministic: equal ratios fill the smaller index first
-        value, arg = lp_extreme_eq((2, 2, 2), (1, 1, 1), 3, sense)
+        value, arg = lp_extreme_eq((2, 2, 2), (1, 1, 1), 3)[SENSES.index(sense)]
         assert value == Fraction(3, 2)
         assert arg == (1, Fraction(1, 2), 0)
 
@@ -232,69 +231,75 @@ class TestGreedyOrder:
             assert orders == [greedy_order_cmp(v, a, sense) for sense in ("min", "max")]
 
 
+def good_interval(a, v, level):
+    """lp_extreme_ineq's two ends as Fractions."""
+    return tuple(Fraction(*end) for end in lp_extreme_ineq(a, v, level))
+
+
+def good_interval_by(referee, a, v, level):
+    """(max(a, level), min(a, level + 1)) from a one-sided referee."""
+    return referee(a, v, level, "max"), referee(a, v, level + 1, "min")
+
+
 class TestLpExtremeIneq:
     def test_toy_values(self):
-        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 1, "max")) == 102
-        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 2, "min")) == 201
+        assert good_interval(TOY_A, TOY_V, 1) == (102, 201)
 
     def test_degenerate_levels(self):
-        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 0, "max")) == 0
-        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 3, "max")) == 303
-        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 0, "min")) == 0
-        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 3, "min")) == 303
+        assert good_interval(TOY_A, TOY_V, 0) == (0, 100)
+        assert good_interval(TOY_A, TOY_V, 2) == (203, 303)
+        # max at ||v||_1 and min at 0 are the ends of [0, ||a||_1]
+        a, v = Weights(TOY_A), Direction(TOY_V)
+        assert _one_sided(a, v, _ascending(a, v), 3, "max") == (303, 1)
+        assert _one_sided(a, v, _ascending(a, v), 0, "min") == (0, 1)
 
     def test_level_gates(self):
-        with pytest.raises(DomainError):
-            lp_extreme_ineq(TOY_A, TOY_V, -1, "max")
-        with pytest.raises(DomainError):
-            lp_extreme_ineq(TOY_A, TOY_V, 4, "min")
+        # max needs level >= 0, and min needs level + 1 <= ||v||_1 = 3
+        for level in (-1, 3):
+            with pytest.raises(DomainError, match="outside"):
+                lp_extreme_ineq(TOY_A, TOY_V, level)
         # a Fraction level would otherwise give an LP value at a non-level
         for level in (1.0, "1", Fraction(1), Fraction(3, 2), None):
-            for sense in ("min", "max"):
-                with pytest.raises(DomainError, match="level must be an integer"):
-                    lp_extreme_ineq(TOY_A, TOY_V, level, sense)
+            with pytest.raises(DomainError, match="level must be an integer"):
+                lp_extreme_ineq(TOY_A, TOY_V, level)
 
     def test_zero_direction_entries(self):
         # free coordinate: counted for max, dropped for min
-        assert Fraction(*lp_extreme_ineq((7, 3), (0, 1), 0, "max")) == 7
-        assert Fraction(*lp_extreme_ineq((7, 3), (0, 1), 1, "min")) == 3
+        assert good_interval((7, 3), (0, 1), 0) == (7, 3)
 
     def test_matches_vertex_enumeration(self):
         rnd = random.Random(42)
         for _ in range(150):
             a, v = random_small_instance(rnd, nmax=6)
-            ve = sum(v)
-            level = rnd.randint(0, ve)
-            got = Fraction(*lp_extreme_ineq(a, v, level, "max"))
-            assert got == lp_ineq_vertex(a, v, level, "max")
-            got = Fraction(*lp_extreme_ineq(a, v, level, "min"))
-            assert got == lp_ineq_vertex(a, v, level, "min")
+            for level in range(sum(v)):
+                want = good_interval_by(lp_ineq_vertex, a, v, level)
+                assert good_interval(a, v, level) == want, (a, v, level)
 
     def test_exhaustive_small_against_vertex_enumeration(self):
         for a, v in exhaustive_small_instances():
             ve = sum(v)
-            for level, sense in product(range(-1, ve + 2), ("min", "max")):
-                if (sense, level) in (("max", -1), ("min", ve + 1)):
+            for level in range(-1, ve + 2):
+                if not 0 <= level < ve:
                     with pytest.raises(DomainError):
-                        lp_extreme_ineq(a, v, level, sense)
+                        lp_extreme_ineq(a, v, level)
                     continue
-                pair = lp_extreme_ineq(a, v, level, sense)
-                num, den = pair
-                assert type(num) is int and type(den) is int and den > 0, pair
+                ends = lp_extreme_ineq(a, v, level)
+                for num, den in ends:
+                    assert type(num) is int and type(den) is int and den > 0, ends
+                want = good_interval_by(lp_ineq_vertex, a, v, level)
+                assert good_interval(a, v, level) == want, (a, v, level)
+            # the referee of the pipeline-scale verify test, on both sides
+            for level, sense in product(range(ve + 1), SENSES):
                 vertex = lp_ineq_vertex(a, v, level, sense)
-                assert Fraction(*pair) == vertex, (a, v, level, sense)
-                # the referee of the pipeline-scale verify test
                 assert lp_ineq_greedy(a, v, level, sense) == vertex, (a, v, level, sense)
 
     def test_monotone_in_level(self):
         rnd = random.Random(43)
         for _ in range(40):
             a, v = random_small_instance(rnd, nmax=5)
-            ve = sum(v)
-            maxs = [Fraction(*lp_extreme_ineq(a, v, k, "max")) for k in range(ve + 1)]
-            mins = [Fraction(*lp_extreme_ineq(a, v, k, "min")) for k in range(ve + 1)]
-            assert maxs == sorted(maxs)
-            assert mins == sorted(mins)
+            maxs, mins = zip(*(good_interval(a, v, k) for k in range(sum(v))))
+            assert list(maxs) == sorted(maxs)
+            assert list(mins) == sorted(mins)
 
 
 class TestOneSidedBisection:
@@ -305,15 +310,19 @@ class TestOneSidedBisection:
         a, v = Weights(a), Direction(v)
         ascending = _ascending(a, v)
         ve = sum(v)
-        for level, sense in product(levels, ("min", "max")):
+        for level, sense in product(levels, SENSES):
             if (sense == "max" and level < 0) or (sense == "min" and level > ve):
-                with pytest.raises(DomainError):
-                    lp_extreme_ineq(a, v, level, sense)
-                continue
+                continue  # no x in the box attains it
             pair = _one_sided(a, v, ascending, level, sense)
             # identical, not merely equal: the same unreduced integers
             assert pair == greedy_fill_pair(a, v, level, sense), (a, v, level, sense)
-            assert lp_extreme_ineq(a, v, level, sense) == pair
+        for level in levels:
+            if not 0 <= level < ve:
+                with pytest.raises(DomainError):
+                    lp_extreme_ineq(a, v, level)
+                continue
+            ends = lp_extreme_ineq(a, v, level)
+            assert ends == good_interval_by(greedy_fill_pair, a, v, level), (a, v, level)
 
     def test_exhaustive_small(self):
         for a, v in exhaustive_small_instances():
@@ -391,22 +400,22 @@ class TestCertify:
             certify((3, 5, 7), (1, 2, 2), beta)
 
     def test_calls_lp_extreme_eq_through_the_module(self, monkeypatch):
-        # the benchmark's traced run times each side through this attribute
-        senses = []
+        # the benchmark's traced run times the call through this attribute
+        calls = []
 
-        def recording(a, v, beta, sense):
-            senses.append(sense)
-            return lp_extreme_eq(a, v, beta, sense)
+        def recording(a, v, beta):
+            calls.append(beta)
+            return lp_extreme_eq(a, v, beta)
 
         monkeypatch.setattr(branching, "lp_extreme_eq", recording)
-        # two calls per beta in range, certified or not, and none outside it
+        # one call per beta in range, certified or not, and none outside it
         a, v = (11, 13, 17), (1, 2, 3)
         statuses = set()
         for beta in range(-1, sum(a) + 2):
-            senses.clear()
+            calls.clear()
             result = certify(a, v, beta)
             assert result == certify_by_greedy(a, v, beta)
-            assert senses == (["min", "max"] if 0 <= beta <= sum(a) else []), beta
+            assert calls == ([beta] if 0 <= beta <= sum(a) else []), beta
             statuses.add(result.status)
         assert len(statuses) == 3, statuses
 
@@ -425,8 +434,8 @@ class TestCertify:
     def test_bisected_item_without_weight_in_v(self):
         # the min side bisects the v_i = 0 item: a remainder, yet vmin = 0 is
         # an integer, so a decision on the remainder alone would certify
-        assert lp_extreme_eq((2, 3), (0, 1), 1, "min")[0] == 0
-        assert lp_extreme_eq((2, 3), (0, 1), 1, "max")[0] == Fraction(1, 3)
+        (vmin, _), (vmax, _) = lp_extreme_eq((2, 3), (0, 1), 1)
+        assert vmin == 0 and vmax == Fraction(1, 3)
         result = certify((2, 3), (0, 1), 1)
         assert result == CertifyResult(CertifyStatus.NO_CERTIFICATE, 1)
 
@@ -557,25 +566,25 @@ class TestPreparedCache(CacheContract):
 
     @staticmethod
     def answer(a, v, beta):
-        """certify, and both lp_extreme_eq sides where the relaxation is not empty."""
-        sides = None
+        """certify, and both lp_extreme_eq ends where the relaxation is not empty."""
+        ends = None
         if 0 <= beta <= sum(a):
-            sides = [lp_extreme_eq(a, v, beta, sense) for sense in ("min", "max")]
-        return certify(a, v, beta), sides
+            ends = lp_extreme_eq(a, v, beta)
+        return certify(a, v, beta), ends
 
     @staticmethod
     def referee(a, v, beta):
-        sides = None
+        ends = None
         if 0 <= beta <= sum(a):
-            sides = [lp_eq_greedy(a, v, beta, sense) for sense in ("min", "max")]
-        return certify_by_greedy(a, v, beta), sides
+            ends = tuple(lp_eq_greedy(a, v, beta, sense) for sense in SENSES)
+        return certify_by_greedy(a, v, beta), ends
 
     @staticmethod
     def assert_refused(a, v):
         with pytest.raises(DomainError):
             certify(a, v, 6)
         with pytest.raises(DomainError):
-            lp_extreme_eq(a, v, 6, "min")
+            lp_extreme_eq(a, v, 6)
 
     @staticmethod
     def fill(a, v):
@@ -583,7 +592,7 @@ class TestPreparedCache(CacheContract):
         certify(a, v, len(a))
 
     def test_non_coprime_weights_stay_refused(self):
-        lp_extreme_eq((2, 4, 6), (1, 1, 1), 5, "min")
+        lp_extreme_eq((2, 4, 6), (1, 1, 1), 5)
         for _ in range(2):
             with pytest.raises(DomainError, match="coprime"):
                 certify((2, 4, 6), (1, 1, 1), 5)
@@ -595,6 +604,16 @@ class TestPreparedCache(CacheContract):
         assert verify_certificate((11, 13, 17), (1, 2, 3), cert) is True
         assert _prepared.cache_info() == before
 
+    def test_two_lookups_per_certify(self):
+        # certify looks the pair up for its gcd and range, and its one
+        # lp_extreme_eq call once more for both ends
+        a, v = (31, 37, 41), (1, 2, 2)
+        _prepared.cache_clear()
+        for _ in range(2):
+            assert certify(a, v, 33).status is CertifyStatus.CERTIFIED
+        info = _prepared.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
 
 class TestAscendingCache(CacheContract):
     """The verifier's ascending order, kept once per (a, v), must not change any answer."""
@@ -603,40 +622,43 @@ class TestAscendingCache(CacheContract):
 
     @staticmethod
     def points(a, v):
-        return list(product(range(-1, sum(v) + 2), ("min", "max")))
+        return range(-1, sum(v) + 2)
 
     @staticmethod
-    def answer(a, v, point):
-        """lp_extreme_ineq, or None where it refuses the level."""
+    def answer(a, v, level):
+        """lp_extreme_ineq's good interval, or None where it refuses the level."""
         try:
-            return Fraction(*lp_extreme_ineq(a, v, *point))
+            return good_interval(a, v, level)
         except DomainError:
             return None
 
     @staticmethod
-    def referee(a, v, point):
-        return lp_ineq_vertex(a, v, *point)
+    def referee(a, v, level):
+        # an empty LP is None: max below level 0, min above ||v||_1
+        ends = good_interval_by(lp_ineq_vertex, a, v, level)
+        return None if None in ends else ends
 
     def assert_refused(self, a, v):
         with pytest.raises(DomainError):
-            lp_extreme_ineq(a, v, 1, "max")
+            lp_extreme_ineq(a, v, 1)
         cert = certify(self.A, self.V, 11).certificate
         assert verify_certificate(self.A, self.V, cert) is True
         assert verify_certificate(a, v, cert) is False
 
     @staticmethod
     def fill(a, v):
-        lp_extreme_ineq(a, v, 1, "max")
+        lp_extreme_ineq(a, v, 1)
 
     def test_one_sort_per_pair(self):
-        # a verify sorts a new pair once, for both sides, and a repeated pair not at all
+        # a verify looks the pair up once, for both ends: it sorts a new
+        # pair once and a repeated pair not at all
         a, v = (31, 37, 41), (1, 2, 2)
         cert = certify(a, v, 33).certificate
         _ascending.cache_clear()
         assert verify_certificate(a, v, cert) is True
         assert verify_certificate(a, v, cert) is True
         info = _ascending.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_holds_the_norms_beside_the_order(self):
         # the prefix sums of v and a in that order end in ||v||_1 and ||a||_1
@@ -707,9 +729,8 @@ class TestVerify:
     def test_accepts_genuine_certificate(self):
         cert = certify(TOY_A, TOY_V, 150).certificate
         assert verify_certificate(TOY_A, TOY_V, cert)
-        # the two one-sided values behind the acceptance
-        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 1, "max")) == 102
-        assert Fraction(*lp_extreme_ineq(TOY_A, TOY_V, 2, "min")) == 201
+        # the good interval behind the acceptance
+        assert good_interval(TOY_A, TOY_V, 1) == (102, 201)
 
     def test_rejects_wrong_level(self):
         forged = Certificate(
@@ -744,21 +765,20 @@ class TestVerify:
         assert not verify_certificate(TOY_A, TOY_V, silly)
 
     def test_calls_lp_extreme_ineq_through_the_module(self, monkeypatch):
-        # the benchmark's traced run times each side through this attribute
+        # the benchmark's traced run times the call through this attribute
         calls = []
 
-        def recording(a, v, level, sense):
-            calls.append((level, sense))
-            return lp_extreme_ineq(a, v, level, sense)
+        def recording(a, v, level):
+            calls.append(level)
+            return lp_extreme_ineq(a, v, level)
 
         monkeypatch.setattr(branching, "lp_extreme_ineq", recording)
         cert = certify(TOY_A, TOY_V, 150).certificate
-        both = [(1, "max"), (2, "min")]
-        # (max(a, 1), min(a, 2)) = (102, 201): 102 fails on the max side alone
-        for beta, accepted, sides in ((150, True, both), (102, False, both[:1]), (201, False, both)):
+        # (max(a, 1), min(a, 2)) = (102, 201): one call decides either end
+        for beta, accepted in ((150, True), (102, False), (201, False)):
             calls.clear()
             assert verify_certificate(TOY_A, TOY_V, replace(cert, beta=beta)) is accepted
-            assert calls == sides, beta
+            assert calls == [1], beta
 
     def test_builds_no_fraction(self, monkeypatch):
         # the decision is integer cross-multiplication, for a new pair too
@@ -805,10 +825,8 @@ class TestVerify:
                     vmin=other + Fraction(1, 3), vmax=other + Fraction(2, 3),
                 )
                 assert verify_certificate(a, v, forged) is False, (cert.beta, other)
-            hi = lp_ineq_greedy(a, v, level, "max")
-            lo = lp_ineq_greedy(a, v, level + 1, "min")
-            assert Fraction(*lp_extreme_ineq(a, v, level, "max")) == hi
-            assert Fraction(*lp_extreme_ineq(a, v, level + 1, "min")) == lo
+            hi, lo = good_interval_by(lp_ineq_greedy, a, v, level)
+            assert good_interval(a, v, level) == (hi, lo)
             assert hi < cert.beta < lo
             for beta in (math.floor(hi), math.ceil(lo)):
                 assert verify_certificate(a, v, replace(cert, beta=beta)) is False, beta
@@ -979,10 +997,8 @@ class TestBadCount:
             return False
         assert _bad_count(a, v) == count_integers_in_bad(cover), (a, v)
         # the least good length, which decides overlap, is the centre one
-        k = (sum(v) - 1) // 2
-        hi = Fraction(*lp_extreme_ineq(a, v, k, "max"))
-        centre = Fraction(*lp_extreme_ineq(a, v, k + 1, "min")) - hi
-        assert cover.min_good_length == centre, (a, v)
+        hi, lo = good_interval(a, v, (sum(v) - 1) // 2)
+        assert cover.min_good_length == lo - hi, (a, v)
         return True
 
     def test_exhaustive_small_against_enumeration(self):
