@@ -24,7 +24,12 @@ Every entry point checks a and v once, into the ``Weights`` and
 with one type test, so the entry points hand them to each other and to
 the caches, which only ever see checked vectors. The certifier and the
 verifier decide on the numerators and denominators of their LP values
-in integers.
+in integers: beta is certified at level floor(vmin) when vmin is not an
+integer and floor(vmax) is that level too, so a certify builds no
+Fraction and no vertex. Its Certificate holds beta, the level, a and v,
+and reads the witnesses, the LP values as Fractions and the vertices
+that attain them, from ``_lp_vertices`` only when they are asked for;
+no document and no CLI command asks.
 
 The same machinery yields, for each branching level k, a closed "bad"
 interval [min(a,k), max(a,k)] and an open "good" interval between
@@ -76,9 +81,20 @@ class Claim:
     level: int
 
 
-@dataclass(frozen=True, slots=True)
+_WITNESSES = frozenset({"vmin", "vmax", "arg_min", "arg_max"})
+
+
+@dataclass(frozen=True, eq=False)
 class Certificate(Claim):
-    """A Claim with the LP values and vertices that ``certify`` found."""
+    """A Claim with the LP values and vertices that ``certify`` found.
+
+    Equal and hashed as its Claim, by (beta, level). The keyword
+    constructor takes ready-made witnesses and checks them; a certificate
+    that ``certify`` builds holds beta, level, a and v only, and reads
+    its four witnesses from ``_lp_vertices`` on first access. Copy and
+    pickle go through Claim's field-list state, which reads every field,
+    so a copy carries the witnesses themselves.
+    """
 
     vmin: Fraction
     vmax: Fraction
@@ -98,6 +114,24 @@ class Certificate(Claim):
             and hi.numerator < (level + 1) * hi.denominator
         ):
             raise DomainError("certificate bounds must satisfy l < vmin <= vmax < l+1")
+
+    def __getattr__(self, name):
+        # reached only for an unset attribute: the witnesses of a found one
+        if name not in _WITNESSES:
+            raise AttributeError(name)
+        a, v = self._source
+        (vmin, arg_min), (vmax, arg_max) = _lp_vertices(a, v, self.beta)
+        self.__dict__.update(vmin=vmin, vmax=vmax, arg_min=arg_min, arg_max=arg_max)
+        return self.__dict__[name]
+
+
+def _found(beta: int, level: int, a: Weights, v: Direction) -> Certificate:
+    """certify's Certificate: no Fraction, no vertex and no check until read."""
+    cert = object.__new__(Certificate)
+    object.__setattr__(cert, "beta", beta)
+    object.__setattr__(cert, "level", level)
+    object.__setattr__(cert, "_source", (a, v))
+    return cert
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,13 +235,15 @@ def _prepared(a: Weights, v: Direction):
     """(coprime, ||a||_1, (min side, max side)) of a, v.
 
     Each side is (order, A, V, place): ``order`` is the greedy order of
-    its sense, A and V the prefix sums of a and v in that order, and
-    ``place`` turns a vertex listed in greedy order into one listed by
-    index: entry i of its result is entry rank(i) of its argument,
-    rank(i) being i's position in ``order``. One permutation stands in
-    for the n + 1 partial 0/1 vertices, which would take n^2 memory. The
-    types say a and v were checked: Fraction and float entries hash
-    equal to ints, so the cache must only see checked vectors.
+    its sense, and A and V the prefix sums of a and v in that order, all
+    that ``lp_extreme_eq`` reads. ``place`` serves only the witness
+    reader ``_lp_vertices``: it turns a vertex listed in greedy order
+    into one listed by index, entry i of its result being entry rank(i)
+    of its argument, rank(i) being i's position in ``order``. One
+    permutation stands in for the n + 1 partial 0/1 vertices, which
+    would take n^2 memory. The types say a and v were checked: Fraction
+    and float entries hash equal to ints, so the cache must only see
+    checked vectors.
     """
     n = len(a)
     sides = []
@@ -224,19 +260,11 @@ def _prepared(a: Weights, v: Direction):
     return math.gcd(*a) == 1, sum(a), tuple(sides)
 
 
-def lp_extreme_eq(
-    a: Sequence[int], v: Sequence[int], beta: int
-) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
-    """((vmin, arg_min), (vmax, arg_max)) of v.x over {a.x = beta, 0 <= x <= e}.
+def _equality_sides(a, v, beta):
+    """Checked a and v, and their prepared (min side, max side) for beta.
 
-    Each end is the greedy fill by v_i/a_i ratio, ascending for the
-    minimum and descending for the maximum, answered by one bisection of
-    its prefix sums of a: the items before the bisected one are whole,
-    and that one takes the remainder, one exact division. Each vertex
-    has at most one fractional coordinate. a, v and beta are checked
-    once and the pair is looked up once for both ends. DomainError
-    unless beta is an int in [0, ||a||_1], where the relaxation is not
-    empty.
+    DomainError unless beta is an int in [0, ||a||_1], where the
+    relaxation of a.x = beta is not empty.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -244,6 +272,48 @@ def lp_extreme_eq(
     _, total, sides = _prepared(a, v)
     if beta < 0 or beta > total:
         raise DomainError(f"right-hand side {beta} outside [0, {total}]")
+    return a, v, sides
+
+
+def lp_extreme_eq(
+    a: Sequence[int], v: Sequence[int], beta: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(vmin, vmax) of v.x over {a.x = beta, 0 <= x <= e}, in integers.
+
+    Each end is an unreduced pair (num, den), den > 0: the greedy fill by
+    v_i/a_i ratio, ascending for the minimum and descending for the
+    maximum, answered by one bisection of its prefix sums of a. The items
+    before the bisected one are whole, and that one takes the remainder:
+    (V_j a_i + v_i rest, a_i), or (V_j, 1) when the prefix sum A_j is
+    beta itself. a, v and beta are checked once and the pair is looked up
+    once for both ends; no Fraction and no vertex is built, which
+    ``_lp_vertices`` does for the witnesses. DomainError unless beta is an
+    int in [0, ||a||_1].
+    """
+    a, v, sides = _equality_sides(a, v, beta)
+    ends = []
+    for order, A, V, _ in sides:
+        j = bisect_right(A, beta) - 1
+        rest = beta - A[j]
+        if rest:
+            i = order[j]
+            ends.append((V[j] * a[i] + v[i] * rest, a[i]))
+        else:
+            ends.append((V[j], 1))
+    return tuple(ends)
+
+
+def _lp_vertices(
+    a: Sequence[int], v: Sequence[int], beta: int
+) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
+    """((vmin, arg_min), (vmax, arg_max)) of v.x over {a.x = beta, 0 <= x <= e}.
+
+    The witness reader: the same greedy fills as ``lp_extreme_eq``, as
+    Fractions and as vertices listed by index through ``place``. Each
+    vertex has at most one fractional coordinate. DomainError unless beta
+    is an int in [0, ||a||_1].
+    """
+    a, v, sides = _equality_sides(a, v, beta)
     n = len(a)
     ends = []
     for order, A, V, place in sides:
@@ -324,8 +394,11 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     an int and the weights are coprime. Coprimality and ||a||_1 come
     from the data prepared once per (a, v), as do the greedy orders of
     the one lp_extreme_eq call, so a repeated pair costs two bisections
-    and two exact divisions per beta. a and v are checked once, and the
-    typed tuples pass to the lp_extreme_eq call, which returns both ends.
+    per beta. The decision is on integers: with vmin = p/q and
+    vmax = r/s, beta is certified at level p // q when q does not divide
+    p and r // s is that level too. No Fraction and no vertex is built:
+    the Certificate holds beta, the level, a and v, and reads its
+    witnesses only when they are asked for.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -335,19 +408,11 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
         raise DomainError("weights not coprime")
     if beta < 0 or beta > total:
         return CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, beta)
-    (vmin, arg_min), (vmax, arg_max) = lp_extreme_eq(a, v, beta)
+    (lo, lo_den), (hi, hi_den) = lp_extreme_eq(a, v, beta)
     # floor(vmax) < vmin: vmin is not an integer, and floor(vmax) is its floor
-    level, frac = divmod(vmin.numerator, vmin.denominator)
-    if frac and vmax.numerator // vmax.denominator == level:
-        cert = Certificate(
-            beta=beta,
-            level=level,
-            vmin=vmin,
-            vmax=vmax,
-            arg_min=arg_min,
-            arg_max=arg_max,
-        )
-        return CertifyResult(CertifyStatus.CERTIFIED, beta, cert)
+    level, frac = divmod(lo, lo_den)
+    if frac and hi // hi_den == level:
+        return CertifyResult(CertifyStatus.CERTIFIED, beta, _found(beta, level, a, v))
     return CertifyResult(CertifyStatus.NO_CERTIFICATE, beta)
 
 
@@ -373,16 +438,19 @@ def verify_certificate(a: Sequence[int], v: Sequence[int], claim: Claim) -> bool
     return hi < beta * hi_den and beta * lo_den < lo
 
 
-def witnesses_consistent(
-    a: Sequence[int], v: Sequence[int], cert: Certificate
-) -> bool:
-    """Do the stored witnesses attain vmin/vmax and satisfy a.x = beta?"""
+def witnesses_consistent(a: Sequence[int], v: Sequence[int], cert: Claim) -> bool:
+    """Do the witnesses attain vmin/vmax and satisfy a.x = beta?
+
+    False for malformed a or v, and for a claim without witnesses, such
+    as a plain Claim.
+    """
     try:
         a = validate_weights(a)
         v = validate_direction(v, len(a))
-    except DomainError:
+        ends = ((cert.arg_min, cert.vmin), (cert.arg_max, cert.vmax))
+    except (AttributeError, DomainError):
         return False
-    for arg, target in ((cert.arg_min, cert.vmin), (cert.arg_max, cert.vmax)):
+    for arg, target in ends:
         if len(arg) != len(a):
             return False
         if any(x < 0 or x > 1 for x in arg):

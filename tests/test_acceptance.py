@@ -21,6 +21,7 @@ from oracles import (
 )
 from sscert.branching import (
     CertifyStatus,
+    _lp_vertices,
     certify,
     coverage_stats,
     enumerate_intervals,
@@ -274,8 +275,9 @@ def test_criterion_8_greedy_lp_equals_vertex_enumeration():
         if max(v) == 0:
             v = v[:-1] + (1,)
         beta = rnd.randint(0, sum(a))
-        for sense, (value, arg) in zip(("min", "max"), lp_extreme_eq(a, v, beta)):
-            assert value == lp_eq_vertex(a, v, beta, sense)
+        pairs = lp_extreme_eq(a, v, beta)
+        for sense, pair, (value, arg) in zip(("min", "max"), pairs, _lp_vertices(a, v, beta)):
+            assert Fraction(*pair) == value == lp_eq_vertex(a, v, beta, sense)
             assert sum(ai * xi for ai, xi in zip(a, arg)) == beta
             assert sum(1 for x in arg if 0 < x < 1) <= 1
         for k in range(sum(v)):

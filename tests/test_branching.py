@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 import random
 import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 from fractions import Fraction
 from itertools import product
 
@@ -25,10 +28,12 @@ from sscert import branching
 from sscert.branching import (
     Certificate,
     CertifyResult,
+    Claim,
     CertifyStatus,
     _ascending,
     _bad_count,
     _greedy_order,
+    _lp_vertices,
     _one_sided,
     _prepared,
     certify,
@@ -59,16 +64,27 @@ def random_small_instance(rnd, nmax=8, wmax=60, vmax=4):
     return a, v
 
 
-def exhaustive_small_instances():
-    """Every a in {1..4}^n and nonzero v in {0..2}^n for n <= 3."""
+def exhaustive_small_instances(vmax=2):
+    """Every a in {1..4}^n and nonzero v in {0..vmax}^n for n <= 3."""
     for n in (1, 2, 3):
         for a in product(range(1, 5), repeat=n):
-            for v in product(range(3), repeat=n):
+            for v in product(range(vmax + 1), repeat=n):
                 if any(v):
                     yield a, v
 
 
 SENSES = ("min", "max")  # the order of lp_extreme_eq's two ends
+
+# the pipeline instances of the certify tests, at seeds 1 and 2
+PIPELINES = [
+    (decompose_frank_tardos, 10),
+    (decompose_frank_tardos, 11),
+    (decompose_frank_tardos, 12),
+    (decompose_frank_tardos, 13),
+    (decompose_frank_tardos, 14),
+    (decompose_lll_rows, 20),
+]
+PIPELINE_IDS = ["ft10", "ft11", "ft12", "ft13", "ft14", "rows20"]
 
 
 def certify_by_greedy(a, v, beta):
@@ -87,38 +103,63 @@ def certify_by_greedy(a, v, beta):
 NOT_INTS = [Fraction(1, 2), Fraction(2), Fraction(-1, 2), 0.5, 2.0, 1e30]
 
 
+def values(ends):
+    """lp_extreme_eq's integer pairs as Fractions."""
+    return tuple(Fraction(*end) for end in ends)
+
+
+def witnesses(cert):
+    """A certificate's (vmin, vmax, arg_min, arg_max), which == does not compare."""
+    return cert.vmin, cert.vmax, cert.arg_min, cert.arg_max
+
+
+def full(result):
+    """A CertifyResult beside its certificate's witnesses, or None without one."""
+    cert = result.certificate
+    return result, None if cert is None else witnesses(cert)
+
+
 class TestLpExtremeEq:
+    """The integer pairs of lp_extreme_eq, and the vertices of _lp_vertices."""
+
     def test_toy_min_and_max(self):
-        (value, arg), (vmax, _) = lp_extreme_eq(TOY_A, TOY_V, 150)
+        (value, arg), (vmax, _) = _lp_vertices(TOY_A, TOY_V, 150)
         assert value == Fraction(149, 101)
         assert sum(a * x for a, x in zip(TOY_A, arg)) == 150
         assert sum(1 for x in arg if 0 < x < 1) <= 1
         # vertex enumeration puts the maximum at 151/101
         assert vmax == lp_eq_vertex(TOY_A, TOY_V, 150, "max") == Fraction(151, 101)
+        assert lp_extreme_eq(TOY_A, TOY_V, 150) == ((149, 101), (151, 101))
 
     def test_endpoints(self):
         # at either end of [0, ||a||_1] the relaxation is one 0/1 point
-        assert lp_extreme_eq((2, 3, 4), (1, 1, 1), 0) == ((0, (0, 0, 0)),) * 2
-        assert lp_extreme_eq((2, 3, 4), (1, 1, 1), 9) == ((3, (1, 1, 1)),) * 2
+        assert _lp_vertices((2, 3, 4), (1, 1, 1), 0) == ((0, (0, 0, 0)),) * 2
+        assert _lp_vertices((2, 3, 4), (1, 1, 1), 9) == ((3, (1, 1, 1)),) * 2
+        assert lp_extreme_eq((2, 3, 4), (1, 1, 1), 0) == ((0, 1),) * 2
+        assert lp_extreme_eq((2, 3, 4), (1, 1, 1), 9) == ((3, 1),) * 2
 
     def test_out_of_range_signals(self):
         for beta in (-1, 10):
             with pytest.raises(DomainError):
                 lp_extreme_eq((2, 3, 4), (1, 1, 1), beta)
+            with pytest.raises(DomainError):
+                _lp_vertices((2, 3, 4), (1, 1, 1), beta)
 
     def test_zero_direction_entries_carry_weight(self):
         # the v_i = 0 item must absorb weight for feasibility
-        (value, arg), _ = lp_extreme_eq((5, 1), (0, 1), 5)
+        (value, arg), _ = _lp_vertices((5, 1), (0, 1), 5)
         assert value == 0
         assert arg == (1, 0)
+        assert lp_extreme_eq((5, 1), (0, 1), 5)[0] == (0, 1)
 
     def test_matches_vertex_enumeration(self):
         rnd = random.Random(41)
         for _ in range(150):
             a, v = random_small_instance(rnd, nmax=6)
             beta = rnd.randint(0, sum(a))
-            for sense, (value, arg) in zip(SENSES, lp_extreme_eq(a, v, beta)):
-                assert value == lp_eq_vertex(a, v, beta, sense)
+            ends = zip(SENSES, values(lp_extreme_eq(a, v, beta)), _lp_vertices(a, v, beta))
+            for sense, pair_value, (value, arg) in ends:
+                assert pair_value == value == lp_eq_vertex(a, v, beta, sense)
                 assert sum(ai * xi for ai, xi in zip(a, arg)) == beta
                 assert all(0 <= x <= 1 for x in arg)
                 assert sum(1 for x in arg if 0 < x < 1) <= 1
@@ -126,35 +167,49 @@ class TestLpExtremeEq:
     def test_exhaustive_small_against_vertex_enumeration(self):
         for a, v in exhaustive_small_instances():
             for beta in range(sum(a) + 1):
-                for sense, (value, arg) in zip(SENSES, lp_extreme_eq(a, v, beta)):
-                    assert value == lp_eq_vertex(a, v, beta, sense), (a, v, beta, sense)
+                pairs = values(lp_extreme_eq(a, v, beta))
+                vertices = _lp_vertices(a, v, beta)
+                for sense, pair_value, (value, arg) in zip(SENSES, pairs, vertices):
+                    want = lp_eq_vertex(a, v, beta, sense)
+                    assert pair_value == value == want, (a, v, beta, sense)
                     assert sum(ai * xi for ai, xi in zip(a, arg)) == beta
                     assert sum(vi * xi for vi, xi in zip(v, arg)) == value
                     assert all(0 <= x <= 1 for x in arg)
                     assert sum(1 for x in arg if 0 < x < 1) <= 1
 
     def test_exhaustive_small_against_greedy_referee(self):
-        # the bisection over prepared prefix sums gives the greedy fill's vertex
+        # the bisection over prepared prefix sums gives the greedy fill's vertex,
+        # and its value as unreduced integers over the split item's weight
         for a, v in exhaustive_small_instances():
             for beta in range(sum(a) + 1):
-                ends = lp_extreme_eq(a, v, beta)
-                assert ends == tuple(lp_eq_greedy(a, v, beta, s) for s in SENSES), (a, v, beta)
+                want = tuple(lp_eq_greedy(a, v, beta, s) for s in SENSES)
+                ends = _lp_vertices(a, v, beta)
+                assert ends == want, (a, v, beta)
                 for value, arg in ends:
                     assert type(value) is Fraction
                     assert all(type(x) is Fraction for x in arg)
+                pairs = lp_extreme_eq(a, v, beta)
+                for (num, den), (value, arg) in zip(pairs, want):
+                    assert type(num) is int and type(den) is int and den > 0, pairs
+                    assert Fraction(num, den) == value, (a, v, beta)
+                    split = [i for i, x in enumerate(arg) if 0 < x < 1]
+                    assert den == (a[split[0]] if split else 1), (a, v, beta)
 
     @pytest.mark.parametrize("beta", NOT_INTS)
     def test_rejects_non_integer_beta(self, beta):
         with pytest.raises(DomainError):
             lp_extreme_eq((3, 5, 7), (1, 2, 2), beta)
+        with pytest.raises(DomainError):
+            _lp_vertices((3, 5, 7), (1, 2, 2), beta)
 
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_ties_fill_the_smaller_index_first(self, sense):
         # no document carries the vertex, but certify's witnesses stay
         # deterministic: equal ratios fill the smaller index first
-        value, arg = lp_extreme_eq((2, 2, 2), (1, 1, 1), 3)[SENSES.index(sense)]
+        value, arg = _lp_vertices((2, 2, 2), (1, 1, 1), 3)[SENSES.index(sense)]
         assert value == Fraction(3, 2)
         assert arg == (1, Fraction(1, 2), 0)
+        assert lp_extreme_eq((2, 2, 2), (1, 1, 1), 3)[SENSES.index(sense)] == (3, 2)
 
 
 def adjacent_ratios(rnd, digits):
@@ -414,36 +469,74 @@ class TestCertify:
         for beta in range(-1, sum(a) + 2):
             calls.clear()
             result = certify(a, v, beta)
-            assert result == certify_by_greedy(a, v, beta)
+            # reading the witnesses makes no further call
+            assert full(result) == full(certify_by_greedy(a, v, beta))
             assert calls == ([beta] if 0 <= beta <= sum(a) else []), beta
             statuses.add(result.status)
         assert len(statuses) == 3, statuses
 
-    @pytest.mark.parametrize(
-        "decompose, n", [(decompose_frank_tardos, 10), (decompose_lll_rows, 20)],
-        ids=["ft10", "rows20"],
-    )
+    @pytest.mark.parametrize("decompose, n", PIPELINES, ids=PIPELINE_IDS)
     def test_pipeline_betas_match_greedy_referee(self, decompose, n):
-        inst = generate_instance(n, 1)
-        v = decompose(inst).v
-        rng = SplitMix64(1)
-        betas = [0, inst.l1_norm] + [rng.randint(0, inst.l1_norm) for _ in range(200)]
-        for beta in betas:
-            assert certify(inst.a, v, beta) == certify_by_greedy(inst.a, v, beta), beta
+        # status, level and witnesses as the referee's Fraction floors give
+        # them; each claim verified, and rejected at the levels beside it
+        certified = 0
+        for seed in (1, 2):
+            inst = generate_instance(n, seed)
+            a, v = inst.a, decompose(inst).v
+            rng = SplitMix64(seed)
+            betas = [0, inst.l1_norm] + [rng.randint(0, inst.l1_norm) for _ in range(500)]
+            for beta in betas:
+                got = certify(a, v, beta)
+                assert full(got) == full(certify_by_greedy(a, v, beta)), (seed, beta)
+                if got.certificate is None:
+                    continue
+                level = got.certificate.level
+                assert verify_certificate(a, v, Claim(beta, level)) is True
+                for other in (level - 1, level + 1):
+                    assert verify_certificate(a, v, Claim(beta, other)) is False
+                certified += 1
+        assert certified > 500
+
+    def test_builds_no_fraction(self, monkeypatch):
+        # for a new pair too: the cache is cleared before the run
+        inst = generate_instance(10, 1)
+        a, v = inst.a, decompose_frank_tardos(inst).v
+        rng = SplitMix64(10)
+        betas = [rng.randint(0, inst.l1_norm) for _ in range(500)]
+
+        def decided(beta):
+            result = certify(a, v, beta)
+            return result.status, result.certificate and result.certificate.level
+
+        want = [decided(beta) for beta in betas]
+        assert any(status is CertifyStatus.CERTIFIED for status, _ in want)
+
+        def no_fraction(*args):
+            raise AssertionError("certify built a Fraction")
+
+        _prepared.cache_clear()
+        monkeypatch.setattr(branching, "Fraction", no_fraction)
+        assert [decided(beta) for beta in betas] == want
 
     def test_bisected_item_without_weight_in_v(self):
         # the min side bisects the v_i = 0 item: a remainder, yet vmin = 0 is
         # an integer, so a decision on the remainder alone would certify
-        (vmin, _), (vmax, _) = lp_extreme_eq((2, 3), (0, 1), 1)
+        assert lp_extreme_eq((2, 3), (0, 1), 1) == ((0, 2), (1, 3))
+        (vmin, _), (vmax, _) = _lp_vertices((2, 3), (0, 1), 1)
         assert vmin == 0 and vmax == Fraction(1, 3)
         result = certify((2, 3), (0, 1), 1)
         assert result == CertifyResult(CertifyStatus.NO_CERTIFICATE, 1)
 
     def test_integer_decision_exhaustive_small(self):
-        # status, level and the whole certificate, against the Fraction floors
+        # status, level and the whole certificate, against the Fraction
+        # floors; every status, and the exact fill (A[j] = beta) and the
+        # split item on each side
         certified = 0
-        for a, v in exhaustive_small_instances():
+        statuses, fills = set(), set()
+        for a, v in exhaustive_small_instances(vmax=3):
             if math.gcd(*a) != 1:
+                with pytest.raises(DomainError, match="coprime"):
+                    certify(a, v, 1)
                 continue
             for beta in range(-1, sum(a) + 2):
                 got, want = certify(a, v, beta), certify_by_greedy(a, v, beta)
@@ -451,8 +544,25 @@ class TestCertify:
                 if got.certificate is not None:
                     assert got.certificate.level == want.certificate.level
                     certified += 1
-                assert got == want, (a, v, beta)
+                assert full(got) == full(want), (a, v, beta)
+                statuses.add(got.status)
+                if 0 <= beta <= sum(a):
+                    for sense in SENSES:
+                        _, arg = lp_eq_greedy(a, v, beta, sense)
+                        exact = all(x in (0, 1) for x in arg)
+                        fills.add((sense, exact, got.status))
         assert certified > 200
+        assert statuses == {
+            CertifyStatus.CERTIFIED,
+            CertifyStatus.NO_CERTIFICATE,
+            CertifyStatus.TRIVIALLY_INFEASIBLE,
+        }
+        # an exact fill on either side puts an integer in [vmin, vmax]
+        for sense in SENSES:
+            assert (sense, True, CertifyStatus.NO_CERTIFICATE) in fills
+            assert (sense, False, CertifyStatus.NO_CERTIFICATE) in fills
+            assert (sense, False, CertifyStatus.CERTIFIED) in fills
+            assert (sense, True, CertifyStatus.CERTIFIED) not in fills
 
     def test_soundness_exhaustive_small(self):
         rnd = random.Random(44)
@@ -502,6 +612,100 @@ class TestCertify:
             result = certify(inst.a, dec.v, beta)
             if result.status is CertifyStatus.CERTIFIED:
                 assert not feasible(inst.a, beta).feasible
+
+
+
+class TestWitnessContract:
+    """A certificate that certify builds reads its witnesses only when asked."""
+
+    CASES = [(TOY_A, TOY_V, 150), ((11, 13, 17), (1, 2, 3), 37), ((31, 37, 41), (1, 2, 2), 33)]
+
+    @staticmethod
+    def referee(a, v, beta):
+        (vmin, arg_min), (vmax, arg_max) = (lp_eq_greedy(a, v, beta, s) for s in SENSES)
+        return vmin, vmax, arg_min, arg_max
+
+    def found(self, a, v, beta):
+        result = certify(a, v, beta)
+        assert result.status is CertifyStatus.CERTIFIED
+        return result.certificate
+
+    def test_equals_the_keyword_built_certificate(self):
+        for a, v, beta in self.CASES:
+            cert = self.found(a, v, beta)
+            vmin, vmax, arg_min, arg_max = self.referee(a, v, beta)
+            made = Certificate(
+                beta=beta, level=math.floor(vmin),
+                vmin=vmin, vmax=vmax, arg_min=arg_min, arg_max=arg_max,
+            )
+            assert cert == made and hash(cert) == hash(made)
+            assert witnesses(cert) == witnesses(made) == self.referee(a, v, beta)
+            # (beta, level) decides: other witnesses of that level compare equal
+            middle = made.level + Fraction(1, 2)
+            other = Certificate(beta, made.level, middle, middle, (), ())
+            assert cert == other and hash(cert) == hash(other)
+            assert witnesses_consistent(a, v, cert)
+            assert witnesses_consistent(a, v, made)
+
+    def test_witnesses_are_read_once_and_only_when_asked(self, monkeypatch):
+        calls = []
+
+        def recording(a, v, beta):
+            calls.append(beta)
+            return _lp_vertices(a, v, beta)
+
+        monkeypatch.setattr(branching, "_lp_vertices", recording)
+        cert = self.found(TOY_A, TOY_V, 150)
+        assert type(cert) is Certificate
+        assert (cert.beta, cert.level) == (150, 1) and calls == []
+        twin = self.found(TOY_A, TOY_V, 150)
+        assert cert == twin and hash(cert) == hash(twin) and calls == []
+        assert cert.arg_max == self.referee(TOY_A, TOY_V, 150)[3]
+        assert witnesses(cert) == self.referee(TOY_A, TOY_V, 150)
+        assert calls == [150]
+
+    def test_survives_copy_and_pickle(self):
+        a, v, beta = self.CASES[1]
+        want = self.referee(a, v, beta)
+        made = Certificate(beta, math.floor(want[0]), *want)
+        read = self.found(a, v, beta)
+        witnesses(read)
+        copies = [copy.copy, copy.deepcopy] + [
+            lambda c, p=p: pickle.loads(pickle.dumps(c, protocol=p))
+            for p in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        assert len(copies) == 8
+        for duplicate in copies:
+            # unread, read and keyword-built
+            for cert in (self.found(a, v, beta), read, made):
+                twin = duplicate(cert)
+                assert type(twin) is Certificate
+                assert twin == cert and hash(twin) == hash(cert)
+                assert witnesses(twin) == want
+                assert witnesses_consistent(a, v, twin)
+
+    def test_is_frozen(self):
+        cert = self.found(TOY_A, TOY_V, 150)
+        for name, value in (("level", 2), ("vmin", Fraction(1)), ("arg_min", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cert, name, value)
+        assert cert.level == 1 and witnesses(cert) == self.referee(TOY_A, TOY_V, 150)
+
+    def test_keyword_constructor_still_checks_the_bounds(self):
+        vmin, vmax, arg_min, arg_max = self.referee(TOY_A, TOY_V, 150)
+        for level in (0, 2):
+            with pytest.raises(DomainError, match="l < vmin <= vmax < l"):
+                Certificate(150, level, vmin, vmax, arg_min, arg_max)
+        with pytest.raises(DomainError):
+            replace(self.found(TOY_A, TOY_V, 150), level=0)
+
+    def test_claims_without_witnesses_are_not_consistent(self):
+        # a plain Claim is what verify reads, and holds no witnesses
+        assert witnesses_consistent(TOY_A, TOY_V, Claim(150, 1)) is False
+        assert witnesses_consistent(TOY_A, TOY_V, SimpleNamespace(beta=150, level=1)) is False
+        cert = self.found(TOY_A, TOY_V, 150)
+        assert witnesses_consistent(TOY_A, TOY_V, cert) is True
+        assert witnesses_consistent(TOY_A, TOY_V, replace(cert, beta=149)) is False
 
 
 class CacheContract:
@@ -566,18 +770,20 @@ class TestPreparedCache(CacheContract):
 
     @staticmethod
     def answer(a, v, beta):
-        """certify, and both lp_extreme_eq ends where the relaxation is not empty."""
+        """certify with its witnesses, and both lp_extreme_eq ends and both
+        vertices where the relaxation is not empty."""
         ends = None
         if 0 <= beta <= sum(a):
-            ends = lp_extreme_eq(a, v, beta)
-        return certify(a, v, beta), ends
+            ends = values(lp_extreme_eq(a, v, beta)), _lp_vertices(a, v, beta)
+        return full(certify(a, v, beta)), ends
 
     @staticmethod
     def referee(a, v, beta):
         ends = None
         if 0 <= beta <= sum(a):
-            ends = tuple(lp_eq_greedy(a, v, beta, sense) for sense in SENSES)
-        return certify_by_greedy(a, v, beta), ends
+            vertices = tuple(lp_eq_greedy(a, v, beta, sense) for sense in SENSES)
+            ends = tuple(value for value, _ in vertices), vertices
+        return full(certify_by_greedy(a, v, beta)), ends
 
     @staticmethod
     def assert_refused(a, v):
@@ -585,6 +791,8 @@ class TestPreparedCache(CacheContract):
             certify(a, v, 6)
         with pytest.raises(DomainError):
             lp_extreme_eq(a, v, 6)
+        with pytest.raises(DomainError):
+            _lp_vertices(a, v, 6)
 
     @staticmethod
     def fill(a, v):
