@@ -17,7 +17,11 @@ for both ends of its good interval, in integers only: each end is an
 unreduced pair (num, den), and the verifier cross-multiplies, so a
 verify builds no Fraction and takes no gcd. The caches share nothing,
 so the verifier stays an independent re-check of the certifier rather
-than a second reading of its data.
+than a second reading of its data. In front of each cache sits a
+one-entry identity memo: when a and v are the very objects of that
+side's last lookup, the data comes back without hashing (a, v), a tuple
+of long integers, so a run of calls on one pair pays for its bisections
+and little else; an alternating pair falls through to the cache.
 
 Every entry point checks a and v once, into the ``Weights`` and
 ``Direction`` types of ``model``; a typed tuple passes any later check
@@ -25,11 +29,11 @@ with one type test, so the entry points hand them to each other and to
 the caches, which only ever see checked vectors. The certifier and the
 verifier decide on the numerators and denominators of their LP values
 in integers: beta is certified at level floor(vmin) when vmin is not an
-integer and floor(vmax) is that level too, so a certify builds no
-Fraction and no vertex. Its Certificate holds beta, the level, a and v,
-and reads the witnesses, the LP values as Fractions and the vertices
-that attain them, from ``_lp_vertices`` only when they are asked for;
-no document and no CLI command asks.
+integer and vmax is below that level plus one, so a certify builds no
+Fraction and no vertex. Its result is a NamedTuple, and its Certificate
+holds beta, the level, a and v, and reads the witnesses, the LP values
+as Fractions and the vertices that attain them, from ``_lp_vertices``
+only when they are asked for; no document and no CLI command asks.
 
 The same machinery yields, for each branching level k, a closed "bad"
 interval [min(a,k), max(a,k)] and an open "good" interval between
@@ -51,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .intmath import l1_norm
@@ -125,20 +129,31 @@ class Certificate(Claim):
         return self.__dict__[name]
 
 
+# Claim's slot descriptors set a frozen field without the frozen __setattr__
+_set_beta = Claim.beta.__set__
+_set_level = Claim.level.__set__
+
+
 def _found(beta: int, level: int, a: Weights, v: Direction) -> Certificate:
     """certify's Certificate: no Fraction, no vertex and no check until read."""
     cert = object.__new__(Certificate)
-    object.__setattr__(cert, "beta", beta)
-    object.__setattr__(cert, "level", level)
-    object.__setattr__(cert, "_source", (a, v))
+    _set_beta(cert, beta)
+    _set_level(cert, level)
+    cert.__dict__["_source"] = (a, v)
     return cert
 
 
-@dataclass(frozen=True, slots=True)
-class CertifyResult:
+class CertifyResult(NamedTuple):
     status: CertifyStatus
     beta: int
     certificate: Certificate | None = None
+
+
+_new_tuple = tuple.__new__  # builds a CertifyResult without its __new__ frame
+# certify's statuses, looked up once and not through the Enum class per call
+_CERTIFIED = CertifyStatus.CERTIFIED
+_NO_CERTIFICATE = CertifyStatus.NO_CERTIFICATE
+_TRIVIALLY_INFEASIBLE = CertifyStatus.TRIVIALLY_INFEASIBLE
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,19 +275,34 @@ def _prepared(a: Weights, v: Direction):
     return math.gcd(*a) == 1, sum(a), tuple(sides)
 
 
-def _equality_sides(a, v, beta):
-    """Checked a and v, and their prepared (min side, max side) for beta.
+# One-entry identity memos in front of the two caches: (a, v, data) of
+# the last pair each one served, rebound whole so that a reader never
+# sees a torn entry. Weights and Direction are immutable and checked
+# when built, so the same objects are the same pair, with no hashing.
+_prepared_last = (None, None, None)
+_ascending_last = (None, None, None)
 
-    DomainError unless beta is an int in [0, ||a||_1], where the
-    relaxation of a.x = beta is not empty.
-    """
-    a = validate_weights(a)
-    v = validate_direction(v, len(a))
-    _validate_int(beta, "beta")
-    _, total, sides = _prepared(a, v)
-    if beta < 0 or beta > total:
-        raise DomainError(f"right-hand side {beta} outside [0, {total}]")
-    return a, v, sides
+
+def _prepared_of(a: Weights, v: Direction):
+    """``_prepared(a, v)``, from the memo when a and v are its objects."""
+    global _prepared_last
+    last = _prepared_last
+    if last[0] is a and last[1] is v:
+        return last[2]
+    data = _prepared(a, v)
+    _prepared_last = (a, v, data)
+    return data
+
+
+def _ascending_of(a: Weights, v: Direction):
+    """``_ascending(a, v)``, from the memo when a and v are its objects."""
+    global _ascending_last
+    last = _ascending_last
+    if last[0] is a and last[1] is v:
+        return last[2]
+    data = _ascending(a, v)
+    _ascending_last = (a, v, data)
+    return data
 
 
 def lp_extreme_eq(
@@ -285,22 +315,36 @@ def lp_extreme_eq(
     maximum, answered by one bisection of its prefix sums of a. The items
     before the bisected one are whole, and that one takes the remainder:
     (V_j a_i + v_i rest, a_i), or (V_j, 1) when the prefix sum A_j is
-    beta itself. a, v and beta are checked once and the pair is looked up
-    once for both ends; no Fraction and no vertex is built, which
+    beta itself. a, v and beta are checked once, and the pair is looked
+    up once for both ends, through the identity memo when a and v are the
+    objects of the last lookup; no Fraction and no vertex is built, which
     ``_lp_vertices`` does for the witnesses. DomainError unless beta is an
     int in [0, ||a||_1].
     """
-    a, v, sides = _equality_sides(a, v, beta)
-    ends = []
-    for order, A, V, _ in sides:
-        j = bisect_right(A, beta) - 1
-        rest = beta - A[j]
-        if rest:
-            i = order[j]
-            ends.append((V[j] * a[i] + v[i] * rest, a[i]))
-        else:
-            ends.append((V[j], 1))
-    return tuple(ends)
+    # the checks of validate_weights, validate_direction and _validate_int,
+    # inline on the per-beta path
+    if type(a) is not Weights:
+        a = Weights(a)
+    if type(v) is not Direction or len(v) != len(a):
+        v = validate_direction(v, len(a))
+    if not isinstance(beta, int):
+        raise DomainError("beta must be an integer")
+    _, total, ((order, A, V, _), (order_hi, A_hi, V_hi, _)) = _prepared_of(a, v)
+    if beta < 0 or beta > total:
+        raise DomainError(f"right-hand side {beta} outside [0, {total}]")
+    j = bisect_right(A, beta) - 1
+    rest = beta - A[j]
+    if rest:
+        i = order[j]
+        lo = V[j] * a[i] + v[i] * rest, a[i]
+    else:
+        lo = V[j], 1
+    j = bisect_right(A_hi, beta) - 1
+    rest = beta - A_hi[j]
+    if rest:
+        i = order_hi[j]
+        return lo, (V_hi[j] * a[i] + v[i] * rest, a[i])
+    return lo, (V_hi[j], 1)
 
 
 def _lp_vertices(
@@ -313,7 +357,12 @@ def _lp_vertices(
     vertex has at most one fractional coordinate. DomainError unless beta
     is an int in [0, ||a||_1].
     """
-    a, v, sides = _equality_sides(a, v, beta)
+    a = validate_weights(a)
+    v = validate_direction(v, len(a))
+    _validate_int(beta, "beta")
+    _, total, sides = _prepared_of(a, v)
+    if beta < 0 or beta > total:
+        raise DomainError(f"right-hand side {beta} outside [0, {total}]")
     n = len(a)
     ends = []
     for order, A, V, place in sides:
@@ -336,15 +385,15 @@ def lp_extreme_ineq(
     over the box, each an unreduced integer pair (num, den), den > 0.
     Both ends bisect the prefix sums of the ascending v_i/a_i order,
     which the verifier keeps per (a, v) in its own cache, ``_ascending``,
-    apart from the certifier's ``_prepared``: a, v and level are checked
-    once, the pair is looked up once, each end takes O(log n) steps, and
+    and its own memo, apart from the certifier's: a, v and level are
+    checked once, the pair is looked up once, each end takes O(log n) steps, and
     the check shares no data with what it checks. DomainError unless
     level is an int in [0, ||v||_1), where both LPs are feasible.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
     _validate_int(level, "level")
-    ascending = _ascending(a, v)
+    ascending = _ascending_of(a, v)
     if not 0 <= level < ascending[1][-1]:
         raise DomainError("level outside [0, ||v||_1)")
     return (
@@ -393,27 +442,34 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     consecutive integers) or no_certificate. DomainError unless beta is
     an int and the weights are coprime. Coprimality and ||a||_1 come
     from the data prepared once per (a, v), as do the greedy orders of
-    the one lp_extreme_eq call, so a repeated pair costs two bisections
-    per beta. The decision is on integers: with vmin = p/q and
-    vmax = r/s, beta is certified at level p // q when q does not divide
-    p and r // s is that level too. No Fraction and no vertex is built:
-    the Certificate holds beta, the level, a and v, and reads its
-    witnesses only when they are asked for.
+    the one lp_extreme_eq call; both look it up through the identity
+    memo, so a repeated pair, passed as the same Weights and Direction
+    objects, costs two bisections per beta and no hashing. The decision
+    is on integers: with vmin = p/q and vmax = r/s, beta is certified at
+    level p // q when q does not divide p and r < (p // q + 1) s. No
+    Fraction and no vertex is built: the Certificate holds beta, the
+    level, a and v, and reads its witnesses only when they are asked
+    for.
     """
-    a = validate_weights(a)
-    v = validate_direction(v, len(a))
-    _validate_int(beta, "beta")
-    coprime, total, _ = _prepared(a, v)
+    # the checks of validate_weights, validate_direction and _validate_int,
+    # inline on the per-beta path
+    if type(a) is not Weights:
+        a = Weights(a)
+    if type(v) is not Direction or len(v) != len(a):
+        v = validate_direction(v, len(a))
+    if not isinstance(beta, int):
+        raise DomainError("beta must be an integer")
+    coprime, total, _ = _prepared_of(a, v)
     if not coprime:
         raise DomainError("weights not coprime")
     if beta < 0 or beta > total:
-        return CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, beta)
+        return _new_tuple(CertifyResult, (_TRIVIALLY_INFEASIBLE, beta, None))
     (lo, lo_den), (hi, hi_den) = lp_extreme_eq(a, v, beta)
-    # floor(vmax) < vmin: vmin is not an integer, and floor(vmax) is its floor
+    # vmax < level + 1 with level = floor(vmin) < vmin: no integer in [vmin, vmax]
     level, frac = divmod(lo, lo_den)
-    if frac and hi // hi_den == level:
-        return CertifyResult(CertifyStatus.CERTIFIED, beta, _found(beta, level, a, v))
-    return CertifyResult(CertifyStatus.NO_CERTIFICATE, beta)
+    if frac and hi < (level + 1) * hi_den:
+        return _new_tuple(CertifyResult, (_CERTIFIED, beta, _found(beta, level, a, v)))
+    return _new_tuple(CertifyResult, (_NO_CERTIFICATE, beta, None))
 
 
 def verify_certificate(a: Sequence[int], v: Sequence[int], claim: Claim) -> bool:
@@ -480,7 +536,7 @@ def enumerate_intervals(
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    ascending = _ascending(a, v)
+    ascending = _ascending_of(a, v)
     ve = ascending[1][-1]
     if k_hi is None:
         k_hi = ve
@@ -533,7 +589,7 @@ def _bad_count(a, v) -> int:
     convex in k (M is concave) and symmetric about (||v||_1 - 1)/2, so its
     least value is at the centre; DomainError if it is not positive there.
     """
-    ascending = _ascending(a, v)
+    ascending = _ascending_of(a, v)
     order, V, A = ascending
     total, total_v = A[-1], V[-1]
     k = (total_v - 1) // 2

@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -144,6 +145,19 @@ class TestLpExtremeEq:
                 lp_extreme_eq((2, 3, 4), (1, 1, 1), beta)
             with pytest.raises(DomainError):
                 _lp_vertices((2, 3, 4), (1, 1, 1), beta)
+
+    def test_checked_vectors_of_other_lengths_are_refused(self):
+        # each is checked on its own, so a Weights and a Direction can
+        # still differ in length; every entry point compares the lengths
+        a = Weights((3, 5, 7))
+        cert = certify(a, (1, 2, 2), 11).certificate
+        for v in (Direction((1, 2)), Direction((1, 2, 2, 1))):
+            for call, point in product(
+                (certify, lp_extreme_eq, _lp_vertices, lp_extreme_ineq), (-1, 1)
+            ):
+                with pytest.raises(DomainError, match="length"):
+                    call(a, v, point)
+            assert verify_certificate(a, v, cert) is False
 
     def test_zero_direction_entries_carry_weight(self):
         # the v_i = 0 item must absorb weight for feasibility
@@ -498,25 +512,51 @@ class TestCertify:
         assert certified > 500
 
     def test_builds_no_fraction(self, monkeypatch):
-        # for a new pair too: the cache is cleared before the run
+        # for a new pair too: the cache is cleared before the run, and an
+        # equal but distinct copy of the pair passes the memo
         inst = generate_instance(10, 1)
         a, v = inst.a, decompose_frank_tardos(inst).v
         rng = SplitMix64(10)
         betas = [rng.randint(0, inst.l1_norm) for _ in range(500)]
 
-        def decided(beta):
+        def decided(a, v, beta):
             result = certify(a, v, beta)
             return result.status, result.certificate and result.certificate.level
 
-        want = [decided(beta) for beta in betas]
+        want = [decided(a, v, beta) for beta in betas]
         assert any(status is CertifyStatus.CERTIFIED for status, _ in want)
 
         def no_fraction(*args):
             raise AssertionError("certify built a Fraction")
 
+        twin = Weights(list(a)), Direction(list(v))
         _prepared.cache_clear()
         monkeypatch.setattr(branching, "Fraction", no_fraction)
-        assert [decided(beta) for beta in betas] == want
+        assert [decided(*twin, beta) for beta in betas] == want
+        assert branching._prepared_last[0] is twin[0]
+        assert _prepared.cache_info().misses == 1
+
+    def test_result_is_a_named_tuple(self):
+        # built positionally, it equals certify's result, and it survives
+        # pickle with every status
+        vmin, arg_min = lp_eq_greedy(TOY_A, TOY_V, 150, "min")
+        vmax, arg_max = lp_eq_greedy(TOY_A, TOY_V, 150, "max")
+        cert = Certificate(150, 1, vmin, vmax, arg_min, arg_max)
+        built = [
+            CertifyResult(CertifyStatus.CERTIFIED, 150, cert),
+            CertifyResult(CertifyStatus.NO_CERTIFICATE, 101),
+            CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, 304),
+        ]
+        for want in built:
+            got = certify(TOY_A, TOY_V, want.beta)
+            assert type(got) is CertifyResult and isinstance(got, tuple)
+            assert got == want and hash(got) == hash(want)
+            assert got._fields == ("status", "beta", "certificate")
+            assert (got.status, got.beta, got.certificate) == tuple(want)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                twin = pickle.loads(pickle.dumps(got, protocol=protocol))
+                assert type(twin) is CertifyResult
+                assert full(twin) == full(got) == full(want), protocol
 
     def test_bisected_item_without_weight_in_v(self):
         # the min side bisects the v_i = 0 item: a remainder, yet vmin = 0 is
@@ -711,23 +751,34 @@ class TestWitnessContract:
 class CacheContract:
     """What a per-(a, v) cache must keep: every answer, refusal and bound.
 
-    A subclass names the cache, the answers it serves at each point of a
-    pair and their referee. The certifier's ``_prepared`` and the
-    verifier's ``_ascending`` keep the same contract.
+    A subclass names the cache, the identity memo in front of it, the
+    answers it serves at each point of a pair and their referee. The
+    certifier's ``_prepared`` and the verifier's ``_ascending`` keep the
+    same contract.
     """
 
     A, V = (3, 5, 7), (1, 2, 2)
 
+    def memo(self):
+        """The (a, v, data) that the memo holds now."""
+        return getattr(branching, self.memo_name)
+
     def test_validation_comes_before_the_cache(self):
         # Fraction and float entries hash equal to the cached ints, and their
-        # tuples equal the cached typed tuples
+        # tuples equal the cached typed tuples; a refused pair reaches
+        # neither the cache nor the memo
         for point in self.points(self.A, self.V):
             self.answer(self.A, self.V, point)
+        misses = self.cache.cache_info().misses
         for convert, container in product((Fraction, float), (tuple, list)):
             a, v = container(map(convert, self.A)), container(map(convert, self.V))
             assert tuple(a) == Weights(self.A) and tuple(v) == Direction(self.V)
             for pair in ((a, self.V), (self.A, v)):
                 self.assert_refused(*pair)
+                assert self.memo()[:2] == (self.A, self.V)
+                assert type(self.memo()[0]) is Weights
+                assert type(self.memo()[1]) is Direction
+        assert self.cache.cache_info().misses == misses
 
     def test_lists_match_tuples(self):
         for point in self.points(self.A, self.V):
@@ -743,9 +794,30 @@ class CacheContract:
                 assert self.answer(a, v, point) == self.referee(a, v, point), (a, v, point)
 
     def test_is_bounded(self):
+        # the cache keeps 8 pairs, the memo the last one
         for k in range(20):
             self.fill((k + 2, k + 3), (1, 1))
         assert self.cache.cache_info().currsize <= 8
+        assert self.memo()[:2] == ((21, 22), (1, 1))
+
+    def test_checked_objects_skip_the_cache(self):
+        # the objects the memo holds get every answer without a cache
+        # lookup; an equal copy misses the memo, hits the cache and gets the
+        # same answers
+        a, v = Weights(self.A), Direction(self.V)
+        points = self.points(self.A, self.V)
+        want = [self.answer(self.A, self.V, point) for point in points]
+        self.fill(a, v)
+        assert self.memo()[0] is a and self.memo()[1] is v
+        before = self.cache.cache_info()
+        assert [self.answer(a, v, point) for point in points] == want
+        assert self.cache.cache_info() == before
+        twin = Weights(list(a)), Direction(list(v))
+        self.fill(*twin)
+        assert self.memo()[0] is twin[0] and self.memo()[1] is twin[1]
+        info = self.cache.cache_info()
+        assert (info.misses, info.hits) == (before.misses, before.hits + 1)
+        assert [self.answer(*twin, point) for point in points] == want
 
     def test_memory_is_linear_in_n(self):
         n = 2000
@@ -763,6 +835,7 @@ class TestPreparedCache(CacheContract):
     """The (a, v) data that certify prepares once must not change any answer."""
 
     cache = staticmethod(_prepared)
+    memo_name = "_prepared_last"
 
     @staticmethod
     def points(a, v):
@@ -807,26 +880,49 @@ class TestPreparedCache(CacheContract):
 
     def test_verify_leaves_it_alone(self):
         # the verifier shares no data with the certifier
-        cert = certify((11, 13, 17), (1, 2, 3), 37).certificate
-        before = _prepared.cache_info()
-        assert verify_certificate((11, 13, 17), (1, 2, 3), cert) is True
+        a, v = Weights((11, 13, 17)), Direction((1, 2, 3))
+        cert = certify(a, v, 37).certificate
+        before, memo = _prepared.cache_info(), branching._prepared_last
+        assert verify_certificate(a, v, cert) is True
         assert _prepared.cache_info() == before
+        assert branching._prepared_last is memo
 
-    def test_two_lookups_per_certify(self):
+    def test_two_lookups_per_certify(self, monkeypatch):
         # certify looks the pair up for its gcd and range, and its one
-        # lp_extreme_eq call once more for both ends
+        # lp_extreme_eq call once more for both ends, both through the
+        # memo. The second lookup gets the objects the first one checked,
+        # so only the first can reach the cache: plain tuples are checked
+        # into new objects on every call, checked objects only once
+        lookups = []
+
+        def recording(a, v):
+            lookups.append((a, v))
+            return prepared_of(a, v)
+
+        prepared_of = branching._prepared_of
+        monkeypatch.setattr(branching, "_prepared_of", recording)
         a, v = (31, 37, 41), (1, 2, 2)
         _prepared.cache_clear()
         for _ in range(2):
             assert certify(a, v, 33).status is CertifyStatus.CERTIFIED
         info = _prepared.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        assert (info.misses, info.hits) == (1, 1)
+        checked = Weights(a), Direction(v)
+        for _ in range(2):
+            assert certify(*checked, 33).status is CertifyStatus.CERTIFIED
+        info = _prepared.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert len(lookups) == 8
+        for first, second in zip(lookups[::2], lookups[1::2]):
+            assert first[0] is second[0] and first[1] is second[1]
+        assert lookups[4][0] is checked[0] and lookups[6][1] is checked[1]
 
 
 class TestAscendingCache(CacheContract):
     """The verifier's ascending order, kept once per (a, v), must not change any answer."""
 
     cache = staticmethod(_ascending)
+    memo_name = "_ascending_last"
 
     @staticmethod
     def points(a, v):
@@ -859,7 +955,9 @@ class TestAscendingCache(CacheContract):
 
     def test_one_sort_per_pair(self):
         # a verify looks the pair up once, for both ends: it sorts a new
-        # pair once and a repeated pair not at all
+        # pair once and a repeated pair not at all. Plain tuples are checked
+        # into new objects on every call, so each verify reaches the cache;
+        # checked objects reach it once, and the memo serves the repeats
         a, v = (31, 37, 41), (1, 2, 2)
         cert = certify(a, v, 33).certificate
         _ascending.cache_clear()
@@ -867,6 +965,11 @@ class TestAscendingCache(CacheContract):
         assert verify_certificate(a, v, cert) is True
         info = _ascending.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+        checked = Weights(a), Direction(v)
+        for _ in range(3):
+            assert verify_certificate(*checked, cert) is True
+        info = _ascending.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_holds_the_norms_beside_the_order(self):
         # the prefix sums of v and a in that order end in ||v||_1 and ||a||_1
@@ -876,9 +979,114 @@ class TestAscendingCache(CacheContract):
 
     def test_certify_leaves_it_alone(self):
         # the certifier shares no data with the verifier
-        before = _ascending.cache_info()
+        before, memo = _ascending.cache_info(), branching._ascending_last
         assert certify((19, 23, 29), (2, 1, 3), 63).status is CertifyStatus.CERTIFIED
         assert _ascending.cache_info() == before
+        assert branching._ascending_last is memo
+
+
+def answers(a, v, beta):
+    """certify's status and level at beta, and verify's verdicts at that
+    level and the two beside it."""
+    result = certify(a, v, beta)
+    if result.certificate is None:
+        return result.status, None, None
+    level = result.certificate.level
+    verdicts = tuple(verify_certificate(a, v, Claim(beta, k)) for k in (level - 1, level, level + 1))
+    return result.status, level, verdicts
+
+
+class TestIdentityMemo:
+    """The memos in front of both caches answer by identity, never by equality."""
+
+    @staticmethod
+    def pairs_and_betas():
+        # the first two pairs share the object a, the last two the object
+        # v_ft, so a memo must test both parts; v_ft is near-parallel to
+        # a + v_ft too, so every pair certifies and verifies most betas
+        inst = generate_instance(10, 1)
+        v_ft, v_rows = decompose_frank_tardos(inst).v, decompose_lll_rows(inst).v
+        shifted = Weights(ai + vi for ai, vi in zip(inst.a, v_ft))
+        assert math.gcd(*shifted) == 1
+        pairs = [(inst.a, v_rows), (inst.a, v_ft), (shifted, v_ft)]
+        rng = SplitMix64(31)
+        betas = []
+        for a, _ in pairs:
+            top = sum(a)
+            betas.append([0, top, top + 1] + [rng.randint(0, top) for _ in range(60)])
+        return pairs, betas
+
+    @pytest.mark.parametrize(
+        "decompose, n", [(decompose_frank_tardos, 10), (decompose_lll_rows, 20)],
+        ids=["ft10", "rows20"],
+    )
+    def test_equal_distinct_copy_gets_the_same_answers(self, decompose, n):
+        inst = generate_instance(n, 1)
+        a, v = inst.a, decompose(inst).v
+        twin = Weights(list(a)), Direction(list(v))
+        assert twin == (a, v) and twin[0] is not a and twin[1] is not v
+        rng = SplitMix64(n)
+        betas = [-1, 0, inst.l1_norm, inst.l1_norm + 1]
+        betas += [rng.randint(0, inst.l1_norm) for _ in range(200)]
+        statuses = set()
+        for beta in betas:
+            want = answers(a, v, beta)
+            for pair in (twin, (a, twin[1]), (twin[0], v), (a, v)):
+                assert answers(*pair, beta) == want, (pair is twin, beta)
+            statuses.add(want[0])
+        assert len(statuses) == 3, statuses
+
+    @staticmethod
+    def serial(pairs, betas):
+        """Each pair's answers, one pair after the other, on plain tuples:
+        every call checks them into new objects, which no memo holds."""
+        return [
+            [answers(tuple(a), tuple(v), beta) for beta in bs]
+            for (a, v), bs in zip(pairs, betas)
+        ]
+
+    def test_alternating_pairs_get_the_serial_answers(self):
+        pairs, betas = self.pairs_and_betas()
+        serial = self.serial(pairs, betas)
+        for answered in serial:
+            certified = sum(status is CertifyStatus.CERTIFIED for status, _, _ in answered)
+            assert certified > len(answered) // 2
+        # each step keeps one part of the pair and changes the other
+        for k in range(len(betas[0])):
+            for p in (0, 1, 2, 1):
+                assert answers(*pairs[p], betas[p][k]) == serial[p][k], (p, k)
+
+    def test_threads_alternating_pairs_get_the_serial_answers(self):
+        # more threads than two cores, each alternating the pairs that share
+        # a, with the interpreter switching threads as often as it can
+        pairs, betas = self.pairs_and_betas()
+        pairs, betas = pairs[:2], betas[:2]
+        serial = self.serial(pairs, betas)
+        calls, workers = 2000, 4
+        got = [[] for _ in range(workers)]
+        start = threading.Barrier(workers)
+
+        def run(t):
+            start.wait()
+            for k in range(calls):
+                p = (k + t) % 2
+                got[t].append((p, k, answers(*pairs[p], betas[p][k % len(betas[p])])))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(workers):
+            assert len(got[t]) == calls
+            for p, k, answer in got[t]:
+                assert answer == serial[p][k % len(betas[p])], (t, p, k)
 
 
 class TestCertificateBounds:
@@ -993,15 +1201,20 @@ class TestVerify:
         def no_fraction(*args):
             raise AssertionError("verify built a Fraction")
 
-        a, v = (31, 37, 41), (1, 2, 2)
+        a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
         cert = certify(a, v, 33).certificate
         toy = certify(TOY_A, TOY_V, 150).certificate
         moved = replace(cert, beta=cert.beta + 40)  # the constructor reads Fraction
+        assert verify_certificate(a, v, cert) is True
+        # an equal but distinct copy passes the memo to the cleared cache
+        twin = Weights(list(a)), Direction(list(v))
         _ascending.cache_clear()
         monkeypatch.setattr(branching, "Fraction", no_fraction)
-        assert verify_certificate(a, v, cert) is True
+        assert verify_certificate(*twin, cert) is True
+        assert branching._ascending_last[0] is twin[0]
         assert verify_certificate(TOY_A, TOY_V, toy) is True
-        assert verify_certificate(a, v, moved) is False
+        assert verify_certificate(*twin, moved) is False
+        assert _ascending.cache_info().misses == 2
 
     @pytest.mark.parametrize(
         "decompose, n",

@@ -505,3 +505,33 @@ def test_console_entry_point():
     assert proc.returncode == 0
     inst, _ = documents.parse_instance(proc.stdout)
     assert inst.n == 3
+
+
+def test_frank_tardos_provenance_must_match_the_instance(tmp_path, capsys):
+    # q, the precision and err_inf are read from the document; each must be
+    # what the approximation of a / max(a) behind its scale gives
+    inst_path = write_instance(tmp_path, 10, 1)
+    dec_path = tmp_path / "direction.json"
+    assert main(["decompose", "--instance", inst_path, "-o", str(dec_path)]) == 0
+    honest = json.loads(dec_path.read_text())
+    prov = honest["provenance"]
+    q, precision = int(prov["q"]), int(prov["precision"])
+    tampered = {
+        "q + 1": {"q": str(q + 1)},
+        "q = 1": {"q": "1"},
+        "precision + 1": {"precision": str(precision + 1)},
+        "err_inf = 0": {"err_inf": "0/1"},
+        "err_inf / 2": {"err_inf": str(Fraction(prov["err_inf"]) / 2)},
+    }
+    for command in ("stats", "certify"):
+        argv = [command, "--instance", inst_path, "--decomposition", str(dec_path)]
+        if command == "certify":
+            argv += ["--beta", "0"]
+        dec_path.write_text(json.dumps(honest))
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        for name, change in tampered.items():
+            dec_path.write_text(json.dumps(dict(honest, provenance=dict(prov, **change))))
+            assert main(argv) == 2, (command, name)
+            err = capsys.readouterr().err
+            assert err == "sscert: decomposition provenance does not match the instance weights\n", name
