@@ -12,16 +12,18 @@ distinct ratios get distinct keys. The order depends on (a, v) only, so
 each side keeps it and its prefix sums once per (a, v) in a small cache
 of its own: the certifier's one equality LP call bisects the prefix sums
 of a in ``_prepared`` for both ends of [vmin, vmax], and the verifier's
-one inequality LP call bisects the prefix sums of v in ``_ascending``
-for both ends of its good interval, in integers only: each end is an
-unreduced pair (num, den), and the verifier cross-multiplies, so a
-verify builds no Fraction and takes no gcd. The caches share nothing,
-so the verifier stays an independent re-check of the certifier rather
-than a second reading of its data. In front of each cache sits a
-one-entry identity memo: when a and v are the very objects of that
-side's last lookup, the data comes back without hashing (a, v), a tuple
-of long integers, so a run of calls on one pair pays for its bisections
-and little else; an alternating pair falls through to the cache.
+one inequality LP call, ``lp_extreme_ineq``, bisects the prefix sums of
+v in ``_ascending`` for both ends of its good interval, the max end at
+the level and the min end, by complement, at ||v||_1 - level - 1, in
+integers only: each end is an unreduced pair (num, den), and the
+verifier cross-multiplies, so a verify builds no Fraction and takes no
+gcd. The caches share nothing, so the verifier stays an independent
+re-check of the certifier rather than a second reading of its data. In
+front of each cache sits a one-entry identity memo: when a and v are
+the very objects of that side's last lookup, the data comes back
+without hashing (a, v), a tuple of long integers, so a run of calls on
+one pair pays for its bisections and little else; an alternating pair
+falls through to the cache.
 
 Every entry point checks a and v once, into the ``Weights`` and
 ``Direction`` types of ``model``; a typed tuple passes any later check
@@ -35,11 +37,13 @@ holds beta, the level, a and v, and reads the witnesses, the LP values
 as Fractions and the vertices that attain them, from ``_lp_vertices``
 only when they are asked for; no document and no CLI command asks.
 
-The same machinery yields, for each branching level k, a closed "bad"
-interval [min(a,k), max(a,k)] and an open "good" interval between
-consecutive levels; good intervals contain exactly the certified
-right-hand sides. Exact coverage statistics count the integers in bad
-intervals in closed form, without enumerating levels, and compare the
+The same call yields, for each branching level k, an open "good"
+interval (max(a,k), min(a,k+1)) between consecutive levels, and so the
+closed "bad" interval [min(a,k), max(a,k)] from the good intervals
+k - 1 and k; good intervals contain exactly the certified right-hand
+sides. Exact coverage statistics count the integers in bad intervals in
+closed form, without enumerating levels, after one such call checks
+that the narrowest good interval is not empty, and compare the
 share against the exact bound 2 (||r||_1 + 1) / scale. The same count
 brackets the certified share of the infeasible right-hand sides, the
 figure of the paper's Corollary 1, since at most 2^n are feasible.
@@ -383,50 +387,51 @@ def lp_extreme_ineq(
 
     max(a, k) is max{a.x | v.x <= k} and min(a, k) is min{a.x | v.x >= k}
     over the box, each an unreduced integer pair (num, den), den > 0.
-    Both ends bisect the prefix sums of the ascending v_i/a_i order,
-    which the verifier keeps per (a, v) in its own cache, ``_ascending``,
-    and its own memo, apart from the certifier's: a, v and level are
-    checked once, the pair is looked up once, each end takes O(log n) steps, and
-    the check shares no data with what it checks. DomainError unless
-    level is an int in [0, ||v||_1), where both LPs are feasible.
+    The max side is the greedy fractional knapsack in ascending v_i/a_i
+    order (Dantzig, 1957): the items before the first prefix sum of v
+    past level are whole, and the next one takes the rest of level, so
+    one bisection of V finds the optimum. The items with v_i = 0 head the
+    order at no cost, and V repeats 0 for them, so bisect_right takes
+    them all. The min side is the complement y = e - x: min(a, level + 1)
+    is ||a||_1 - max(a, ||v||_1 - level - 1), one more bisection of V.
+    The order and its prefix sums V and A are the verifier's own, kept
+    per (a, v) in ``_ascending`` behind the identity memo, apart from the
+    certifier's: a, v and level are checked once, the pair is looked up
+    once, and the check shares no data with what it checks. DomainError
+    unless level is an int in [0, ||v||_1), where both LPs are feasible.
     """
-    a = validate_weights(a)
-    v = validate_direction(v, len(a))
-    _validate_int(level, "level")
-    ascending = _ascending_of(a, v)
-    if not 0 <= level < ascending[1][-1]:
+    # the checks of validate_weights, validate_direction and _validate_int,
+    # and the memo test of _ascending_of, inline on the per-claim path
+    if type(a) is not Weights:
+        a = Weights(a)
+    if type(v) is not Direction or len(v) != len(a):
+        v = validate_direction(v, len(a))
+    if not isinstance(level, int):
+        raise DomainError("level must be an integer")
+    last = _ascending_last
+    if last[0] is a and last[1] is v:
+        order, V, A = last[2]
+    else:
+        order, V, A = _ascending_of(a, v)
+    total_v = V[-1]
+    if level < 0 or level >= total_v:
         raise DomainError("level outside [0, ||v||_1)")
-    return (
-        _one_sided(a, v, ascending, level, "max"),
-        _one_sided(a, v, ascending, level + 1, "min"),
-    )
-
-
-def _one_sided(a, v, ascending, level, sense: Sense) -> tuple[int, int]:
-    """max(a, level) or min(a, level) of checked a, v, level in [0, ||v||_1].
-
-    Returns (num, den), den > 0, unreduced. The max side is the greedy
-    fractional knapsack in ascending v_i/a_i order (Dantzig, 1957): the
-    items before the first prefix sum of v past level are whole, and the
-    next one takes the rest of level, so one bisection of V finds the
-    optimum. The items with v_i = 0 head the order at no cost, and V
-    repeats 0 for them, so bisect_right takes them all. The min side is
-    the complement y = e - x:
-    min{a.x | v.x >= level} equals ||a||_1 - max{a.y | v.y <= ||v||_1 - level}.
-    """
-    order, V, A = ascending
-    if sense == "min":
-        level = V[-1] - level
+    # both bisected levels lie in [0, ||v||_1), so j < n names an item
     j = bisect_right(V, level) - 1
     rest = level - V[j]
-    if rest and j < len(order):
+    if rest:
         i = order[j]
-        num, den = A[j] * v[i] + a[i] * rest, v[i]
+        hi = A[j] * v[i] + a[i] * rest, v[i]
     else:
-        num, den = A[j], 1
-    if sense == "max":
-        return num, den
-    return A[-1] * den - num, den
+        hi = A[j], 1
+    level = total_v - level - 1
+    j = bisect_right(V, level) - 1
+    rest = level - V[j]
+    if rest:
+        i = order[j]
+        den = v[i]
+        return hi, ((A[-1] - A[j]) * den - a[i] * rest, den)
+    return hi, (A[-1] - A[j], 1)
 
 
 def _validate_int(value: int, name: str) -> None:
@@ -531,13 +536,16 @@ def enumerate_intervals(
     Full enumeration is only possible when the level range fits
     ENUMERATION_CAP; ||v||_1 can be astronomically large, in which
     case callers must request a partial window. DomainError unless k_lo
-    and k_hi are ints. The order and overlap checks cross-multiply the
-    one-sided LP pairs; only the returned cover holds Fractions.
+    and k_hi are ints. Bad interval k is [min(a, k), max(a, k)], read off
+    the good intervals k - 1 and k of ``lp_extreme_ineq``; at the edges
+    min(a, 0) is 0 and max(a, ||v||_1) is ||a||_1. The order and overlap
+    checks cross-multiply those integer pairs; only the returned cover
+    holds Fractions.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    ascending = _ascending_of(a, v)
-    ve = ascending[1][-1]
+    _, V, A = _ascending_of(a, v)
+    ve = V[-1]
     if k_hi is None:
         k_hi = ve
     _validate_int(k_lo, "k_lo")
@@ -549,9 +557,12 @@ def enumerate_intervals(
             f"level range of {(k_hi - k_lo).bit_length()} bits exceeds the cap "
             f"{ENUMERATION_CAP}; enumerate a partial window [k_lo, k_hi] instead"
         )
+    # goods[k - first] is (max(a, k), min(a, k + 1)), for each level k < ||v||_1
+    first = max(k_lo - 1, 0)
+    goods = [lp_extreme_ineq(a, v, k) for k in range(first, min(k_hi, ve - 1) + 1)]
     levels = range(k_lo, k_hi + 1)
-    min_pairs = [_one_sided(a, v, ascending, k, "min") for k in levels]
-    max_pairs = [_one_sided(a, v, ascending, k, "max") for k in levels]
+    min_pairs = [goods[k - 1 - first][1] if k else (0, 1) for k in levels]
+    max_pairs = [goods[k - first][0] if k < ve else (A[-1], 1) for k in levels]
     for (lo, lo_den), (hi, hi_den) in zip(min_pairs, max_pairs):
         if lo * hi_den > hi * lo_den:
             raise InvariantViolation("bad interval endpoints out of order")
@@ -589,12 +600,9 @@ def _bad_count(a, v) -> int:
     convex in k (M is concave) and symmetric about (||v||_1 - 1)/2, so its
     least value is at the centre; DomainError if it is not positive there.
     """
-    ascending = _ascending_of(a, v)
-    order, V, A = ascending
+    order, V, A = _ascending_of(a, v)
     total, total_v = A[-1], V[-1]
-    k = (total_v - 1) // 2
-    lo, lo_den = _one_sided(a, v, ascending, k + 1, "min")
-    hi, hi_den = _one_sided(a, v, ascending, k, "max")
+    (hi, hi_den), (lo, lo_den) = lp_extreme_ineq(a, v, (total_v - 1) // 2)
     if lo * hi_den <= hi * lo_den:
         raise DomainError("consecutive levels overlap; decomposition hypotheses violated")
     floors = total

@@ -244,10 +244,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="right-hand side, decimal string")
     add_common(p)
 
+    # verify writes no document, only its verdict to stderr and its exit code
     p = sub.add_parser("verify", help="verify a certificate document")
     add_instance(p)
     p.add_argument("--certificate", required=True)
-    add_common(p)
 
     p = sub.add_parser("intervals", help="enumerate bad/good intervals")
     add_instance(p)

@@ -35,7 +35,6 @@ from sscert.branching import (
     _bad_count,
     _greedy_order,
     _lp_vertices,
-    _one_sided,
     _prepared,
     certify,
     coverage_stats,
@@ -317,10 +316,11 @@ class TestLpExtremeIneq:
     def test_degenerate_levels(self):
         assert good_interval(TOY_A, TOY_V, 0) == (0, 100)
         assert good_interval(TOY_A, TOY_V, 2) == (203, 303)
-        # max at ||v||_1 and min at 0 are the ends of [0, ||a||_1]
-        a, v = Weights(TOY_A), Direction(TOY_V)
-        assert _one_sided(a, v, _ascending(a, v), 3, "max") == (303, 1)
-        assert _one_sided(a, v, _ascending(a, v), 0, "min") == (0, 1)
+        # max at ||v||_1 and min at 0 are the ends of [0, ||a||_1], which
+        # no good interval holds: enumerate_intervals supplies them
+        bad = enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL).bad
+        assert bad[-1][1] == Fraction(303, 1)
+        assert bad[0][0] == Fraction(0, 1)
 
     def test_level_gates(self):
         # max needs level >= 0, and min needs level + 1 <= ||v||_1 = 3
@@ -377,21 +377,23 @@ class TestOneSidedBisection:
     @staticmethod
     def check(a, v, levels):
         a, v = Weights(a), Direction(v)
-        ascending = _ascending(a, v)
         ve = sum(v)
-        for level, sense in product(levels, SENSES):
-            if (sense == "max" and level < 0) or (sense == "min" and level > ve):
-                continue  # no x in the box attains it
-            pair = _one_sided(a, v, ascending, level, sense)
-            # identical, not merely equal: the same unreduced integers
-            assert pair == greedy_fill_pair(a, v, level, sense), (a, v, level, sense)
         for level in levels:
             if not 0 <= level < ve:
                 with pytest.raises(DomainError):
                     lp_extreme_ineq(a, v, level)
                 continue
             ends = lp_extreme_ineq(a, v, level)
+            # identical, not merely equal: the same unreduced integers
             assert ends == good_interval_by(greedy_fill_pair, a, v, level), (a, v, level)
+        # min(a, 0) and max(a, ||v||_1) lie in no good interval: they are the
+        # ends of the one-level windows at the edges, which never overlap
+        zero = (Fraction(0),) * len(a)
+        for level, sense, end in ((0, "min", 0), (ve, "max", 1)):
+            if level in levels:
+                (bad,) = enumerate_intervals(a, v, Fraction(1), zero, level, level).bad
+                want = Fraction(*greedy_fill_pair(a, v, level, sense))
+                assert bad[end] == want, (a, v, level, sense)
 
     def test_exhaustive_small(self):
         for a, v in exhaustive_small_instances():
@@ -429,9 +431,74 @@ class TestOneSidedBisection:
 
     def test_tie_splits_the_smaller_index(self):
         # 4/1 = 8/2 in value, but the pair names the split item's v
+        # max(a, 2) ends good interval 2, and min(a, 4) good interval 3
         a, v = Weights((2, 4, 6)), Direction((1, 2, 3))
-        assert _one_sided(a, v, _ascending(a, v), 2, "max") == (8, 2)
-        assert _one_sided(a, v, _ascending(a, v), 4, "min") == (12 * 2 - 8, 2)
+        assert lp_extreme_ineq(a, v, 2)[0] == (8, 2)
+        assert lp_extreme_ineq(a, v, 3)[1] == (12 * 2 - 8, 2)
+        for level in (2, 3):
+            want = good_interval_by(greedy_fill_pair, a, v, level)
+            assert lp_extreme_ineq(a, v, level) == want
+
+
+class TestGoodIntervalFastPath:
+    """lp_extreme_ineq's straight-line path against the referees, exhaustively."""
+
+    @staticmethod
+    def answers(a, v, levels):
+        """lp_extreme_ineq's pairs per level, None where it refuses the level."""
+        got = {}
+        for level in levels:
+            try:
+                got[level] = lp_extreme_ineq(a, v, level)
+            except DomainError:
+                got[level] = None
+        return got
+
+    def test_exhaustive_small_against_the_referees(self):
+        # every level from -1 to ||v||_1 + 1, through the memo, through the
+        # cache and from lists. One Weights object serves every v of its a,
+        # and each pair's calls begin and end on checked objects, so the
+        # memo holds the last v's Direction beside the same Weights when the
+        # next v comes: it must test both objects
+        weights = {}
+        for a, v in exhaustive_small_instances(vmax=3):
+            ve = sum(v)
+            levels = range(-1, ve + 2)
+            want = {}
+            for level in levels:
+                vertices = good_interval_by(lp_ineq_vertex, a, v, level)
+                if None in vertices:  # an empty LP: the level is refused
+                    want[level] = None
+                    continue
+                pairs = good_interval_by(greedy_fill_pair, a, v, level)
+                assert tuple(Fraction(*pair) for pair in pairs) == vertices, (a, v, level)
+                want[level] = pairs
+            assert [level for level in levels if want[level] is None] == [-1, ve, ve + 1]
+            checked = weights.setdefault(a, Weights(a)), Direction(v)
+            lp_extreme_ineq(*checked, 0)
+            before = _ascending.cache_info()
+            assert self.answers(*checked, levels) == want, (a, v)
+            assert _ascending.cache_info() == before  # every call a memo hit
+            assert self.answers(a, v, levels) == want, (a, v)
+            assert _ascending.cache_info().misses == before.misses  # cache hits
+            assert self.answers(list(a), list(v), levels) == want, (a, v)
+            # bad interval k is [min(a, k), max(a, k)], the edges included
+            bad = tuple(
+                (lp_ineq_vertex(a, v, k, "min"), lp_ineq_vertex(a, v, k, "max"))
+                for k in range(ve + 1)
+            )
+            zero = (Fraction(0),) * len(a)
+            if all(bad[k][1] < bad[k + 1][0] for k in range(ve)):
+                cover = enumerate_intervals(*checked, Fraction(1), zero)
+                assert cover.bad == bad, (a, v)
+                good = tuple((bad[k][1], bad[k + 1][0]) for k in range(ve))
+                assert cover.good == good, (a, v)
+            else:
+                with pytest.raises(DomainError, match="overlap"):
+                    enumerate_intervals(*checked, Fraction(1), zero)
+            for k in range(ve + 1):
+                window = enumerate_intervals(*checked, Fraction(1), zero, k, k)
+                assert window.bad == (bad[k],), (a, v, k)
 
 
 class TestCertify:

@@ -189,6 +189,23 @@ def test_certify_verify_happy_path(toy_files):
     assert main(["verify", "--instance", inst_path, "--certificate", str(mangled)]) == 1
 
 
+def test_verify_takes_no_output_option(toy_files):
+    # verify writes no document, so argparse refuses -o and nothing is written
+    tmp_path, inst_path, dec_path = toy_files
+    cert_path, out_path = tmp_path / "cert.json", tmp_path / "out.json"
+    assert main([
+        "certify", "--instance", inst_path, "--decomposition", dec_path,
+        "--beta", "150", "-o", str(cert_path),
+    ]) == 0
+    verify = ["verify", "--instance", inst_path, "--certificate", str(cert_path)]
+    assert main(verify) == 0
+    for option in ("-o", "--output"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*verify, option, str(out_path)])
+        assert exit_info.value.code == 2
+        assert not out_path.exists()
+
+
 def test_certify_statuses(toy_files, capsys):
     _, inst_path, dec_path = toy_files
     base = ["certify", "--instance", inst_path, "--decomposition", dec_path]
