@@ -539,8 +539,8 @@ def enumerate_intervals(
     and k_hi are ints. Bad interval k is [min(a, k), max(a, k)], read off
     the good intervals k - 1 and k of ``lp_extreme_ineq``; at the edges
     min(a, 0) is 0 and max(a, ||v||_1) is ||a||_1. The order and overlap
-    checks cross-multiply those integer pairs; only the returned cover
-    holds Fractions.
+    checks and the least good length cross-multiply those integer pairs;
+    only the returned cover holds Fractions.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -566,17 +566,22 @@ def enumerate_intervals(
     for (lo, lo_den), (hi, hi_den) in zip(min_pairs, max_pairs):
         if lo * hi_den > hi * lo_den:
             raise InvariantViolation("bad interval endpoints out of order")
+    # good interval k has length num / den; the least starts as 1/0, above all
+    least, least_den = 1, 0
     for (hi, hi_den), (lo, lo_den) in zip(max_pairs, min_pairs[1:]):
-        if not hi * lo_den < lo * hi_den:
+        num, den = lo * hi_den - hi * lo_den, hi_den * lo_den
+        if num <= 0:
             raise DomainError(
                 "consecutive levels overlap; decomposition hypotheses violated"
             )
+        if num * least_den < least * den:
+            least, least_den = num, den
     mins = [Fraction(*pair) for pair in min_pairs]
     maxs = [Fraction(*pair) for pair in max_pairs]
     bad = tuple(zip(mins, maxs))
     good = tuple(zip(maxs, mins[1:]))
     bound = scale - l1_norm(residual)
-    min_len = min((hi - lo for lo, hi in good), default=None)
+    min_len = Fraction(least, least_den) if least_den else None
     return IntervalCover(
         k_lo=k_lo,
         k_hi=k_hi,

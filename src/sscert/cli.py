@@ -4,14 +4,14 @@ Exit codes: 0 success or verified, 1 verification rejected or no
 certificate, 2 usage error, 3 capacity error, 4 internal error (a bug:
 a failed internal invariant or any other unexpected exception).
 Documents go to stdout (or --output); identical configurations produce
-byte-identical documents. Diagnostics are single lines on stderr.
+byte-identical documents. Diagnostics are single lines on stderr. A
+decomposition whose lambda v + r is not the instance's a exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import documents
@@ -24,13 +24,7 @@ from .branching import (
     infeasible_coverage_report,
     verify_certificate,
 )
-from .decompose import (
-    FRANK_TARDOS_MAX_N,
-    LLL_ROWS_MAX_N,
-    Method,
-    decompose_with_fallback,
-)
-from .diophantine import ApproxResult, choose_precision
+from .decompose import LLL_ROWS_MAX_N, Method, decompose_with_fallback
 from .errors import (
     CapacityError,
     DomainError,
@@ -38,7 +32,6 @@ from .errors import (
     InvariantViolation,
     ParseError,
 )
-from .intmath import linf_norm
 from .model import Instance, generate_instance
 
 EXIT_OK = 0
@@ -73,29 +66,7 @@ def _load_decomposition(config: argparse.Namespace, inst: Instance):
     dec = documents.parse_decomposition(_read(config.decomposition))
     if dec.reconstruct_a() != tuple(inst.a):
         raise DomainError("decomposition does not match the instance weights")
-    if isinstance(dec.provenance, ApproxResult) and not _approximates(
-        inst.a, dec.scale, dec.provenance
-    ):
-        raise DomainError("decomposition provenance does not match the instance weights")
     return dec
-
-
-def _approximates(a, scale: Fraction, approx: ApproxResult) -> bool:
-    """Is approx the Frank-Tardos approximation of a / max(a) behind scale?
-
-    It is when scale is max(a) / q, the precision is choose_precision(n)
-    and err_inf is ||q a / max(a) - v||_inf. The Frank-Tardos method runs
-    only for n in [10, FRANK_TARDOS_MAX_N], and outside that range the
-    precision, whose check raises N to the power 4n, is not computed.
-    """
-    n, top = len(a), max(a)
-    if scale != Fraction(top, approx.q) or not 10 <= n <= FRANK_TARDOS_MAX_N:
-        return False
-    if approx.precision != choose_precision(n):
-        return False
-    return approx.err_inf == linf_norm(
-        [Fraction(approx.q * ai, top) - vi for ai, vi in zip(a, approx.v)]
-    )
 
 
 def _cmd_generate(config: argparse.Namespace) -> int:

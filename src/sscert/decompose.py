@@ -17,7 +17,8 @@ Two routes produce the branching direction v:
 ``Decomposition.bounds`` computes a method's checks from v, scale and
 residual, so a decomposition read from a document cannot claim them,
 and ``Decomposition.method`` is read off the provenance, so it cannot
-disagree with it.
+disagree with it. ``frank_tardos_approx`` derives a Frank-Tardos
+approximation from v, scale and residual, which fix it.
 """
 
 from __future__ import annotations
@@ -63,13 +64,7 @@ class Decomposition:
     def __post_init__(self):
         object.__setattr__(self, "residual", tuple(self.residual))
         object.__setattr__(self, "v", validate_direction(self.v, len(self.residual)))
-        if self.scale <= 0:
-            raise DomainError("scale must be positive", "scale")
-        # r = a - scale * v for an integer a: one common denominator keeps the sum linear
-        for i, r in enumerate(self.residual):
-            if self.scale.denominator % r.denominator:
-                raise DomainError("residual denominators must divide the scale's", "residual", i)
-        if l1_norm(self.residual) >= self.scale:
+        if sum(map(abs, _scaled_residual(self.scale, self.residual))) >= self.scale.numerator:
             raise DomainError("residual l1 norm must be below the scale", "residual")
 
     @property
@@ -125,6 +120,47 @@ def decompose_frank_tardos(inst: Instance) -> Decomposition:
     if not all(b.holds for b in dec.bounds):
         raise InvariantViolation("decomposition bound failed; kernel bug")
     return dec
+
+
+def _scaled_residual(scale: Fraction, residual) -> list[int]:
+    """r times the scale's denominator, in integers, as for r = a - scale * v.
+
+    DomainError unless the scale is positive and it has every
+    denominator of r, which keeps sums of r linear in its length.
+    """
+    if scale <= 0:
+        raise DomainError("scale must be positive", "scale")
+    den, scaled = scale.denominator, []
+    for i, r in enumerate(residual):
+        factor, rest = divmod(den, r.denominator)
+        if rest:
+            raise DomainError("residual denominators must divide the scale's", "residual", i)
+        scaled.append(r.numerator * factor)
+    return scaled
+
+
+def frank_tardos_approx(v, scale: Fraction, residual) -> ApproxResult:
+    """The Frank-Tardos approximation behind a = scale * v + residual.
+
+    alpha = a / max(a) is 1 at the first largest weight i, where
+    |q - v_i| <= 1/N < 1, so q = v_i, scale must be max(a) / q, and
+    err_inf = ||q alpha - v||_inf = max |r_i| / scale. N, raised to the
+    power 4n by its check, is computed only for 10 <= n <=
+    FRANK_TARDOS_MAX_N. DomainError on v (its length first), scale or
+    residual; ApproxResult's checks raise InvariantViolation.
+    """
+    v = validate_direction(v, len(residual))
+    n = len(v)
+    if not 10 <= n <= FRANK_TARDOS_MAX_N:
+        raise DomainError(f"frank_tardos directions have 10 to {FRANK_TARDOS_MAX_N} entries", "v")
+    r, num = _scaled_residual(scale, residual), scale.numerator
+    a = [num * vi + ri for vi, ri in zip(v, r)]  # a times the scale's denominator
+    top = max(a)
+    q = v[a.index(top)]
+    if num * q != top:
+        raise DomainError("scale must be max(a) / q, q the entry of v at the largest weight", "scale")
+    err_inf = Fraction(max(map(abs, r)), num)
+    return ApproxResult(q=q, v=v, precision=choose_precision(n), err_inf=err_inf)
 
 
 def _frank_tardos_bounds(v, scale, residual):

@@ -8,9 +8,11 @@ than the interpreter's int/str conversion limit: reading one is a
 ParseError, writing one a CapacityError. Only the documents a command
 reads back (instance, decomposition, certificate) have parsers; the
 status and report documents are output only. A certificate holds what
-the verifier reads: beta, the level ell and v. Parsing is lenient about
-non-canonical rationals (plain integers allowed) and ignores unread
-keys, but is strict about structure, and locates every error.
+the verifier reads: beta, the level ell and v. A decomposition holds v,
+lambda, r and, for lll_rows, the reduction's counters. Parsing is
+lenient about non-canonical rationals (plain integers allowed) and
+ignores unread keys, but is strict about structure, and locates every
+error.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .branching import (
     InfeasibleCoverageReport,
     IntervalCover,
 )
-from .decompose import Decomposition, Method
-from .diophantine import ApproxResult
+from .decompose import Decomposition, Method, frank_tardos_approx
 from .errors import CapacityError, DomainError, InvariantViolation, ParseError
 from .lll import ReductionStats
 from .model import Instance
@@ -151,28 +152,20 @@ def parse_instance(text: str) -> tuple[Instance, int]:
 
 
 def serialize_decomposition(dec: Decomposition) -> str:
-    if isinstance(dec.provenance, ApproxResult):
-        provenance: dict[str, Any] = {
-            "type": "dioph_approx",
-            "q": format_int(dec.provenance.q),
-            "precision": format_int(dec.provenance.precision),
-            "err_inf": format_fraction(dec.provenance.err_inf),
-        }
-    else:
-        provenance = {
-            "type": "lattice_reduction",
-            "dim": dec.provenance.dim,
-            "swaps": dec.provenance.swaps,
-            "size_reductions": dec.provenance.size_reductions,
-        }
-    payload = {
+    payload: dict[str, Any] = {
         "kind": "decomposition",
         "method": dec.method.value,
         "v": [format_int(x) for x in dec.v],
         "lambda": format_fraction(dec.scale),
         "r": [format_fraction(x) for x in dec.residual],
-        "provenance": provenance,
     }
+    if dec.method is Method.LLL_ROWS:
+        payload["provenance"] = {
+            "type": "lattice_reduction",
+            "dim": dec.provenance.dim,
+            "swaps": dec.provenance.swaps,
+            "size_reductions": dec.provenance.size_reductions,
+        }
     return _dump(payload)
 
 
@@ -181,6 +174,7 @@ _DECOMPOSITION_KEYS = {"v": "v", "scale": "lambda", "residual": "r"}
 
 
 def parse_decomposition(text: str) -> Decomposition:
+    """A Frank-Tardos document's approximation is derived, not read."""
     doc = _object(_load(text), "decomposition")
     method_value = _req(doc, "method")
     try:
@@ -190,24 +184,13 @@ def parse_decomposition(text: str) -> Decomposition:
     v = _parse_list(_req(doc, "v"), "$.v", parse_int)
     scale = parse_fraction(_req(doc, "lambda"), "$.lambda")
     residual = _parse_list(_req(doc, "r"), "$.r", parse_fraction)
-    raw_prov = _req(doc, "provenance")
-    if not isinstance(raw_prov, dict):
-        raise ParseError("expected an object", "$.provenance")
-    prov_type = raw_prov.get("type")
     try:
-        if prov_type == "dioph_approx":
-            provenance: ApproxResult | ReductionStats = ApproxResult(
-                q=parse_int(_req(raw_prov, "q", "$.provenance"), "$.provenance.q"),
-                v=v,
-                precision=parse_int(
-                    _req(raw_prov, "precision", "$.provenance"),
-                    "$.provenance.precision",
-                ),
-                err_inf=parse_fraction(
-                    _req(raw_prov, "err_inf", "$.provenance"), "$.provenance.err_inf"
-                ),
-            )
-        elif prov_type == "lattice_reduction":
+        if method is Method.FRANK_TARDOS:
+            provenance = frank_tardos_approx(v, scale, residual)
+        else:
+            raw_prov = _req(doc, "provenance")
+            if not isinstance(raw_prov, dict) or raw_prov.get("type") != "lattice_reduction":
+                raise ParseError("expected a lattice_reduction object", "$.provenance")
             provenance = ReductionStats(
                 dim=_parse_count(raw_prov, "dim"),
                 swaps=_parse_count(raw_prov, "swaps"),
@@ -218,19 +201,14 @@ def parse_decomposition(text: str) -> Decomposition:
                     f"dim {provenance.dim} differs from the {len(v)} entries of v",
                     "$.provenance.dim",
                 )
-        else:
-            raise ParseError(f"unknown provenance type {prov_type!r}", "$.provenance.type")
-        dec = Decomposition(v=v, scale=scale, residual=residual, provenance=provenance)
+        return Decomposition(v=v, scale=scale, residual=residual, provenance=provenance)
     except DomainError as exc:
         path = "$" if exc.field is None else f"$.{_DECOMPOSITION_KEYS[exc.field]}"
         if exc.index is not None:
             path += f"[{exc.index}]"
         raise ParseError(str(exc), path) from None
-    except InvariantViolation as exc:  # raised by the provenance's own checks
-        raise ParseError(str(exc), "$.provenance") from None
-    if dec.method is not method:
-        raise ParseError(f"method {method.value} needs its own provenance", "$.method")
-    return dec
+    except InvariantViolation as exc:  # raised by the approximation's own checks
+        raise ParseError(str(exc), "$.v") from None
 
 
 def _parse_count(raw_prov: dict, key: str) -> int:

@@ -19,6 +19,7 @@ from sscert.errors import CapacityError, DomainError, InvariantViolation
 from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
 from test_decompose import mixed_sign_reduction
+from test_documents import PIPELINE_BETA, older_format
 from test_lll import FAULTS, faulty_kernel
 
 TOY = Instance(a=(100, 101, 102))
@@ -525,13 +526,15 @@ def test_console_entry_point():
 
 
 def test_frank_tardos_provenance_must_match_the_instance(tmp_path, capsys):
-    # q, the precision and err_inf are read from the document; each must be
-    # what the approximation of a / max(a) behind its scale gives
+    # q, the precision and err_inf are derived from v, lambda and r: the
+    # values an older document stored are not read, whatever they say,
+    # and a scale other than max(a) / q is refused
     inst_path = write_instance(tmp_path, 10, 1)
     dec_path = tmp_path / "direction.json"
     assert main(["decompose", "--instance", inst_path, "-o", str(dec_path)]) == 0
-    honest = json.loads(dec_path.read_text())
-    prov = honest["provenance"]
+    honest = dec_path.read_text()
+    older = json.loads(older_format(documents.parse_decomposition(honest)))
+    prov = older["provenance"]
     q, precision = int(prov["q"]), int(prov["precision"])
     tampered = {
         "q + 1": {"q": str(q + 1)},
@@ -540,15 +543,33 @@ def test_frank_tardos_provenance_must_match_the_instance(tmp_path, capsys):
         "err_inf = 0": {"err_inf": "0/1"},
         "err_inf / 2": {"err_inf": str(Fraction(prov["err_inf"]) / 2)},
     }
-    for command in ("stats", "certify"):
+
+    def outputs(text):
+        dec_path.write_text(text)
+        runs = []
+        for extra in ([], ["--beta", "0"], ["--beta", str(PIPELINE_BETA)]):
+            command = "certify" if extra else "stats"
+            argv = [command, "--instance", inst_path, "--decomposition", str(dec_path)]
+            runs.append((main(argv + extra), capsys.readouterr()))
+        return runs
+
+    expected = outputs(honest)
+    assert [code for code, _ in expected] == [0, 1, 0]
+    assert '"ell"' in expected[2][1].out
+    for name, change in tampered.items():
+        forged = json.dumps(dict(older, provenance=dict(prov, **change)))
+        assert outputs(forged) == expected, name
+    # lambda + 1 with r = a - (lambda + 1) v, so that lambda v + r is still a
+    doc = json.loads(honest)
+    scale = Fraction(doc["lambda"]) + 1
+    doc["lambda"] = f"{scale.numerator}/{scale.denominator}"
+    doc["r"] = [
+        str(ai - scale * int(vi)) for ai, vi in zip(generate_instance(10, 1).a, doc["v"])
+    ]
+    for extra in ([], ["--beta", str(PIPELINE_BETA)]):
+        command = "certify" if extra else "stats"
+        dec_path.write_text(json.dumps(doc))
         argv = [command, "--instance", inst_path, "--decomposition", str(dec_path)]
-        if command == "certify":
-            argv += ["--beta", "0"]
-        dec_path.write_text(json.dumps(honest))
-        assert main(argv) in (0, 1)
-        capsys.readouterr()
-        for name, change in tampered.items():
-            dec_path.write_text(json.dumps(dict(honest, provenance=dict(prov, **change))))
-            assert main(argv) == 2, (command, name)
-            err = capsys.readouterr().err
-            assert err == "sscert: decomposition provenance does not match the instance weights\n", name
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sscert: scale must be max(a) / q") and "(at $.lambda)" in err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -56,6 +57,19 @@ WARNINGS_KEY_DOCUMENT = """{
   "warnings": []
 }
 """
+
+
+def older_format(dec):
+    """The document of a Frank-Tardos dec as written before the approximation was derived."""
+    doc = json.loads(documents.serialize_decomposition(dec))
+    approx = dec.provenance
+    doc["provenance"] = {
+        "type": "dioph_approx",
+        "q": str(approx.q),
+        "precision": str(approx.precision),
+        "err_inf": f"{approx.err_inf.numerator}/{approx.err_inf.denominator}",
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def roundtrip_canonical(serialize, parse, obj):
@@ -132,17 +146,38 @@ class TestInstanceDocs:
 
 class TestDecompositionDocs:
     def test_roundtrip_frank_tardos(self):
-        dec = decompose_frank_tardos(generate_instance(10, 42))
-        roundtrip_canonical(
-            documents.serialize_decomposition, documents.parse_decomposition, dec
+        # the parsed approximation is the one decompose computed, q, the
+        # precision and err_inf included, though the document stores none
+        for n, seed in [(10, 42)] + [(n, s) for n in (10, 12, 14, 16) for s in (1, 2, 3)]:
+            dec = decompose_frank_tardos(generate_instance(n, seed))
+            text = roundtrip_canonical(
+                documents.serialize_decomposition, documents.parse_decomposition, dec
+            )
+            assert set(json.loads(text)) == {"kind", "method", "v", "lambda", "r"}
+
+    def test_older_frank_tardos_document_is_read(self):
+        # the format that stored q, the precision and err_inf reads as the
+        # same decomposition, its provenance ignored like every unread key;
+        # the digest is the one that format had for n=10, seed 1
+        dec = decompose_frank_tardos(generate_instance(10, 1))
+        text = older_format(dec)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fbf345d6dabc99cdbd20c53148aca711fc0adf517accaff8bccd3ac155d44aec"
         )
+        parsed = documents.parse_decomposition(text)
+        assert parsed == dec
+        assert documents.serialize_decomposition(parsed) == documents.serialize_decomposition(dec)
 
     def test_tampered_invariant_fails(self):
+        # v_j + 1 and r_j - lambda leave a = lambda v + r and q as they were,
+        # but make err_inf = max |r_i| / lambda about 1, above 1/N
         dec = decompose_frank_tardos(generate_instance(10, 42))
-        text = documents.serialize_decomposition(dec)
-        tampered = text.replace('"q": "', '"q": "-')
-        with pytest.raises(ParseError, match=r"at \$\.provenance\)"):
-            documents.parse_decomposition(tampered)
+        doc = json.loads(documents.serialize_decomposition(dec))
+        j = min(range(10), key=lambda i: dec.v[i])
+        doc["v"][j] = str(dec.v[j] + 1)
+        doc["r"][j] = documents.format_fraction(dec.residual[j] - dec.scale)
+        with pytest.raises(ParseError, match=r"exceeds 1/N \(at \$\.v\)"):
+            documents.parse_decomposition(json.dumps(doc))
 
     def test_roundtrip_reduction_within_digit_limit(self):
         dec = decompose_lll_rows(generate_instance(10, 42))
@@ -203,17 +238,22 @@ class TestDecompositionDocs:
             documents.parse_decomposition(json.dumps(doc))
 
     def test_long_direction_with_huge_precision_parses_quickly(self):
-        # the bound on q grows as 2^(n(n+1)) N^(4n) in the document's n and N:
-        # 2,000 entries and a 4,000-digit N make it about 110 million bits
+        # a Frank-Tardos direction has 10 to 16 entries, so 2,000 entries are
+        # refused before any bound in n is computed, and the 4,000-digit
+        # precision an older document might state is not read
         doc = json.loads(
             documents.serialize_decomposition(decompose_frank_tardos(generate_instance(10, 1)))
         )
         doc.update(v=["1"] * 2000, r=["0"] * 2000)
-        doc["provenance"].update(q="1", precision="9" * 4000, err_inf="0")
+        doc["provenance"] = {
+            "type": "dioph_approx", "q": "1", "precision": "9" * 4000, "err_inf": "0",
+        }
         start = time.perf_counter()
-        dec = documents.parse_decomposition(json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            documents.parse_decomposition(json.dumps(doc))
         assert time.perf_counter() - start < 5
-        assert len(dec.v) == 2000 and dec.provenance.q == 1
+        assert info.value.location == "$.v"
+        assert "10 to 16 entries" in str(info.value)
 
     def test_non_ascii_rational_digits_rejected(self):
         # "\u0661\u0660\u0661" is 101 in Arabic-Indic digits; int() would accept it
@@ -256,11 +296,14 @@ class TestDecompositionDocs:
         (decompose_lll_rows, "frank_tardos"),
     ])
     def test_method_must_match_provenance(self, decompose, relabel):
-        # a relabelled document would have the other method's bounds checked
+        # a relabelled document would have the other method's bounds checked:
+        # lll_rows needs its counters, and a projection's scale is not the
+        # max(a) / q of a Frank-Tardos approximation
         doc = json.loads(documents.serialize_decomposition(decompose(generate_instance(10, 1))))
         documents.parse_decomposition(json.dumps(doc))
         doc["method"] = relabel
-        with pytest.raises(ParseError, match="provenance"):
+        expected = {"lll_rows": "missing field 'provenance'", "frank_tardos": r"max\(a\) / q"}
+        with pytest.raises(ParseError, match=expected[relabel]):
             documents.parse_decomposition(json.dumps(doc))
 
 
@@ -269,11 +312,14 @@ class TestDecompositionDocs:
         ({"lambda": "-101/1"}, "$.lambda"),
         ({"r": ["-1/1", "0/1", "1/7"]}, "$.r[2]"),
         ({"r": ["-60/1", "0/1", "60/1"]}, "$.r"),
-        ({"method": "frank_tardos"}, "$.method"),
+        ({"method": "frank_tardos"}, "$.v"),
         ({"v": ["1", "-1", "1"]}, "$.v[1]"),
         ({"v": ["0", "0", "0"]}, "$.v"),
+        # 11 entries against 12: derived from the first 11 pairs, max(a)
+        # would be 102 at q = 1, and the scale 101 would be refused
+        ({"method": "frank_tardos", "v": ["1"] * 11, "r": ["1/1"] + ["0/1"] * 11}, "$.v"),
     ], ids=["zero_lambda", "negative_lambda", "foreign_denominator", "residual_norm",
-            "method_mismatch", "negative_v", "zero_v"])
+            "method_mismatch", "negative_v", "zero_v", "short_v"])
     def test_invariant_error_is_located(self, change, path):
         doc = json.loads(WARNINGS_KEY_DOCUMENT)
         doc.update(change)

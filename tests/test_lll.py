@@ -437,14 +437,16 @@ def test_float_kernel_transform_must_be_unimodular(monkeypatch):
 
 # SHA-256 of the decomposition documents at seed 1, recorded at commit
 # 5d39c1d (lll_rows n=10 at 470cee8, whose levels then went to the float
-# kernel); a change to the reduction that moves one says so
+# kernel; Frank-Tardos when its documents stopped storing q, the precision
+# and err_inf, with kind, method, v, lambda and r byte-identical); a
+# change to the reduction that moves one says so
 PINNED_SHA256 = [
     (decompose_lll_rows, 10,
      "55ab1c2bff202395f14ac5c1ba93e65ea53b8117fe137d174f3a42b494ce14fc"),
     (decompose_frank_tardos, 10,
-     "fbf345d6dabc99cdbd20c53148aca711fc0adf517accaff8bccd3ac155d44aec"),
+     "1b2b6f9db3dfdbd4c0964c492b31785fd3c3c4ebb06cd9ffd669fe7f56861e24"),
     (decompose_frank_tardos, 12,
-     "fccf40bffc29673d694af1e680bde94d88851fde4b8499190e6f935d37ba355c"),
+     "2995a0325bb23832ff202dace7a0e1dc3586405587b3ee653279787a4be3d01d"),
     (decompose_lll_rows, 20,
      "16082cf0557666d36a795923eef746c4684b9a179b8e5274aca8dc59968a506b"),
 ]
