@@ -41,12 +41,14 @@ The same call yields, for each branching level k, an open "good"
 interval (max(a,k), min(a,k+1)) between consecutive levels, and so the
 closed "bad" interval [min(a,k), max(a,k)] from the good intervals
 k - 1 and k; good intervals contain exactly the certified right-hand
-sides. Exact coverage statistics count the integers in bad intervals in
-closed form, without enumerating levels, after one such call checks
-that the narrowest good interval is not empty, and compare the
-share against the exact bound 2 (||r||_1 + 1) / scale. The same count
-brackets the certified share of the infeasible right-hand sides, the
-figure of the paper's Corollary 1, since at most 2^n are feasible.
+sides. One exact coverage report holds the paper's three claims, in
+closed form and without enumerating levels. One such call finds the
+narrowest good interval, at the centre level; its length must be
+positive and is compared against scale - ||r||_1. The integers in bad
+intervals are counted, and their share compared against the exact
+bound 2 (||r||_1 + 1) / scale. The same count brackets the certified
+share of the infeasible right-hand sides, the figure of the paper's
+Corollary 1, since at most 2^n are feasible.
 """
 
 from __future__ import annotations
@@ -179,7 +181,16 @@ class CoverageStats:
 
     In exact mode ``g``/``b`` count integers in good/bad intervals over
     the whole range {0, ..., ||a||_1}; in sampled mode they count
-    certified/uncertified draws.
+    certified/uncertified draws. Exact mode adds the paper's two other
+    claims, None in sampled mode as ``sample_size`` and ``seed`` are in
+    exact mode. Corollary 1: the g certified right-hand sides are
+    infeasible and between 1 and 2^n are feasible, so the certified share
+    of the infeasible ones lies in [1 - bad_fraction,
+    certified_share_upper], the upper end min(1, g / (g + b - 2^n)) and
+    None when g + b <= 2^n. ``corollary_1`` is "holds" when the lower end
+    reaches the target 1 - two_pow_n_bound, "fails" when the upper end
+    stays below it, and "undecided" otherwise. Every good interval is at
+    least ``min_good_length`` wide, against the paper's scale - ||r||_1.
     """
 
     mode: str
@@ -190,31 +201,11 @@ class CoverageStats:
     two_pow_n_bound: Fraction
     sample_size: int | None = None
     seed: int | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class InfeasibleCoverageReport:
-    """Certified share of the infeasible right-hand sides, bracketed exactly.
-
-    ``certified`` of the ``total`` = ||a||_1 + 1 right-hand sides are
-    certified, all of them infeasible, and between 1 and 2^n are
-    feasible, so the share lies in [lower, upper] = [certified / total,
-    min(1, certified / (total - 2^n))]; ``upper`` is None when
-    total <= 2^n. The verdict is "holds" when lower reaches the target
-    1 - 2^-n, "fails" when upper stays below it, and "undecided"
-    otherwise.
-    """
-
-    total: int
-    certified: int
-    lower: Fraction
-    upper: Fraction | None
-    target: Fraction
-    verdict: Literal["holds", "fails", "undecided"]
-
-    def __post_init__(self):
-        if not 0 <= self.certified < self.total:  # beta = 0 is feasible
-            raise InvariantViolation("certified count outside [0, total)")
+    certified_share_upper: Fraction | None = None
+    corollary_1: Literal["holds", "fails", "undecided"] | None = None
+    min_good_length: Fraction | None = None
+    good_length_bound: Fraction | None = None
+    good_length_bound_holds: bool | None = None
 
 
 def _greedy_order(num, den, sense: Sense) -> list[int]:
@@ -593,8 +584,8 @@ def enumerate_intervals(
     )
 
 
-def _bad_count(a, v) -> int:
-    """Integers of [0, ||a||_1] in bad intervals, without enumerating levels.
+def _bad_count(a, v) -> tuple[int, Fraction]:
+    """Integers of [0, ||a||_1] in bad intervals, and the least good length.
 
     With M(k) = max(a, k), min(a, k) = ||a||_1 - M(||v||_1 - k), so the
     count is 2 sum_k floor(M(k)) - (||v||_1 + 1)(||a||_1 - 1). M is linear
@@ -604,17 +595,19 @@ def _bad_count(a, v) -> int:
     length min(a, k+1) - max(a, k) = ||a||_1 - M(||v||_1 - 1 - k) - M(k) is
     convex in k (M is concave) and symmetric about (||v||_1 - 1)/2, so its
     least value is at the centre; DomainError if it is not positive there.
+    Neither figure enumerates levels.
     """
     order, V, A = _ascending_of(a, v)
     total, total_v = A[-1], V[-1]
     (hi, hi_den), (lo, lo_den) = lp_extreme_ineq(a, v, (total_v - 1) // 2)
-    if lo * hi_den <= hi * lo_den:
+    least = lo * hi_den - hi * lo_den
+    if least <= 0:
         raise DomainError("consecutive levels overlap; decomposition hypotheses violated")
     floors = total
     for i, done in zip(order, A):
         floors += v[i] * done
         floors += ((a[i] - 1) * (v[i] - 1) + math.gcd(a[i], v[i]) - 1) // 2
-    return 2 * floors - (total_v + 1) * (total - 1)
+    return 2 * floors - (total_v + 1) * (total - 1), Fraction(least, hi_den * lo_den)
 
 
 def coverage_stats(
@@ -630,29 +623,52 @@ def coverage_stats(
     """Exact or sampled share of uncertified right-hand sides.
 
     Exact mode counts the integers in bad intervals in closed form
-    (DomainError when levels overlap); sampled mode draws beta uniformly
-    from {0, ..., ||a||_1} with the given seed and classifies each via
-    certify, in this process. ``workers`` must be >= 1 and is otherwise
-    unread: it stays for the benchmark's calls and goes with the sampled
-    mode (ROADMAP items 1b and 2).
+    (DomainError when levels overlap) and reports Corollary 1 and the
+    least good length from the same pass; it needs no coprime weights,
+    since a right-hand side in a good interval is infeasible for every a.
+    Sampled mode draws beta uniformly from {0, ..., ||a||_1} with the
+    given seed and classifies each via certify, in this process.
+    ``workers`` must be >= 1 and is otherwise unread: it stays for the
+    benchmark's calls and goes with the sampled mode (ROADMAP items 1b
+    and 2). DomainError unless scale > 0 and residual has n entries.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
     if workers < 1:
         raise DomainError("workers must be >= 1")
     n = len(a)
-    bound = 2 * (l1_norm(tuple(Fraction(r) for r in residual)) + 1) / Fraction(scale)
+    scale = Fraction(scale)
+    if scale <= 0:
+        raise DomainError("scale must be positive")
+    if len(residual) != n:
+        raise DomainError("residual length differs from weight length")
+    r_l1 = l1_norm(tuple(Fraction(r) for r in residual))
+    bound = 2 * (r_l1 + 1) / scale
     two_pow = Fraction(1, 1 << n)
     if mode == "exact":
         total = sum(a) + 1
-        b = _bad_count(a, v)
+        b, least = _bad_count(a, v)
         g = total - b
         frac = Fraction(b, total)
         if frac > bound:
             raise InvariantViolation("bad fraction exceeds its bound")
+        if not 0 <= g < total:  # beta = 0 is feasible
+            raise InvariantViolation("certified count outside [0, total)")
+        # at most 2^n of the total right-hand sides are feasible
+        upper = min(_ONE, Fraction(g, total - (1 << n))) if total > 1 << n else None
+        if frac <= two_pow:
+            verdict = "holds"
+        elif upper is not None and upper < 1 - two_pow:
+            verdict = "fails"
+        else:
+            verdict = "undecided"
+        length_bound = scale - r_l1
         return CoverageStats(
             mode=mode, g=g, b=b, bad_fraction=frac,
             bad_fraction_bound=bound, two_pow_n_bound=two_pow,
+            certified_share_upper=upper, corollary_1=verdict,
+            min_good_length=least, good_length_bound=length_bound,
+            good_length_bound_holds=least >= length_bound,
         )
     if mode != "sampled":
         raise DomainError('mode must be "exact" or "sampled"')
@@ -673,33 +689,3 @@ def coverage_stats(
         bad_fraction_bound=bound, two_pow_n_bound=two_pow,
         sample_size=sample_size, seed=seed,
     )
-
-
-def infeasible_coverage_report(
-    a: Sequence[int], v: Sequence[int]
-) -> InfeasibleCoverageReport:
-    """Corollary 1's bracket: the certified count in closed form, at every n.
-
-    DomainError when the weights are not coprime or levels overlap.
-    """
-    a = validate_weights(a)
-    v = validate_direction(v, len(a))
-    if math.gcd(*a) != 1:
-        raise DomainError("weights not coprime")
-    total = sum(a) + 1
-    certified = total - _bad_count(a, v)
-    most_feasible = 1 << len(a)
-    lower = Fraction(certified, total)
-    upper = (
-        min(_ONE, Fraction(certified, total - most_feasible))
-        if total > most_feasible else None
-    )
-    target = 1 - Fraction(1, most_feasible)
-    if lower >= target:
-        verdict = "holds"
-    elif upper is not None and upper < target:
-        verdict = "fails"
-    else:
-        verdict = "undecided"
-    return InfeasibleCoverageReport(total, certified, lower, upper, target, verdict)
-

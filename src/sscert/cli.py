@@ -21,7 +21,6 @@ from .branching import (
     certify,
     coverage_stats,
     enumerate_intervals,
-    infeasible_coverage_report,
     verify_certificate,
 )
 from .decompose import LLL_ROWS_MAX_N, Method, decompose_with_fallback
@@ -145,14 +144,6 @@ def _cmd_stats(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_cor1(config: argparse.Namespace) -> int:
-    inst, _ = _load_instance(config)
-    dec = _load_decomposition(config, inst)
-    report = infeasible_coverage_report(inst.a, dec.v)
-    _emit(documents.serialize_infeasible_coverage(report), config.output)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "decompose": _cmd_decompose,
@@ -160,7 +151,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "intervals": _cmd_intervals,
     "stats": _cmd_stats,
-    "cor1": _cmd_cor1,
 }
 
 
@@ -227,12 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-hi", dest="k_hi", default=None, help="decimal string")
     add_common(p)
 
-    p = sub.add_parser("stats", help="exact coverage statistics over right-hand sides")
-    add_instance(p)
-    p.add_argument("--decomposition", required=True)
-    add_common(p)
-
-    p = sub.add_parser("cor1", help="certified share of infeasible right-hand sides")
+    p = sub.add_parser(
+        "stats", help="exact coverage: bad share, Corollary 1, least good length"
+    )
     add_instance(p)
     p.add_argument("--decomposition", required=True)
     add_common(p)

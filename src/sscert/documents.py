@@ -27,7 +27,6 @@ from .branching import (
     Claim,
     CertifyStatus,
     CoverageStats,
-    InfeasibleCoverageReport,
     IntervalCover,
 )
 from .decompose import Decomposition, Method, frank_tardos_approx
@@ -287,22 +286,16 @@ def serialize_coverage_stats(stats: CoverageStats) -> str:
         payload["sample_size"] = stats.sample_size
     if stats.seed is not None:
         payload["seed"] = format_int(stats.seed)
+    if stats.corollary_1 is not None:
+        upper = stats.certified_share_upper
+        payload.update(
+            certified_share_upper=None if upper is None else format_fraction(upper),
+            corollary_1=stats.corollary_1,
+            min_good_length=format_fraction(stats.min_good_length),
+            good_length_bound=format_fraction(stats.good_length_bound),
+            good_length_bound_holds=stats.good_length_bound_holds,
+        )
     return _dump(payload)
-
-
-# -- infeasible coverage report ---------------------------------------------
-
-
-def serialize_infeasible_coverage(report: InfeasibleCoverageReport) -> str:
-    return _dump({
-        "kind": "infeasible_coverage",
-        "total": format_int(report.total),
-        "certified": format_int(report.certified),
-        "lower": format_fraction(report.lower),
-        "upper": None if report.upper is None else format_fraction(report.upper),
-        "target": format_fraction(report.target),
-        "verdict": report.verdict,
-    })
 
 
 def document_kind(text: str) -> str:

@@ -25,7 +25,6 @@ from sscert.branching import (
     certify,
     coverage_stats,
     enumerate_intervals,
-    infeasible_coverage_report,
     lp_extreme_eq,
     lp_extreme_ineq,
 )
@@ -210,23 +209,32 @@ def test_criterion_6_pipeline_coverage_statistical():
 
 
 def test_pipeline_coverage_exact():
-    # the exact counts over all of [0, ||a||_1], beside the sampled criterion 6
+    # the exact counts over all of [0, ||a||_1], beside the sampled criterion 6;
+    # the subset-sum count that places the share takes 18 s at n = 24, so
+    # the share is counted up to n = 20
     runs = [(10, decompose_frank_tardos), (12, decompose_frank_tardos),
-            (14, decompose_frank_tardos), (20, decompose_lll_rows)]
+            (14, decompose_frank_tardos), (20, decompose_lll_rows),
+            (24, decompose_lll_rows)]
     for n, method in runs:
         inst = generate_instance(n, 1)
         dec = method(inst)
         stats = coverage_stats(inst.a, dec.v, dec.scale, dec.residual, "exact")
         assert stats.g + stats.b == sum(inst.a) + 1
         assert 0 < stats.bad_fraction <= stats.bad_fraction_bound
-        cor1 = infeasible_coverage_report(inst.a, dec.v)
-        assert cor1.certified == stats.g
-        share = Fraction(stats.g, sum(inst.a) + 1 - count_feasible_sums(inst.a))
-        assert cor1.lower <= share <= cor1.upper
-        assert (cor1.verdict == "holds") == (stats.bad_fraction <= stats.two_pow_n_bound)
-        assert cor1.verdict == "holds"
-    report("PASS exact coverage: bad fraction within 2(||r||_1 + 1)/scale and "
-           "Corollary 1's 1 - 2^-n on FT n = 10, 12, 14 and lll_rows n = 20")
+        if n <= 20:
+            share = Fraction(stats.g, sum(inst.a) + 1 - count_feasible_sums(inst.a))
+            assert 1 - stats.bad_fraction <= share <= stats.certified_share_upper
+        assert stats.certified_share_upper <= 1
+        assert (stats.corollary_1 == "holds") == (
+            stats.bad_fraction <= stats.two_pow_n_bound
+        )
+        assert stats.corollary_1 == "holds"
+        assert stats.good_length_bound == dec.scale - l1_norm(dec.residual)
+        assert stats.min_good_length >= stats.good_length_bound
+        assert stats.good_length_bound_holds
+    report("PASS exact coverage: bad fraction within 2(||r||_1 + 1)/scale, "
+           "Corollary 1's 1 - 2^-n and every good interval at least "
+           "scale - ||r||_1 wide on FT n = 10, 12, 14 and lll_rows n = 20, 24")
 
 
 def _random_basis(rnd, d, bound):

@@ -1483,10 +1483,11 @@ class TestBadCount:
             with pytest.raises(DomainError, match="overlap"):
                 _bad_count(a, v)
             return False
-        assert _bad_count(a, v) == count_integers_in_bad(cover), (a, v)
+        count, least = _bad_count(a, v)
+        assert count == count_integers_in_bad(cover), (a, v)
         # the least good length, which decides overlap, is the centre one
         hi, lo = good_interval(a, v, (sum(v) - 1) // 2)
-        assert cover.min_good_length == lo - hi, (a, v)
+        assert cover.min_good_length == lo - hi == least, (a, v)
         return True
 
     def test_exhaustive_small_against_enumeration(self):
@@ -1519,6 +1520,54 @@ class TestCoverage:
         assert stats.bad_fraction_bound == Fraction(6, 101)
         assert stats.bad_fraction <= stats.bad_fraction_bound
         assert stats.two_pow_n_bound == Fraction(1, 8)
+        assert stats.certified_share_upper == 1
+        assert stats.corollary_1 == "holds"
+        assert stats.min_good_length == stats.good_length_bound == 99
+        assert stats.good_length_bound_holds
+
+    def test_scale_must_be_positive(self):
+        for scale in (Fraction(0), Fraction(-101)):
+            with pytest.raises(DomainError, match="scale must be positive"):
+                coverage_stats(TOY_A, TOY_V, scale, TOY_RESIDUAL, "exact")
+
+    def test_residual_length_must_match(self):
+        with pytest.raises(DomainError, match="residual length"):
+            coverage_stats(TOY_A, TOY_V, TOY_SCALE, (Fraction(1),), "exact")
+
+    def test_min_good_length_matches_enumeration(self):
+        # the closed-form least good length against the minimum over every
+        # level of a = scale v + r, and the same overlap refusal
+        rnd = random.Random(808)
+        disjoint = 0
+        for _ in range(3000):
+            n = rnd.randint(1, 5)
+            v = tuple(rnd.randint(0, 3) for _ in range(n - 1)) + (rnd.randint(1, 3),)
+            scale = rnd.randint(1, 12)
+            a = tuple(max(1, scale * vi + rnd.randint(-3, 3)) for vi in v)
+            residual = tuple(Fraction(ai - scale * vi) for ai, vi in zip(a, v))
+            args = (a, v, Fraction(scale), residual)
+            try:
+                cover = enumerate_intervals(*args)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as refused:
+                    coverage_stats(*args, "exact")
+                assert str(refused.value) == str(exc)
+                continue
+            stats = coverage_stats(*args, "exact")
+            assert stats.min_good_length == cover.min_good_length, (a, v)
+            assert stats.good_length_bound == cover.good_length_bound
+            assert stats.good_length_bound_holds is cover.good_length_bound_holds is True
+            disjoint += 1
+        assert 1500 < disjoint < 3000
+
+    def test_sampled_leaves_the_exact_claims_unset(self):
+        stats = coverage_stats(
+            TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, "sampled", sample_size=20, seed=5
+        )
+        assert (
+            stats.certified_share_upper, stats.corollary_1, stats.min_good_length,
+            stats.good_length_bound, stats.good_length_bound_holds,
+        ) == (None,) * 5
 
     def test_sampled_matches_exact_classification(self):
         stats = coverage_stats(

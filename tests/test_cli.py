@@ -11,7 +11,6 @@ from sscert.branching import (
     certify,
     coverage_stats,
     enumerate_intervals,
-    infeasible_coverage_report,
 )
 from sscert.cli import main
 from sscert.decompose import Decomposition, decompose_lll_rows
@@ -298,25 +297,26 @@ def test_stats_is_exact_only(toy_files, capsys):
 
 
 def test_cor1_exact(toy_files, capsys):
+    # stats decides Corollary 1 from the bad count it reports
     _, inst_path, dec_path = toy_files
-    assert main(["cor1", "--instance", inst_path, "--decomposition", dec_path]) == 0
-    report = infeasible_coverage_report(TOY.a, (1, 1, 1))
-    assert report.certified == 296
-    assert report.verdict == "holds"
-    assert capsys.readouterr().out == documents.serialize_infeasible_coverage(report)
+    assert main(["stats", "--instance", inst_path, "--decomposition", dec_path]) == 0
+    dec = toy_decomposition()
+    report = coverage_stats(TOY.a, (1, 1, 1), dec.scale, dec.residual, "exact")
+    assert report.g == 296
+    assert report.corollary_1 == "holds"
+    assert capsys.readouterr().out == documents.serialize_coverage_stats(report)
 
 
-def test_cor1_has_no_sampling_options(toy_files):
-    # the count is exact at every n: argparse refuses each sampling option
+def test_cor1_command_is_gone(toy_files, capsys):
+    # stats carries Corollary 1: argparse refuses the old command, with any options
     _, inst_path, dec_path = toy_files
     base = ["cor1", "--instance", inst_path, "--decomposition", dec_path]
-    for option, value in (
-        ("--mode", "sampled"), ("--mode", "exact"), ("--sample-size", "60"),
-        ("--seed", "4"),
-    ):
+    for extra in ([], ["--mode", "sampled"], ["--mode", "exact"],
+                  ["--sample-size", "60"], ["--seed", "4"]):
         with pytest.raises(SystemExit) as exit_info:
-            main([*base, option, value])
+            main([*base, *extra])
         assert exit_info.value.code == 2
+    assert "invalid choice: 'cor1'" in capsys.readouterr().err
 
 
 def test_import_leaves_oracle_unloaded():
@@ -334,10 +334,11 @@ def test_cor1_decides_lll_rows_n24(tmp_path, capsys):
     inst = generate_instance(24, 1)
     dec = decompose_lll_rows(inst)
     _, inst_path, dec_path = write_pair(tmp_path, inst, dec)
-    assert main(["cor1", "--instance", inst_path, "--decomposition", dec_path]) == 0
+    assert main(["stats", "--instance", inst_path, "--decomposition", dec_path]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["verdict"] == "holds"
-    assert int(doc["total"]) == sum(inst.a) + 1
+    assert doc["corollary_1"] == "holds"
+    assert doc["good_length_bound_holds"] is True
+    assert int(doc["g"]) + int(doc["b"]) == sum(inst.a) + 1
 
 
 # a right-hand side that the n=10, seed-1 instance certifies
@@ -363,7 +364,7 @@ def test_non_coprime_instance_flow(tmp_path, capsys):
     with_dec = ["--decomposition", str(dec_path), "--instance"]
     for command in (
         ["decompose", "--instance"], ["decompose", "--method", "lll_rows", "--instance"],
-        ["stats", *with_dec], ["cor1", *with_dec],
+        ["stats", *with_dec],
         ["intervals", "--k-lo", "0", "--k-hi", "50", *with_dec],
     ):
         assert output(command + [str(tripled)]) == output(command + [coprime])

@@ -13,7 +13,6 @@ from sscert.branching import (
     certify,
     coverage_stats,
     enumerate_intervals,
-    infeasible_coverage_report,
     verify_certificate,
 )
 from sscert.decompose import (
@@ -477,6 +476,11 @@ class TestReportDocs:
             "bad_fraction": "1/38",
             "bad_fraction_bound": "6/101",
             "two_pow_n_bound": "1/8",
+            "certified_share_upper": "1/1",
+            "corollary_1": "holds",
+            "min_good_length": "99/1",
+            "good_length_bound": "99/1",
+            "good_length_bound_holds": True,
         }
         sampled = coverage_stats(
             TOY.a, (1, 1, 1), TOY_SCALE, TOY_RESIDUAL, "sampled",
@@ -496,20 +500,20 @@ class TestReportDocs:
         }
 
     def test_infeasible_coverage_roundtrip(self):
-        report = infeasible_coverage_report(TOY.a, (1, 1, 1))
-        assert json.loads(documents.serialize_infeasible_coverage(report)) == {
-            "kind": "infeasible_coverage",
-            "total": "304",
-            "certified": "296",
-            "lower": "37/38",
-            "upper": "1/1",
-            "target": "7/8",
-            "verdict": "holds",
-        }
+        # Corollary 1's figures in the exact stats document: total g + b,
+        # lower end 1 - bad_fraction, target 1 - two_pow_n_bound
+        exact = coverage_stats(TOY.a, (1, 1, 1), TOY_SCALE, TOY_RESIDUAL, "exact")
+        doc = json.loads(documents.serialize_coverage_stats(exact))
+        assert (doc["g"], doc["b"]) == ("296", "8")
+        assert 1 - Fraction(doc["bad_fraction"]) == Fraction(37, 38)
+        assert doc["certified_share_upper"] == "1/1"
+        assert 1 - Fraction(doc["two_pow_n_bound"]) == Fraction(7, 8)
+        assert doc["corollary_1"] == "holds"
         # at most 2^n right-hand sides are feasible: no upper end for total <= 2^n
-        unbounded = infeasible_coverage_report((1, 1), (1, 1))
-        doc = json.loads(documents.serialize_infeasible_coverage(unbounded))
-        assert (doc["total"], doc["upper"], doc["verdict"]) == ("3", None, "undecided")
+        unbounded = coverage_stats((1, 1), (1, 1), Fraction(1), (Fraction(0),) * 2, "exact")
+        doc = json.loads(documents.serialize_coverage_stats(unbounded))
+        assert int(doc["g"]) + int(doc["b"]) == 3
+        assert (doc["certified_share_upper"], doc["corollary_1"]) == (None, "undecided")
 
     def test_document_kind(self):
         assert documents.document_kind(documents.serialize_instance(TOY)) == "instance"

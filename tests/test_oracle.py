@@ -11,7 +11,7 @@ from oracles import (
     infeasible_coverage_brute,
     subset_feasible_naive,
 )
-from sscert.branching import enumerate_intervals, infeasible_coverage_report
+from sscert.branching import coverage_stats, enumerate_intervals
 from sscert.errors import CapacityError, DomainError
 from sscert.oracle import feasible
 from test_acceptance import check_good_intervals
@@ -133,25 +133,42 @@ class TestGoodIntervals:
                     assert beta not in sums
 
 
+def corollary_1(a, v):
+    """The exact coverage report of a against v, on the decomposition a = 1 v + (a - v).
+
+    Corollary 1's figures read g and b only; with scale 1 the bad share
+    stays within its bound 2 (||a - v||_1 + 1) >= 2 for any a and v.
+    """
+    residual = tuple(Fraction(ai - vi) for ai, vi in zip(a, v))
+    return coverage_stats(a, v, Fraction(1), residual, "exact")
+
+
 class TestInfeasibleCoverage:
     def test_toy_exact_full_coverage(self):
         # all 8 subset sums are distinct, so the upper end is the share itself
-        report = infeasible_coverage_report(TOY_A, TOY_V)
-        assert (report.total, report.certified) == (304, 296)
-        assert report.lower == Fraction(296, 304)
-        assert report.upper == 1
-        assert report.target == Fraction(7, 8)
-        assert report.verdict == "holds"
+        report = corollary_1(TOY_A, TOY_V)
+        assert (report.g + report.b, report.g) == (304, 296)
+        assert 1 - report.bad_fraction == Fraction(296, 304)
+        assert report.certified_share_upper == 1
+        assert 1 - report.two_pow_n_bound == Fraction(7, 8)
+        assert report.corollary_1 == "holds"
 
     def test_overlapping_levels_are_refused(self):
         # levels 1 and 2 overlap; no beta is infeasible for (1, 2, 4), some for (1, 2, 5)
         for a in ((1, 2, 4), (1, 2, 5)):
             with pytest.raises(DomainError, match="overlap"):
-                infeasible_coverage_report(a, (1, 1, 1))
+                corollary_1(a, (1, 1, 1))
 
-    def test_weights_must_be_coprime(self):
-        with pytest.raises(DomainError, match="coprime"):
-            infeasible_coverage_report((200, 202, 204), TOY_V)
+    def test_non_coprime_weights_match_brute_force(self):
+        # a beta in a good interval is infeasible for every a: no gcd is needed
+        a = (200, 202, 204)
+        infeasible, certified = infeasible_coverage_brute(a, TOY_V)
+        report = corollary_1(a, TOY_V)
+        assert (infeasible, certified) == (599, 595)
+        assert report.g == certified
+        assert 1 - report.bad_fraction <= Fraction(certified, infeasible)
+        assert Fraction(certified, infeasible) <= report.certified_share_upper
+        assert report.corollary_1 == "holds"
 
     def test_exact_matches_brute_force_loop(self):
         rnd = random.Random(1313)
@@ -162,30 +179,30 @@ class TestInfeasibleCoverage:
             v = tuple(rnd.randint(0, 2) for _ in range(n - 1)) + (rnd.randint(1, 2),)
             scale = rnd.randint(3, 12)
             a = tuple(max(1, scale * vi + rnd.randint(-2, 2)) for vi in v)
-            if math.gcd(*a) != 1:
-                continue
             try:
                 enumerate_intervals(a, v, Fraction(1), (Fraction(0),) * n)
             except DomainError:
                 with pytest.raises(DomainError, match="overlap"):
-                    infeasible_coverage_report(a, v)
+                    corollary_1(a, v)
                 continue
             infeasible, certified = infeasible_coverage_brute(a, v)
-            report = infeasible_coverage_report(a, v)
-            assert report.total == sum(a) + 1
-            assert report.certified == certified, (a, v)
-            assert (report.upper is None) == (report.total <= 1 << n)
-            assert report.upper is None or report.upper <= 1, (a, v)
-            unbounded += report.upper is None
+            report = corollary_1(a, v)
+            total, upper = report.g + report.b, report.certified_share_upper
+            target = 1 - report.two_pow_n_bound
+            assert total == sum(a) + 1
+            assert report.g == certified, (a, v)
+            assert (upper is None) == (total <= 1 << n)
+            assert upper is None or upper <= 1, (a, v)
+            unbounded += upper is None
             if infeasible:
                 share = Fraction(certified, infeasible)
-                assert report.lower <= share, (a, v)
-                assert report.upper is None or share <= report.upper, (a, v)
-                assert report.verdict != "holds" or share >= report.target, (a, v)
-                assert report.verdict != "fails" or share < report.target, (a, v)
+                assert 1 - report.bad_fraction <= share, (a, v)
+                assert upper is None or share <= upper, (a, v)
+                assert report.corollary_1 != "holds" or share >= target, (a, v)
+                assert report.corollary_1 != "fails" or share < target, (a, v)
             else:  # no share to bracket: nothing is certified, and no end decides
-                assert report.verdict == "undecided"
-            verdicts[report.verdict] += 1
+                assert report.corollary_1 == "undecided"
+            verdicts[report.corollary_1] += 1
         assert sum(verdicts.values()) > 150
         assert min(verdicts.values()) > 0, verdicts
         assert unbounded > 0
