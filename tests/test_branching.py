@@ -1560,21 +1560,17 @@ class TestCoverage:
             disjoint += 1
         assert 1500 < disjoint < 3000
 
-    def test_sampled_leaves_the_exact_claims_unset(self):
-        stats = coverage_stats(
-            TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, "sampled", sample_size=20, seed=5
-        )
-        assert (
-            stats.certified_share_upper, stats.corollary_1, stats.min_good_length,
-            stats.good_length_bound, stats.good_length_bound_holds,
-        ) == (None,) * 5
-
     def test_sampled_matches_exact_classification(self):
         stats = coverage_stats(
             TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, "sampled", sample_size=300, seed=5
         )
         assert stats.g + stats.b == 300
         assert stats.bad_fraction == Fraction(stats.b, 300)
+        # the exact mode's claims are unset, as sample_size and seed are in exact mode
+        assert (
+            stats.certified_share_upper, stats.corollary_1, stats.min_good_length,
+            stats.good_length_bound, stats.good_length_bound_holds,
+        ) == (None,) * 5
         # resample by hand and compare
         from sscert.rng import SplitMix64
 
