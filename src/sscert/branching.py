@@ -41,14 +41,16 @@ The same call yields, for each branching level k, an open "good"
 interval (max(a,k), min(a,k+1)) between consecutive levels, and so the
 closed "bad" interval [min(a,k), max(a,k)] from the good intervals
 k - 1 and k; good intervals contain exactly the certified right-hand
-sides. One exact coverage report holds the paper's three claims, in
-closed form and without enumerating levels. One such call finds the
-narrowest good interval, at the centre level; its length must be
-positive and is compared against scale - ||r||_1. The integers in bad
-intervals are counted, and their share compared against the exact
-bound 2 (||r||_1 + 1) / scale. The same count brackets the certified
-share of the infeasible right-hand sides, the figure of the paper's
-Corollary 1, since at most 2^n are feasible.
+sides. ``enumerate_intervals`` lists these intervals over a window of
+levels and judges nothing of them but their order. One exact coverage
+report holds the paper's three claims, in closed form and without
+enumerating levels. One such call finds the narrowest good interval,
+at the centre level; its length must be positive and is compared
+against scale - ||r||_1, the one place that claim is judged. The
+integers in bad intervals are counted, and their share compared
+against the exact bound 2 (||r||_1 + 1) / scale. The same count
+brackets the certified share of the infeasible right-hand sides, the
+figure of the paper's Corollary 1, since at most 2^n are feasible.
 """
 
 from __future__ import annotations
@@ -164,15 +166,18 @@ _TRIVIALLY_INFEASIBLE = CertifyStatus.TRIVIALLY_INFEASIBLE
 
 @dataclass(frozen=True, slots=True)
 class IntervalCover:
-    """Alternating bad/good intervals for levels k_lo..k_hi."""
+    """Alternating bad/good intervals for levels k_lo..k_hi, and nothing else.
+
+    ``bad`` holds the closed intervals [min(a, k), max(a, k)] for k in
+    k_lo..k_hi and ``good`` the open ones between them. No length is
+    judged here: exact ``CoverageStats`` reports the least good length
+    of every level against scale - ||r||_1.
+    """
 
     k_lo: int
     k_hi: int
     bad: tuple[tuple[Fraction, Fraction], ...]
     good: tuple[tuple[Fraction, Fraction], ...]
-    min_good_length: Fraction | None
-    good_length_bound: Fraction
-    good_length_bound_holds: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -515,12 +520,7 @@ def witnesses_consistent(a: Sequence[int], v: Sequence[int], cert: Claim) -> boo
 
 
 def enumerate_intervals(
-    a: Sequence[int],
-    v: Sequence[int],
-    scale: Fraction,
-    residual: Sequence[Fraction],
-    k_lo: int = 0,
-    k_hi: int | None = None,
+    a: Sequence[int], v: Sequence[int], *, k_lo: int = 0, k_hi: int | None = None
 ) -> IntervalCover:
     """Bad/good intervals for levels k_lo..k_hi, endpoints exact.
 
@@ -530,8 +530,9 @@ def enumerate_intervals(
     and k_hi are ints. Bad interval k is [min(a, k), max(a, k)], read off
     the good intervals k - 1 and k of ``lp_extreme_ineq``; at the edges
     min(a, 0) is 0 and max(a, ||v||_1) is ||a||_1. The order and overlap
-    checks and the least good length cross-multiply those integer pairs;
-    only the returned cover holds Fractions.
+    checks cross-multiply those integer pairs; only the returned cover
+    holds Fractions. How long the good intervals are is judged by exact
+    ``coverage_stats``, for every level at once.
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
@@ -557,30 +558,15 @@ def enumerate_intervals(
     for (lo, lo_den), (hi, hi_den) in zip(min_pairs, max_pairs):
         if lo * hi_den > hi * lo_den:
             raise InvariantViolation("bad interval endpoints out of order")
-    # good interval k has length num / den; the least starts as 1/0, above all
-    least, least_den = 1, 0
     for (hi, hi_den), (lo, lo_den) in zip(max_pairs, min_pairs[1:]):
-        num, den = lo * hi_den - hi * lo_den, hi_den * lo_den
-        if num <= 0:
+        if lo * hi_den <= hi * lo_den:
             raise DomainError(
                 "consecutive levels overlap; decomposition hypotheses violated"
             )
-        if num * least_den < least * den:
-            least, least_den = num, den
     mins = [Fraction(*pair) for pair in min_pairs]
     maxs = [Fraction(*pair) for pair in max_pairs]
-    bad = tuple(zip(mins, maxs))
-    good = tuple(zip(maxs, mins[1:]))
-    bound = scale - l1_norm(residual)
-    min_len = Fraction(least, least_den) if least_den else None
     return IntervalCover(
-        k_lo=k_lo,
-        k_hi=k_hi,
-        bad=bad,
-        good=good,
-        min_good_length=min_len,
-        good_length_bound=Fraction(bound),
-        good_length_bound_holds=(min_len is None or min_len >= bound),
+        k_lo=k_lo, k_hi=k_hi, bad=tuple(zip(mins, maxs)), good=tuple(zip(maxs, mins[1:]))
     )
 
 

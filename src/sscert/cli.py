@@ -129,9 +129,7 @@ def _cmd_intervals(config: argparse.Namespace) -> int:
     dec = _load_decomposition(config, inst)
     k_lo = documents.parse_int(config.k_lo, "k_lo") if config.k_lo is not None else 0
     k_hi = documents.parse_int(config.k_hi, "k_hi") if config.k_hi is not None else None
-    cover = enumerate_intervals(
-        inst.a, dec.v, dec.scale, dec.residual, k_lo=k_lo, k_hi=k_hi
-    )
+    cover = enumerate_intervals(inst.a, dec.v, k_lo=k_lo, k_hi=k_hi)
     _emit(documents.serialize_interval_cover(cover), config.output)
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from .branching import (
     CoverageStats,
     IntervalCover,
 )
-from .decompose import Decomposition, Method, frank_tardos_approx
+from .decompose import LLL_ROWS_MAX_N, Decomposition, Method, frank_tardos_approx
 from .errors import CapacityError, DomainError, InvariantViolation, ParseError
 from .lll import ReductionStats
 from .model import Instance
@@ -131,15 +131,21 @@ def parse_instance(text: str) -> tuple[Instance, int]:
 
     g is the gcd of the document's weights, and the instance holds them
     divided by g: a right-hand side beta of the document is beta / g of
-    the instance, and infeasible when g does not divide it.
+    the instance, and infeasible when g does not divide it. CapacityError
+    when n exceeds LLL_ROWS_MAX_N, the largest n any command accepts; it
+    and a weight count other than n are refused before any weight is
+    converted.
     """
     doc = _object(_load(text), "instance")
     n = _req(doc, "n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError("n must be a positive JSON integer", "$.n")
-    weights = _parse_list(_req(doc, "a"), "$.a", parse_int)
-    if len(weights) != n:
+    if n > LLL_ROWS_MAX_N:
+        raise CapacityError(f"n {n} exceeds the limit {LLL_ROWS_MAX_N}")
+    weights = _req(doc, "a")
+    if isinstance(weights, list) and len(weights) != n:
         raise ParseError(f"expected {n} weights, got {len(weights)}", "$.a")
+    weights = _parse_list(weights, "$.a", parse_int)
     if any(x < 1 for x in weights):
         raise ParseError("weights must be >= 1", "$.a")
     seed = parse_int(doc["seed"], "$.seed") if "seed" in doc else None
@@ -260,11 +266,6 @@ def serialize_interval_cover(cover: IntervalCover) -> str:
         "k_hi": format_int(cover.k_hi),
         "bad": [_format_interval(p) for p in cover.bad],
         "good": [_format_interval(p) for p in cover.good],
-        "min_good_length": None
-        if cover.min_good_length is None
-        else format_fraction(cover.min_good_length),
-        "good_length_bound": format_fraction(cover.good_length_bound),
-        "good_length_bound_holds": cover.good_length_bound_holds,
     }
     return _dump(payload)
 

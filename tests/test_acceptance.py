@@ -155,7 +155,7 @@ def test_criterion_5_interval_counting_exact():
     toy_a, toy_v = (100, 101, 102), (1, 1, 1)
     toy_scale = Fraction(101)
     toy_res = (Fraction(-1), Fraction(0), Fraction(1))
-    cover = enumerate_intervals(toy_a, toy_v, toy_scale, toy_res)
+    cover = enumerate_intervals(toy_a, toy_v)
     lengths = [hi - lo for lo, hi in cover.good]
     assert lengths == [100, 99, 100]
     assert min(lengths) >= toy_scale - 2
@@ -175,7 +175,7 @@ def test_criterion_5_interval_counting_exact():
             continue
         scale_f = Fraction(scale)
         res_f = tuple(Fraction(x) for x in r)
-        cover = enumerate_intervals(a, v, scale_f, res_f)
+        cover = enumerate_intervals(a, v)
         r_l1 = l1_norm(res_f)
         assert all(hi - lo >= scale_f - r_l1 for lo, hi in cover.good)
         assert len(cover.good) <= sum(v)

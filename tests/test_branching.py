@@ -46,6 +46,7 @@ from sscert.branching import (
 )
 from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
 from sscert.errors import CapacityError, DomainError
+from sscert.intmath import l1_norm
 from sscert.model import Direction, Weights, generate_instance
 from sscert.rng import SplitMix64
 
@@ -318,7 +319,7 @@ class TestLpExtremeIneq:
         assert good_interval(TOY_A, TOY_V, 2) == (203, 303)
         # max at ||v||_1 and min at 0 are the ends of [0, ||a||_1], which
         # no good interval holds: enumerate_intervals supplies them
-        bad = enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL).bad
+        bad = enumerate_intervals(TOY_A, TOY_V).bad
         assert bad[-1][1] == Fraction(303, 1)
         assert bad[0][0] == Fraction(0, 1)
 
@@ -388,10 +389,9 @@ class TestOneSidedBisection:
             assert ends == good_interval_by(greedy_fill_pair, a, v, level), (a, v, level)
         # min(a, 0) and max(a, ||v||_1) lie in no good interval: they are the
         # ends of the one-level windows at the edges, which never overlap
-        zero = (Fraction(0),) * len(a)
         for level, sense, end in ((0, "min", 0), (ve, "max", 1)):
             if level in levels:
-                (bad,) = enumerate_intervals(a, v, Fraction(1), zero, level, level).bad
+                (bad,) = enumerate_intervals(a, v, k_lo=level, k_hi=level).bad
                 want = Fraction(*greedy_fill_pair(a, v, level, sense))
                 assert bad[end] == want, (a, v, level, sense)
 
@@ -487,17 +487,16 @@ class TestGoodIntervalFastPath:
                 (lp_ineq_vertex(a, v, k, "min"), lp_ineq_vertex(a, v, k, "max"))
                 for k in range(ve + 1)
             )
-            zero = (Fraction(0),) * len(a)
             if all(bad[k][1] < bad[k + 1][0] for k in range(ve)):
-                cover = enumerate_intervals(*checked, Fraction(1), zero)
+                cover = enumerate_intervals(*checked)
                 assert cover.bad == bad, (a, v)
                 good = tuple((bad[k][1], bad[k + 1][0]) for k in range(ve))
                 assert cover.good == good, (a, v)
             else:
                 with pytest.raises(DomainError, match="overlap"):
-                    enumerate_intervals(*checked, Fraction(1), zero)
+                    enumerate_intervals(*checked)
             for k in range(ve + 1):
-                window = enumerate_intervals(*checked, Fraction(1), zero, k, k)
+                window = enumerate_intervals(*checked, k_lo=k, k_hi=k)
                 assert window.bad == (bad[k],), (a, v, k)
 
 
@@ -1396,7 +1395,7 @@ class TestVerify:
 
 class TestIntervals:
     def test_toy_cover(self):
-        cover = enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL)
+        cover = enumerate_intervals(TOY_A, TOY_V)
         assert cover.bad == (
             (Fraction(0), Fraction(0)),
             (Fraction(100), Fraction(102)),
@@ -1410,38 +1409,43 @@ class TestIntervals:
         )
         lengths = [hi - lo for lo, hi in cover.good]
         assert lengths == [100, 99, 100]
-        assert cover.good_length_bound == 99
-        assert cover.good_length_bound_holds
+        assert min(lengths) == TOY_SCALE - l1_norm(TOY_RESIDUAL) == 99
         assert count_integers_in_bad(cover) == 8
 
     def test_partition_endpoints(self):
-        cover = enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL)
+        cover = enumerate_intervals(TOY_A, TOY_V)
         assert cover.bad[0][0] == 0
         assert cover.bad[-1][1] == sum(TOY_A)
 
     def test_cap(self):
         # a = v: bad intervals are the single levels [k, k]
         a = (2000001, 2000003)
-        zero = (Fraction(0), Fraction(0))
         with pytest.raises(CapacityError):
-            enumerate_intervals(a, a, Fraction(1), zero)
+            enumerate_intervals(a, a)
         # a level range one past the cap of 10^5 is refused before any LP
         with pytest.raises(CapacityError):
-            enumerate_intervals(a, a, Fraction(1), zero, k_lo=5, k_hi=5 + 10**5 + 1)
-        cover = enumerate_intervals(a, a, Fraction(1), zero, k_lo=5, k_hi=7)
+            enumerate_intervals(a, a, k_lo=5, k_hi=5 + 10**5 + 1)
+        cover = enumerate_intervals(a, a, k_lo=5, k_hi=7)
         assert cover.bad == tuple((Fraction(k), Fraction(k)) for k in (5, 6, 7))
-        assert cover.good_length_bound_holds
+        # a = 1 v + 0: every good interval at least 1 - ||0||_1 wide
+        assert min(hi - lo for lo, hi in cover.good) >= 1
 
     def test_refuses_a_window_that_is_not_int(self):
         for bad in (1.0, "1", Fraction(1), None):
             with pytest.raises(DomainError, match="k_lo must be an integer"):
-                enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, k_lo=bad, k_hi=2)
+                enumerate_intervals(TOY_A, TOY_V, k_lo=bad, k_hi=2)
             if bad is not None:  # None asks for the whole range
                 with pytest.raises(DomainError, match="k_hi must be an integer"):
-                    enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, k_lo=0, k_hi=bad)
+                    enumerate_intervals(TOY_A, TOY_V, k_lo=0, k_hi=bad)
+
+    def test_window_is_keyword_only(self):
+        # an old call (a, v, scale, residual) must not read scale as k_lo
+        for extra in ((TOY_SCALE, TOY_RESIDUAL), (1,), (1, 2)):
+            with pytest.raises(TypeError):
+                enumerate_intervals(TOY_A, TOY_V, *extra)
 
     def test_partial_range(self):
-        cover = enumerate_intervals(TOY_A, TOY_V, TOY_SCALE, TOY_RESIDUAL, 1, 2)
+        cover = enumerate_intervals(TOY_A, TOY_V, k_lo=1, k_hi=2)
         assert cover.bad == ((Fraction(100), Fraction(102)), (Fraction(201), Fraction(203)))
         assert cover.good == ((Fraction(102), Fraction(201)),)
 
@@ -1456,9 +1460,7 @@ class TestIntervals:
             if min(a) < 1:
                 continue
             res_l1 = sum(abs(r) for r in residual)
-            cover = enumerate_intervals(
-                a, v, Fraction(scale), tuple(Fraction(r) for r in residual)
-            )
+            cover = enumerate_intervals(a, v)
             # max(a,k) - min(a,k) <= ||r||_1 and gaps >= scale - ||r||_1
             for lo, hi in cover.bad:
                 assert hi - lo <= res_l1
@@ -1478,7 +1480,7 @@ class TestBadCount:
     def agree(a, v):
         """Closed form against enumeration: count, overlap verdict, least good length."""
         try:
-            cover = enumerate_intervals(a, v, Fraction(1), (Fraction(0),) * len(a))
+            cover = enumerate_intervals(a, v)
         except DomainError:
             with pytest.raises(DomainError, match="overlap"):
                 _bad_count(a, v)
@@ -1487,7 +1489,7 @@ class TestBadCount:
         assert count == count_integers_in_bad(cover), (a, v)
         # the least good length, which decides overlap, is the centre one
         hi, lo = good_interval(a, v, (sum(v) - 1) // 2)
-        assert cover.min_good_length == lo - hi == least, (a, v)
+        assert min(high - low for low, high in cover.good) == lo - hi == least, (a, v)
         return True
 
     def test_exhaustive_small_against_enumeration(self):
@@ -1545,18 +1547,19 @@ class TestCoverage:
             scale = rnd.randint(1, 12)
             a = tuple(max(1, scale * vi + rnd.randint(-3, 3)) for vi in v)
             residual = tuple(Fraction(ai - scale * vi) for ai, vi in zip(a, v))
-            args = (a, v, Fraction(scale), residual)
+            args = (a, v, Fraction(scale), residual, "exact")
             try:
-                cover = enumerate_intervals(*args)
+                cover = enumerate_intervals(a, v)
             except DomainError as exc:
                 with pytest.raises(DomainError) as refused:
-                    coverage_stats(*args, "exact")
+                    coverage_stats(*args)
                 assert str(refused.value) == str(exc)
                 continue
-            stats = coverage_stats(*args, "exact")
-            assert stats.min_good_length == cover.min_good_length, (a, v)
-            assert stats.good_length_bound == cover.good_length_bound
-            assert stats.good_length_bound_holds is cover.good_length_bound_holds is True
+            stats = coverage_stats(*args)
+            least = min(hi - lo for lo, hi in cover.good)
+            assert stats.min_good_length == least, (a, v)
+            assert stats.good_length_bound == scale - l1_norm(residual) <= least
+            assert stats.good_length_bound_holds is True
             disjoint += 1
         assert 1500 < disjoint < 3000
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -223,7 +224,7 @@ def test_intervals_matches_library(toy_files, capsys):
     assert main(["intervals", "--instance", inst_path, "--decomposition", dec_path]) == 0
     dec = toy_decomposition()
     assert capsys.readouterr().out == documents.serialize_interval_cover(
-        enumerate_intervals(TOY.a, dec.v, dec.scale, dec.residual)
+        enumerate_intervals(TOY.a, dec.v)
     )
 
 
@@ -486,6 +487,27 @@ def test_decompose_is_bounded_by_n(tmp_path, capsys):
     inst_path = write_instance(tmp_path, 17, 1)
     assert main(["decompose", "--instance", inst_path]) == 3
     assert "capped at n = 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decompose", "certify", "verify", "intervals", "stats"])
+def test_every_command_refuses_an_instance_past_the_n_limit(toy_files, capsys, command):
+    # the instance document is capped at n = 32, the largest n that any
+    # decompose accepts, before any weight is converted: n = 33 exits 3
+    # within a second, whatever else the command reads
+    tmp_path, _, dec_path = toy_files
+    cert_path = tmp_path / "cert.json"
+    claim = certify(TOY.a, (1, 1, 1), 150).certificate
+    cert_path.write_text(documents.serialize_certificate(claim, (1, 1, 1)))
+    inst_path = write_instance(tmp_path, 33, 1)
+    rest = {
+        "decompose": [],
+        "certify": ["--decomposition", dec_path, "--beta", "150"],
+        "verify": ["--certificate", str(cert_path)],
+    }.get(command, ["--decomposition", dec_path])
+    start = time.perf_counter()
+    assert main([command, "--instance", inst_path, *rest]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "sscert: n 33 exceeds the limit 32\n")
 
 
 def test_end_to_end_pipeline(tmp_path):

@@ -119,6 +119,16 @@ class TestInstanceDocs:
         assert "expected 3 weights, got 2" in str(err.value)
         assert "$.a" in str(err.value)
 
+    def test_n_past_the_limit_is_refused_before_the_weights(self):
+        # n = 33 is a capacity error even when no weight would parse
+        doc = {"kind": "instance", "n": 33, "a": ["x"] * 33}
+        with pytest.raises(CapacityError, match="n 33 exceeds the limit 32"):
+            documents.parse_instance(json.dumps(doc))
+        # and a count other than n is refused before any weight is converted
+        doc = {"kind": "instance", "n": 2, "a": ["x"] * 10**5}
+        with pytest.raises(ParseError, match="expected 2 weights, got 100000"):
+            documents.parse_instance(json.dumps(doc))
+
     def test_malformed_json_position(self):
         with pytest.raises(ParseError) as err:
             documents.parse_instance('{"kind": "instance", "n": }')
@@ -453,7 +463,7 @@ class TestCertificateDocs:
 class TestReportDocs:
     # report documents are output only: checked field by field as JSON
     def test_interval_cover_roundtrip(self):
-        cover = enumerate_intervals(TOY.a, (1, 1, 1), TOY_SCALE, TOY_RESIDUAL)
+        cover = enumerate_intervals(TOY.a, (1, 1, 1))
         assert json.loads(documents.serialize_interval_cover(cover)) == {
             "kind": "interval_cover",
             "k_lo": "0",
@@ -461,9 +471,6 @@ class TestReportDocs:
             "bad": [["0/1", "0/1"], ["100/1", "102/1"], ["201/1", "203/1"],
                     ["303/1", "303/1"]],
             "good": [["0/1", "100/1"], ["102/1", "201/1"], ["203/1", "303/1"]],
-            "min_good_length": "99/1",
-            "good_length_bound": "99/1",
-            "good_length_bound_holds": True,
         }
 
     def test_coverage_roundtrip_both_modes(self):

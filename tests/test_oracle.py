@@ -180,7 +180,7 @@ class TestInfeasibleCoverage:
             scale = rnd.randint(3, 12)
             a = tuple(max(1, scale * vi + rnd.randint(-2, 2)) for vi in v)
             try:
-                enumerate_intervals(a, v, Fraction(1), (Fraction(0),) * n)
+                enumerate_intervals(a, v)
             except DomainError:
                 with pytest.raises(DomainError, match="overlap"):
                     corollary_1(a, v)
