@@ -18,24 +18,30 @@ the level and the min end, by complement, at ||v||_1 - level - 1, in
 integers only: each end is an unreduced pair (num, den), and the
 verifier cross-multiplies, so a verify builds no Fraction and takes no
 gcd. The caches share nothing, so the verifier stays an independent
-re-check of the certifier rather than a second reading of its data. In
-front of each cache sits a one-entry identity memo: when a and v are
-the very objects of that side's last lookup, the data comes back
-without hashing (a, v), a tuple of long integers, so a run of calls on
-one pair pays for its bisections and little else; an alternating pair
-falls through to the cache.
+re-check of the certifier rather than a second reading of its data.
+Each cache keeps a flat record per pair, with a and v listed in its
+greedy order as plain lists beside their prefix sums, so a bisected
+item is read by its position and not through the order.
 
-Every entry point checks a and v once, into the ``Weights`` and
-``Direction`` types of ``model``; a typed tuple passes any later check
-with one type test, so the entry points hand them to each other and to
-the caches, which only ever see checked vectors. The certifier and the
-verifier decide on the numerators and denominators of their LP values
-in integers: beta is certified at level floor(vmin) when vmin is not an
-integer and vmax is below that level plus one, so a certify builds no
-Fraction and no vertex. Its result is a NamedTuple, and its Certificate
-holds beta, the level, a and v, and reads the witnesses, the LP values
-as Fractions and the vertices that attain them, from ``_lp_vertices``
-only when they are asked for; no document and no CLI command asks.
+In front of each cache sits a one-entry identity memo, and it stands
+for the checks: only a ``Weights`` and a ``Direction`` of its length,
+the checked types of ``model``, ever enter it. ``certify``,
+``lp_extreme_eq`` and ``lp_extreme_ineq`` read their side's memo first,
+once. When a and v are its very objects, the pair was checked when it
+entered, so only beta or the level is checked, and a run of calls on
+one pair pays for its bisections and integer arithmetic and little
+else. Otherwise a and v are checked, then beta or the level, and only
+then is the cache consulted, so a refused call reaches neither the
+cache nor the memo; an alternating pair falls through to the cache.
+The certifier and the verifier decide on the numerators and
+denominators of their LP values in integers: beta is certified at
+level floor(vmin) when vmin is not an integer and vmax is below that
+level plus one, so a certify builds no Fraction and no vertex. Its
+result is a NamedTuple, and its Certificate is one slotted object
+holding beta, the level and the memo entry that certify read. It reads
+the witnesses, the LP values as Fractions and the vertices that attain
+them, from ``_lp_vertices`` only when they are asked for; no document
+and no CLI command asks.
 
 The same call yields, for each branching level k, an open "good"
 interval (max(a,k), min(a,k+1)) between consecutive levels, and so the
@@ -102,11 +108,14 @@ class Certificate(Claim):
 
     Equal and hashed as its Claim, by (beta, level). The keyword
     constructor takes ready-made witnesses and checks them; a certificate
-    that ``certify`` builds holds beta, level, a and v only, and reads
-    its four witnesses from ``_lp_vertices`` on first access. Copy and
-    pickle go through Claim's field-list state, which reads every field,
-    so a copy carries the witnesses themselves.
+    that ``certify`` builds sets beta, level and ``_source`` only, the
+    memo entry whose a and v it certified, and reads its four witnesses
+    from ``_lp_vertices`` on first access. Slotted, it has no instance
+    dict. Copy and pickle go through Claim's field-list state, which
+    reads every field, so a copy carries the witnesses themselves.
     """
+
+    __slots__ = ("vmin", "vmax", "arg_min", "arg_max", "_source")
 
     vmin: Fraction
     vmax: Fraction
@@ -128,27 +137,23 @@ class Certificate(Claim):
             raise DomainError("certificate bounds must satisfy l < vmin <= vmax < l+1")
 
     def __getattr__(self, name):
-        # reached only for an unset attribute: the witnesses of a found one
+        # reached only for an unset slot: the witnesses of a found one
         if name not in _WITNESSES:
             raise AttributeError(name)
-        a, v = self._source
-        (vmin, arg_min), (vmax, arg_max) = _lp_vertices(a, v, self.beta)
-        self.__dict__.update(vmin=vmin, vmax=vmax, arg_min=arg_min, arg_max=arg_max)
-        return self.__dict__[name]
+        source = self._source
+        (vmin, arg_min), (vmax, arg_max) = _lp_vertices(source[0], source[1], self.beta)
+        read = {"vmin": vmin, "vmax": vmax, "arg_min": arg_min, "arg_max": arg_max}
+        for key, value in read.items():
+            object.__setattr__(self, key, value)
+        return read[name]
 
 
-# Claim's slot descriptors set a frozen field without the frozen __setattr__
+# The slot descriptors set a frozen field without the frozen __setattr__,
+# so certify builds its Certificate with no __init__, check or Fraction
+_new_certificate = object.__new__
 _set_beta = Claim.beta.__set__
 _set_level = Claim.level.__set__
-
-
-def _found(beta: int, level: int, a: Weights, v: Direction) -> Certificate:
-    """certify's Certificate: no Fraction, no vertex and no check until read."""
-    cert = object.__new__(Certificate)
-    _set_beta(cert, beta)
-    _set_level(cert, level)
-    cert.__dict__["_source"] = (a, v)
-    return cert
+_set_source = Certificate._source.__set__
 
 
 class CertifyResult(NamedTuple):
@@ -228,81 +233,95 @@ def _greedy_order(num, den, sense: Sense) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def _ascending(a: Weights, v: Direction) -> tuple[tuple[int, ...], ...]:
-    """The verifier's (order, V, A) of a, v.
+def _ascending(a: Weights, v: Direction) -> tuple[list[int], ...]:
+    """The verifier's (order, V, A, a_ord, v_ord) of a, v.
 
-    ``order`` is the ascending v_i/a_i order, and V and A the prefix sums
-    of v and a in that order, so ||v||_1 is V[-1] and ||a||_1 is A[-1].
-    Both one-sided LPs of a verify bisect V, so a verify sorts and sums
-    once for a new pair and not at all for a repeated one. The types say
-    a and v were checked: Fraction and float entries hash equal to ints,
-    so the cache must only see checked vectors. The certifier's
-    ``_prepared`` neither reads nor fills it.
+    ``order`` is the ascending v_i/a_i order, a_ord and v_ord list a and v
+    in that order, and V and A are their prefix sums, so ||v||_1 is V[-1]
+    and ||a||_1 is A[-1]. All are plain lists, whose subscripts CPython
+    specialises and those of the typed tuples it does not. Both one-sided
+    LPs of a verify bisect V, so a verify sorts and sums once for a new
+    pair and not at all for a repeated one. The types say a and v were
+    checked: Fraction and float entries hash equal to ints, so the cache
+    must only see checked vectors. The certifier's ``_prepared`` neither
+    reads nor fills it.
     """
-    order = tuple(_greedy_order(v, a, "min"))
-    V = tuple(accumulate((v[i] for i in order), initial=0))
-    A = tuple(accumulate((a[i] for i in order), initial=0))
-    return order, V, A
+    order = _greedy_order(v, a, "min")
+    a_ord = [a[i] for i in order]
+    v_ord = [v[i] for i in order]
+    V = list(accumulate(v_ord, initial=0))
+    A = list(accumulate(a_ord, initial=0))
+    return order, V, A, a_ord, v_ord
 
 
 @lru_cache(maxsize=8)
-def _prepared(a: Weights, v: Direction):
-    """(coprime, ||a||_1, (min side, max side)) of a, v.
+def _prepared(a: Weights, v: Direction) -> tuple:
+    """(coprime, ||a||_1, *min side, *max side) of a, v, one flat record.
 
-    Each side is (order, A, V, place): ``order`` is the greedy order of
-    its sense, and A and V the prefix sums of a and v in that order, all
-    that ``lp_extreme_eq`` reads. ``place`` serves only the witness
-    reader ``_lp_vertices``: it turns a vertex listed in greedy order
-    into one listed by index, entry i of its result being entry rank(i)
-    of its argument, rank(i) being i's position in ``order``. One
-    permutation stands in for the n + 1 partial 0/1 vertices, which
-    would take n^2 memory. The types say a and v were checked: Fraction
-    and float entries hash equal to ints, so the cache must only see
-    checked vectors.
+    Each side is order, A, V, a_ord, v_ord, place: ``order`` is the greedy
+    order of its sense, a_ord and v_ord list a and v in that order as
+    plain lists, and A and V are their prefix sums, all that
+    ``lp_extreme_eq`` reads. ``order`` and ``place`` serve only the
+    witness reader ``_lp_vertices``: ``place`` turns a vertex listed in
+    greedy order into one listed by index, entry i of its result being
+    entry rank(i) of its argument, rank(i) being i's position in
+    ``order``. One permutation stands in for the n + 1 partial 0/1
+    vertices, which would take n^2 memory. The types say a and v were
+    checked: Fraction and float entries hash equal to ints, so the cache
+    must only see checked vectors.
     """
     n = len(a)
-    sides = []
+    record = [math.gcd(*a) == 1, sum(a)]
     for sense in ("min", "max"):
         order = _greedy_order(v, a, sense)
-        A, V, rank = [0], [0], [0] * n
+        a_ord = [a[i] for i in order]
+        v_ord = [v[i] for i in order]
+        rank = [0] * n
         for r, i in enumerate(order):
-            A.append(A[-1] + a[i])
-            V.append(V[-1] + v[i])
             rank[i] = r
         # itemgetter of one index returns the item, not a 1-tuple
         place = itemgetter(*rank) if n > 1 else tuple
-        sides.append((order, A, V, place))
-    return math.gcd(*a) == 1, sum(a), tuple(sides)
+        A = list(accumulate(a_ord, initial=0))
+        V = list(accumulate(v_ord, initial=0))
+        record += order, A, V, a_ord, v_ord, place
+    return tuple(record)
 
 
-# One-entry identity memos in front of the two caches: (a, v, data) of
+# One-entry identity memos in front of the two caches: (a, v, *record) of
 # the last pair each one served, rebound whole so that a reader never
-# sees a torn entry. Weights and Direction are immutable and checked
-# when built, so the same objects are the same pair, with no hashing.
-_prepared_last = (None, None, None)
-_ascending_last = (None, None, None)
+# sees a torn entry. Only a Weights and a Direction of its length enter,
+# and both are immutable and checked when built, so the same objects are
+# the same checked pair: a hit needs no check and no hashing. They start
+# on two private objects, which no caller can pass.
+_prepared_last = _ascending_last = (object(), object())
 
 
-def _prepared_of(a: Weights, v: Direction):
-    """``_prepared(a, v)``, from the memo when a and v are its objects."""
+def _refuse_unchecked(a, v) -> None:
+    """InvariantViolation unless a is a Weights and v a Direction of its length."""
+    if type(a) is not Weights or type(v) is not Direction or len(v) != len(a):
+        raise InvariantViolation("only a checked (a, v) enters a memo")
+
+
+def _prepared_of(a: Weights, v: Direction) -> tuple:
+    """The memo entry (a, v, *_prepared(a, v)), from the memo when a and v are its objects."""
     global _prepared_last
     last = _prepared_last
     if last[0] is a and last[1] is v:
-        return last[2]
-    data = _prepared(a, v)
-    _prepared_last = (a, v, data)
-    return data
+        return last
+    _refuse_unchecked(a, v)
+    last = _prepared_last = (a, v, *_prepared(a, v))
+    return last
 
 
-def _ascending_of(a: Weights, v: Direction):
-    """``_ascending(a, v)``, from the memo when a and v are its objects."""
+def _ascending_of(a: Weights, v: Direction) -> tuple:
+    """The memo entry (a, v, *_ascending(a, v)), from the memo when a and v are its objects."""
     global _ascending_last
     last = _ascending_last
     if last[0] is a and last[1] is v:
-        return last[2]
-    data = _ascending(a, v)
-    _ascending_last = (a, v, data)
-    return data
+        return last
+    _refuse_unchecked(a, v)
+    last = _ascending_last = (a, v, *_ascending(a, v))
+    return last
 
 
 def lp_extreme_eq(
@@ -314,36 +333,38 @@ def lp_extreme_eq(
     v_i/a_i ratio, ascending for the minimum and descending for the
     maximum, answered by one bisection of its prefix sums of a. The items
     before the bisected one are whole, and that one takes the remainder:
-    (V_j a_i + v_i rest, a_i), or (V_j, 1) when the prefix sum A_j is
-    beta itself. a, v and beta are checked once, and the pair is looked
-    up once for both ends, through the identity memo when a and v are the
-    objects of the last lookup; no Fraction and no vertex is built, which
-    ``_lp_vertices`` does for the witnesses. DomainError unless beta is an
-    int in [0, ||a||_1].
+    (V_j a_j + v_j rest, a_j), or (V_j, 1) when the prefix sum A_j is
+    beta itself, with a_j and v_j the bisected item's entries. The memo
+    entry is read once, for both ends: when a and v are its objects, the
+    pair was checked when it entered and only beta is checked; otherwise
+    a, v and beta are checked, in that order, before the cache. No
+    Fraction and no vertex is built, which ``_lp_vertices`` does for the
+    witnesses. DomainError unless beta is an int in [0, ||a||_1].
     """
-    # the checks of validate_weights, validate_direction and _validate_int,
-    # inline on the per-beta path
-    if type(a) is not Weights:
-        a = Weights(a)
-    if type(v) is not Direction or len(v) != len(a):
+    last = _prepared_last
+    if last[0] is not a or last[1] is not v:
+        a = validate_weights(a)
         v = validate_direction(v, len(a))
-    if not isinstance(beta, int):
+        if not isinstance(beta, int):
+            raise DomainError("beta must be an integer")
+        last = _prepared_of(a, v)
+    elif not isinstance(beta, int):
         raise DomainError("beta must be an integer")
-    _, total, ((order, A, V, _), (order_hi, A_hi, V_hi, _)) = _prepared_of(a, v)
+    _, _, _, total, _, A, V, a_lo, v_lo, _, _, A_hi, V_hi, a_hi, v_hi, _ = last
     if beta < 0 or beta > total:
         raise DomainError(f"right-hand side {beta} outside [0, {total}]")
     j = bisect_right(A, beta) - 1
     rest = beta - A[j]
     if rest:
-        i = order[j]
-        lo = V[j] * a[i] + v[i] * rest, a[i]
+        den = a_lo[j]
+        lo = V[j] * den + v_lo[j] * rest, den
     else:
         lo = V[j], 1
     j = bisect_right(A_hi, beta) - 1
     rest = beta - A_hi[j]
     if rest:
-        i = order_hi[j]
-        return lo, (V_hi[j] * a[i] + v[i] * rest, a[i])
+        den = a_hi[j]
+        return lo, (V_hi[j] * den + v_hi[j] * rest, den)
     return lo, (V_hi[j], 1)
 
 
@@ -360,12 +381,14 @@ def _lp_vertices(
     a = validate_weights(a)
     v = validate_direction(v, len(a))
     _validate_int(beta, "beta")
-    _, total, sides = _prepared_of(a, v)
+    entry = _prepared_of(a, v)
+    total = entry[3]
     if beta < 0 or beta > total:
         raise DomainError(f"right-hand side {beta} outside [0, {total}]")
     n = len(a)
     ends = []
-    for order, A, V, place in sides:
+    for first in (4, 10):  # each side's six fields, after a, v, coprime and total
+        order, A, V, _, _, place = entry[first:first + 6]
         j = bisect_right(A, beta) - 1
         if A[j] == beta:
             ends.append((Fraction(V[j]), place((_ONE,) * j + (_ZERO,) * (n - j))))
@@ -390,25 +413,24 @@ def lp_extreme_ineq(
     order at no cost, and V repeats 0 for them, so bisect_right takes
     them all. The min side is the complement y = e - x: min(a, level + 1)
     is ||a||_1 - max(a, ||v||_1 - level - 1), one more bisection of V.
-    The order and its prefix sums V and A are the verifier's own, kept
-    per (a, v) in ``_ascending`` behind the identity memo, apart from the
-    certifier's: a, v and level are checked once, the pair is looked up
-    once, and the check shares no data with what it checks. DomainError
-    unless level is an int in [0, ||v||_1), where both LPs are feasible.
+    The order, a and v listed in it, and their prefix sums V and A are
+    the verifier's own, kept per (a, v) in ``_ascending`` behind the
+    identity memo, apart from the certifier's, so the check shares no
+    data with what it checks. The memo entry is read once: when a and v
+    are its objects only the level is checked, and otherwise a, v and the
+    level, in that order, before the cache. DomainError unless level is
+    an int in [0, ||v||_1), where both LPs are feasible.
     """
-    # the checks of validate_weights, validate_direction and _validate_int,
-    # and the memo test of _ascending_of, inline on the per-claim path
-    if type(a) is not Weights:
-        a = Weights(a)
-    if type(v) is not Direction or len(v) != len(a):
-        v = validate_direction(v, len(a))
-    if not isinstance(level, int):
-        raise DomainError("level must be an integer")
     last = _ascending_last
-    if last[0] is a and last[1] is v:
-        order, V, A = last[2]
-    else:
-        order, V, A = _ascending_of(a, v)
+    if last[0] is not a or last[1] is not v:
+        a = validate_weights(a)
+        v = validate_direction(v, len(a))
+        if not isinstance(level, int):
+            raise DomainError("level must be an integer")
+        last = _ascending_of(a, v)
+    elif not isinstance(level, int):
+        raise DomainError("level must be an integer")
+    _, _, _, V, A, a_ord, v_ord = last
     total_v = V[-1]
     if level < 0 or level >= total_v:
         raise DomainError("level outside [0, ||v||_1)")
@@ -416,17 +438,16 @@ def lp_extreme_ineq(
     j = bisect_right(V, level) - 1
     rest = level - V[j]
     if rest:
-        i = order[j]
-        hi = A[j] * v[i] + a[i] * rest, v[i]
+        den = v_ord[j]
+        hi = A[j] * den + a_ord[j] * rest, den
     else:
         hi = A[j], 1
     level = total_v - level - 1
     j = bisect_right(V, level) - 1
     rest = level - V[j]
     if rest:
-        i = order[j]
-        den = v[i]
-        return hi, ((A[-1] - A[j]) * den - a[i] * rest, den)
+        den = v_ord[j]
+        return hi, ((A[-1] - A[j]) * den - a_ord[j] * rest, den)
     return hi, (A[-1] - A[j], 1)
 
 
@@ -443,33 +464,41 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     consecutive integers) or no_certificate. DomainError unless beta is
     an int and the weights are coprime. Coprimality and ||a||_1 come
     from the data prepared once per (a, v), as do the greedy orders of
-    the one lp_extreme_eq call; both look it up through the identity
-    memo, so a repeated pair, passed as the same Weights and Direction
-    objects, costs two bisections per beta and no hashing. The decision
-    is on integers: with vmin = p/q and vmax = r/s, beta is certified at
-    level p // q when q does not divide p and r < (p // q + 1) s. No
-    Fraction and no vertex is built: the Certificate holds beta, the
-    level, a and v, and reads its witnesses only when they are asked
-    for.
+    the one lp_extreme_eq call. The memo entry is read once: when a and v
+    are its objects, the pair was checked when it entered, so only beta
+    is checked and a repeated pair costs two bisections per beta, with
+    no type check and no hashing; otherwise a, v and beta are checked, in
+    that order, before the cache. The decision is on integers: with
+    vmin = p/q and vmax = r/s, beta is certified at level p // q when q
+    does not divide p and r < (p // q + 1) s. No Fraction and no vertex
+    is built: the Certificate is one slotted object holding beta, the
+    level and the memo entry this call read, and reads its witnesses
+    only when they are asked for.
     """
-    # the checks of validate_weights, validate_direction and _validate_int,
-    # inline on the per-beta path
-    if type(a) is not Weights:
-        a = Weights(a)
-    if type(v) is not Direction or len(v) != len(a):
+    last = _prepared_last
+    if last[0] is not a or last[1] is not v:
+        a = validate_weights(a)
         v = validate_direction(v, len(a))
-    if not isinstance(beta, int):
+        if not isinstance(beta, int):
+            raise DomainError("beta must be an integer")
+        last = _prepared_of(a, v)
+    elif not isinstance(beta, int):
         raise DomainError("beta must be an integer")
-    coprime, total, _ = _prepared_of(a, v)
-    if not coprime:
+    if not last[2]:
         raise DomainError("weights not coprime")
-    if beta < 0 or beta > total:
+    if beta < 0 or beta > last[3]:
         return _new_tuple(CertifyResult, (_TRIVIALLY_INFEASIBLE, beta, None))
     (lo, lo_den), (hi, hi_den) = lp_extreme_eq(a, v, beta)
     # vmax < level + 1 with level = floor(vmin) < vmin: no integer in [vmin, vmax]
     level, frac = divmod(lo, lo_den)
     if frac and hi < (level + 1) * hi_den:
-        return _new_tuple(CertifyResult, (_CERTIFIED, beta, _found(beta, level, a, v)))
+        # the entry read above, never the global, which another call may
+        # have replaced since: the witnesses are this pair's
+        cert = _new_certificate(Certificate)
+        _set_beta(cert, beta)
+        _set_level(cert, level)
+        _set_source(cert, last)
+        return _new_tuple(CertifyResult, (_CERTIFIED, beta, cert))
     return _new_tuple(CertifyResult, (_NO_CERTIFICATE, beta, None))
 
 
@@ -536,7 +565,7 @@ def enumerate_intervals(
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    _, V, A = _ascending_of(a, v)
+    V, A = _ascending_of(a, v)[3:5]
     ve = V[-1]
     if k_hi is None:
         k_hi = ve
@@ -583,7 +612,9 @@ def _bad_count(a, v) -> tuple[int, Fraction]:
     least value is at the centre; DomainError if it is not positive there.
     Neither figure enumerates levels.
     """
-    order, V, A = _ascending_of(a, v)
+    a = validate_weights(a)
+    v = validate_direction(v, len(a))
+    _, _, order, V, A, _, _ = _ascending_of(a, v)
     total, total_v = A[-1], V[-1]
     (hi, hi_den), (lo, lo_den) = lp_extreme_ineq(a, v, (total_v - 1) // 2)
     least = lo * hi_den - hi * lo_den

@@ -45,7 +45,7 @@ from sscert.branching import (
     witnesses_consistent,
 )
 from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
-from sscert.errors import CapacityError, DomainError
+from sscert.errors import CapacityError, DomainError, InvariantViolation
 from sscert.intmath import l1_norm
 from sscert.model import Direction, Weights, generate_instance
 from sscert.rng import SplitMix64
@@ -411,7 +411,7 @@ class TestOneSidedBisection:
     def test_pipeline_prefix_sums_and_their_neighbours(self, decompose, n):
         inst = generate_instance(n, 1)
         a, v = inst.a, decompose(inst).v
-        _, V, _ = _ascending(a, v)
+        _, V, _, _, _ = _ascending(a, v)
         levels = {0, sum(v)} | {s + d for s in V for d in (-1, 0, 1)}
         self.check(a, v, sorted(levels))
 
@@ -790,6 +790,35 @@ class TestWitnessContract:
                 assert witnesses(twin) == want
                 assert witnesses_consistent(a, v, twin)
 
+    def test_has_no_instance_dict(self):
+        # one slotted object, before and after its witnesses are read
+        cert = self.found(TOY_A, TOY_V, 150)
+        assert not hasattr(cert, "__dict__")
+        assert witnesses(cert) == self.referee(TOY_A, TOY_V, 150)
+        assert not hasattr(cert, "__dict__")
+
+    def test_interleaved_pairs_keep_their_witnesses(self, monkeypatch):
+        # a certificate reads its witnesses through the memo entry its
+        # certify read, not the memo as it is when they are asked for, nor
+        # as another call left it while this certify ran
+        first = Weights(TOY_A), Direction(TOY_V)
+        second = Weights((11, 13, 17)), Direction((1, 2, 3))
+        cert = certify(*first, 150).certificate
+        assert certify(*second, 37).status is CertifyStatus.CERTIFIED
+        assert branching._prepared_last[0] is second[0]
+        assert witnesses(cert) == self.referee(TOY_A, TOY_V, 150)
+        assert witnesses_consistent(*first, cert) is True
+
+        def interleaved(a, v, beta):
+            ends = lp_extreme_eq(a, v, beta)
+            lp_extreme_eq(*second, 37)
+            return ends
+
+        monkeypatch.setattr(branching, "lp_extreme_eq", interleaved)
+        cert = certify(*first, 150).certificate
+        assert branching._prepared_last[0] is second[0]
+        assert witnesses(cert) == self.referee(TOY_A, TOY_V, 150)
+
     def test_is_frozen(self):
         cert = self.found(TOY_A, TOY_V, 150)
         for name, value in (("level", 2), ("vmin", Fraction(1)), ("arg_min", ())):
@@ -832,19 +861,23 @@ class CacheContract:
     def test_validation_comes_before_the_cache(self):
         # Fraction and float entries hash equal to the cached ints, and their
         # tuples equal the cached typed tuples; a refused pair reaches
-        # neither the cache nor the memo
+        # neither the cache nor the memo. Whatever the calls, plain tuples,
+        # lists, refused entries or lengths, the memo holds only a Weights
+        # and a Direction of its length
         for point in self.points(self.A, self.V):
             self.answer(self.A, self.V, point)
         misses = self.cache.cache_info().misses
         for convert, container in product((Fraction, float), (tuple, list)):
             a, v = container(map(convert, self.A)), container(map(convert, self.V))
             assert tuple(a) == Weights(self.A) and tuple(v) == Direction(self.V)
-            for pair in ((a, self.V), (self.A, v)):
+            for pair in ((a, self.V), (self.A, v), (self.A, self.V[:2]), (list(self.A), self.V + (1,))):
                 self.assert_refused(*pair)
                 assert self.memo()[:2] == (self.A, self.V)
                 assert type(self.memo()[0]) is Weights
                 assert type(self.memo()[1]) is Direction
         assert self.cache.cache_info().misses == misses
+        a, v = self.memo()[:2]
+        assert type(a) is Weights and type(v) is Direction and len(a) == len(v)
 
     def test_lists_match_tuples(self):
         for point in self.points(self.A, self.V):
@@ -954,34 +987,47 @@ class TestPreparedCache(CacheContract):
         assert branching._prepared_last is memo
 
     def test_two_lookups_per_certify(self, monkeypatch):
-        # certify looks the pair up for its gcd and range, and its one
-        # lp_extreme_eq call once more for both ends, both through the
-        # memo. The second lookup gets the objects the first one checked,
-        # so only the first can reach the cache: plain tuples are checked
-        # into new objects on every call, checked objects only once
-        lookups = []
+        # certify reads the memo for its gcd and range, and its one
+        # lp_extreme_eq call reads it once more for both ends. Only a miss
+        # calls _prepared_of: plain tuples are checked into new objects on
+        # every call, each call's one miss, and the lp_extreme_eq call gets
+        # the very objects certify checked, which the memo then holds. A
+        # new pair costs one cache miss, and the memo's own objects make no
+        # _prepared_of call at all
+        lookups, solved = [], []
 
         def recording(a, v):
             lookups.append((a, v))
             return prepared_of(a, v)
 
+        def solving(a, v, beta):
+            solved.append((a, v))
+            return lp_extreme_eq(a, v, beta)
+
         prepared_of = branching._prepared_of
         monkeypatch.setattr(branching, "_prepared_of", recording)
+        monkeypatch.setattr(branching, "lp_extreme_eq", solving)
         a, v = (31, 37, 41), (1, 2, 2)
         _prepared.cache_clear()
         for _ in range(2):
             assert certify(a, v, 33).status is CertifyStatus.CERTIFIED
         info = _prepared.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+        assert len(lookups) == len(solved) == 2
+        for (checked_a, checked_v), (got_a, got_v) in zip(lookups, solved):
+            assert type(checked_a) is Weights and type(checked_v) is Direction
+            assert got_a is checked_a and got_v is checked_v
         checked = Weights(a), Direction(v)
-        for _ in range(2):
+        for _ in range(3):
             assert certify(*checked, 33).status is CertifyStatus.CERTIFIED
+        # the first call misses the memo, which held the last plain call's
+        # objects, and hits the cache; the next two make no lookup
+        assert len(lookups) == 3
+        assert lookups[2][0] is checked[0] and lookups[2][1] is checked[1]
+        assert len(solved) == 5
+        assert all(got[0] is checked[0] and got[1] is checked[1] for got in solved[2:])
         info = _prepared.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        assert len(lookups) == 8
-        for first, second in zip(lookups[::2], lookups[1::2]):
-            assert first[0] is second[0] and first[1] is second[1]
-        assert lookups[4][0] is checked[0] and lookups[6][1] is checked[1]
 
 
 class TestAscendingCache(CacheContract):
@@ -1038,10 +1084,14 @@ class TestAscendingCache(CacheContract):
         assert (info.misses, info.hits) == (1, 2)
 
     def test_holds_the_norms_beside_the_order(self):
-        # the prefix sums of v and a in that order end in ||v||_1 and ||a||_1
+        # a and v listed in that order, as plain lists, and their prefix
+        # sums, which end in ||v||_1 and ||a||_1
         a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
-        order, V, A = _ascending(a, v)
-        assert (order, V, A) == ((0, 2, 1), (0, 1, 3, 5), (0, 31, 72, 109))
+        order, V, A, a_ord, v_ord = _ascending(a, v)
+        assert (order, V, A) == ([0, 2, 1], [0, 1, 3, 5], [0, 31, 72, 109])
+        assert (a_ord, v_ord) == ([31, 41, 37], [1, 2, 2])
+        assert (V[-1], A[-1]) == (sum(v), sum(a))
+        assert all(type(x) is list for x in (order, V, A, a_ord, v_ord))
 
     def test_certify_leaves_it_alone(self):
         # the certifier shares no data with the verifier
@@ -1153,6 +1203,137 @@ class TestIdentityMemo:
             assert len(got[t]) == calls
             for p, k, answer in got[t]:
                 assert answer == serial[p][k % len(betas[p])], (t, p, k)
+
+
+def toy_pairs():
+    """Every toy (a, v): entries up to 6 for n <= 2, a up to 4 and v up to 3
+    for n = 3, a up to 3 and v up to 2 for n = 4; v nonzero."""
+    for n, a_max, v_max in ((1, 6, 6), (2, 6, 6), (3, 4, 3), (4, 3, 2)):
+        for a in product(range(1, a_max + 1), repeat=n):
+            for v in product(range(v_max + 1), repeat=n):
+                if any(v):
+                    yield a, v
+
+
+def outcome(fn, *args):
+    """fn's answer, or the message of the DomainError that refuses the call."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return "refused: " + str(exc)
+
+
+class TestMemoFirst:
+    """A memo hit skips the checks of a and v, and nothing else.
+
+    Each entry point reads its side's memo first: on a hit only beta or
+    the level is checked, on a miss a, v and then beta or the level. The
+    answers through the memo must equal those of a fresh equal copy,
+    which misses it, and the referees'.
+    """
+
+    @staticmethod
+    def fresh(a, v):
+        return Weights(list(a)), Direction(list(v))
+
+    def test_hit_miss_and_referee_agree_on_toy_pairs(self):
+        # every beta and level in range and one past each end; verify at the
+        # certified level and the two beside it
+        done = 0
+        for a, v in toy_pairs():
+            checked = Weights(a), Direction(v)
+            coprime = math.gcd(*a) == 1
+            betas, levels = range(-1, sum(a) + 2), range(-1, sum(v) + 2)
+            refused_gcd = "refused: weights not coprime"
+
+            def certified(a, v, beta):
+                return full(certify(a, v, beta))
+
+            lp_extreme_eq(*checked, 0)
+            certify_hit = [outcome(certified, *checked, beta) for beta in betas]
+            eq_hit = [outcome(lp_extreme_eq, *checked, beta) for beta in betas]
+            assert branching._prepared_last[:2] == checked and all(
+                x is y for x, y in zip(branching._prepared_last, checked)
+            )
+            lp_extreme_ineq(*checked, 0)
+            ineq_hit = [outcome(lp_extreme_ineq, *checked, level) for level in levels]
+            assert all(x is y for x, y in zip(branching._ascending_last, checked))
+            certify_miss = [outcome(certified, *self.fresh(a, v), beta) for beta in betas]
+            eq_miss = [outcome(lp_extreme_eq, *self.fresh(a, v), beta) for beta in betas]
+            ineq_miss = [outcome(lp_extreme_ineq, *self.fresh(a, v), lv) for lv in levels]
+            assert certify_hit == certify_miss, (a, v)
+            assert eq_hit == eq_miss, (a, v)
+            assert ineq_hit == ineq_miss, (a, v)
+            # certify_by_greedy's decision, on one greedy fill per end
+            for beta, got, ends in zip(betas, certify_hit, eq_hit):
+                if not 0 <= beta <= sum(a):
+                    assert ends == f"refused: right-hand side {beta} outside [0, {sum(a)}]"
+                    want = full(CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, beta))
+                    assert got == (want if coprime else refused_gcd), (a, v, beta)
+                    continue
+                (vmin, arg_min), (vmax, arg_max) = (lp_eq_greedy(a, v, beta, s) for s in SENSES)
+                assert values(ends) == (vmin, vmax), (a, v, beta)
+                if not coprime:
+                    assert got == refused_gcd, (a, v, beta)
+                elif math.floor(vmax) < vmin:
+                    result, found = got
+                    assert result.status is CertifyStatus.CERTIFIED, (a, v, beta)
+                    assert result.certificate.level == math.floor(vmin)
+                    assert found == (vmin, vmax, arg_min, arg_max), (a, v, beta)
+                else:
+                    assert got == full(CertifyResult(CertifyStatus.NO_CERTIFICATE, beta))
+            for level, got in zip(levels, ineq_hit):
+                if 0 <= level < sum(v):
+                    assert got == good_interval_by(greedy_fill_pair, a, v, level), (a, v, level)
+                else:
+                    assert got == "refused: level outside [0, ||v||_1)", (a, v, level)
+            for beta, got in zip(betas, certify_hit):
+                if got == refused_gcd or got[0].certificate is None:
+                    continue
+                level = got[0].certificate.level
+                for k in (level - 1, level, level + 1):
+                    claim = Claim(beta, k)
+                    hit = verify_certificate(*checked, claim)
+                    assert hit is verify_certificate(*self.fresh(a, v), claim) is (k == level)
+            done += 1
+        assert done == 12_276
+
+    @pytest.mark.parametrize("bad", NOT_INTS + [-1, 304, None, "150"])
+    def test_refusals_on_a_hit(self, bad):
+        # a non-int or out-of-range beta or level is refused with the miss's
+        # message, and leaves the memo as it was
+        checked = Weights(TOY_A), Direction(TOY_V)
+        for fn, memo_name in (
+            (lp_extreme_eq, "_prepared_last"),
+            (lp_extreme_ineq, "_ascending_last"),
+            (certify, "_prepared_last"),
+        ):
+            fn(*checked, 1)
+            memo = getattr(branching, memo_name)
+            assert memo[0] is checked[0] and memo[1] is checked[1]
+            hit = outcome(fn, *checked, bad)
+            assert getattr(branching, memo_name) is memo
+            miss = outcome(fn, *self.fresh(TOY_A, TOY_V), bad)
+            if fn is certify and bad in (-1, 304):  # out of range: trivially infeasible
+                assert hit == miss == CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, bad)
+                continue
+            assert hit == miss and hit.startswith("refused: "), (fn, hit, miss)
+        verify_certificate(*checked, Claim(150, 1))
+        assert verify_certificate(*checked, SimpleNamespace(beta=150, level=bad)) is False
+        assert verify_certificate(*checked, SimpleNamespace(beta=bad, level=1)) is False
+
+    def test_only_checked_pairs_enter_a_memo(self):
+        # the memos' own entry points refuse anything but a Weights and a
+        # Direction of its length, before the cache
+        a, v = Weights(TOY_A), Direction(TOY_V)
+        for of, cache in ((branching._prepared_of, _prepared), (branching._ascending_of, _ascending)):
+            before = cache.cache_info()
+            for pair in ((TOY_A, v), (a, TOY_V), (list(a), list(v)), (a, Direction((1, 1)))):
+                with pytest.raises(InvariantViolation, match="checked"):
+                    of(*pair)
+            assert cache.cache_info() == before
+            entry = of(a, v)
+            assert entry[0] is a and entry[1] is v and of(a, v) is entry
 
 
 class TestCertificateBounds:

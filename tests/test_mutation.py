@@ -1,15 +1,18 @@
-"""Mutation tests: perturbed certificate documents against certify.
+"""Mutation tests: perturbed certificate and instance documents.
 
 A certificate document holds beta, ell and v, and nothing else decides
 its verdict: ``verify_certificate`` accepts a perturbed (beta', ell', v')
-exactly when ``certify(a, v', beta')`` certifies at level ell'. The
-certificates and their perturbations are drawn by SplitMix64 loops, so
+exactly when ``certify(a, v', beta')`` certifies at level ell'. A
+mutated instance document must make ``certify`` and ``verify`` exit with
+a verdict or a refusal, never an internal error, and quickly. The
+certificates and every perturbation are drawn by SplitMix64 loops, so
 every run checks the same cases.
 """
 
 import json
 import math
 import sys
+import time
 from functools import lru_cache
 
 import pytest
@@ -144,3 +147,82 @@ def test_cli_verify_exit_code_matches(name, tmp_path, capsys):
                 assert err.startswith("sscert: certificate rejected:"), (kind, err)
             codes.add(code)
     assert codes == {0, 1}
+
+
+INSTANCE_MUTANTS = 60
+MUTANT_RUN_S = 2.0  # wall-time bound of one in-process certify or verify run
+
+
+def instance_mutants(text, rng):
+    """(kind, document) pairs: INSTANCE_MUTANTS mutations of an instance document."""
+    doc = json.loads(text)
+    weights = doc["a"]
+    kinds = (
+        "digit changed", "weight dropped", "weight duplicated", "n off by one",
+        "weight as a JSON number", "weight <= 0",
+    )
+    out = []
+    for k in range(INSTANCE_MUTANTS):
+        kind = kinds[k % len(kinds)]
+        a = list(weights)
+        i = rng.randint(0, len(a) - 1)
+        n = doc["n"]
+        if kind == "digit changed":
+            j = rng.randint(0, len(a[i]) - 1)
+            digit = str((int(a[i][j]) + rng.randint(1, 9)) % 10)
+            a[i] = a[i][:j] + digit + a[i][j + 1:]
+        elif kind == "weight dropped":
+            del a[i]
+            n -= rng.randint(0, 1)  # the count kept or matched
+        elif kind == "weight duplicated":
+            a.insert(i, a[i])
+            n += rng.randint(0, 1)
+        elif kind == "n off by one":
+            n += 1 if rng.randint(0, 1) else -1
+        elif kind == "weight as a JSON number":
+            a[i] = int(a[i])
+        else:
+            a[i] = "-" + a[i] if rng.randint(0, 1) else "0"
+        out.append((kind, json.dumps(dict(doc, a=a, n=n))))
+    return out
+
+
+def test_mutated_instance_documents_never_end_in_an_internal_error(tmp_path, capsys):
+    # the decomposition and certificate of the seed-1 FT n=10 instance,
+    # read beside each mutated instance: certify and verify exit 0-3
+    inst = generate_instance(10, 1)
+    dec = decompose_frank_tardos(inst)
+    texts = pipeline("ft10")[2]
+    claim, _ = documents.parse_certificate(texts[0])
+    dec_path, cert_path = tmp_path / "decomposition.json", tmp_path / "certificate.json"
+    dec_path.write_text(documents.serialize_decomposition(dec))
+    cert_path.write_text(texts[0])
+    inst_path, out = tmp_path / "instance.json", str(tmp_path / "out.json")
+    codes = {}
+    for kind, text in instance_mutants(documents.serialize_instance(inst), SplitMix64(4)):
+        inst_path.write_text(text)
+        for argv in (
+            ["certify", "--instance", str(inst_path), "--decomposition", str(dec_path),
+             "--beta", str(claim.beta), "-o", out],
+            ["verify", "--instance", str(inst_path), "--certificate", str(cert_path)],
+        ):
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (kind, argv[0], code, err)
+            assert elapsed < MUTANT_RUN_S, (kind, argv[0], elapsed)
+            codes.setdefault((kind, argv[0]), set()).add(code)
+    # certify refuses every mutant, whose weights its decomposition no
+    # longer matches; verify reads an instance of changed weights, or of
+    # one weight fewer or more when n follows, and rejects the certificate
+    refused = {2}
+    assert codes == {
+        ("digit changed", "certify"): refused, ("digit changed", "verify"): {1},
+        ("weight dropped", "certify"): refused, ("weight dropped", "verify"): {1, 2},
+        ("weight duplicated", "certify"): refused, ("weight duplicated", "verify"): {1, 2},
+        ("n off by one", "certify"): refused, ("n off by one", "verify"): refused,
+        ("weight as a JSON number", "certify"): refused,
+        ("weight as a JSON number", "verify"): refused,
+        ("weight <= 0", "certify"): refused, ("weight <= 0", "verify"): refused,
+    }
