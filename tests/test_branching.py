@@ -1239,22 +1239,19 @@ class TestMemoFirst:
     def test_hit_miss_and_referee_agree_on_toy_pairs(self):
         # every beta and level in range and one past each end; verify at the
         # certified level and the two beside it
+        def certified(a, v, beta):
+            return full(certify(a, v, beta))
+
+        refused_gcd = "refused: weights not coprime"
         done = 0
         for a, v in toy_pairs():
             checked = Weights(a), Direction(v)
             coprime = math.gcd(*a) == 1
             betas, levels = range(-1, sum(a) + 2), range(-1, sum(v) + 2)
-            refused_gcd = "refused: weights not coprime"
-
-            def certified(a, v, beta):
-                return full(certify(a, v, beta))
-
             lp_extreme_eq(*checked, 0)
             certify_hit = [outcome(certified, *checked, beta) for beta in betas]
             eq_hit = [outcome(lp_extreme_eq, *checked, beta) for beta in betas]
-            assert branching._prepared_last[:2] == checked and all(
-                x is y for x, y in zip(branching._prepared_last, checked)
-            )
+            assert all(x is y for x, y in zip(branching._prepared_last, checked))
             lp_extreme_ineq(*checked, 0)
             ineq_hit = [outcome(lp_extreme_ineq, *checked, level) for level in levels]
             assert all(x is y for x, y in zip(branching._ascending_last, checked))
@@ -1318,7 +1315,7 @@ class TestMemoFirst:
                 assert hit == miss == CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, bad)
                 continue
             assert hit == miss and hit.startswith("refused: "), (fn, hit, miss)
-        verify_certificate(*checked, Claim(150, 1))
+        assert verify_certificate(*checked, Claim(150, 1)) is True
         assert verify_certificate(*checked, SimpleNamespace(beta=150, level=bad)) is False
         assert verify_certificate(*checked, SimpleNamespace(beta=bad, level=1)) is False
 
