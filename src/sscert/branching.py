@@ -9,19 +9,19 @@ vertex optimum (Dantzig, 1957) and can be read off one bisection of
 prefix sums in that order. The order sorts exact integer keys:
 floor(v_i 2^S / a_i) with 2^S above the square of every weight, so
 distinct ratios get distinct keys. The order depends on (a, v) only, so
-each side keeps it and its prefix sums once per (a, v) in a small cache
+each side sorts once per (a, v) and keeps what it reads in a small cache
 of its own: the certifier's one equality LP call bisects the prefix sums
-of a in ``_prepared`` for both ends of [vmin, vmax], and the verifier's
-one inequality LP call, ``lp_extreme_ineq``, bisects the prefix sums of
-v in ``_ascending`` for both ends of its good interval, the max end at
-the level and the min end, by complement, at ||v||_1 - level - 1, in
-integers only: each end is an unreduced pair (num, den), and the
-verifier cross-multiplies, so a verify builds no Fraction and takes no
-gcd. The caches share nothing, so the verifier stays an independent
+of a in ``_prepared`` for both ends of [vmin, vmax], the max end over the
+ascending order reversed, and the verifier's one inequality LP call,
+``lp_extreme_ineq``, bisects the prefix sums of v in ``_ascending`` for
+both ends of its good interval, the max end at the level and the min
+end, by complement, at ||v||_1 - level - 1, in integers only: each end
+is an unreduced pair (num, den), and the verifier cross-multiplies, so
+a verify builds no Fraction and takes no gcd. The caches share nothing, so the verifier stays an independent
 re-check of the certifier rather than a second reading of its data.
 Each cache keeps a flat record per pair, with a and v listed in its
 greedy order as plain lists beside their prefix sums, so a bisected
-item is read by its position and not through the order.
+item is read by its position; neither keeps the order itself.
 
 In front of each cache sits a one-entry identity memo, and it stands
 for the checks: only a ``Weights`` and a ``Direction`` of its length,
@@ -41,7 +41,8 @@ result is a NamedTuple, and its Certificate is one slotted object
 holding beta, the level and the memo entry that certify read. It reads
 the witnesses, the LP values as Fractions and the vertices that attain
 them, from ``_lp_vertices`` only when they are asked for; no document
-and no CLI command asks.
+and no CLI command asks. That reader sorts and fills each vertex on its
+own, touching neither cache nor memo.
 
 The same call yields, for each branching level k, an open "good"
 interval (max(a,k), min(a,k+1)) between consecutive levels, and so the
@@ -68,7 +69,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import CapacityError, DomainError, InvariantViolation
@@ -234,56 +234,46 @@ def _greedy_order(num, den, sense: Sense) -> list[int]:
 
 @lru_cache(maxsize=8)
 def _ascending(a: Weights, v: Direction) -> tuple[list[int], ...]:
-    """The verifier's (order, V, A, a_ord, v_ord) of a, v.
+    """The verifier's (V, A, a_ord, v_ord) of a, v.
 
-    ``order`` is the ascending v_i/a_i order, a_ord and v_ord list a and v
-    in that order, and V and A are their prefix sums, so ||v||_1 is V[-1]
-    and ||a||_1 is A[-1]. All are plain lists, whose subscripts CPython
-    specialises and those of the typed tuples it does not. Both one-sided
-    LPs of a verify bisect V, so a verify sorts and sums once for a new
-    pair and not at all for a repeated one. The types say a and v were
-    checked: Fraction and float entries hash equal to ints, so the cache
-    must only see checked vectors. The certifier's ``_prepared`` neither
-    reads nor fills it.
+    a_ord and v_ord list a and v in ascending v_i/a_i order, and V and A
+    are their prefix sums, so ||v||_1 is V[-1] and ||a||_1 is A[-1]. All
+    are plain lists, whose subscripts CPython specialises and those of
+    the typed tuples it does not. Both one-sided LPs of a verify bisect
+    V, so a verify sorts and sums once for a new pair and not at all for
+    a repeated one. The types say a and v were checked: Fraction and
+    float entries hash equal to ints, so the cache must only see checked
+    vectors. The certifier's ``_prepared`` neither reads nor fills it.
     """
     order = _greedy_order(v, a, "min")
     a_ord = [a[i] for i in order]
     v_ord = [v[i] for i in order]
     V = list(accumulate(v_ord, initial=0))
     A = list(accumulate(a_ord, initial=0))
-    return order, V, A, a_ord, v_ord
+    return V, A, a_ord, v_ord
 
 
 @lru_cache(maxsize=8)
 def _prepared(a: Weights, v: Direction) -> tuple:
     """(coprime, ||a||_1, *min side, *max side) of a, v, one flat record.
 
-    Each side is order, A, V, a_ord, v_ord, place: ``order`` is the greedy
-    order of its sense, a_ord and v_ord list a and v in that order as
-    plain lists, and A and V are their prefix sums, all that
-    ``lp_extreme_eq`` reads. ``order`` and ``place`` serve only the
-    witness reader ``_lp_vertices``: ``place`` turns a vertex listed in
-    greedy order into one listed by index, entry i of its result being
-    entry rank(i) of its argument, rank(i) being i's position in
-    ``order``. One permutation stands in for the n + 1 partial 0/1
-    vertices, which would take n^2 memory. The types say a and v were
-    checked: Fraction and float entries hash equal to ints, so the cache
-    must only see checked vectors.
+    One sort per pair: the min side lists a and v in ascending v_i/a_i
+    order, and the max side in that order reversed, each as plain lists
+    a_ord and v_ord beside their prefix sums A and V, all that
+    ``lp_extreme_eq`` reads. On tied ratios the reversed order takes the
+    larger index first, which changes no LP value. No order is kept: the
+    witness reader ``_lp_vertices`` sorts for itself. The types say a and
+    v were checked: Fraction and float entries hash equal to ints, so the
+    cache must only see checked vectors.
     """
-    n = len(a)
+    order = _greedy_order(v, a, "min")
+    a_ord = [a[i] for i in order]
+    v_ord = [v[i] for i in order]
     record = [math.gcd(*a) == 1, sum(a)]
-    for sense in ("min", "max"):
-        order = _greedy_order(v, a, sense)
-        a_ord = [a[i] for i in order]
-        v_ord = [v[i] for i in order]
-        rank = [0] * n
-        for r, i in enumerate(order):
-            rank[i] = r
-        # itemgetter of one index returns the item, not a 1-tuple
-        place = itemgetter(*rank) if n > 1 else tuple
-        A = list(accumulate(a_ord, initial=0))
-        V = list(accumulate(v_ord, initial=0))
-        record += order, A, V, a_ord, v_ord, place
+    for a_side, v_side in ((a_ord, v_ord), (a_ord[::-1], v_ord[::-1])):
+        A = list(accumulate(a_side, initial=0))
+        V = list(accumulate(v_side, initial=0))
+        record += A, V, a_side, v_side
     return tuple(record)
 
 
@@ -350,7 +340,7 @@ def lp_extreme_eq(
         last = _prepared_of(a, v)
     elif not isinstance(beta, int):
         raise DomainError("beta must be an integer")
-    _, _, _, total, _, A, V, a_lo, v_lo, _, _, A_hi, V_hi, a_hi, v_hi, _ = last
+    _, _, _, total, A, V, a_lo, v_lo, A_hi, V_hi, a_hi, v_hi = last
     if beta < 0 or beta > total:
         raise DomainError(f"right-hand side {beta} outside [0, {total}]")
     j = bisect_right(A, beta) - 1
@@ -373,29 +363,36 @@ def _lp_vertices(
 ) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
     """((vmin, arg_min), (vmax, arg_max)) of v.x over {a.x = beta, 0 <= x <= e}.
 
-    The witness reader: the same greedy fills as ``lp_extreme_eq``, as
-    Fractions and as vertices listed by index through ``place``. Each
-    vertex has at most one fractional coordinate. DomainError unless beta
-    is an int in [0, ||a||_1].
+    The witness reader: the greedy fills of ``lp_extreme_eq``, as
+    Fractions and as vertices listed by index, each filled here in the
+    ``_greedy_order`` of its sense, ties to the smaller index. It reads
+    and fills neither cache nor memo, and is called only when witnesses
+    are asked for. Each vertex has at most one fractional coordinate.
+    DomainError unless beta is an int in [0, ||a||_1].
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
     _validate_int(beta, "beta")
-    entry = _prepared_of(a, v)
-    total = entry[3]
+    total = sum(a)
     if beta < 0 or beta > total:
         raise DomainError(f"right-hand side {beta} outside [0, {total}]")
-    n = len(a)
     ends = []
-    for first in (4, 10):  # each side's six fields, after a, v, coprime and total
-        order, A, V, _, _, place = entry[first:first + 6]
-        j = bisect_right(A, beta) - 1
-        if A[j] == beta:
-            ends.append((Fraction(V[j]), place((_ONE,) * j + (_ZERO,) * (n - j))))
-            continue
-        i, rest = order[j], beta - A[j]
-        x = place((_ONE,) * j + (Fraction(rest, a[i]),) + (_ZERO,) * (n - j - 1))
-        ends.append((Fraction(V[j] * a[i] + v[i] * rest, a[i]), x))
+    for sense in ("min", "max"):
+        # the items before the first that does not fit are whole, and a
+        # nonzero rest, left only by a break, goes to that one
+        x = [_ZERO] * len(a)
+        whole, rest = 0, beta
+        for i in _greedy_order(v, a, sense):
+            if rest < a[i]:
+                break
+            x[i] = _ONE
+            whole += v[i]
+            rest -= a[i]
+        if rest:
+            x[i] = Fraction(rest, a[i])
+            ends.append((Fraction(whole * a[i] + v[i] * rest, a[i]), tuple(x)))
+        else:
+            ends.append((Fraction(whole), tuple(x)))
     return tuple(ends)
 
 
@@ -413,7 +410,7 @@ def lp_extreme_ineq(
     order at no cost, and V repeats 0 for them, so bisect_right takes
     them all. The min side is the complement y = e - x: min(a, level + 1)
     is ||a||_1 - max(a, ||v||_1 - level - 1), one more bisection of V.
-    The order, a and v listed in it, and their prefix sums V and A are
+    a and v listed in that order, and their prefix sums V and A, are
     the verifier's own, kept per (a, v) in ``_ascending`` behind the
     identity memo, apart from the certifier's, so the check shares no
     data with what it checks. The memo entry is read once: when a and v
@@ -430,7 +427,7 @@ def lp_extreme_ineq(
         last = _ascending_of(a, v)
     elif not isinstance(level, int):
         raise DomainError("level must be an integer")
-    _, _, _, V, A, a_ord, v_ord = last
+    _, _, V, A, a_ord, v_ord = last
     total_v = V[-1]
     if level < 0 or level >= total_v:
         raise DomainError("level outside [0, ||v||_1)")
@@ -565,7 +562,7 @@ def enumerate_intervals(
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    V, A = _ascending_of(a, v)[3:5]
+    V, A = _ascending_of(a, v)[2:4]
     ve = V[-1]
     if k_hi is None:
         k_hi = ve
@@ -614,16 +611,16 @@ def _bad_count(a, v) -> tuple[int, Fraction]:
     """
     a = validate_weights(a)
     v = validate_direction(v, len(a))
-    _, _, order, V, A, _, _ = _ascending_of(a, v)
+    _, _, V, A, a_ord, v_ord = _ascending_of(a, v)
     total, total_v = A[-1], V[-1]
     (hi, hi_den), (lo, lo_den) = lp_extreme_ineq(a, v, (total_v - 1) // 2)
     least = lo * hi_den - hi * lo_den
     if least <= 0:
         raise DomainError("consecutive levels overlap; decomposition hypotheses violated")
     floors = total
-    for i, done in zip(order, A):
-        floors += v[i] * done
-        floors += ((a[i] - 1) * (v[i] - 1) + math.gcd(a[i], v[i]) - 1) // 2
+    for ai, vi, done in zip(a_ord, v_ord, A):
+        floors += vi * done
+        floors += ((ai - 1) * (vi - 1) + math.gcd(ai, vi) - 1) // 2
     return 2 * floors - (total_v + 1) * (total - 1), Fraction(least, hi_den * lo_den)
 
 

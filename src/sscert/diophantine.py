@@ -53,19 +53,12 @@ class ApproxResult:
 
 
 def exceeds_q_bound(q: int, n: int, precision: int) -> bool:
-    """q^4 > 2^(n(n+1)) * N^(4n), the fourth power of q's bound, for q, N >= 1.
+    """q^4 > 2^(n(n+1)) * N^(4n), the fourth power of q's bound.
 
-    With b and c the bit lengths of q and N, q^4 lies in [2^(4b-4), 2^(4b))
-    and the bound in [2^lo, 2^(lo+4n)), lo = n(n+1) + 4n(c-1). The bit
-    lengths decide unless those ranges overlap, and then the bound has
-    fewer than 4b + 4n bits, so a document's n and N cannot make it large.
+    Compared as it stands: no document supplies n or N. A document's
+    Frank-Tardos approximation is derived for 10 <= n <= 16 only, with
+    N = choose_precision(n).
     """
-    b = q.bit_length()
-    lo = n * (n + 1) + 4 * n * (precision.bit_length() - 1)
-    if 4 * b <= lo:
-        return False
-    if 4 * b - 4 >= lo + 4 * n:
-        return True
     return q**4 > (1 << (n * (n + 1))) * precision ** (4 * n)
 
 

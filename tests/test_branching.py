@@ -192,8 +192,10 @@ class TestLpExtremeEq:
                     assert sum(1 for x in arg if 0 < x < 1) <= 1
 
     def test_exhaustive_small_against_greedy_referee(self):
-        # the bisection over prepared prefix sums gives the greedy fill's vertex,
-        # and its value as unreduced integers over the split item's weight
+        # the bisection over prepared prefix sums gives the greedy fill's
+        # value as unreduced integers over the split item's weight. The max
+        # end fills the ascending order reversed, whose complement is the
+        # ascending fill of ||a||_1 - beta, with the same split item
         for a, v in exhaustive_small_instances():
             for beta in range(sum(a) + 1):
                 want = tuple(lp_eq_greedy(a, v, beta, s) for s in SENSES)
@@ -203,7 +205,8 @@ class TestLpExtremeEq:
                     assert type(value) is Fraction
                     assert all(type(x) is Fraction for x in arg)
                 pairs = lp_extreme_eq(a, v, beta)
-                for (num, den), (value, arg) in zip(pairs, want):
+                splits = (want[0][1], lp_eq_greedy(a, v, sum(a) - beta, "min")[1])
+                for (num, den), (value, _), arg in zip(pairs, want, splits):
                     assert type(num) is int and type(den) is int and den > 0, pairs
                     assert Fraction(num, den) == value, (a, v, beta)
                     split = [i for i, x in enumerate(arg) if 0 < x < 1]
@@ -411,7 +414,7 @@ class TestOneSidedBisection:
     def test_pipeline_prefix_sums_and_their_neighbours(self, decompose, n):
         inst = generate_instance(n, 1)
         a, v = inst.a, decompose(inst).v
-        _, V, _, _, _ = _ascending(a, v)
+        V, _, _, _ = _ascending(a, v)
         levels = {0, sum(v)} | {s + d for s in V for d in (-1, 0, 1)}
         self.check(a, v, sorted(levels))
 
@@ -1029,6 +1032,25 @@ class TestPreparedCache(CacheContract):
         info = _prepared.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
+    def test_one_sort_per_pair(self, monkeypatch):
+        # a new pair costs one sort, the max side being the min side's order
+        # reversed, and a repeated pair none. The witness reader sorts each
+        # side for itself and leaves both caches and memos as they were
+        senses = []
+        monkeypatch.setattr(branching, "_greedy_order", lambda *args: (
+            senses.append(args[2]) or _greedy_order(*args)))
+        a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
+        _prepared.cache_clear()
+        cert = certify(a, v, 33).certificate
+        assert certify(a, v, 34).status is CertifyStatus.CERTIFIED and senses == ["min"]
+        kept = _prepared.cache_info(), _ascending.cache_info()
+        memos = branching._prepared_last, branching._ascending_last
+        assert (cert.vmin, cert.vmax) == tuple(lp_eq_greedy(a, v, 33, s)[0] for s in SENSES)
+        _lp_vertices((3, 5, 7), (1, 2, 2), 6)
+        assert senses == ["min", "min", "max", "min", "max"]
+        assert (_prepared.cache_info(), _ascending.cache_info()) == kept
+        assert branching._prepared_last is memos[0] and branching._ascending_last is memos[1]
+
 
 class TestAscendingCache(CacheContract):
     """The verifier's ascending order, kept once per (a, v), must not change any answer."""
@@ -1084,14 +1106,14 @@ class TestAscendingCache(CacheContract):
         assert (info.misses, info.hits) == (1, 2)
 
     def test_holds_the_norms_beside_the_order(self):
-        # a and v listed in that order, as plain lists, and their prefix
-        # sums, which end in ||v||_1 and ||a||_1
+        # a and v listed in ascending v_i/a_i order, as plain lists, and
+        # their prefix sums, which end in ||v||_1 and ||a||_1
         a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
-        order, V, A, a_ord, v_ord = _ascending(a, v)
-        assert (order, V, A) == ([0, 2, 1], [0, 1, 3, 5], [0, 31, 72, 109])
+        V, A, a_ord, v_ord = _ascending(a, v)
+        assert (V, A) == ([0, 1, 3, 5], [0, 31, 72, 109])
         assert (a_ord, v_ord) == ([31, 41, 37], [1, 2, 2])
         assert (V[-1], A[-1]) == (sum(v), sum(a))
-        assert all(type(x) is list for x in (order, V, A, a_ord, v_ord))
+        assert all(type(x) is list for x in (V, A, a_ord, v_ord))
 
     def test_certify_leaves_it_alone(self):
         # the certifier shares no data with the verifier

@@ -1,8 +1,11 @@
+import importlib
 import json
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,7 @@ from sscert.branching import (
     enumerate_intervals,
 )
 from sscert.cli import main
-from sscert.decompose import Decomposition, decompose_lll_rows
+from sscert.decompose import Decomposition, decompose_frank_tardos, decompose_lll_rows
 from sscert.errors import CapacityError, DomainError, InvariantViolation
 from sscert.lll import ReductionStats
 from sscert.model import Instance, generate_instance
@@ -538,6 +541,19 @@ def test_end_to_end_pipeline(tmp_path):
     ]) == 0
 
 
+def test_console_script_target(tmp_path):
+    # the target that [project.scripts] names for the installed sscert
+    # script, read by a regex since Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    module, name = re.search(r'^sscert = "([\w.]+):(\w+)"$', scripts.group(1), re.M).groups()
+    target = getattr(importlib.import_module(module), name)
+    out = tmp_path / "instance.json"
+    assert target(["generate", "--n", "3", "--seed", "1", "-o", str(out)]) == 0
+    assert out.read_text() == documents.serialize_instance(generate_instance(3, 1))
+    assert target(["generate", "--n", "1", "--seed", "1"]) == 2
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sscert", "generate", "--n", "3", "--seed", "1"],
@@ -596,3 +612,61 @@ def test_frank_tardos_provenance_must_match_the_instance(tmp_path, capsys):
         assert main(argv + extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("sscert: scale must be max(a) / q") and "(at $.lambda)" in err
+
+
+def test_frank_tardos_document_at_the_digit_limit_is_refused_quickly(tmp_path, capsys):
+    # v = a at n = 16 with every entry at the int/str digit limit, lambda = 1
+    # and r = 0: q = max(v) fails its bound, compared as it stands, in < 1 s
+    inst_path = write_instance(tmp_path, 16, 1)
+    v = [str(10 ** sys.get_int_max_str_digits() - 1 - i) for i in range(16)]
+    dec_path = tmp_path / "direction.json"
+    dec_path.write_text(json.dumps({
+        "kind": "decomposition", "method": "frank_tardos", "v": v, "lambda": "1", "r": ["0"] * 16,
+    }))
+    start = time.perf_counter()
+    assert main(["stats", "--instance", inst_path, "--decomposition", str(dec_path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("sscert: denominator exceeds the stated bound") and "$.v" in err
+
+
+@pytest.mark.parametrize(
+    "decompose", [decompose_frank_tardos, decompose_lll_rows], ids=["frank_tardos", "lll_rows"]
+)
+def test_pipeline_direction_reports_and_forgeries(tmp_path, capsys, decompose):
+    # n=10, seed 1: stats holds both claims, over good intervals at least
+    # min_good_length wide; beta = 0 (an exact fill) and a_1 + a_2 (feasible)
+    # get no certificate; a certificate with beta, ell or v forged is rejected
+    inst = generate_instance(10, 1)
+    a = inst.a
+    _, inst_path, dec_path = write_pair(tmp_path, inst, decompose(inst))
+    pair = ["--instance", inst_path, "--decomposition", dec_path]
+    assert main(["stats", *pair]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert Fraction(stats["bad_fraction"]) <= Fraction(stats["bad_fraction_bound"])
+    assert (stats["corollary_1"], stats["good_length_bound_holds"]) == ("holds", True)
+    assert main(["intervals", *pair, "--k-lo", "0", "--k-hi", "100"]) == 0
+    good = json.loads(capsys.readouterr().out)["good"]
+    assert len(good) == 100
+    assert min(Fraction(hi) - Fraction(lo) for lo, hi in good) >= Fraction(stats["min_good_length"])
+    for beta, code, status in (
+        (0, 1, CertifyStatus.NO_CERTIFICATE), (a[0] + a[1], 1, CertifyStatus.NO_CERTIFICATE),
+        (sum(a) + 1, 0, CertifyStatus.TRIVIALLY_INFEASIBLE),
+    ):
+        assert main(["certify", *pair, "--beta", str(beta)]) == code
+        assert capsys.readouterr().out == documents.serialize_certify_status(status, beta)
+    assert main(["certify", *pair, "--beta", str(CERTIFIED_BETA)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ell, v = int(doc["ell"]), doc["v"]
+    cert_path = tmp_path / "certificate.json"
+    verify = ["verify", "--instance", inst_path, "--certificate", str(cert_path)]
+    cert_path.write_text(json.dumps(doc))
+    assert main(verify) == 0
+    assert capsys.readouterr().err == "sscert: verified\n"
+    for change in (
+        {"beta": "0"}, {"beta": str(a[0] + a[1])}, {"v": v[:-1]}, {"v": ["-1", *v[1:]]},
+        *({"ell": str(level)} for level in (ell + 1, ell - 1, -1, sum(map(int, v)))),
+    ):
+        cert_path.write_text(json.dumps(dict(doc, **change)))
+        assert main(verify) == 1, change
+        assert capsys.readouterr().err == "sscert: rejected\n", change
