@@ -9,30 +9,34 @@ vertex optimum (Dantzig, 1957) and can be read off one bisection of
 prefix sums in that order. The order sorts exact integer keys:
 floor(v_i 2^S / a_i) with 2^S above the square of every weight, so
 distinct ratios get distinct keys. The order depends on (a, v) only, so
-each side sorts once per (a, v) and keeps what it reads in a small cache
-of its own: the certifier's one equality LP call bisects the prefix sums
-of a in ``_prepared`` for both ends of [vmin, vmax], the max end over the
-ascending order reversed, and the verifier's one inequality LP call,
-``lp_extreme_ineq``, bisects the prefix sums of v in ``_ascending`` for
-both ends of its good interval, the max end at the level and the min
-end, by complement, at ||v||_1 - level - 1, in integers only: each end
-is an unreduced pair (num, den), and the verifier cross-multiplies, so
-a verify builds no Fraction and takes no gcd. The caches share nothing, so the verifier stays an independent
-re-check of the certifier rather than a second reading of its data.
-Each cache keeps a flat record per pair, with a and v listed in its
-greedy order as plain lists beside their prefix sums, so a bisected
-item is read by its position; neither keeps the order itself.
+each side sorts once per (a, v) and keeps what it reads in a one-entry
+memo of its own: the certifier's one equality LP call bisects the prefix
+sums of a that ``_prepared`` builds for both ends of [vmin, vmax], the
+max end over the ascending order reversed, and the verifier's one
+inequality LP call, ``lp_extreme_ineq``, bisects the prefix sums of v
+that ``_ascending`` builds for both ends of its good interval, the max
+end at the level and the min end, by complement, at
+||v||_1 - level - 1, in integers only: each end is an unreduced pair
+(num, den), and the verifier cross-multiplies, so a verify builds no
+Fraction and takes no gcd. The memos share nothing, so the verifier
+stays an independent re-check of the certifier rather than a second
+reading of its data. Each memo entry is one flat record: the checked a
+and v, then a and v listed in greedy order as plain lists beside their
+prefix sums, so a bisected item is read by its position; neither keeps
+the order itself.
 
-In front of each cache sits a one-entry identity memo, and it stands
-for the checks: only a ``Weights`` and a ``Direction`` of its length,
-the checked types of ``model``, ever enter it. ``certify``,
+Each memo is its side's only per-pair cache, and it stands for the
+checks: ``_prepared`` and ``_ascending`` alone rebind it, and each
+checks a and v into a ``Weights`` and a ``Direction`` of its length,
+the checked types of ``model``, before it sorts. ``certify``,
 ``lp_extreme_eq`` and ``lp_extreme_ineq`` read their side's memo first,
 once. When a and v are its very objects, the pair was checked when it
 entered, so only beta or the level is checked, and a run of calls on
 one pair pays for its bisections and integer arithmetic and little
-else. Otherwise a and v are checked, then beta or the level, and only
-then is the cache consulted, so a refused call reaches neither the
-cache nor the memo; an alternating pair falls through to the cache.
+else. Otherwise the side's miss path checks a and v, sorts once and
+rebinds the memo, and then beta or the level is checked: a call that
+passes other objects, an equal copy or plain sequences included, pays
+for one check and one sort.
 The certifier and the verifier decide on the numerators and
 denominators of their LP values in integers: beta is certified at
 level floor(vmin) when vmin is not an integer and vmax is below that
@@ -42,7 +46,7 @@ holding beta, the level and the memo entry that certify read. It reads
 the witnesses, the LP values as Fractions and the vertices that attain
 them, from ``_lp_vertices`` only when they are asked for; no document
 and no CLI command asks. That reader sorts and fills each vertex on its
-own, touching neither cache nor memo.
+own, touching neither memo.
 
 The same call yields, for each branching level k, an open "good"
 interval (max(a,k), min(a,k+1)) between consecutive levels, and so the
@@ -67,13 +71,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .intmath import l1_norm
-from .model import Direction, Weights, validate_direction, validate_weights
+from .model import validate_direction, validate_weights
 from .rng import SplitMix64
 
 Sense = Literal["min", "max"]
@@ -232,85 +235,62 @@ def _greedy_order(num, den, sense: Sense) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__, reverse=sense == "max")
 
 
-@lru_cache(maxsize=8)
-def _ascending(a: Weights, v: Direction) -> tuple[list[int], ...]:
-    """The verifier's (V, A, a_ord, v_ord) of a, v.
+# One-entry identity memos, each side's only per-pair cache: the flat
+# record of the last pair each side served, rebound whole so that a reader
+# never sees a torn entry. Only _prepared and _ascending rebind them, with
+# a Weights and a Direction of its length, which are immutable and checked
+# when built, so the same objects are the same checked pair: a hit needs no
+# check. They start on two private objects, which no caller can pass.
+_prepared_last = _ascending_last = (object(), object())
 
-    a_ord and v_ord list a and v in ascending v_i/a_i order, and V and A
-    are their prefix sums, so ||v||_1 is V[-1] and ||a||_1 is A[-1]. All
-    are plain lists, whose subscripts CPython specialises and those of
-    the typed tuples it does not. Both one-sided LPs of a verify bisect
-    V, so a verify sorts and sums once for a new pair and not at all for
-    a repeated one. The types say a and v were checked: Fraction and
-    float entries hash equal to ints, so the cache must only see checked
-    vectors. The certifier's ``_prepared`` neither reads nor fills it.
+
+def _ascending(a: Sequence[int], v: Sequence[int]) -> tuple:
+    """The verifier's memo entry (a, v, V, A, a_ord, v_ord), built anew.
+
+    The miss path of ``lp_extreme_ineq``: checks a and v, sorts once and
+    rebinds ``_ascending_last`` to the entry it returns. a_ord and v_ord
+    list a and v in ascending v_i/a_i order, and V and A are their prefix
+    sums, so ||v||_1 is V[-1] and ||a||_1 is A[-1]. All four are plain
+    lists, whose subscripts CPython specialises and those of the typed
+    tuples it does not. Both one-sided LPs of a verify bisect V. The
+    certifier's ``_prepared`` neither reads nor rebinds it.
     """
+    global _ascending_last
+    a = validate_weights(a)
+    v = validate_direction(v, len(a))
     order = _greedy_order(v, a, "min")
     a_ord = [a[i] for i in order]
     v_ord = [v[i] for i in order]
     V = list(accumulate(v_ord, initial=0))
     A = list(accumulate(a_ord, initial=0))
-    return V, A, a_ord, v_ord
+    last = _ascending_last = (a, v, V, A, a_ord, v_ord)
+    return last
 
 
-@lru_cache(maxsize=8)
-def _prepared(a: Weights, v: Direction) -> tuple:
-    """(coprime, ||a||_1, *min side, *max side) of a, v, one flat record.
+def _prepared(a: Sequence[int], v: Sequence[int]) -> tuple:
+    """The certifier's memo entry (a, v, coprime, ||a||_1, *min side, *max side).
 
-    One sort per pair: the min side lists a and v in ascending v_i/a_i
-    order, and the max side in that order reversed, each as plain lists
-    a_ord and v_ord beside their prefix sums A and V, all that
-    ``lp_extreme_eq`` reads. On tied ratios the reversed order takes the
-    larger index first, which changes no LP value. No order is kept: the
-    witness reader ``_lp_vertices`` sorts for itself. The types say a and
-    v were checked: Fraction and float entries hash equal to ints, so the
-    cache must only see checked vectors.
+    The miss path of ``certify`` and ``lp_extreme_eq``: checks a and v,
+    sorts once and rebinds ``_prepared_last`` to the entry it returns.
+    The min side lists a and v in ascending v_i/a_i order, and the max
+    side in that order reversed, each as plain lists a_ord and v_ord
+    beside their prefix sums A and V, all that ``lp_extreme_eq`` reads.
+    On tied ratios the reversed order takes the larger index first, which
+    changes no LP value. No order is kept: the witness reader
+    ``_lp_vertices`` sorts for itself.
     """
+    global _prepared_last
+    a = validate_weights(a)
+    v = validate_direction(v, len(a))
     order = _greedy_order(v, a, "min")
     a_ord = [a[i] for i in order]
     v_ord = [v[i] for i in order]
-    record = [math.gcd(*a) == 1, sum(a)]
+    record = [a, v, math.gcd(*a) == 1, sum(a)]
     for a_side, v_side in ((a_ord, v_ord), (a_ord[::-1], v_ord[::-1])):
         A = list(accumulate(a_side, initial=0))
         V = list(accumulate(v_side, initial=0))
         record += A, V, a_side, v_side
-    return tuple(record)
-
-
-# One-entry identity memos in front of the two caches: (a, v, *record) of
-# the last pair each one served, rebound whole so that a reader never
-# sees a torn entry. Only a Weights and a Direction of its length enter,
-# and both are immutable and checked when built, so the same objects are
-# the same checked pair: a hit needs no check and no hashing. They start
-# on two private objects, which no caller can pass.
-_prepared_last = _ascending_last = (object(), object())
-
-
-def _refuse_unchecked(a, v) -> None:
-    """InvariantViolation unless a is a Weights and v a Direction of its length."""
-    if type(a) is not Weights or type(v) is not Direction or len(v) != len(a):
-        raise InvariantViolation("only a checked (a, v) enters a memo")
-
-
-def _prepared_of(a: Weights, v: Direction) -> tuple:
-    """The memo entry (a, v, *_prepared(a, v)), from the memo when a and v are its objects."""
-    global _prepared_last
-    last = _prepared_last
-    if last[0] is a and last[1] is v:
-        return last
-    _refuse_unchecked(a, v)
-    last = _prepared_last = (a, v, *_prepared(a, v))
-    return last
-
-
-def _ascending_of(a: Weights, v: Direction) -> tuple:
-    """The memo entry (a, v, *_ascending(a, v)), from the memo when a and v are its objects."""
-    global _ascending_last
-    last = _ascending_last
-    if last[0] is a and last[1] is v:
-        return last
-    _refuse_unchecked(a, v)
-    last = _ascending_last = (a, v, *_ascending(a, v))
+    last = _prepared_last = tuple(record)
     return last
 
 
@@ -327,18 +307,14 @@ def lp_extreme_eq(
     beta itself, with a_j and v_j the bisected item's entries. The memo
     entry is read once, for both ends: when a and v are its objects, the
     pair was checked when it entered and only beta is checked; otherwise
-    a, v and beta are checked, in that order, before the cache. No
-    Fraction and no vertex is built, which ``_lp_vertices`` does for the
+    ``_prepared`` checks a and v, sorts and rebinds the memo, and then
+    beta is checked. No Fraction and no vertex is built, which ``_lp_vertices`` does for the
     witnesses. DomainError unless beta is an int in [0, ||a||_1].
     """
     last = _prepared_last
     if last[0] is not a or last[1] is not v:
-        a = validate_weights(a)
-        v = validate_direction(v, len(a))
-        if not isinstance(beta, int):
-            raise DomainError("beta must be an integer")
-        last = _prepared_of(a, v)
-    elif not isinstance(beta, int):
+        last = _prepared(a, v)
+    if not isinstance(beta, int):
         raise DomainError("beta must be an integer")
     _, _, _, total, A, V, a_lo, v_lo, A_hi, V_hi, a_hi, v_hi = last
     if beta < 0 or beta > total:
@@ -366,7 +342,7 @@ def _lp_vertices(
     The witness reader: the greedy fills of ``lp_extreme_eq``, as
     Fractions and as vertices listed by index, each filled here in the
     ``_greedy_order`` of its sense, ties to the smaller index. It reads
-    and fills neither cache nor memo, and is called only when witnesses
+    and rebinds neither memo, and is called only when witnesses
     are asked for. Each vertex has at most one fractional coordinate.
     DomainError unless beta is an int in [0, ||a||_1].
     """
@@ -411,21 +387,18 @@ def lp_extreme_ineq(
     them all. The min side is the complement y = e - x: min(a, level + 1)
     is ||a||_1 - max(a, ||v||_1 - level - 1), one more bisection of V.
     a and v listed in that order, and their prefix sums V and A, are
-    the verifier's own, kept per (a, v) in ``_ascending`` behind the
-    identity memo, apart from the certifier's, so the check shares no
-    data with what it checks. The memo entry is read once: when a and v
-    are its objects only the level is checked, and otherwise a, v and the
-    level, in that order, before the cache. DomainError unless level is
+    the verifier's own, kept per (a, v) in the memo that ``_ascending``
+    rebinds, apart from the certifier's, so the check shares no data with
+    what it checks. The memo entry is read once: when a and v are its
+    objects only the level is checked, and otherwise ``_ascending``
+    checks a and v, sorts and rebinds the memo, and then the level is
+    checked. DomainError unless level is
     an int in [0, ||v||_1), where both LPs are feasible.
     """
     last = _ascending_last
     if last[0] is not a or last[1] is not v:
-        a = validate_weights(a)
-        v = validate_direction(v, len(a))
-        if not isinstance(level, int):
-            raise DomainError("level must be an integer")
-        last = _ascending_of(a, v)
-    elif not isinstance(level, int):
+        last = _ascending(a, v)
+    if not isinstance(level, int):
         raise DomainError("level must be an integer")
     _, _, V, A, a_ord, v_ord = last
     total_v = V[-1]
@@ -464,8 +437,9 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     the one lp_extreme_eq call. The memo entry is read once: when a and v
     are its objects, the pair was checked when it entered, so only beta
     is checked and a repeated pair costs two bisections per beta, with
-    no type check and no hashing; otherwise a, v and beta are checked, in
-    that order, before the cache. The decision is on integers: with
+    no type check; otherwise ``_prepared`` checks a and v, sorts and
+    rebinds the memo, whose own objects go to lp_extreme_eq, and then
+    beta is checked. The decision is on integers: with
     vmin = p/q and vmax = r/s, beta is certified at level p // q when q
     does not divide p and r < (p // q + 1) s. No Fraction and no vertex
     is built: the Certificate is one slotted object holding beta, the
@@ -474,12 +448,9 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     """
     last = _prepared_last
     if last[0] is not a or last[1] is not v:
-        a = validate_weights(a)
-        v = validate_direction(v, len(a))
-        if not isinstance(beta, int):
-            raise DomainError("beta must be an integer")
-        last = _prepared_of(a, v)
-    elif not isinstance(beta, int):
+        last = _prepared(a, v)
+        a, v = last[:2]  # the lp_extreme_eq call below hits the memo
+    if not isinstance(beta, int):
         raise DomainError("beta must be an integer")
     if not last[2]:
         raise DomainError("weights not coprime")
@@ -560,9 +531,7 @@ def enumerate_intervals(
     holds Fractions. How long the good intervals are is judged by exact
     ``coverage_stats``, for every level at once.
     """
-    a = validate_weights(a)
-    v = validate_direction(v, len(a))
-    V, A = _ascending_of(a, v)[2:4]
+    a, v, V, A = _ascending(a, v)[:4]
     ve = V[-1]
     if k_hi is None:
         k_hi = ve
@@ -609,9 +578,7 @@ def _bad_count(a, v) -> tuple[int, Fraction]:
     least value is at the centre; DomainError if it is not positive there.
     Neither figure enumerates levels.
     """
-    a = validate_weights(a)
-    v = validate_direction(v, len(a))
-    _, _, V, A, a_ord, v_ord = _ascending_of(a, v)
+    a, v, V, A, a_ord, v_ord = _ascending(a, v)
     total, total_v = A[-1], V[-1]
     (hi, hi_den), (lo, lo_den) = lp_extreme_ineq(a, v, (total_v - 1) // 2)
     least = lo * hi_den - hi * lo_den

@@ -102,10 +102,6 @@ class Instance:
         return len(self.a)
 
     @property
-    def l1_norm(self) -> int:
-        return sum(self.a)
-
-    @property
     def linf_norm(self) -> int:
         return max(self.a)
 

@@ -45,7 +45,7 @@ from sscert.branching import (
     witnesses_consistent,
 )
 from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
-from sscert.errors import CapacityError, DomainError, InvariantViolation
+from sscert.errors import CapacityError, DomainError
 from sscert.intmath import l1_norm
 from sscert.model import Direction, Weights, generate_instance
 from sscert.rng import SplitMix64
@@ -303,6 +303,19 @@ class TestGreedyOrder:
             assert orders == [greedy_order_cmp(v, a, sense) for sense in ("min", "max")]
 
 
+@pytest.fixture
+def sorts(monkeypatch):
+    """The sense of every _greedy_order call from here on, in call order."""
+    senses = []
+
+    def recording(num, den, sense):
+        senses.append(sense)
+        return _greedy_order(num, den, sense)
+
+    monkeypatch.setattr(branching, "_greedy_order", recording)
+    return senses
+
+
 def good_interval(a, v, level):
     """lp_extreme_ineq's two ends as Fractions."""
     return tuple(Fraction(*end) for end in lp_extreme_ineq(a, v, level))
@@ -414,7 +427,7 @@ class TestOneSidedBisection:
     def test_pipeline_prefix_sums_and_their_neighbours(self, decompose, n):
         inst = generate_instance(n, 1)
         a, v = inst.a, decompose(inst).v
-        V, _, _, _ = _ascending(a, v)
+        _, _, V, _, _, _ = _ascending(a, v)
         levels = {0, sum(v)} | {s + d for s in V for d in (-1, 0, 1)}
         self.check(a, v, sorted(levels))
 
@@ -457,9 +470,9 @@ class TestGoodIntervalFastPath:
                 got[level] = None
         return got
 
-    def test_exhaustive_small_against_the_referees(self):
-        # every level from -1 to ||v||_1 + 1, through the memo, through the
-        # cache and from lists. One Weights object serves every v of its a,
+    def test_exhaustive_small_against_the_referees(self, sorts):
+        # every level from -1 to ||v||_1 + 1, through the memo, and on a miss
+        # from plain tuples and from lists. One Weights object serves every v of its a,
         # and each pair's calls begin and end on checked objects, so the
         # memo holds the last v's Direction beside the same Weights when the
         # next v comes: it must test both objects
@@ -479,11 +492,11 @@ class TestGoodIntervalFastPath:
             assert [level for level in levels if want[level] is None] == [-1, ve, ve + 1]
             checked = weights.setdefault(a, Weights(a)), Direction(v)
             lp_extreme_ineq(*checked, 0)
-            before = _ascending.cache_info()
+            sorts.clear()
             assert self.answers(*checked, levels) == want, (a, v)
-            assert _ascending.cache_info() == before  # every call a memo hit
+            assert sorts == []  # every call a memo hit
             assert self.answers(a, v, levels) == want, (a, v)
-            assert _ascending.cache_info().misses == before.misses  # cache hits
+            assert len(sorts) == len(levels)  # every call a miss and one sort
             assert self.answers(list(a), list(v), levels) == want, (a, v)
             # bad interval k is [min(a, k), max(a, k)], the edges included
             bad = tuple(
@@ -567,7 +580,7 @@ class TestCertify:
             inst = generate_instance(n, seed)
             a, v = inst.a, decompose(inst).v
             rng = SplitMix64(seed)
-            betas = [0, inst.l1_norm] + [rng.randint(0, inst.l1_norm) for _ in range(500)]
+            betas = [0, sum(inst.a)] + [rng.randint(0, sum(inst.a)) for _ in range(500)]
             for beta in betas:
                 got = certify(a, v, beta)
                 assert full(got) == full(certify_by_greedy(a, v, beta)), (seed, beta)
@@ -580,13 +593,13 @@ class TestCertify:
                 certified += 1
         assert certified > 500
 
-    def test_builds_no_fraction(self, monkeypatch):
-        # for a new pair too: the cache is cleared before the run, and an
-        # equal but distinct copy of the pair passes the memo
+    def test_builds_no_fraction(self, monkeypatch, sorts):
+        # for a new pair too: an equal but distinct copy of the pair misses
+        # the memo, is sorted once, and its objects serve the rest of the run
         inst = generate_instance(10, 1)
         a, v = inst.a, decompose_frank_tardos(inst).v
         rng = SplitMix64(10)
-        betas = [rng.randint(0, inst.l1_norm) for _ in range(500)]
+        betas = [rng.randint(0, sum(inst.a)) for _ in range(500)]
 
         def decided(a, v, beta):
             result = certify(a, v, beta)
@@ -599,11 +612,11 @@ class TestCertify:
             raise AssertionError("certify built a Fraction")
 
         twin = Weights(list(a)), Direction(list(v))
-        _prepared.cache_clear()
+        sorts.clear()
         monkeypatch.setattr(branching, "Fraction", no_fraction)
         assert [decided(*twin, beta) for beta in betas] == want
         assert branching._prepared_last[0] is twin[0]
-        assert _prepared.cache_info().misses == 1
+        assert sorts == ["min"]
 
     def test_result_is_a_named_tuple(self):
         # built positionally, it equals certify's result, and it survives
@@ -717,7 +730,7 @@ class TestCertify:
         dec = decompose_frank_tardos(inst)
         rng = SplitMix64(77)
         for _ in range(200):
-            beta = rng.randint(0, inst.l1_norm)
+            beta = rng.randint(0, sum(inst.a))
             result = certify(inst.a, dec.v, beta)
             if result.status is CertifyStatus.CERTIFIED:
                 assert not feasible(inst.a, beta).feasible
@@ -847,12 +860,12 @@ class TestWitnessContract:
 
 
 class CacheContract:
-    """What a per-(a, v) cache must keep: every answer, refusal and bound.
+    """What a side's per-(a, v) memo must keep: every answer, refusal and bound.
 
-    A subclass names the cache, the identity memo in front of it, the
-    answers it serves at each point of a pair and their referee. The
-    certifier's ``_prepared`` and the verifier's ``_ascending`` keep the
-    same contract.
+    A subclass names the identity memo, its side's only per-pair cache,
+    the answers it serves at each point of a pair and their referee. The
+    certifier's memo, which ``_prepared`` rebinds, and the verifier's,
+    which ``_ascending`` rebinds, keep the same contract.
     """
 
     A, V = (3, 5, 7), (1, 2, 2)
@@ -861,15 +874,20 @@ class CacheContract:
         """The (a, v, data) that the memo holds now."""
         return getattr(branching, self.memo_name)
 
-    def test_validation_comes_before_the_cache(self):
-        # Fraction and float entries hash equal to the cached ints, and their
-        # tuples equal the cached typed tuples; a refused pair reaches
-        # neither the cache nor the memo. Whatever the calls, plain tuples,
-        # lists, refused entries or lengths, the memo holds only a Weights
-        # and a Direction of its length
+    def test_validation_comes_before_the_cache(self, monkeypatch):
+        # Fraction and float entries equal the checked ints, and their
+        # tuples equal the checked typed tuples; a refused pair reaches
+        # neither a sort nor the memo, since every sort reads a Weights and
+        # a Direction. Whatever the calls, plain tuples, lists, refused
+        # entries or lengths, the memo holds only a Weights and a Direction
+        # of its length
+        def checked_only(num, den, sense):
+            assert type(num) is Direction and type(den) is Weights, (num, den)
+            return _greedy_order(num, den, sense)
+
+        monkeypatch.setattr(branching, "_greedy_order", checked_only)
         for point in self.points(self.A, self.V):
             self.answer(self.A, self.V, point)
-        misses = self.cache.cache_info().misses
         for convert, container in product((Fraction, float), (tuple, list)):
             a, v = container(map(convert, self.A)), container(map(convert, self.V))
             assert tuple(a) == Weights(self.A) and tuple(v) == Direction(self.V)
@@ -878,7 +896,6 @@ class CacheContract:
                 assert self.memo()[:2] == (self.A, self.V)
                 assert type(self.memo()[0]) is Weights
                 assert type(self.memo()[1]) is Direction
-        assert self.cache.cache_info().misses == misses
         a, v = self.memo()[:2]
         assert type(a) is Weights and type(v) is Direction and len(a) == len(v)
 
@@ -896,34 +913,40 @@ class CacheContract:
                 assert self.answer(a, v, point) == self.referee(a, v, point), (a, v, point)
 
     def test_is_bounded(self):
-        # the cache keeps 8 pairs, the memo the last one
-        for k in range(20):
-            self.fill((k + 2, k + 3), (1, 1))
-        assert self.cache.cache_info().currsize <= 8
-        assert self.memo()[:2] == ((21, 22), (1, 1))
+        # the memo holds the last pair only: after 20 pairs of n = 2000 the
+        # memory held is within test_memory_is_linear_in_n's bound for one
+        n = 2000
+        tracemalloc.start()
+        try:
+            for k in range(20):
+                self.fill(tuple(range(k + 1, k + n + 1)), (1,) * n)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**21
+        assert self.memo()[:2] == (tuple(range(20, n + 20)), (1,) * n)
 
     def test_checked_objects_skip_the_cache(self):
-        # the objects the memo holds get every answer without a cache
-        # lookup; an equal copy misses the memo, hits the cache and gets the
-        # same answers
+        # the objects the memo holds get every answer from the one entry,
+        # which no call rebinds; an equal copy misses the memo, enters it
+        # and gets the same answers
         a, v = Weights(self.A), Direction(self.V)
         points = self.points(self.A, self.V)
         want = [self.answer(self.A, self.V, point) for point in points]
         self.fill(a, v)
-        assert self.memo()[0] is a and self.memo()[1] is v
-        before = self.cache.cache_info()
+        entry = self.memo()
+        assert entry[0] is a and entry[1] is v
         assert [self.answer(a, v, point) for point in points] == want
-        assert self.cache.cache_info() == before
+        assert self.memo() is entry
         twin = Weights(list(a)), Direction(list(v))
         self.fill(*twin)
-        assert self.memo()[0] is twin[0] and self.memo()[1] is twin[1]
-        info = self.cache.cache_info()
-        assert (info.misses, info.hits) == (before.misses, before.hits + 1)
+        entry = self.memo()
+        assert entry[0] is twin[0] and entry[1] is twin[1]
         assert [self.answer(*twin, point) for point in points] == want
+        assert self.memo() is entry
 
     def test_memory_is_linear_in_n(self):
         n = 2000
-        self.cache.cache_clear()
         tracemalloc.start()
         try:
             self.fill(tuple(range(1, n + 1)), (1,) * n)
@@ -936,7 +959,6 @@ class CacheContract:
 class TestPreparedCache(CacheContract):
     """The (a, v) data that certify prepares once must not change any answer."""
 
-    cache = staticmethod(_prepared)
     memo_name = "_prepared_last"
 
     @staticmethod
@@ -984,38 +1006,34 @@ class TestPreparedCache(CacheContract):
         # the verifier shares no data with the certifier
         a, v = Weights((11, 13, 17)), Direction((1, 2, 3))
         cert = certify(a, v, 37).certificate
-        before, memo = _prepared.cache_info(), branching._prepared_last
+        memo = branching._prepared_last
         assert verify_certificate(a, v, cert) is True
-        assert _prepared.cache_info() == before
         assert branching._prepared_last is memo
 
     def test_two_lookups_per_certify(self, monkeypatch):
         # certify reads the memo for its gcd and range, and its one
         # lp_extreme_eq call reads it once more for both ends. Only a miss
-        # calls _prepared_of: plain tuples are checked into new objects on
+        # calls _prepared: plain tuples are checked into new objects on
         # every call, each call's one miss, and the lp_extreme_eq call gets
-        # the very objects certify checked, which the memo then holds. A
-        # new pair costs one cache miss, and the memo's own objects make no
-        # _prepared_of call at all
+        # the very objects certify checked, which the memo then holds. The
+        # memo's own objects make no _prepared call at all
         lookups, solved = [], []
 
         def recording(a, v):
-            lookups.append((a, v))
-            return prepared_of(a, v)
+            entry = prepared(a, v)
+            lookups.append(entry[:2])
+            return entry
 
         def solving(a, v, beta):
             solved.append((a, v))
             return lp_extreme_eq(a, v, beta)
 
-        prepared_of = branching._prepared_of
-        monkeypatch.setattr(branching, "_prepared_of", recording)
+        prepared = branching._prepared
+        monkeypatch.setattr(branching, "_prepared", recording)
         monkeypatch.setattr(branching, "lp_extreme_eq", solving)
         a, v = (31, 37, 41), (1, 2, 2)
-        _prepared.cache_clear()
         for _ in range(2):
             assert certify(a, v, 33).status is CertifyStatus.CERTIFIED
-        info = _prepared.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
         assert len(lookups) == len(solved) == 2
         for (checked_a, checked_v), (got_a, got_v) in zip(lookups, solved):
             assert type(checked_a) is Weights and type(checked_v) is Direction
@@ -1024,38 +1042,29 @@ class TestPreparedCache(CacheContract):
         for _ in range(3):
             assert certify(*checked, 33).status is CertifyStatus.CERTIFIED
         # the first call misses the memo, which held the last plain call's
-        # objects, and hits the cache; the next two make no lookup
+        # objects; the next two make no _prepared call
         assert len(lookups) == 3
         assert lookups[2][0] is checked[0] and lookups[2][1] is checked[1]
         assert len(solved) == 5
         assert all(got[0] is checked[0] and got[1] is checked[1] for got in solved[2:])
-        info = _prepared.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
 
-    def test_one_sort_per_pair(self, monkeypatch):
+    def test_one_sort_per_pair(self, sorts):
         # a new pair costs one sort, the max side being the min side's order
         # reversed, and a repeated pair none. The witness reader sorts each
-        # side for itself and leaves both caches and memos as they were
-        senses = []
-        monkeypatch.setattr(branching, "_greedy_order", lambda *args: (
-            senses.append(args[2]) or _greedy_order(*args)))
+        # side for itself and leaves both memos as they were
         a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
-        _prepared.cache_clear()
         cert = certify(a, v, 33).certificate
-        assert certify(a, v, 34).status is CertifyStatus.CERTIFIED and senses == ["min"]
-        kept = _prepared.cache_info(), _ascending.cache_info()
+        assert certify(a, v, 34).status is CertifyStatus.CERTIFIED and sorts == ["min"]
         memos = branching._prepared_last, branching._ascending_last
         assert (cert.vmin, cert.vmax) == tuple(lp_eq_greedy(a, v, 33, s)[0] for s in SENSES)
         _lp_vertices((3, 5, 7), (1, 2, 2), 6)
-        assert senses == ["min", "min", "max", "min", "max"]
-        assert (_prepared.cache_info(), _ascending.cache_info()) == kept
+        assert sorts == ["min", "min", "max", "min", "max"]
         assert branching._prepared_last is memos[0] and branching._ascending_last is memos[1]
 
 
 class TestAscendingCache(CacheContract):
     """The verifier's ascending order, kept once per (a, v), must not change any answer."""
 
-    cache = staticmethod(_ascending)
     memo_name = "_ascending_last"
 
     @staticmethod
@@ -1087,29 +1096,31 @@ class TestAscendingCache(CacheContract):
     def fill(a, v):
         lp_extreme_ineq(a, v, 1)
 
-    def test_one_sort_per_pair(self):
-        # a verify looks the pair up once, for both ends: it sorts a new
-        # pair once and a repeated pair not at all. Plain tuples are checked
-        # into new objects on every call, so each verify reaches the cache;
-        # checked objects reach it once, and the memo serves the repeats
+    def test_one_sort_per_pair(self, sorts):
+        # a verify reads the memo once, for both ends: it sorts a new pair
+        # once and the memo's own objects not at all. Plain tuples are
+        # checked into new objects on every call, so each verify sorts;
+        # checked objects are sorted once, and the memo serves the repeats
         a, v = (31, 37, 41), (1, 2, 2)
         cert = certify(a, v, 33).certificate
-        _ascending.cache_clear()
+        sorts.clear()
         assert verify_certificate(a, v, cert) is True
         assert verify_certificate(a, v, cert) is True
-        info = _ascending.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert sorts == ["min", "min"]
         checked = Weights(a), Direction(v)
         for _ in range(3):
             assert verify_certificate(*checked, cert) is True
-        info = _ascending.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert sorts == ["min", "min", "min"]
 
     def test_holds_the_norms_beside_the_order(self):
-        # a and v listed in ascending v_i/a_i order, as plain lists, and
-        # their prefix sums, which end in ||v||_1 and ||a||_1
+        # the memo entry: the checked a and v, then a and v listed in
+        # ascending v_i/a_i order, as plain lists, and their prefix sums,
+        # which end in ||v||_1 and ||a||_1
         a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
-        V, A, a_ord, v_ord = _ascending(a, v)
+        entry = _ascending(a, v)
+        assert branching._ascending_last is entry
+        checked_a, checked_v, V, A, a_ord, v_ord = entry
+        assert checked_a is a and checked_v is v
         assert (V, A) == ([0, 1, 3, 5], [0, 31, 72, 109])
         assert (a_ord, v_ord) == ([31, 41, 37], [1, 2, 2])
         assert (V[-1], A[-1]) == (sum(v), sum(a))
@@ -1117,9 +1128,8 @@ class TestAscendingCache(CacheContract):
 
     def test_certify_leaves_it_alone(self):
         # the certifier shares no data with the verifier
-        before, memo = _ascending.cache_info(), branching._ascending_last
+        memo = branching._ascending_last
         assert certify((19, 23, 29), (2, 1, 3), 63).status is CertifyStatus.CERTIFIED
-        assert _ascending.cache_info() == before
         assert branching._ascending_last is memo
 
 
@@ -1135,7 +1145,7 @@ def answers(a, v, beta):
 
 
 class TestIdentityMemo:
-    """The memos in front of both caches answer by identity, never by equality."""
+    """The memos, each side's only per-pair cache, answer by identity, never by equality."""
 
     @staticmethod
     def pairs_and_betas():
@@ -1164,8 +1174,8 @@ class TestIdentityMemo:
         twin = Weights(list(a)), Direction(list(v))
         assert twin == (a, v) and twin[0] is not a and twin[1] is not v
         rng = SplitMix64(n)
-        betas = [-1, 0, inst.l1_norm, inst.l1_norm + 1]
-        betas += [rng.randint(0, inst.l1_norm) for _ in range(200)]
+        betas = [-1, 0, sum(inst.a), sum(inst.a) + 1]
+        betas += [rng.randint(0, sum(inst.a)) for _ in range(200)]
         statuses = set()
         for beta in betas:
             want = answers(a, v, beta)
@@ -1342,17 +1352,85 @@ class TestMemoFirst:
         assert verify_certificate(*checked, SimpleNamespace(beta=bad, level=1)) is False
 
     def test_only_checked_pairs_enter_a_memo(self):
-        # the memos' own entry points refuse anything but a Weights and a
-        # Direction of its length, before the cache
+        # the miss paths, the only code that rebinds a memo, check a and v
+        # before they sort: a refused pair leaves the memo as it was, and any
+        # other enters as a Weights and a Direction of its length, the
+        # caller's own objects where they are checked already
         a, v = Weights(TOY_A), Direction(TOY_V)
-        for of, cache in ((branching._prepared_of, _prepared), (branching._ascending_of, _ascending)):
-            before = cache.cache_info()
-            for pair in ((TOY_A, v), (a, TOY_V), (list(a), list(v)), (a, Direction((1, 1)))):
-                with pytest.raises(InvariantViolation, match="checked"):
-                    of(*pair)
-            assert cache.cache_info() == before
-            entry = of(a, v)
-            assert entry[0] is a and entry[1] is v and of(a, v) is entry
+        for build, memo_name in ((_prepared, "_prepared_last"), (_ascending, "_ascending_last")):
+            entry = build(a, v)
+            assert entry[0] is a and entry[1] is v and getattr(branching, memo_name) is entry
+            refused = [
+                (TOY_A, (1, 1)), (a, Direction((1, 1))), ((0, 101, 102), TOY_V),
+                (TOY_A, (1, -1, 1)), ([100.0, 101, 102], TOY_V), (TOY_A, (0, 0, 0)),
+            ]
+            for pair in refused:
+                with pytest.raises(DomainError):
+                    build(*pair)
+                assert getattr(branching, memo_name) is entry
+            for pair in ((TOY_A, v), (a, TOY_V), (list(a), list(v))):
+                entry = build(*pair)
+                assert getattr(branching, memo_name) is entry
+                assert type(entry[0]) is Weights and type(entry[1]) is Direction
+                assert entry[:2] == (a, v)
+                assert all(x is y for x, y in zip(entry[:2], pair) if type(x) is type(y))
+
+    def test_the_memo_is_the_only_cache_on_each_side(self, sorts):
+        # new plain tuples cost one sort per call, refused or not, and the
+        # memo's own objects none; both get the referees' answers. Witnesses
+        # are not read, as their reader sorts for itself
+        a, v = (31, 37, 41), (1, 2, 2)
+        betas, levels = range(-1, sum(a) + 2), range(-1, sum(v) + 2)
+
+        def plain():
+            return tuple(list(a)), tuple(list(v))
+
+        def decided(a, v, beta):
+            result = certify(a, v, beta)
+            return result.status, result.certificate and result.certificate.level
+
+        def eq(a, v, beta):
+            return values(lp_extreme_eq(a, v, beta))
+
+        want_certify = [
+            (result.status, result.certificate and result.certificate.level)
+            for result in (certify_by_greedy(a, v, beta) for beta in betas)
+        ]
+        assert {status for status, _ in want_certify} == set(CertifyStatus) - {
+            CertifyStatus.TRIVIALLY_INFEASIBLE_GCD}
+        want_eq = [
+            tuple(lp_eq_greedy(a, v, beta, s)[0] for s in SENSES) if 0 <= beta <= sum(a)
+            else f"refused: right-hand side {beta} outside [0, {sum(a)}]"
+            for beta in betas
+        ]
+        want_ineq = [
+            good_interval_by(greedy_fill_pair, a, v, level) if 0 <= level < sum(v)
+            else "refused: level outside [0, ||v||_1)"
+            for level in levels
+        ]
+        claims, want_verify = [], []
+        for beta, (_, level) in zip(betas, want_certify):
+            if level is not None:
+                for k in (level - 1, level, level + 1):
+                    claims.append(Claim(beta, k))
+                    want_verify.append(k == level)
+        sorts.clear()
+        assert [decided(*plain(), beta) for beta in betas] == want_certify
+        assert [outcome(eq, *plain(), beta) for beta in betas] == want_eq
+        assert sorts == ["min"] * 2 * len(betas)
+        own = branching._prepared_last[:2]
+        sorts.clear()
+        assert [decided(*own, beta) for beta in betas] == want_certify
+        assert [outcome(eq, *own, beta) for beta in betas] == want_eq
+        assert sorts == []
+        assert [outcome(lp_extreme_ineq, *plain(), level) for level in levels] == want_ineq
+        assert [verify_certificate(*plain(), claim) for claim in claims] == want_verify
+        assert sorts == ["min"] * (len(levels) + len(claims))
+        own = branching._ascending_last[:2]
+        sorts.clear()
+        assert [outcome(lp_extreme_ineq, *own, level) for level in levels] == want_ineq
+        assert [verify_certificate(*own, claim) for claim in claims] == want_verify
+        assert sorts == []
 
 
 class TestCertificateBounds:
@@ -1462,7 +1540,7 @@ class TestVerify:
             assert verify_certificate(TOY_A, TOY_V, replace(cert, beta=beta)) is accepted
             assert calls == [1], beta
 
-    def test_builds_no_fraction(self, monkeypatch):
+    def test_builds_no_fraction(self, monkeypatch, sorts):
         # the decision is integer cross-multiplication, for a new pair too
         def no_fraction(*args):
             raise AssertionError("verify built a Fraction")
@@ -1472,15 +1550,16 @@ class TestVerify:
         toy = certify(TOY_A, TOY_V, 150).certificate
         moved = replace(cert, beta=cert.beta + 40)  # the constructor reads Fraction
         assert verify_certificate(a, v, cert) is True
-        # an equal but distinct copy passes the memo to the cleared cache
+        # an equal but distinct copy misses the memo and is sorted; so is
+        # each pair after a call on the other
         twin = Weights(list(a)), Direction(list(v))
-        _ascending.cache_clear()
+        sorts.clear()
         monkeypatch.setattr(branching, "Fraction", no_fraction)
         assert verify_certificate(*twin, cert) is True
         assert branching._ascending_last[0] is twin[0]
         assert verify_certificate(TOY_A, TOY_V, toy) is True
         assert verify_certificate(*twin, moved) is False
-        assert _ascending.cache_info().misses == 2
+        assert sorts == ["min"] * 3
 
     @pytest.mark.parametrize(
         "decompose, n",
@@ -1500,7 +1579,7 @@ class TestVerify:
         rng = SplitMix64(1)
         checked = 0
         while checked < 200:
-            result = certify(a, v, rng.randint(0, inst.l1_norm))
+            result = certify(a, v, rng.randint(0, sum(inst.a)))
             if result.status is not CertifyStatus.CERTIFIED:
                 continue
             cert = result.certificate

@@ -142,7 +142,6 @@ class TestInstance:
 
     def test_norms_are_derived(self):
         inst = Instance(a=(2, 3, 4))
-        assert inst.l1_norm == 9
         assert inst.linf_norm == 4
 
 

@@ -40,7 +40,7 @@ def pipeline(name):
     rng = SplitMix64(1)
     texts = []
     while len(texts) < CERTIFICATES:
-        result = certify(inst.a, v, rng.randint(0, inst.l1_norm))
+        result = certify(inst.a, v, rng.randint(0, sum(inst.a)))
         if result.status is CertifyStatus.CERTIFIED:
             texts.append(documents.serialize_certificate(result.certificate, v))
     return inst.a, v, texts
