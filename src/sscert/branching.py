@@ -268,7 +268,7 @@ def _ascending(a: Sequence[int], v: Sequence[int]) -> tuple:
 
 
 def _prepared(a: Sequence[int], v: Sequence[int]) -> tuple:
-    """The certifier's memo entry (a, v, coprime, ||a||_1, *min side, *max side).
+    """The certifier's memo entry: a, v, coprime, ||a||_1, min side, max side.
 
     The miss path of ``certify`` and ``lp_extreme_eq``: checks a and v,
     sorts once and rebinds ``_prepared_last`` to the entry it returns.
@@ -308,8 +308,9 @@ def lp_extreme_eq(
     entry is read once, for both ends: when a and v are its objects, the
     pair was checked when it entered and only beta is checked; otherwise
     ``_prepared`` checks a and v, sorts and rebinds the memo, and then
-    beta is checked. No Fraction and no vertex is built, which ``_lp_vertices`` does for the
-    witnesses. DomainError unless beta is an int in [0, ||a||_1].
+    beta is checked. No Fraction and no vertex is built, which
+    ``_lp_vertices`` does for the witnesses. DomainError unless beta is an
+    int in [0, ||a||_1].
     """
     last = _prepared_last
     if last[0] is not a or last[1] is not v:
@@ -392,8 +393,8 @@ def lp_extreme_ineq(
     what it checks. The memo entry is read once: when a and v are its
     objects only the level is checked, and otherwise ``_ascending``
     checks a and v, sorts and rebinds the memo, and then the level is
-    checked. DomainError unless level is
-    an int in [0, ||v||_1), where both LPs are feasible.
+    checked. DomainError unless level is an int in [0, ||v||_1), where
+    both LPs are feasible.
     """
     last = _ascending_last
     if last[0] is not a or last[1] is not v:
