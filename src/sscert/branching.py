@@ -37,6 +37,13 @@ else. Otherwise the side's miss path checks a and v, sorts once and
 rebinds the memo, and then beta or the level is checked: a call that
 passes other objects, an equal copy or plain sequences included, pays
 for one check and one sort.
+
+No function here needs coprime weights. A certificate says that v.x has
+no integer value on the relaxation of a.x = beta, and then no 0/1 point
+exists, whatever gcd(a) is; the good intervals and the coverage counts
+are the same statements, level by level. Coprimality only says which
+right-hand sides an instance has, and ``model.Instance`` decides it.
+
 The certifier and the verifier decide on the numerators and
 denominators of their LP values in integers: beta is certified at
 level floor(vmin) when vmin is not an integer and vmax is below that
@@ -76,7 +83,7 @@ from typing import Literal, NamedTuple, Sequence
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .intmath import l1_norm
-from .model import validate_direction, validate_weights
+from .model import Weights, validate_direction
 from .rng import SplitMix64
 
 Sense = Literal["min", "max"]
@@ -247,16 +254,13 @@ _prepared_last = _ascending_last = (object(), object())
 def _ascending(a: Sequence[int], v: Sequence[int]) -> tuple:
     """The verifier's memo entry (a, v, V, A, a_ord, v_ord), built anew.
 
-    The miss path of ``lp_extreme_ineq``: checks a and v, sorts once and
-    rebinds ``_ascending_last`` to the entry it returns. a_ord and v_ord
-    list a and v in ascending v_i/a_i order, and V and A are their prefix
-    sums, so ||v||_1 is V[-1] and ||a||_1 is A[-1]. All four are plain
-    lists, whose subscripts CPython specialises and those of the typed
-    tuples it does not. Both one-sided LPs of a verify bisect V. The
-    certifier's ``_prepared`` neither reads nor rebinds it.
+    a_ord and v_ord list a and v in ascending v_i/a_i order, and V and A
+    are their prefix sums, so ||v||_1 is V[-1] and ||a||_1 is A[-1]. All
+    four are plain lists, whose subscripts CPython specialises and those
+    of the typed tuples it does not.
     """
     global _ascending_last
-    a = validate_weights(a)
+    a = Weights(a)
     v = validate_direction(v, len(a))
     order = _greedy_order(v, a, "min")
     a_ord = [a[i] for i in order]
@@ -268,24 +272,21 @@ def _ascending(a: Sequence[int], v: Sequence[int]) -> tuple:
 
 
 def _prepared(a: Sequence[int], v: Sequence[int]) -> tuple:
-    """The certifier's memo entry: a, v, coprime, ||a||_1, min side, max side.
+    """The certifier's memo entry: a, v, ||a||_1, min side, max side.
 
-    The miss path of ``certify`` and ``lp_extreme_eq``: checks a and v,
-    sorts once and rebinds ``_prepared_last`` to the entry it returns.
-    The min side lists a and v in ascending v_i/a_i order, and the max
-    side in that order reversed, each as plain lists a_ord and v_ord
-    beside their prefix sums A and V, all that ``lp_extreme_eq`` reads.
-    On tied ratios the reversed order takes the larger index first, which
-    changes no LP value. No order is kept: the witness reader
-    ``_lp_vertices`` sorts for itself.
+    Each side is the prefix sums A and V beside a and v listed as plain
+    lists, in ascending v_i/a_i order on the min side and in that order
+    reversed on the max side; on tied ratios the reversed order takes the
+    larger index first, which changes no LP value. No order is kept: the
+    witness reader ``_lp_vertices`` sorts for itself.
     """
     global _prepared_last
-    a = validate_weights(a)
+    a = Weights(a)
     v = validate_direction(v, len(a))
     order = _greedy_order(v, a, "min")
     a_ord = [a[i] for i in order]
     v_ord = [v[i] for i in order]
-    record = [a, v, math.gcd(*a) == 1, sum(a)]
+    record = [a, v, sum(a)]
     for a_side, v_side in ((a_ord, v_ord), (a_ord[::-1], v_ord[::-1])):
         A = list(accumulate(a_side, initial=0))
         V = list(accumulate(v_side, initial=0))
@@ -304,11 +305,8 @@ def lp_extreme_eq(
     maximum, answered by one bisection of its prefix sums of a. The items
     before the bisected one are whole, and that one takes the remainder:
     (V_j a_j + v_j rest, a_j), or (V_j, 1) when the prefix sum A_j is
-    beta itself, with a_j and v_j the bisected item's entries. The memo
-    entry is read once, for both ends: when a and v are its objects, the
-    pair was checked when it entered and only beta is checked; otherwise
-    ``_prepared`` checks a and v, sorts and rebinds the memo, and then
-    beta is checked. No Fraction and no vertex is built, which
+    beta itself, with a_j and v_j the bisected item's entries. One memo
+    entry serves both ends. No Fraction and no vertex is built, which
     ``_lp_vertices`` does for the witnesses. DomainError unless beta is an
     int in [0, ||a||_1].
     """
@@ -317,7 +315,7 @@ def lp_extreme_eq(
         last = _prepared(a, v)
     if not isinstance(beta, int):
         raise DomainError("beta must be an integer")
-    _, _, _, total, A, V, a_lo, v_lo, A_hi, V_hi, a_hi, v_hi = last
+    _, _, total, A, V, a_lo, v_lo, A_hi, V_hi, a_hi, v_hi = last
     if beta < 0 or beta > total:
         raise DomainError(f"right-hand side {beta} outside [0, {total}]")
     j = bisect_right(A, beta) - 1
@@ -343,16 +341,11 @@ def _lp_vertices(
     The witness reader: the greedy fills of ``lp_extreme_eq``, as
     Fractions and as vertices listed by index, each filled here in the
     ``_greedy_order`` of its sense, ties to the smaller index. It reads
-    and rebinds neither memo, and is called only when witnesses
-    are asked for. Each vertex has at most one fractional coordinate.
-    DomainError unless beta is an int in [0, ||a||_1].
+    and rebinds neither memo. Its one caller is a ``Certificate`` that
+    ``certify`` built, when its witnesses are asked for: a and v are the
+    checked pair of certify's memo entry and beta is in [0, ||a||_1], so
+    it checks nothing. Each vertex has at most one fractional coordinate.
     """
-    a = validate_weights(a)
-    v = validate_direction(v, len(a))
-    _validate_int(beta, "beta")
-    total = sum(a)
-    if beta < 0 or beta > total:
-        raise DomainError(f"right-hand side {beta} outside [0, {total}]")
     ends = []
     for sense in ("min", "max"):
         # the items before the first that does not fit are whole, and a
@@ -387,14 +380,8 @@ def lp_extreme_ineq(
     order at no cost, and V repeats 0 for them, so bisect_right takes
     them all. The min side is the complement y = e - x: min(a, level + 1)
     is ||a||_1 - max(a, ||v||_1 - level - 1), one more bisection of V.
-    a and v listed in that order, and their prefix sums V and A, are
-    the verifier's own, kept per (a, v) in the memo that ``_ascending``
-    rebinds, apart from the certifier's, so the check shares no data with
-    what it checks. The memo entry is read once: when a and v are its
-    objects only the level is checked, and otherwise ``_ascending``
-    checks a and v, sorts and rebinds the memo, and then the level is
-    checked. DomainError unless level is an int in [0, ||v||_1), where
-    both LPs are feasible.
+    One entry of the verifier's own memo serves both ends. DomainError
+    unless level is an int in [0, ||v||_1), where both LPs are feasible.
     """
     last = _ascending_last
     if last[0] is not a or last[1] is not v:
@@ -422,30 +409,20 @@ def lp_extreme_ineq(
     return hi, (A[-1] - A[j], 1)
 
 
-def _validate_int(value: int, name: str) -> None:
-    if not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer")
-
-
 def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
     """Certificate for beta when no integer lies in [vmin, vmax].
 
     Out-of-range beta is trivially infeasible; otherwise either a
     Certificate (sound: the relaxation traps v.x strictly between
     consecutive integers) or no_certificate. DomainError unless beta is
-    an int and the weights are coprime. Coprimality and ||a||_1 come
-    from the data prepared once per (a, v), as do the greedy orders of
-    the one lp_extreme_eq call. The memo entry is read once: when a and v
-    are its objects, the pair was checked when it entered, so only beta
-    is checked and a repeated pair costs two bisections per beta, with
-    no type check; otherwise ``_prepared`` checks a and v, sorts and
-    rebinds the memo, whose own objects go to lp_extreme_eq, and then
-    beta is checked. The decision is on integers: with
-    vmin = p/q and vmax = r/s, beta is certified at level p // q when q
-    does not divide p and r < (p // q + 1) s. No Fraction and no vertex
-    is built: the Certificate is one slotted object holding beta, the
-    level and the memo entry this call read, and reads its witnesses
-    only when they are asked for.
+    an int. ||a||_1 comes from the memo entry, and a miss hands the
+    entry's own objects to the one lp_extreme_eq call, which then hits.
+    The decision is on integers: with vmin = p/q and vmax = r/s, beta is
+    certified at level p // q when q does not divide p and
+    r < (p // q + 1) s. No Fraction and no vertex is built: the
+    Certificate is one slotted object holding beta, the level and the
+    memo entry this call read, and reads its witnesses only when they
+    are asked for.
     """
     last = _prepared_last
     if last[0] is not a or last[1] is not v:
@@ -453,9 +430,7 @@ def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
         a, v = last[:2]  # the lp_extreme_eq call below hits the memo
     if not isinstance(beta, int):
         raise DomainError("beta must be an integer")
-    if not last[2]:
-        raise DomainError("weights not coprime")
-    if beta < 0 or beta > last[3]:
+    if beta < 0 or beta > last[2]:
         return _new_tuple(CertifyResult, (_TRIVIALLY_INFEASIBLE, beta, None))
     (lo, lo_den), (hi, hi_den) = lp_extreme_eq(a, v, beta)
     # vmax < level + 1 with level = floor(vmin) < vmin: no integer in [vmin, vmax]
@@ -500,7 +475,7 @@ def witnesses_consistent(a: Sequence[int], v: Sequence[int], cert: Claim) -> boo
     as a plain Claim.
     """
     try:
-        a = validate_weights(a)
+        a = Weights(a)
         v = validate_direction(v, len(a))
         ends = ((cert.arg_min, cert.vmin), (cert.arg_max, cert.vmax))
     except (AttributeError, DomainError):
@@ -536,8 +511,10 @@ def enumerate_intervals(
     ve = V[-1]
     if k_hi is None:
         k_hi = ve
-    _validate_int(k_lo, "k_lo")
-    _validate_int(k_hi, "k_hi")
+    if not isinstance(k_lo, int):
+        raise DomainError("k_lo must be an integer")
+    if not isinstance(k_hi, int):
+        raise DomainError("k_hi must be an integer")
     if not 0 <= k_lo <= k_hi <= ve:
         raise DomainError("need 0 <= k_lo <= k_hi <= ||v||_1")
     if k_hi - k_lo > ENUMERATION_CAP:
@@ -606,15 +583,13 @@ def coverage_stats(
 
     Exact mode counts the integers in bad intervals in closed form
     (DomainError when levels overlap) and reports Corollary 1 and the
-    least good length from the same pass; it needs no coprime weights,
-    since a right-hand side in a good interval is infeasible for every a.
-    Sampled mode draws beta uniformly from {0, ..., ||a||_1} with the
+    least good length from the same pass. Sampled mode draws beta uniformly from {0, ..., ||a||_1} with the
     given seed and classifies each via certify, in this process.
     ``workers`` must be >= 1 and is otherwise unread: it stays for the
     benchmark's calls and goes with the sampled mode (ROADMAP items 1b
     and 2). DomainError unless scale > 0 and residual has n entries.
     """
-    a = validate_weights(a)
+    a = Weights(a)
     v = validate_direction(v, len(a))
     if workers < 1:
         raise DomainError("workers must be >= 1")

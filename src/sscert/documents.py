@@ -274,7 +274,9 @@ def serialize_interval_cover(cover: IntervalCover) -> str:
 
 
 def serialize_coverage_stats(stats: CoverageStats) -> str:
-    payload: dict[str, Any] = {
+    """The exact report, the only one that ``stats`` writes."""
+    upper = stats.certified_share_upper
+    payload = {
         "kind": "coverage_stats",
         "mode": stats.mode,
         "g": format_int(stats.g),
@@ -282,20 +284,12 @@ def serialize_coverage_stats(stats: CoverageStats) -> str:
         "bad_fraction": format_fraction(stats.bad_fraction),
         "bad_fraction_bound": format_fraction(stats.bad_fraction_bound),
         "two_pow_n_bound": format_fraction(stats.two_pow_n_bound),
+        "certified_share_upper": None if upper is None else format_fraction(upper),
+        "corollary_1": stats.corollary_1,
+        "min_good_length": format_fraction(stats.min_good_length),
+        "good_length_bound": format_fraction(stats.good_length_bound),
+        "good_length_bound_holds": stats.good_length_bound_holds,
     }
-    if stats.sample_size is not None:
-        payload["sample_size"] = stats.sample_size
-    if stats.seed is not None:
-        payload["seed"] = format_int(stats.seed)
-    if stats.corollary_1 is not None:
-        upper = stats.certified_share_upper
-        payload.update(
-            certified_share_upper=None if upper is None else format_fraction(upper),
-            corollary_1=stats.corollary_1,
-            min_good_length=format_fraction(stats.min_good_length),
-            good_length_bound=format_fraction(stats.good_length_bound),
-            good_length_bound_holds=stats.good_length_bound_holds,
-        )
     return _dump(payload)
 
 

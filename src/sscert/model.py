@@ -69,11 +69,6 @@ class Direction(tuple):
         return Direction, (tuple(self),)
 
 
-def validate_weights(a: Sequence[int]) -> Weights:
-    """The weights as Weights; DomainError unless all are integers >= 1."""
-    return a if type(a) is Weights else Weights(a)
-
-
 def validate_direction(v: Sequence[int], n: int) -> Direction:
     """The direction as a Direction; DomainError unless n integers >= 0, not all 0."""
     if type(v) is not Direction:
@@ -93,7 +88,7 @@ class Instance:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", validate_weights(self.a))
+        object.__setattr__(self, "a", Weights(self.a))
         if math.gcd(*self.a) != 1:
             raise DomainError("weights not coprime")
 

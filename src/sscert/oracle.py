@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapacityError, InvariantViolation
-from .model import validate_weights
+from .model import Weights
 
 _FEASIBLE_CAP = 32
 
@@ -42,7 +42,7 @@ def _half_sums(weights: Sequence[int]) -> dict[int, int]:
 
 def feasible(a: Sequence[int], beta: int) -> FeasibilityAnswer:
     """Exact subset sum decision by meet-in-the-middle, n <= 32."""
-    a = validate_weights(a)
+    a = Weights(a)
     n = len(a)
     if n > _FEASIBLE_CAP:
         raise CapacityError(f"feasibility oracle capped at n = {_FEASIBLE_CAP}")

@@ -6,6 +6,7 @@ stated sampling bound. Run with ``pytest tests/test_acceptance.py -s``
 to see the per-criterion lines.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from oracles import (
     lp_ineq_vertex,
     svp_min_norm_sq,
 )
+from sscert import documents
 from sscert.branching import (
     CertifyStatus,
     _lp_vertices,
@@ -28,12 +30,14 @@ from sscert.branching import (
     lp_extreme_eq,
     lp_extreme_ineq,
 )
-from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
+from sscert.cli import main
+from sscert.decompose import decompose_frank_tardos, decompose_lll_rows, project_onto
 from sscert.diophantine import dioph_approx
 from sscert.intmath import l1_norm
 from sscert.lll import Basis, lll_reduce
-from sscert.model import generate_instance
+from sscert.model import Instance, generate_instance
 from sscert.oracle import feasible
+from sscert.rng import SplitMix64
 
 
 def report(line):
@@ -235,6 +239,83 @@ def test_pipeline_coverage_exact():
     report("PASS exact coverage: bad fraction within 2(||r||_1 + 1)/scale, "
            "Corollary 1's 1 - 2^-n and every good interval at least "
            "scale - ||r||_1 wide on FT n = 10, 12, 14 and lll_rows n = 20, 24")
+
+
+def frontier_instance(n, bits, seed):
+    """n weights of exactly ``bits`` bits (top bit set) from SplitMix64(seed),
+    the whole vector drawn again until its gcd is 1."""
+    rng = SplitMix64(seed)
+    while True:
+        a = tuple(rng.randbits(bits - 1) | 1 << (bits - 1) for _ in range(n))
+        if math.gcd(*a) == 1:
+            return Instance(a=a, seed=seed)
+
+
+# (n, bits) -> Corollary 1's verdict on seeds 1-3 with the lll_rows direction;
+# the paper's density 1/(2n) is bits = 2 n^2 + 1 (289 at n = 12, 513 at n = 16)
+DENSITY_FRONTIER = {
+    (12, 160): ("holds", "holds", "holds"),
+    (12, 150): ("fails", "fails", "fails"),
+    (16, 300): ("holds", "holds", "holds"),
+    (16, 272): ("fails", "fails", "fails"),
+}
+
+
+def test_density_frontier():
+    for (n, bits), verdicts in DENSITY_FRONTIER.items():
+        got = []
+        for seed in (1, 2, 3):
+            inst = frontier_instance(n, bits, seed)
+            assert max(inst.a).bit_length() == bits and not inst.low_density
+            dec = decompose_lll_rows(inst)
+            stats = coverage_stats(inst.a, dec.v, dec.scale, dec.residual, "exact")
+            assert (stats.corollary_1 == "holds") == (stats.bad_fraction <= stats.two_pow_n_bound)
+            assert stats.good_length_bound_holds
+            got.append(stats.corollary_1)
+        assert tuple(got) == verdicts, (n, bits, got)
+    report("PASS density frontier: with the lll_rows direction Corollary 1 holds "
+           "at n = 12, 160 bits and n = 16, 300 bits, and fails at 150 and 272 bits, "
+           "seeds 1-3, against the paper's 2n^2 + 1 bits")
+
+
+def test_density_frontier_past_the_lll_rows_rule(tmp_path, capsys):
+    # at n = 12 and 14 bits decompose refuses the density, and a document
+    # that writes down the same reduction's direction by hand is refused by
+    # stats as a document error or judged: exit 2 or 0, never 4
+    n, codes = 12, []
+    for seed in (1, 2, 3):
+        inst = frontier_instance(n, 14, seed)
+        inst_path = tmp_path / f"instance{seed}.json"
+        inst_path.write_text(documents.serialize_instance(inst))
+        argv = ["decompose", "--method", "lll_rows", "--instance", str(inst_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "sscert: instance density above 1/(n/2 + 1): max weight too small\n")
+        cols = tuple((aj,) + tuple(int(t == j) for t in range(n)) for j, aj in enumerate(inst.a))
+        reduced = lll_reduce(Basis(cols=cols))
+        v = reduced.U_inv[n - 1]
+        if sum(v) < 0:
+            v = tuple(-x for x in v)
+        scale, residual = project_onto(inst.a, v)
+        dec_path = tmp_path / f"direction{seed}.json"
+        dec_path.write_text(json.dumps({
+            "kind": "decomposition", "method": "lll_rows",
+            "v": [str(x) for x in v], "lambda": documents.format_fraction(scale),
+            "r": [documents.format_fraction(x) for x in residual],
+            "provenance": {"type": "lattice_reduction", "dim": n, "swaps": 0,
+                           "size_reductions": 0},
+        }))
+        code = main(["stats", "--instance", str(inst_path), "--decomposition", str(dec_path)])
+        out, err = capsys.readouterr()
+        codes.append(code)
+        if code == 2:
+            assert (out, err) == ("", "sscert: residual l1 norm must be below the scale "
+                                      "(at $.r)\n")
+        else:
+            assert json.loads(out)["corollary_1"] == "fails"
+    assert codes == [2, 2, 0]
+    report("PASS density frontier at 14 bits: decompose exits 2, and stats on the "
+           "reduction's own direction exits 2 or 0, never 4")
 
 
 def _random_basis(rnd, d, bound):

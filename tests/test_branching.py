@@ -15,6 +15,7 @@ from itertools import product
 import pytest
 
 from oracles import (
+    all_feasible_sums,
     certificate_bounds_hold,
     count_integers_in_bad,
     greedy_fill_pair,
@@ -140,21 +141,20 @@ class TestLpExtremeEq:
         assert lp_extreme_eq((2, 3, 4), (1, 1, 1), 9) == ((3, 1),) * 2
 
     def test_out_of_range_signals(self):
+        # the witness reader checks nothing: its one caller, a Certificate,
+        # holds a beta that certify found in range
         for beta in (-1, 10):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="outside"):
                 lp_extreme_eq((2, 3, 4), (1, 1, 1), beta)
-            with pytest.raises(DomainError):
-                _lp_vertices((2, 3, 4), (1, 1, 1), beta)
 
     def test_checked_vectors_of_other_lengths_are_refused(self):
         # each is checked on its own, so a Weights and a Direction can
-        # still differ in length; every entry point compares the lengths
+        # still differ in length; every public entry point compares the
+        # lengths
         a = Weights((3, 5, 7))
         cert = certify(a, (1, 2, 2), 11).certificate
         for v in (Direction((1, 2)), Direction((1, 2, 2, 1))):
-            for call, point in product(
-                (certify, lp_extreme_eq, _lp_vertices, lp_extreme_ineq), (-1, 1)
-            ):
+            for call, point in product((certify, lp_extreme_eq, lp_extreme_ineq), (-1, 1)):
                 with pytest.raises(DomainError, match="length"):
                     call(a, v, point)
             assert verify_certificate(a, v, cert) is False
@@ -214,10 +214,8 @@ class TestLpExtremeEq:
 
     @pytest.mark.parametrize("beta", NOT_INTS)
     def test_rejects_non_integer_beta(self, beta):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="beta must be an integer"):
             lp_extreme_eq((3, 5, 7), (1, 2, 2), beta)
-        with pytest.raises(DomainError):
-            _lp_vertices((3, 5, 7), (1, 2, 2), beta)
 
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_ties_fill_the_smaller_index_first(self, sense):
@@ -537,8 +535,9 @@ class TestCertify:
         assert certify(TOY_A, TOY_V, 304).status is CertifyStatus.TRIVIALLY_INFEASIBLE
 
     def test_preconditions(self):
-        with pytest.raises(DomainError):
-            certify((2, 4, 6), (1, 1, 1), 5)
+        # a and v are checked; coprime weights are not asked for
+        for beta in range(13):
+            assert certify((2, 4, 6), (1, 1, 1), beta) == certify_by_greedy((2, 4, 6), (1, 1, 1), beta)
         with pytest.raises(DomainError):
             certify(TOY_A, (0, 0, 0), 5)
         with pytest.raises(DomainError):
@@ -651,15 +650,11 @@ class TestCertify:
 
     def test_integer_decision_exhaustive_small(self):
         # status, level and the whole certificate, against the Fraction
-        # floors; every status, and the exact fill (A[j] = beta) and the
-        # split item on each side
+        # floors, on every pair, coprime or not; every status, and the exact
+        # fill (A[j] = beta) and the split item on each side
         certified = 0
         statuses, fills = set(), set()
         for a, v in exhaustive_small_instances(vmax=3):
-            if math.gcd(*a) != 1:
-                with pytest.raises(DomainError, match="coprime"):
-                    certify(a, v, 1)
-                continue
             for beta in range(-1, sum(a) + 2):
                 got, want = certify(a, v, beta), certify_by_greedy(a, v, beta)
                 assert got.status is want.status, (a, v, beta)
@@ -699,6 +694,29 @@ class TestCertify:
                 if result.status is CertifyStatus.NO_CERTIFICATE:
                     continue
                 assert not subset_feasible_naive(a, beta)
+
+    def test_soundness_without_coprime_weights(self):
+        # the certificate is sound for any positive weights: every certified
+        # beta of every pair with gcd(a) > 1, a in {2..12}^n for n = 2, 3 and
+        # in {2..6}^4, v nonzero in {0, 1, 2}^n, is no subset sum, and verifies
+        pairs = certified = 0
+        for n, top in ((2, 12), (3, 12), (4, 6)):
+            for a in product(range(2, top + 1), repeat=n):
+                if math.gcd(*a) == 1:
+                    continue
+                sums = all_feasible_sums(a)
+                for v in product(range(3), repeat=n):
+                    if not any(v):
+                        continue
+                    checked = Weights(a), Direction(v)
+                    for beta in range(sum(a) + 1):
+                        cert = certify(*checked, beta).certificate
+                        if cert is not None:
+                            assert beta not in sums, (a, v, beta)
+                            assert verify_certificate(*checked, cert), (a, v, beta)
+                            certified += 1
+                    pairs += 1
+        assert (pairs, certified) == (15_490, 16_570)
 
     def test_soundness_exhaustive_up_to_n20(self):
         import math
@@ -968,10 +986,13 @@ class TestPreparedCache(CacheContract):
     @staticmethod
     def answer(a, v, beta):
         """certify with its witnesses, and both lp_extreme_eq ends and both
-        vertices where the relaxation is not empty."""
+        vertices where the relaxation is not empty. The vertices are read,
+        as a Certificate reads them, on the checked pair of the memo entry
+        that the lp_extreme_eq call left."""
         ends = None
         if 0 <= beta <= sum(a):
-            ends = values(lp_extreme_eq(a, v, beta)), _lp_vertices(a, v, beta)
+            pairs = values(lp_extreme_eq(a, v, beta))
+            ends = pairs, _lp_vertices(*branching._prepared_last[:2], beta)
         return full(certify(a, v, beta)), ends
 
     @staticmethod
@@ -988,19 +1009,22 @@ class TestPreparedCache(CacheContract):
             certify(a, v, 6)
         with pytest.raises(DomainError):
             lp_extreme_eq(a, v, 6)
-        with pytest.raises(DomainError):
-            _lp_vertices(a, v, 6)
 
     @staticmethod
     def fill(a, v):
         # at n = 2000 the n + 1 partial vertices themselves would hold 62 MiB
         certify(a, v, len(a))
 
-    def test_non_coprime_weights_stay_refused(self):
-        lp_extreme_eq((2, 4, 6), (1, 1, 1), 5)
-        for _ in range(2):
-            with pytest.raises(DomainError, match="coprime"):
-                certify((2, 4, 6), (1, 1, 1), 5)
+    def test_non_coprime_weights_are_served_like_any_other(self):
+        # no gcd is taken: plain tuples, which miss the memo on every call,
+        # and the memo's own objects, which hit it, get the referee's answers
+        a, v = (2, 4, 6), (1, 1, 1)
+        for beta in range(-1, sum(a) + 2):
+            assert full(certify(a, v, beta)) == full(certify_by_greedy(a, v, beta))
+        checked = branching._prepared_last[:2]
+        for beta in range(-1, sum(a) + 2):
+            assert full(certify(*checked, beta)) == full(certify_by_greedy(a, v, beta))
+        assert all(x is y for x, y in zip(branching._prepared_last, checked))
 
     def test_verify_leaves_it_alone(self):
         # the verifier shares no data with the certifier
@@ -1274,11 +1298,9 @@ class TestMemoFirst:
         def certified(a, v, beta):
             return full(certify(a, v, beta))
 
-        refused_gcd = "refused: weights not coprime"
         done = 0
         for a, v in toy_pairs():
             checked = Weights(a), Direction(v)
-            coprime = math.gcd(*a) == 1
             betas, levels = range(-1, sum(a) + 2), range(-1, sum(v) + 2)
             lp_extreme_eq(*checked, 0)
             certify_hit = [outcome(certified, *checked, beta) for beta in betas]
@@ -1298,13 +1320,11 @@ class TestMemoFirst:
                 if not 0 <= beta <= sum(a):
                     assert ends == f"refused: right-hand side {beta} outside [0, {sum(a)}]"
                     want = full(CertifyResult(CertifyStatus.TRIVIALLY_INFEASIBLE, beta))
-                    assert got == (want if coprime else refused_gcd), (a, v, beta)
+                    assert got == want, (a, v, beta)
                     continue
                 (vmin, arg_min), (vmax, arg_max) = (lp_eq_greedy(a, v, beta, s) for s in SENSES)
                 assert values(ends) == (vmin, vmax), (a, v, beta)
-                if not coprime:
-                    assert got == refused_gcd, (a, v, beta)
-                elif math.floor(vmax) < vmin:
+                if math.floor(vmax) < vmin:
                     result, found = got
                     assert result.status is CertifyStatus.CERTIFIED, (a, v, beta)
                     assert result.certificate.level == math.floor(vmin)
@@ -1317,7 +1337,7 @@ class TestMemoFirst:
                 else:
                     assert got == "refused: level outside [0, ||v||_1)", (a, v, level)
             for beta, got in zip(betas, certify_hit):
-                if got == refused_gcd or got[0].certificate is None:
+                if got[0].certificate is None:
                     continue
                 level = got[0].certificate.level
                 for k in (level - 1, level, level + 1):

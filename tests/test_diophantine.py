@@ -132,5 +132,13 @@ class TestChoosePrecision:
             choose_precision(9)
 
     def test_window_checks_hold_up_to_40(self):
+        # the two bounds that choose_precision proves in its docstring, with
+        # exponents cleared to integers by raising both sides to the 4th
         for n in range(10, 41):
-            assert choose_precision(n) == n << (n + 2)
+            precision = choose_precision(n)
+            assert precision == n << (n + 2)
+            p4n = precision ** (4 * n)
+            # direction norm: n * 2^(n(n+1)/4) * N^n <= 2^(2 n^2)
+            assert n**4 * (1 << (n * (n + 1))) * p4n <= 1 << (8 * n * n)
+            # scale: 2^(2 n^2 - n(n+1)/4) / N^n >= 2^(n+2)
+            assert 1 << (8 * n * n - n * (n + 1)) >= (1 << (4 * (n + 2))) * p4n

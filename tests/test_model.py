@@ -16,7 +16,6 @@ from sscert.model import (
     Weights,
     generate_instance,
     validate_direction,
-    validate_weights,
 )
 from sscert.rng import SplitMix64, mix64, substream_seed
 
@@ -162,9 +161,9 @@ GRID = [x for k in range(4) for x in product(ENTRIES, repeat=k)]
 class TestValidators:
     def test_weights_match_the_generator_form(self):
         for a in GRID:
-            got = verdict(validate_weights, (a,), DomainError)
+            got = verdict(Weights, (a,), DomainError)
             assert got == verdict(validate_weights_gen, (a,), ValueError), a
-            assert verdict(validate_weights, (list(a),), DomainError) == got, a
+            assert verdict(Weights, (list(a),), DomainError) == got, a
 
     def test_direction_matches_the_generator_form(self):
         for v in GRID[1:]:
@@ -174,10 +173,10 @@ class TestValidators:
 
     def test_types_match_the_validators(self):
         # the type constructors are the checks; the direction's length is
-        # the validator's alone
+        # the validator's alone, and the weights have no validator
         for x in GRID:
             got = verdict(Weights, (x,), DomainError)
-            assert got == verdict(validate_weights, (x,), DomainError), x
+            assert got == verdict(validate_weights_gen, (x,), ValueError), x
             assert got[0] != "ok" or type(got[1]) is Weights
             got = verdict(Direction, (x,), DomainError)
             assert got == verdict(validate_direction, (x, len(x)), DomainError), x
@@ -187,7 +186,7 @@ class TestValidators:
         # min() would raise TypeError comparing "1" or None with an int
         for bad in ((-1, "1"), (0, "1"), (2, 0, None), ("1", -1)):
             with pytest.raises(DomainError, match="integers >= 1"):
-                validate_weights(bad)
+                Weights(bad)
             with pytest.raises(DomainError, match="nonnegative integer vector"):
                 validate_direction(bad, len(bad))
 
@@ -214,7 +213,7 @@ class TestCheckedTypes:
 
     def test_typed_tuples_pass_unchanged(self):
         w, d = Weights(self.W), Direction(self.D)
-        assert Weights(w) is w and validate_weights(w) is w
+        assert Weights(w) is w
         assert Direction(d) is d and validate_direction(d, 3) is d
         assert w == self.W and d == self.D and hash(w) == hash(self.W)
         # a typed direction still has its length checked
@@ -223,7 +222,7 @@ class TestCheckedTypes:
 
     def test_lists_and_plain_tuples_are_checked_into_the_type(self):
         for x in (self.W, list(self.W), iter(self.W)):
-            assert type(validate_weights(x)) is Weights
+            assert type(Weights(x)) is Weights
         for x in (self.D, list(self.D), iter(self.D)):
             assert type(validate_direction(x, 3)) is Direction
 

@@ -1,12 +1,13 @@
-"""Mutation tests: perturbed certificate and instance documents.
+"""Mutation tests: perturbed certificate, instance and decomposition documents.
 
 A certificate document holds beta, ell and v, and nothing else decides
 its verdict: ``verify_certificate`` accepts a perturbed (beta', ell', v')
 exactly when ``certify(a, v', beta')`` certifies at level ell'. A
 mutated instance document must make ``certify`` and ``verify`` exit with
-a verdict or a refusal, never an internal error, and quickly. The
-certificates and every perturbation are drawn by SplitMix64 loops, so
-every run checks the same cases.
+a verdict or a refusal, never an internal error, and quickly; so must a
+mutated decomposition document make ``certify``, ``stats`` and
+``intervals``. The certificates and every perturbation are drawn by
+SplitMix64 loops, so every run checks the same cases.
 """
 
 import json
@@ -14,6 +15,7 @@ import math
 import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +228,100 @@ def test_mutated_instance_documents_never_end_in_an_internal_error(tmp_path, cap
         ("weight as a JSON number", "verify"): refused,
         ("weight <= 0", "certify"): refused, ("weight <= 0", "verify"): refused,
     }
+
+
+DECOMPOSITION_MUTANTS = 48
+# wall-time bound of one in-process run of each command on a mutant
+DECOMPOSITION_RUN_S = {"certify": 2.0, "stats": 2.0, "intervals": 2.0}
+
+
+def decomposition_mutants(text, rng):
+    """(kind, document) pairs: DECOMPOSITION_MUTANTS mutations of a decomposition document."""
+    doc = json.loads(text)
+    kinds = (
+        "as made", "entry zero-padded", "unknown key added",
+        "v entry±1", "v entry±1, r entry∓lambda", "lambda numerator±1", "r entry±1",
+        "entry dropped", "entry as a JSON number", "digit changed", "method swapped",
+        "past the digit limit",
+    )
+    limit = sys.get_int_max_str_digits()
+    scale = documents.parse_fraction(doc["lambda"], "$.lambda")
+    out = []
+    for k in range(DECOMPOSITION_MUTANTS):
+        kind = kinds[k % len(kinds)]
+        v, r, mutant = list(doc["v"]), list(doc["r"]), dict(doc)
+        i = rng.randint(0, len(v) - 1)
+        step = 1 if rng.randint(0, 1) else -1
+        if kind == "entry zero-padded":  # reads as the same number
+            v[i] = "0" * rng.randint(1, 64) + v[i]
+        elif kind == "unknown key added":  # unread keys are ignored
+            mutant["note"] = str(rng.next_u64())
+        elif kind == "v entry±1":
+            v[i] = str(int(v[i]) + step)
+        elif kind == "v entry±1, r entry∓lambda":  # lambda v + r = a still holds
+            v[i] = str(int(v[i]) + step)
+            ri = documents.parse_fraction(r[i], "$.r") - step * scale
+            r[i] = documents.format_fraction(ri)
+        elif kind == "lambda numerator±1":
+            num, den = doc["lambda"].split("/")
+            mutant["lambda"] = f"{int(num) + step}/{den}"
+        elif kind == "r entry±1":
+            r[i] = documents.format_fraction(documents.parse_fraction(r[i], "$.r") + step)
+        elif kind == "entry dropped":
+            del (v if rng.randint(0, 1) else r)[i]
+        elif kind == "entry as a JSON number":
+            v[i] = int(v[i])
+        elif kind == "digit changed":
+            j = rng.randint(0, len(v[i]) - 1)
+            v[i] = v[i][:j] + str((int(v[i][j]) + rng.randint(1, 9)) % 10) + v[i][j + 1:]
+        elif kind == "method swapped":
+            swapped = {"frank_tardos": "lll_rows", "lll_rows": "frank_tardos"}
+            mutant["method"] = swapped[doc["method"]]
+        elif kind == "past the digit limit":
+            v[i] = "7" * (limit + 1)
+        out.append((kind, json.dumps(dict(mutant, v=v, r=r))))
+    return out
+
+
+@pytest.mark.parametrize("name", list(PIPELINES))
+def test_mutated_decomposition_documents_never_end_in_an_internal_error(name, tmp_path, capsys):
+    # the seed-1 instance beside each mutated decomposition: certify at a
+    # certified beta, stats and intervals on the window [0, 50] exit 0-3,
+    # and a mutant that is read at all gives the honest document's output
+    decompose, n = PIPELINES[name]
+    inst = generate_instance(n, 1)
+    claim, _ = documents.parse_certificate(pipeline(name)[2][0])
+    inst_path, dec_path = tmp_path / "instance.json", tmp_path / "decomposition.json"
+    inst_path.write_text(documents.serialize_instance(inst))
+    out = str(tmp_path / "out.json")
+    with_docs = ["--instance", str(inst_path), "--decomposition", str(dec_path), "-o", out]
+    commands = {
+        "certify": ["certify", *with_docs, "--beta", str(claim.beta)],
+        "stats": ["stats", *with_docs],
+        "intervals": ["intervals", *with_docs, "--k-lo", "0", "--k-hi", "50"],
+    }
+    text = documents.serialize_decomposition(decompose(inst))
+    dec_path.write_text(text)
+    honest = {}
+    for command, argv in commands.items():
+        assert main(argv) == 0
+        honest[command] = Path(out).read_text()
+    codes = {}
+    for kind, mutant in decomposition_mutants(text, SplitMix64(5)):
+        dec_path.write_text(mutant)
+        for command, argv in commands.items():
+            Path(out).unlink(missing_ok=True)
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (kind, command, code, err)
+            assert elapsed < DECOMPOSITION_RUN_S[command], (kind, command, elapsed)
+            if code == 0:
+                assert Path(out).read_text() == honest[command], (kind, command)
+            codes.setdefault(kind, set()).add(code)
+    # the neutral edits are read as the honest document, and every other
+    # mutant is refused as a document error, by each command alike
+    read = {"as made", "entry zero-padded", "unknown key added"}
+    assert codes == {kind: {0} if kind in read else {2} for kind in codes}
+    assert len(codes) == 12
