@@ -50,7 +50,8 @@ def ratio_median(runs, metric):
         report = run["report"]
         pairs.setdefault((report["workload"], report["seed"]), {})[run["side"]] = report
     ratios = [
-        pair["change"]["end_to_end"][metric]["value"] / pair["parent"]["end_to_end"][metric]["value"]
+        pair["change"]["end_to_end"][metric]["value"]
+        / pair["parent"]["end_to_end"][metric]["value"]
         for pair in pairs.values()
         if len(pair) == 2
     ]

@@ -536,8 +536,9 @@ class TestCertify:
 
     def test_preconditions(self):
         # a and v are checked; coprime weights are not asked for
-        for beta in range(13):
-            assert certify((2, 4, 6), (1, 1, 1), beta) == certify_by_greedy((2, 4, 6), (1, 1, 1), beta)
+        a = (2, 4, 6)
+        for beta in range(sum(a) + 1):
+            assert certify(a, (1, 1, 1), beta) == certify_by_greedy(a, (1, 1, 1), beta)
         with pytest.raises(DomainError):
             certify(TOY_A, (0, 0, 0), 5)
         with pytest.raises(DomainError):
