@@ -10,33 +10,34 @@ prefix sums in that order. The order sorts exact integer keys:
 floor(v_i 2^S / a_i) with 2^S above the square of every weight, so
 distinct ratios get distinct keys. The order depends on (a, v) only, so
 each side sorts once per (a, v) and keeps what it reads in a one-entry
-memo of its own: the certifier's one equality LP call bisects the prefix
-sums of a that ``_prepared`` builds for both ends of [vmin, vmax], the
-max end over the ascending order reversed, and the verifier's one
-inequality LP call, ``lp_extreme_ineq``, bisects the prefix sums of v
-that ``_ascending`` builds for both ends of its good interval, the max
-end at the level and the min end, by complement, at
-||v||_1 - level - 1, in integers only: each end is an unreduced pair
-(num, den), and the verifier cross-multiplies, so a verify builds no
-Fraction and takes no gcd. The memos share nothing, so the verifier
-stays an independent re-check of the certifier rather than a second
-reading of its data. Each memo entry is one flat record: the checked a
-and v, then a and v listed in greedy order as plain lists beside their
-prefix sums, so a bisected item is read by its position; neither keeps
-the order itself.
+memo of its own. Both memos hold one record layout, which ``_record``
+builds: the checked a and v, ||a||_1 and ||v||_1, then a and v listed
+in ascending v_i/a_i order as plain lists beside their prefix sums A
+and V, so a bisected item is read by its position; no record keeps the
+order itself. Each side reads both ends of its LP range off that one
+order, the second end by the complement y = e - x. The certifier's one
+equality LP call, ``lp_extreme_eq``, bisects A at beta for vmin and at
+||a||_1 - beta for vmax = ||v||_1 - min{v.y | a.y = ||a||_1 - beta}.
+The verifier's one inequality LP call, ``lp_extreme_ineq``, bisects V
+at the level for the max end of its good interval and at
+||v||_1 - level - 1 for the min end. Both answer in integers only: each
+end is an unreduced pair (num, den), and the verifier cross-multiplies,
+so a verify builds no Fraction and takes no gcd. The memos share no
+entry, so the verifier stays an independent re-check of the certifier
+rather than a second reading of its data.
 
 Each memo is its side's only per-pair cache, and it stands for the
-checks: ``_prepared`` and ``_ascending`` alone rebind it, and each
-checks a and v into a ``Weights`` and a ``Direction`` of its length,
-the checked types of ``model``, before it sorts. ``certify``,
-``lp_extreme_eq`` and ``lp_extreme_ineq`` read their side's memo first,
-once. When a and v are its very objects, the pair was checked when it
-entered, so only beta or the level is checked, and a run of calls on
-one pair pays for its bisections and integer arithmetic and little
-else. Otherwise the side's miss path checks a and v, sorts once and
-rebinds the memo, and then beta or the level is checked: a call that
-passes other objects, an equal copy or plain sequences included, pays
-for one check and one sort.
+checks: ``_prepared`` and ``_ascending`` alone rebind it, each to a new
+``_record``, which checks a and v into a ``Weights`` and a ``Direction``
+of its length, the checked types of ``model``, before it sorts.
+``certify``, ``lp_extreme_eq`` and ``lp_extreme_ineq`` read their
+side's memo first, once. When a and v are its very objects, the pair
+was checked when it entered, so only beta or the level is checked, and
+a run of calls on one pair pays for its bisections and integer
+arithmetic and little else. Otherwise the side's miss path checks a and
+v, sorts once and rebinds the memo, and then beta or the level is
+checked: a call that passes other objects, an equal copy or plain
+sequences included, pays for one check and one sort.
 
 No function here needs coprime weights. A certificate says that v.x has
 no integer value on the relaxation of a.x = beta, and then no 0/1 point
@@ -242,56 +243,44 @@ def _greedy_order(num, den, sense: Sense) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__, reverse=sense == "max")
 
 
-# One-entry identity memos, each side's only per-pair cache: the flat
-# record of the last pair each side served, rebound whole so that a reader
-# never sees a torn entry. Only _prepared and _ascending rebind them, with
-# a Weights and a Direction of its length, which are immutable and checked
-# when built, so the same objects are the same checked pair: a hit needs no
-# check. They start on two private objects, which no caller can pass.
+# One-entry identity memos, each side's only per-pair cache: the record of
+# the last pair each side served, rebound whole so that a reader never
+# sees a torn entry. Only _prepared and _ascending rebind them, each to a
+# new _record, whose a and v are a Weights and a Direction of its length,
+# immutable and checked when built, so the same objects are the same
+# checked pair: a hit needs no check. They start on two private objects,
+# which no caller can pass.
 _prepared_last = _ascending_last = (object(), object())
 
 
-def _ascending(a: Sequence[int], v: Sequence[int]) -> tuple:
-    """The verifier's memo entry (a, v, V, A, a_ord, v_ord), built anew.
+def _record(a: Sequence[int], v: Sequence[int]) -> tuple:
+    """(a, v, ||a||_1, ||v||_1, A, V, a_ord, v_ord), checked and sorted anew.
 
-    a_ord and v_ord list a and v in ascending v_i/a_i order, and V and A
-    are their prefix sums, so ||v||_1 is V[-1] and ||a||_1 is A[-1]. All
-    four are plain lists, whose subscripts CPython specialises and those
-    of the typed tuples it does not.
+    a_ord and v_ord list a and v in ascending v_i/a_i order, and A and V
+    are their prefix sums. All four are plain lists, whose subscripts
+    CPython specialises and those of the typed tuples it does not.
     """
-    global _ascending_last
     a = Weights(a)
     v = validate_direction(v, len(a))
     order = _greedy_order(v, a, "min")
     a_ord = [a[i] for i in order]
     v_ord = [v[i] for i in order]
-    V = list(accumulate(v_ord, initial=0))
     A = list(accumulate(a_ord, initial=0))
-    last = _ascending_last = (a, v, V, A, a_ord, v_ord)
+    V = list(accumulate(v_ord, initial=0))
+    return a, v, A[-1], V[-1], A, V, a_ord, v_ord
+
+
+def _ascending(a: Sequence[int], v: Sequence[int]) -> tuple:
+    """The verifier's memo entry, a new ``_record`` of (a, v)."""
+    global _ascending_last
+    last = _ascending_last = _record(a, v)
     return last
 
 
 def _prepared(a: Sequence[int], v: Sequence[int]) -> tuple:
-    """The certifier's memo entry: a, v, ||a||_1, min side, max side.
-
-    Each side is the prefix sums A and V beside a and v listed as plain
-    lists, in ascending v_i/a_i order on the min side and in that order
-    reversed on the max side; on tied ratios the reversed order takes the
-    larger index first, which changes no LP value. No order is kept: the
-    witness reader ``_lp_vertices`` sorts for itself.
-    """
+    """The certifier's memo entry, a new ``_record`` of (a, v)."""
     global _prepared_last
-    a = Weights(a)
-    v = validate_direction(v, len(a))
-    order = _greedy_order(v, a, "min")
-    a_ord = [a[i] for i in order]
-    v_ord = [v[i] for i in order]
-    record = [a, v, sum(a)]
-    for a_side, v_side in ((a_ord, v_ord), (a_ord[::-1], v_ord[::-1])):
-        A = list(accumulate(a_side, initial=0))
-        V = list(accumulate(v_side, initial=0))
-        record += A, V, a_side, v_side
-    last = _prepared_last = tuple(record)
+    last = _prepared_last = _record(a, v)
     return last
 
 
@@ -301,36 +290,38 @@ def lp_extreme_eq(
     """(vmin, vmax) of v.x over {a.x = beta, 0 <= x <= e}, in integers.
 
     Each end is an unreduced pair (num, den), den > 0: the greedy fill by
-    v_i/a_i ratio, ascending for the minimum and descending for the
-    maximum, answered by one bisection of its prefix sums of a. The items
-    before the bisected one are whole, and that one takes the remainder:
-    (V_j a_j + v_j rest, a_j), or (V_j, 1) when the prefix sum A_j is
-    beta itself, with a_j and v_j the bisected item's entries. One memo
-    entry serves both ends. No Fraction and no vertex is built, which
-    ``_lp_vertices`` does for the witnesses. DomainError unless beta is an
-    int in [0, ||a||_1].
+    ascending v_i/a_i ratio, answered by one bisection of its prefix sums
+    of a. The items before the bisected one are whole, and that one takes
+    the remainder: vmin is (V_j a_j + v_j rest, a_j), or (V_j, 1) when the
+    prefix sum A_j is beta itself, with a_j and v_j the bisected item's
+    entries. The max end is the complement y = e - x: vmax is
+    ||v||_1 - min{v.y | a.y = ||a||_1 - beta}, one more bisection of A.
+    One memo entry serves both ends. No Fraction and no vertex is built,
+    which ``_lp_vertices`` does for the witnesses. DomainError unless
+    beta is an int in [0, ||a||_1].
     """
     last = _prepared_last
     if last[0] is not a or last[1] is not v:
         last = _prepared(a, v)
     if not isinstance(beta, int):
         raise DomainError("beta must be an integer")
-    _, _, total, A, V, a_lo, v_lo, A_hi, V_hi, a_hi, v_hi = last
+    _, _, total, total_v, A, V, a_ord, v_ord = last
     if beta < 0 or beta > total:
         raise DomainError(f"right-hand side {beta} outside [0, {total}]")
     j = bisect_right(A, beta) - 1
     rest = beta - A[j]
     if rest:
-        den = a_lo[j]
-        lo = V[j] * den + v_lo[j] * rest, den
+        den = a_ord[j]
+        lo = V[j] * den + v_ord[j] * rest, den
     else:
         lo = V[j], 1
-    j = bisect_right(A_hi, beta) - 1
-    rest = beta - A_hi[j]
+    beta = total - beta
+    j = bisect_right(A, beta) - 1
+    rest = beta - A[j]
     if rest:
-        den = a_hi[j]
-        return lo, (V_hi[j] * den + v_hi[j] * rest, den)
-    return lo, (V_hi[j], 1)
+        den = a_ord[j]
+        return lo, ((total_v - V[j]) * den - v_ord[j] * rest, den)
+    return lo, (total_v - V[j], 1)
 
 
 def _lp_vertices(
@@ -388,8 +379,7 @@ def lp_extreme_ineq(
         last = _ascending(a, v)
     if not isinstance(level, int):
         raise DomainError("level must be an integer")
-    _, _, V, A, a_ord, v_ord = last
-    total_v = V[-1]
+    _, _, total, total_v, A, V, a_ord, v_ord = last
     if level < 0 or level >= total_v:
         raise DomainError("level outside [0, ||v||_1)")
     # both bisected levels lie in [0, ||v||_1), so j < n names an item
@@ -405,8 +395,8 @@ def lp_extreme_ineq(
     rest = level - V[j]
     if rest:
         den = v_ord[j]
-        return hi, ((A[-1] - A[j]) * den - a_ord[j] * rest, den)
-    return hi, (A[-1] - A[j], 1)
+        return hi, ((total - A[j]) * den - a_ord[j] * rest, den)
+    return hi, (total - A[j], 1)
 
 
 def certify(a: Sequence[int], v: Sequence[int], beta: int) -> CertifyResult:
@@ -507,8 +497,7 @@ def enumerate_intervals(
     holds Fractions. How long the good intervals are is judged by exact
     ``coverage_stats``, for every level at once.
     """
-    a, v, V, A = _ascending(a, v)[:4]
-    ve = V[-1]
+    a, v, total, ve = _ascending(a, v)[:4]
     if k_hi is None:
         k_hi = ve
     if not isinstance(k_lo, int):
@@ -527,7 +516,7 @@ def enumerate_intervals(
     goods = [lp_extreme_ineq(a, v, k) for k in range(first, min(k_hi, ve - 1) + 1)]
     levels = range(k_lo, k_hi + 1)
     min_pairs = [goods[k - 1 - first][1] if k else (0, 1) for k in levels]
-    max_pairs = [goods[k - first][0] if k < ve else (A[-1], 1) for k in levels]
+    max_pairs = [goods[k - first][0] if k < ve else (total, 1) for k in levels]
     for (lo, lo_den), (hi, hi_den) in zip(min_pairs, max_pairs):
         if lo * hi_den > hi * lo_den:
             raise InvariantViolation("bad interval endpoints out of order")
@@ -556,8 +545,7 @@ def _bad_count(a, v) -> tuple[int, Fraction]:
     least value is at the centre; DomainError if it is not positive there.
     Neither figure enumerates levels.
     """
-    a, v, V, A, a_ord, v_ord = _ascending(a, v)
-    total, total_v = A[-1], V[-1]
+    a, v, total, total_v, A, _, a_ord, v_ord = _ascending(a, v)
     (hi, hi_den), (lo, lo_den) = lp_extreme_ineq(a, v, (total_v - 1) // 2)
     least = lo * hi_den - hi * lo_den
     if least <= 0:

@@ -107,14 +107,15 @@ def choose_precision(n: int) -> int:
 
     This N keeps the decomposition pipeline's direction norm bound
     n * 2^(n(n+1)/4) * N^n <= 2^(2 n^2) and scale bound
-    2^(2 n^2 - n(n+1)/4) / N^n >= 2^(n+2) for every n >= 10. In log2
+    2^(2 n^2 - n(n+1)/4) / N^n >= 2^(n+2) for every n >= 9. In log2
     they read 3n^2/4 >= (n + 1) log2 n + 9n/4 and
-    3n^2/4 >= n log2 n + 13n/4 + 2, which hold at n = 10 with slack 15.9
-    and 7.2, and the slack grows with n. The residual ratio
-    n / N = 2^-(n+2) holds by construction, and every decomposition
-    checks all three bounds. DomainError for n <= 9, where the
-    Frank-Tardos direction is not used.
+    3n^2/4 >= n log2 n + 13n/4 + 2. The first holds from n = 8 and the
+    second from n = 9, with slack 8.8 and 0.97 there (both checked
+    exactly for n = 6 to 11), and the slack grows with n. The residual
+    ratio n / N = 2^-(n+2) holds by construction, and every
+    decomposition checks all three bounds. Both callers,
+    ``decompose_frank_tardos`` and ``frank_tardos_approx``, refuse
+    n < 10 first: that floor is the Frank-Tardos window's, not a limit
+    of these bounds.
     """
-    if n <= 9:
-        raise DomainError("no valid quality parameter window below n = 10")
     return n << (n + 2)

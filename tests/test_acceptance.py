@@ -10,6 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from oracles import (
     count_feasible_sums,
@@ -316,6 +317,43 @@ def test_density_frontier_past_the_lll_rows_rule(tmp_path, capsys):
     assert codes == [2, 2, 0]
     report("PASS density frontier at 14 bits: decompose exits 2, and stats on the "
            "reduction's own direction exits 2 or 0, never 4")
+
+
+def frontier_table():
+    """README's density frontier table, one markdown line per row.
+
+    At each n in {10, 12, 14, 16}: the paper's 2 n^2 + 1 bits, then
+    n(n + k) bits for k = 3, 2, 1, 0 and -2. Each row gives the range of
+    log2 of the bad fraction over seeds 1-5, with the lll_rows direction
+    and exact coverage_stats, and on how many seeds Corollary 1 holds.
+    Print it with
+    PYTHONPATH=src:tests python3 -c 'import test_acceptance as t; print(*t.frontier_table(), sep="\\n")'
+    """
+    lines = []
+    for n in (10, 12, 14, 16):
+        rows = [(2 * n * n + 1, "2n² + 1")]
+        rows += [(n * (n + k), f"n(n {'-' if k < 0 else '+'} {abs(k)})") for k in (3, 2, 1)]
+        rows += [(n * n, "n²"), (n * (n - 2), "n(n - 2)")]
+        for bits, rule in rows:
+            logs, holds = [], 0
+            for seed in range(1, 6):
+                inst = frontier_instance(n, bits, seed)
+                dec = decompose_lll_rows(inst)
+                stats = coverage_stats(inst.a, dec.v, dec.scale, dec.residual, "exact")
+                frac = stats.bad_fraction
+                logs.append(math.log2(frac.numerator) - math.log2(frac.denominator))
+                holds += stats.corollary_1 == "holds"
+            lines.append(f"| {n} | {bits} | {rule} | 2^{min(logs):.1f} to 2^{max(logs):.1f} "
+                         f"| {holds} of 5 |")
+    return lines
+
+
+def test_readme_quotes_the_density_frontier_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = frontier_table()
+    missing = [line for line in lines if line not in readme.splitlines()]
+    assert not missing, missing
+    report(f"PASS density frontier table: README quotes all {len(lines)} rows")
 
 
 def _random_basis(rnd, d, bound):

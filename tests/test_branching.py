@@ -194,8 +194,8 @@ class TestLpExtremeEq:
     def test_exhaustive_small_against_greedy_referee(self):
         # the bisection over prepared prefix sums gives the greedy fill's
         # value as unreduced integers over the split item's weight. The max
-        # end fills the ascending order reversed, whose complement is the
-        # ascending fill of ||a||_1 - beta, with the same split item
+        # end is the complement of the ascending fill of ||a||_1 - beta, with
+        # the same split item: ||v||_1 den minus that min end's numerator
         for a, v in exhaustive_small_instances():
             for beta in range(sum(a) + 1):
                 want = tuple(lp_eq_greedy(a, v, beta, s) for s in SENSES)
@@ -211,6 +211,8 @@ class TestLpExtremeEq:
                     assert Fraction(num, den) == value, (a, v, beta)
                     split = [i for i, x in enumerate(arg) if 0 < x < 1]
                     assert den == (a[split[0]] if split else 1), (a, v, beta)
+                (complement, den), _ = lp_extreme_eq(a, v, sum(a) - beta)
+                assert pairs[1] == (sum(v) * den - complement, den), (a, v, beta)
 
     @pytest.mark.parametrize("beta", NOT_INTS)
     def test_rejects_non_integer_beta(self, beta):
@@ -425,8 +427,8 @@ class TestOneSidedBisection:
     def test_pipeline_prefix_sums_and_their_neighbours(self, decompose, n):
         inst = generate_instance(n, 1)
         a, v = inst.a, decompose(inst).v
-        _, _, V, _, _, _ = _ascending(a, v)
-        levels = {0, sum(v)} | {s + d for s in V for d in (-1, 0, 1)}
+        _, _, _, total_v, _, V, _, _ = _ascending(a, v)
+        levels = {0, total_v} | {s + d for s in V for d in (-1, 0, 1)}
         self.check(a, v, sorted(levels))
 
     @pytest.mark.parametrize(
@@ -1074,9 +1076,10 @@ class TestPreparedCache(CacheContract):
         assert all(got[0] is checked[0] and got[1] is checked[1] for got in solved[2:])
 
     def test_one_sort_per_pair(self, sorts):
-        # a new pair costs one sort, the max side being the min side's order
-        # reversed, and a repeated pair none. The witness reader sorts each
-        # side for itself and leaves both memos as they were
+        # a new pair costs one sort, the max end being read off the same
+        # ascending order by complement, and a repeated pair none. The
+        # witness reader sorts each side for itself and leaves both memos
+        # as they were
         a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
         cert = certify(a, v, 33).certificate
         assert certify(a, v, 34).status is CertifyStatus.CERTIFIED and sorts == ["min"]
@@ -1138,18 +1141,18 @@ class TestAscendingCache(CacheContract):
         assert sorts == ["min", "min", "min"]
 
     def test_holds_the_norms_beside_the_order(self):
-        # the memo entry: the checked a and v, then a and v listed in
-        # ascending v_i/a_i order, as plain lists, and their prefix sums,
-        # which end in ||v||_1 and ||a||_1
+        # the memo entry: the checked a and v, ||a||_1 and ||v||_1, then the
+        # prefix sums of a and v listed in ascending v_i/a_i order, and those
+        # lists themselves, all plain lists
         a, v = Weights((31, 37, 41)), Direction((1, 2, 2))
         entry = _ascending(a, v)
         assert branching._ascending_last is entry
-        checked_a, checked_v, V, A, a_ord, v_ord = entry
+        checked_a, checked_v, total, total_v, A, V, a_ord, v_ord = entry
         assert checked_a is a and checked_v is v
-        assert (V, A) == ([0, 1, 3, 5], [0, 31, 72, 109])
+        assert (total, total_v) == (sum(a), sum(v)) == (A[-1], V[-1])
+        assert (A, V) == ([0, 31, 72, 109], [0, 1, 3, 5])
         assert (a_ord, v_ord) == ([31, 41, 37], [1, 2, 2])
-        assert (V[-1], A[-1]) == (sum(v), sum(a))
-        assert all(type(x) is list for x in (V, A, a_ord, v_ord))
+        assert all(type(x) is list for x in (A, V, a_ord, v_ord))
 
     def test_certify_leaves_it_alone(self):
         # the certifier shares no data with the verifier
@@ -1395,6 +1398,33 @@ class TestMemoFirst:
                 assert type(entry[0]) is Weights and type(entry[1]) is Direction
                 assert entry[:2] == (a, v)
                 assert all(x is y for x, y in zip(entry[:2], pair) if type(x) is type(y))
+
+    @pytest.mark.parametrize(
+        "decompose, n", [(decompose_frank_tardos, 10), (decompose_lll_rows, 20)],
+        ids=["ft10", "rows20"],
+    )
+    def test_both_sides_hold_one_record_layout(self, decompose, n):
+        # a certify and a verify on one checked pair leave two entries, each
+        # built by its own side and equal field by field: the pair, its
+        # norms, and the ascending order's prefix sums and lists, with no
+        # reversed copy of them
+        inst = generate_instance(n, 1)
+        a, v = inst.a, decompose(inst).v
+        rng = SplitMix64(n)
+        while (cert := certify(a, v, rng.randint(0, sum(a))).certificate) is None:
+            pass
+        assert verify_certificate(a, v, cert) is True
+        certifier, verifier = branching._prepared_last, branching._ascending_last
+        assert certifier is not verifier and certifier == verifier
+        assert certifier[0] is verifier[0] is a and certifier[1] is verifier[1] is v
+        order = greedy_order_cmp(v, a, "min")
+        a_ord, v_ord = [a[i] for i in order], [v[i] for i in order]
+        prefix = lambda xs: [sum(xs[:j]) for j in range(len(xs) + 1)]
+        want = (a, v, sum(a), sum(v), prefix(a_ord), prefix(v_ord), a_ord, v_ord)
+        for entry in (certifier, verifier):
+            assert entry == want
+            assert all(type(x) is list for x in entry[4:])
+        assert all(x is not y for x, y in zip(certifier[4:], verifier[4:]))
 
     def test_the_memo_is_the_only_cache_on_each_side(self, sorts):
         # new plain tuples cost one sort per call, refused or not, and the

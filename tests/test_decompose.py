@@ -91,6 +91,12 @@ class TestFrankTardos:
         with pytest.raises(DomainError):
             decompose_frank_tardos(inst)
 
+    def test_window_starts_at_n10(self):
+        # a generated n = 9 instance is dense enough, and its precision is
+        # within both proved bounds; the window's own floor refuses it
+        with pytest.raises(DomainError, match="requires n >= 10"):
+            decompose_frank_tardos(generate_instance(9, 1))
+
 
 class TestLllRows:
     def test_near_multiple_toy(self):

@@ -127,18 +127,26 @@ class TestChoosePrecision:
     def test_n12(self):
         assert choose_precision(12) == 196608
 
-    def test_below_window(self):
-        with pytest.raises(DomainError):
-            choose_precision(9)
+    @staticmethod
+    def window_checks(n):
+        """The two bounds that choose_precision proves in its docstring, with
+        exponents cleared to integers by raising both sides to the 4th."""
+        p4n = choose_precision(n) ** (4 * n)
+        # direction norm: n * 2^(n(n+1)/4) * N^n <= 2^(2 n^2)
+        direction = n**4 * (1 << (n * (n + 1))) * p4n <= 1 << (8 * n * n)
+        # scale: 2^(2 n^2 - n(n+1)/4) / N^n >= 2^(n+2)
+        scale = 1 << (8 * n * n - n * (n + 1)) >= (1 << (4 * (n + 2))) * p4n
+        return direction, scale
 
     def test_window_checks_hold_up_to_40(self):
-        # the two bounds that choose_precision proves in its docstring, with
-        # exponents cleared to integers by raising both sides to the 4th
-        for n in range(10, 41):
-            precision = choose_precision(n)
-            assert precision == n << (n + 2)
-            p4n = precision ** (4 * n)
-            # direction norm: n * 2^(n(n+1)/4) * N^n <= 2^(2 n^2)
-            assert n**4 * (1 << (n * (n + 1))) * p4n <= 1 << (8 * n * n)
-            # scale: 2^(2 n^2 - n(n+1)/4) / N^n >= 2^(n+2)
-            assert 1 << (8 * n * n - n * (n + 1)) >= (1 << (4 * (n + 2))) * p4n
+        for n in range(9, 41):
+            assert choose_precision(n) == n << (n + 2)
+            assert self.window_checks(n) == (True, True), n
+
+    def test_window_checks_start_where_the_docstring_says(self):
+        # the direction bound from n = 8, the scale bound from n = 9
+        got = {n: self.window_checks(n) for n in range(6, 12)}
+        assert got == {
+            6: (False, False), 7: (False, False), 8: (True, False),
+            9: (True, True), 10: (True, True), 11: (True, True),
+        }

@@ -264,6 +264,17 @@ class TestDecompositionDocs:
         assert info.value.location == "$.v"
         assert "10 to 16 entries" in str(info.value)
 
+    def test_nine_entry_direction_refused(self):
+        # the Frank-Tardos window's floor, as decompose_frank_tardos keeps it
+        doc = json.loads(
+            documents.serialize_decomposition(decompose_frank_tardos(generate_instance(10, 1)))
+        )
+        doc.update(v=doc["v"][:9], r=doc["r"][:9])
+        with pytest.raises(ParseError) as info:
+            documents.parse_decomposition(json.dumps(doc))
+        assert info.value.location == "$.v"
+        assert "10 to 16 entries" in str(info.value)
+
     def test_non_ascii_rational_digits_rejected(self):
         # "\u0661\u0660\u0661" is 101 in Arabic-Indic digits; int() would accept it
         text = documents.serialize_decomposition(documents.parse_decomposition(

@@ -4,7 +4,8 @@ A certificate document holds beta, ell and v, and nothing else decides
 its verdict: ``verify_certificate`` accepts a perturbed (beta', ell', v')
 exactly when ``certify(a, v', beta')`` certifies at level ell'. A
 mutated instance document must make ``certify`` and ``verify`` exit with
-a verdict or a refusal, never an internal error, and quickly; so must a
+a verdict or a refusal, never an internal error, and quickly, and so
+must it make ``decompose``, ``stats`` and ``intervals``; so must a
 mutated decomposition document make ``certify``, ``stats`` and
 ``intervals``. The certificates and every perturbation are drawn by
 SplitMix64 loops, so every run checks the same cases.
@@ -152,7 +153,7 @@ def test_cli_verify_exit_code_matches(name, tmp_path, capsys):
 
 
 INSTANCE_MUTANTS = 60
-MUTANT_RUN_S = 2.0  # wall-time bound of one in-process certify or verify run
+MUTANT_RUN_S = 2.0  # wall-time bound of one in-process run of each command
 
 
 def instance_mutants(text, rng):
@@ -191,7 +192,8 @@ def instance_mutants(text, rng):
 
 def test_mutated_instance_documents_never_end_in_an_internal_error(tmp_path, capsys):
     # the decomposition and certificate of the seed-1 FT n=10 instance,
-    # read beside each mutated instance: certify and verify exit 0-3
+    # read beside each mutated instance: certify, verify, stats and
+    # intervals exit 0-3, and so does decompose of the mutant alone
     inst = generate_instance(10, 1)
     dec = decompose_frank_tardos(inst)
     texts = pipeline("ft10")[2]
@@ -200,33 +202,50 @@ def test_mutated_instance_documents_never_end_in_an_internal_error(tmp_path, cap
     dec_path.write_text(documents.serialize_decomposition(dec))
     cert_path.write_text(texts[0])
     inst_path, out = tmp_path / "instance.json", str(tmp_path / "out.json")
+    with_dec = ["--instance", str(inst_path), "--decomposition", str(dec_path), "-o", out]
+    commands = {
+        "certify": ["certify", *with_dec, "--beta", str(claim.beta)],
+        "verify": ["verify", "--instance", str(inst_path), "--certificate", str(cert_path)],
+        "decompose": ["decompose", "--instance", str(inst_path), "-o", out],
+        "stats": ["stats", *with_dec],
+        "intervals": ["intervals", *with_dec, "--k-lo", "0", "--k-hi", "50"],
+    }
     codes = {}
     for kind, text in instance_mutants(documents.serialize_instance(inst), SplitMix64(4)):
         inst_path.write_text(text)
-        for argv in (
-            ["certify", "--instance", str(inst_path), "--decomposition", str(dec_path),
-             "--beta", str(claim.beta), "-o", out],
-            ["verify", "--instance", str(inst_path), "--certificate", str(cert_path)],
-        ):
+        for command, argv in commands.items():
+            Path(out).unlink(missing_ok=True)
             start = time.perf_counter()
             code = main(argv)
             elapsed = time.perf_counter() - start
             err = capsys.readouterr().err
-            assert code in (0, 1, 2, 3), (kind, argv[0], code, err)
-            assert elapsed < MUTANT_RUN_S, (kind, argv[0], elapsed)
-            codes.setdefault((kind, argv[0]), set()).add(code)
-    # certify refuses every mutant, whose weights its decomposition no
-    # longer matches; verify reads an instance of changed weights, or of
-    # one weight fewer or more when n follows, and rejects the certificate
+            assert code in (0, 1, 2, 3), (kind, command, code, err)
+            assert elapsed < MUTANT_RUN_S, (kind, command, elapsed)
+            if command == "decompose" and code == 0:
+                # a mutant that is read is an instance, and gets its own direction
+                got = documents.parse_decomposition(Path(out).read_text())
+                assert got.reconstruct_a() == documents.parse_instance(text)[0].a, kind
+            codes.setdefault((kind, command), set()).add(code)
+    # certify, stats and intervals refuse every mutant, whose weights the
+    # decomposition no longer matches; verify reads an instance of changed
+    # weights, or of one weight fewer or more when n follows, and rejects
+    # the certificate; decompose gives changed digits their own direction
+    # and refuses the rest: n = 9 lies below the Frank-Tardos window, and
+    # n = 11 asks for weights of 2^242
     refused = {2}
+    mismatch = {"certify": refused, "stats": refused, "intervals": refused}
+    own = {
+        "digit changed": {"verify": {1}, "decompose": {0}},
+        "weight dropped": {"verify": {1, 2}, "decompose": refused},
+        "weight duplicated": {"verify": {1, 2}, "decompose": refused},
+        "n off by one": {"verify": refused, "decompose": refused},
+        "weight as a JSON number": {"verify": refused, "decompose": refused},
+        "weight <= 0": {"verify": refused, "decompose": refused},
+    }
     assert codes == {
-        ("digit changed", "certify"): refused, ("digit changed", "verify"): {1},
-        ("weight dropped", "certify"): refused, ("weight dropped", "verify"): {1, 2},
-        ("weight duplicated", "certify"): refused, ("weight duplicated", "verify"): {1, 2},
-        ("n off by one", "certify"): refused, ("n off by one", "verify"): refused,
-        ("weight as a JSON number", "certify"): refused,
-        ("weight as a JSON number", "verify"): refused,
-        ("weight <= 0", "certify"): refused, ("weight <= 0", "verify"): refused,
+        (kind, command): code
+        for kind, row in own.items()
+        for command, code in {**mismatch, **row}.items()
     }
 
 
