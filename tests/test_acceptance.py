@@ -332,7 +332,7 @@ def frontier_table():
     lines = []
     for n in (10, 12, 14, 16):
         rows = [(2 * n * n + 1, "2n² + 1")]
-        rows += [(n * (n + k), f"n(n {'-' if k < 0 else '+'} {abs(k)})") for k in (3, 2, 1)]
+        rows += [(n * (n + k), f"n(n + {k})") for k in (3, 2, 1)]
         rows += [(n * n, "n²"), (n * (n - 2), "n(n - 2)")]
         for bits, rule in rows:
             logs, holds = [], 0
