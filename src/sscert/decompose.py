@@ -4,17 +4,18 @@ Two routes produce the branching direction v:
 
 * ``frank_tardos``: diophantine approximation of a / max(a) (the
   Frank-Tardos single-vector decomposition). Requires n >= 10 and
-  max(a) >= 2^(2 n^2); the three guarantees (direction l1 norm at most
-  2^(2 n^2), residual ratio at most 2^-(n+2), scale at least 2^(n+2))
-  are checked exactly on every output.
+  max(a) >= 2^(2 n^2). It claims the paper's three bounds (direction
+  l1 norm at most 2^(2 n^2), residual ratio at most 2^-(n+2), scale at
+  least 2^(n+2)), and ``decompose_frank_tardos`` enforces them.
 * ``lll_rows``: reduce the columns of the matrix stacking a over the
   identity; v is the last row of the inverse transform, with scale and
   residual defined by orthogonal projection. A reduced direction with
-  mixed signs, which branching cannot use, is a DomainError. Its three
-  guarantees are computed by ``Decomposition.bounds`` but not enforced,
-  and no command prints them.
+  mixed signs, which branching cannot use, is a DomainError. It claims
+  no bounds.
 
-``Decomposition.bounds`` computes a method's checks from v, scale and
+Exact coverage (``stats``) judges either direction: its bad share
+against 2(||r||_1 + 1) / scale, Corollary 1 and the least good length.
+``Decomposition.bounds`` computes the claimed checks from v, scale and
 residual, so a decomposition read from a document cannot claim them,
 and ``Decomposition.method`` is read off the provenance, so it cannot
 disagree with it. ``frank_tardos_approx`` derives a Frank-Tardos
@@ -30,7 +31,7 @@ from typing import Sequence, Union
 
 from .diophantine import ApproxResult, choose_precision, dioph_approx
 from .errors import CapacityError, DomainError, InvariantViolation
-from .intmath import dot, l1_norm, norm_sq
+from .intmath import dot, l1_norm
 from .lll import Basis, ReductionStats, lll_reduce
 from .model import Direction, Instance, validate_direction
 
@@ -76,10 +77,18 @@ class Decomposition:
 
     @property
     def bounds(self) -> tuple[BoundCheck, ...]:
-        """The method's three guarantees, recomputed from v, scale and residual."""
-        if self.method is Method.FRANK_TARDOS:
-            return _frank_tardos_bounds(self.v, self.scale, self.residual)
-        return _reduction_bounds(self.reconstruct_a(), self.v, self.scale, self.residual)
+        """Frank-Tardos' three checks from v, scale and residual; () for lll_rows.
+
+        The residual ratio is cleared of its 2^-(n+2).
+        """
+        if self.method is Method.LLL_ROWS:
+            return ()
+        n, scale = len(self.v), self.scale
+        return (
+            BoundCheck("direction_l1", l1_norm(self.v) <= 1 << (2 * n * n)),
+            BoundCheck("residual_ratio", l1_norm(self.residual) * (1 << (n + 2)) <= scale),
+            BoundCheck("scale_lower", scale >= 1 << (n + 2)),
+        )
 
     def reconstruct_a(self) -> tuple[Fraction, ...]:
         return tuple(self.scale * vi + ri for vi, ri in zip(self.v, self.residual))
@@ -163,16 +172,6 @@ def frank_tardos_approx(v, scale: Fraction, residual) -> ApproxResult:
     return ApproxResult(q=q, v=v, precision=choose_precision(n), err_inf=err_inf)
 
 
-def _frank_tardos_bounds(v, scale, residual):
-    """The three Frank-Tardos guarantees; the residual ratio is cleared of 2^-(n+2)."""
-    n = len(v)
-    return (
-        BoundCheck("direction_l1", l1_norm(v) <= 1 << (2 * n * n)),
-        BoundCheck("residual_ratio", l1_norm(residual) * (1 << (n + 2)) <= scale),
-        BoundCheck("scale_lower", scale >= 1 << (n + 2)),
-    )
-
-
 def decompose_lll_rows(inst: Instance) -> Decomposition:
     """Direction from reducing the columns of a stacked over the identity."""
     n = inst.n
@@ -197,30 +196,6 @@ def decompose_lll_rows(inst: Instance) -> Decomposition:
         raise DomainError("reduced direction has mixed signs; branching needs v >= 0")
     scale, residual = project_onto(inst.a, v)
     return Decomposition(v, scale, residual, reduced.stats)
-
-
-def _reduction_bounds(a, v, scale, residual):
-    """The three reduction guarantees, exponents cleared to integers.
-
-    With f = 2^(n/4) / ||a||^(1/n), comparisons against f are done
-    after raising both sides to the 4n-th power, so that only
-    ||a||^2 appears.
-    """
-    n = len(a)
-    asq = norm_sq(a)
-    vsq = norm_sq(v)
-    rsq = norm_sq(residual)
-    return (
-        BoundCheck(
-            "direction_residual_norm",
-            (vsq * (1 + rsq)) ** (2 * n) <= (1 << (n * n)) * asq ** (2 * n - 2),
-        ),
-        BoundCheck("scale_lower", scale ** (4 * n) * (1 << (n * n)) >= asq * asq),
-        BoundCheck(
-            "residual_ratio",
-            (rsq / scale**2) ** (2 * n) * (asq * asq) <= 1 << (4 * n + n * n),
-        ),
-    )
 
 
 def decompose_with_fallback(

@@ -15,8 +15,3 @@ def l1_norm(v: Sequence):
 
 def linf_norm(v: Sequence):
     return max(abs(x) for x in v)
-
-
-def norm_sq(v: Sequence):
-    return sum(x * x for x in v)
-

@@ -13,8 +13,9 @@ from sscert.decompose import (
     decompose_with_fallback,
     project_onto,
 )
+from sscert.branching import coverage_stats
 from sscert.errors import CapacityError, DomainError
-from sscert.intmath import l1_norm, norm_sq
+from sscert.intmath import l1_norm
 from sscert.lll import lll_reduce
 from sscert.model import Direction, Instance, generate_instance
 
@@ -98,6 +99,10 @@ class TestFrankTardos:
             decompose_frank_tardos(generate_instance(9, 1))
 
 
+def exact_stats(inst, dec):
+    return coverage_stats(inst.a, dec.v, dec.scale, dec.residual, "exact")
+
+
 class TestLllRows:
     def test_near_multiple_toy(self):
         # a close to 2^12 * (1, 2, 3, 4), coprime by the +1 offsets
@@ -109,16 +114,27 @@ class TestLllRows:
         assert dec.reconstruct_a() == tuple(Fraction(x) for x in a)
         residual_dot_v = sum(r * x for r, x in zip(dec.residual, dec.v))
         assert residual_dot_v == 0
-        by_name = {b.name: b for b in dec.bounds}
-        assert by_name["residual_ratio"].holds
+        # lll_rows claims no bounds; exact coverage judges its direction
+        stats = exact_stats(inst, dec)
+        assert stats.good_length_bound_holds
+        assert stats.bad_fraction <= stats.bad_fraction_bound
 
     def test_generated_instance_scale_bound(self):
         inst = generate_instance(12, 3)
         dec = decompose_lll_rows(inst)
-        by_name = {b.name: b for b in dec.bounds}
-        assert by_name["scale_lower"].holds
-        assert by_name["direction_residual_norm"].holds
+        assert dec.reconstruct_a() == tuple(Fraction(x) for x in inst.a)
         assert l1_norm(dec.residual) / dec.scale < 1
+        stats = exact_stats(inst, dec)
+        assert stats.good_length_bound_holds
+        assert stats.bad_fraction <= stats.bad_fraction_bound
+        assert stats.corollary_1 == "holds"
+
+    def test_claims_no_bounds(self):
+        # only Frank-Tardos claims the paper's three bounds
+        assert decompose_lll_rows(generate_instance(20, 1)).bounds == ()
+        ft = decompose_frank_tardos(generate_instance(10, 1)).bounds
+        assert [b.name for b in ft] == ["direction_l1", "residual_ratio", "scale_lower"]
+        assert all(b.holds for b in ft)
 
     def test_density_gate(self):
         with pytest.raises(DomainError):
@@ -212,6 +228,10 @@ class TestDecompositionInvariants:
         assert dec.method is Method.LLL_ROWS  # derived from the provenance
         with pytest.raises(DomainError, match="length"):
             dataclasses.replace(dec, v=Direction((1, 2, 3)))
+
+
+def norm_sq(v):
+    return sum(x * x for x in v)
 
 
 class TestParallelism:

@@ -202,24 +202,21 @@ class TestDecompositionDocs:
         dec = decompose(generate_instance(10, 1))
         parsed = documents.parse_decomposition(documents.serialize_decomposition(dec))
         assert parsed.bounds == dec.bounds
-        assert len(dec.bounds) == 3
+        assert len(dec.bounds) == (3 if decompose is decompose_frank_tardos else 0)
 
     def test_forged_bounds_are_not_read(self):
-        # a = v = (2000001, 2000003), scale 1: far below the reduction's
-        # scale bound, whatever a document claims
-        doc = json.loads(documents.serialize_decomposition(Decomposition(
-            v=(2000001, 2000003),
-            scale=Fraction(1),
-            residual=(Fraction(0), Fraction(0)),
-            provenance=ReductionStats(dim=2, swaps=0, size_reductions=0),
-        )))
+        # a document's "bounds" key, however it reads, is ignored: the
+        # parsed checks are recomputed from v, scale and residual
+        dec = decompose_frank_tardos(generate_instance(10, 1))
+        doc = json.loads(documents.serialize_decomposition(dec))
         doc["bounds"] = [
-            {"name": name, "relation": "<=", "holds": True, "lhs": "0/1",
-             "rhs": "1/1", "note": ""}
-            for name in ("direction_residual_norm", "scale_lower", "residual_ratio")
+            {"name": name, "relation": "<=", "holds": False, "lhs": "1/1",
+             "rhs": "0/1", "note": ""}
+            for name in ("direction_l1", "residual_ratio", "scale_lower")
         ]
         parsed = documents.parse_decomposition(json.dumps(doc))
-        assert {b.name: b.holds for b in parsed.bounds}["scale_lower"] is False
+        assert parsed.bounds == dec.bounds
+        assert len(parsed.bounds) == 3 and all(b.holds for b in parsed.bounds)
 
     def test_warnings_key_is_ignored(self):
         dec = documents.parse_decomposition(WARNINGS_KEY_DOCUMENT)

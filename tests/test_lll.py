@@ -16,6 +16,7 @@ from oracles import (
     svp_min_norm_sq,
 )
 from sscert import _lll_fp, _lll_py, documents, lll
+from sscert.branching import coverage_stats
 from sscert.decompose import decompose_frank_tardos, decompose_lll_rows
 from sscert.diophantine import build_approx_lattice, choose_precision, corner_exponent
 from sscert.errors import DomainError, InvariantViolation
@@ -288,7 +289,15 @@ class TestFeeding:
     def test_decompositions_bounded_nonnegative_deterministic(self, decompose, n):
         inst = generate_instance(n, 1)
         first = decompose(inst)
-        assert all(check.holds for check in first.bounds)
+        if decompose is decompose_lll_rows:
+            # lll_rows claims no bounds; exact coverage judges its direction
+            assert first.bounds == ()
+            stats = coverage_stats(inst.a, first.v, first.scale, first.residual, "exact")
+            assert stats.bad_fraction <= stats.bad_fraction_bound
+            assert stats.corollary_1 == "holds" and stats.good_length_bound_holds
+        else:
+            assert len(first.bounds) == 3
+            assert all(check.holds for check in first.bounds)
         assert min(first.v) >= 0
         text = documents.serialize_decomposition(first)
         assert documents.serialize_decomposition(decompose(inst)) == text
