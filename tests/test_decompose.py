@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sscert.branching import coverage_stats
 from sscert.decompose import (
     Decomposition,
     Method,
@@ -13,7 +14,6 @@ from sscert.decompose import (
     decompose_with_fallback,
     project_onto,
 )
-from sscert.branching import coverage_stats
 from sscert.errors import CapacityError, DomainError
 from sscert.intmath import l1_norm
 from sscert.lll import lll_reduce
